@@ -1,0 +1,61 @@
+"""Stalling analysis for low-precision EMA optimizer states.
+
+Minifloat emulation, scaled tensor quantization, closed-form stall
+predictors, a quantized-EMA engine with reset policies, and Monte Carlo
+experiment drivers.
+"""
+
+from .engine import (
+    AdamHyper,
+    EmaConfig,
+    EmaState,
+    ResetKind,
+    ResetPolicy,
+    StallTrace,
+    adam_step,
+    apply_reset_policy,
+    ema_step,
+    skip_intervention_step,
+)
+from .formats import (
+    BF16,
+    FP4_E2M1,
+    FP4_E2M2U,
+    FP8_E4M3,
+    FpFormat,
+    GridValue,
+    PRESETS,
+    RoundingMode,
+    decode,
+    get_format,
+    round_nearest,
+    round_stochastic,
+    ulp_at,
+)
+from .quantize import (
+    QuantizedBlock,
+    ScalingMode,
+    ScalingScheme,
+    dequantize,
+    quantize,
+    stalled_fraction,
+    stalled_mask,
+)
+from .theory import (
+    TheoryInputs,
+    ThresholdUnreachableError,
+    avg_excess_staleness,
+    chi2_1_cdf,
+    chi2_1_inv,
+    effective_decay,
+    p_init_model,
+    p_stall_nr_ss,
+    p_stall_nr_transient,
+    p_stall_sr_ss,
+    remaining_error_E,
+    reset_period_Kstar,
+    rhohat,
+    startup_window,
+)
+
+__version__ = "0.1.0"
