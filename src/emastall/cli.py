@@ -148,21 +148,48 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def _apply_config_file(args: argparse.Namespace, path: Path) -> None:
-    # config-file entries override flags
+def _config_value(action: argparse.Action, key: str, val):
+    """Parse one config entry with its flag's own type and choices."""
+    if action.nargs == 0:  # store_true flags
+        if not isinstance(val, bool):
+            raise SystemExit(f"config {key!r}: expected true or false, got {val!r}")
+        return val
+    if val is None and action.default is None:
+        return None
+    # a list becomes the flag's comma-separated text; the trailing comma keeps
+    # a one-element list a list (a bare --seeds n means range(n))
+    text = "".join(f"{v}," for v in val) if isinstance(val, list) else str(val)
+    try:
+        parsed = action.type(text) if action.type else text
+    except (TypeError, ValueError, argparse.ArgumentTypeError):
+        raise SystemExit(f"config {key!r}: invalid value {val!r}") from None
+    if action.choices is not None and parsed not in action.choices:
+        raise SystemExit(f"config {key!r}: {val!r} is not one of {list(action.choices)}")
+    return parsed
+
+
+def _apply_config_file(
+    args: argparse.Namespace, path: Path, actions: list[argparse.Action]
+) -> None:
+    # config-file entries override flags; a key names a flag or its dest
     try:
         overrides = json.loads(path.read_text())
-    except OSError as e:
+    except (OSError, ValueError) as e:
         raise SystemExit(f"cannot read config {path}: {e}")
+    if not isinstance(overrides, dict):
+        raise SystemExit(f"config {path} must hold a JSON object")
+    by_key = {}
+    for action in actions:
+        if action.dest in ("help", "config"):
+            continue
+        by_key[action.dest] = action
+        for opt in action.option_strings:
+            by_key[opt.lstrip("-").replace("-", "_")] = action
     for key, val in overrides.items():
-        dest = key.replace("-", "_")
-        if dest == "format" or dest == "formats":
-            dest, val = "formats", list(val) if isinstance(val, list) else _str_list(val)
-        if dest == "out":
-            val = Path(val)
-        if not hasattr(args, dest):
+        action = by_key.get(key.replace("-", "_"))
+        if action is None:
             raise SystemExit(f"unknown config key {key!r}")
-        setattr(args, dest, val)
+        setattr(args, action.dest, _config_value(action, key, val))
 
 
 def _resolve_out(args: argparse.Namespace, default_name: str) -> Path | None:
@@ -494,7 +521,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     if getattr(args, "config", None):
-        _apply_config_file(args, args.config)
+        commands = next(
+            a for a in parser._actions if isinstance(a, argparse._SubParsersAction)
+        )
+        _apply_config_file(args, args.config, commands.choices[args.command]._actions)
     try:
         return _HANDLERS[args.command](args)
     except (ValueError, KeyError) as e:

@@ -3,7 +3,10 @@
 A format is described by its bit fields (sign/exponent/mantissa), an exponent
 bias, and a few behavioral flags. All representable values of a format fit
 exactly in float64, so the emulation is exact: grids are enumerated once per
-format and cached, and rounding is implemented by searching the sorted grid.
+format and cached. Rounding finds a magnitude's rank among the grid's
+decision boundaries with a bucket table indexed by the top bits of its
+float64 bit pattern (``_BucketRank``): one gather and one compare per
+element, with the same result as a binary search over the sorted grid.
 
 Codes are plain unsigned bit patterns laid out as [sign | exponent | mantissa].
 """
@@ -11,7 +14,6 @@ Codes are plain unsigned bit patterns laid out as [sign | exponent | mantissa].
 from __future__ import annotations
 
 import dataclasses
-import math
 from enum import Enum
 from functools import lru_cache
 from typing import NamedTuple
@@ -82,10 +84,11 @@ class FpFormat:
         return float(t.mag_values[i])
 
     def valid_code(self, code: int) -> bool:
-        if not 0 <= code < (1 << self.width):
+        try:
+            _grid_index(self, code)
+        except ValueError:
             return False
-        mag = code & ((1 << (self.exp_bits + self.mant_bits)) - 1)
-        return bool(_table(self).decode_lut_valid[mag])
+        return True
 
 
 # Presets. FP4 biases are not standardized; all FP4 use here is scale-relative,
@@ -113,36 +116,22 @@ class _GridTable:
 
     def __init__(self, fmt: FpFormat):
         mb, eb, bias = fmt.mant_bits, fmt.exp_bits, fmt.bias
-        codes: list[int] = []
-        values: list[float] = []
-        for exp_field in range(1 << eb):
-            for mant in range(1 << mb):
-                code = (exp_field << mb) | mant
-                if exp_field == 0:
-                    if mant == 0:
-                        if fmt.exclude_zero:
-                            continue
-                        val = 0.0
-                    elif fmt.has_subnormals:
-                        val = math.ldexp(mant, 1 - bias - mb)
-                    else:
-                        continue
-                else:
-                    val = math.ldexp((1 << mb) + mant, exp_field - bias - mb)
-                codes.append(code)
-                values.append(val)
-        self.mag_values = np.asarray(values, dtype=np.float64)
-        self.mag_codes = np.asarray(codes, dtype=np.uint16)
-        # midpoints are exact in float64: neighbors share most mantissa bits
-        self.mids = (self.mag_values[:-1] + self.mag_values[1:]) / 2.0
-        self.even = (self.mag_codes % 2 == 0).astype(bool)
-        n_mag_codes = 1 << (eb + mb)
-        self.decode_lut = np.full(n_mag_codes, np.nan)
-        self.decode_lut[self.mag_codes] = self.mag_values
-        self.decode_lut_valid = np.zeros(n_mag_codes, dtype=bool)
-        self.decode_lut_valid[self.mag_codes] = True
-        self.idx_by_code = np.zeros(n_mag_codes, dtype=np.int64)
-        self.idx_by_code[self.mag_codes] = np.arange(len(self.mag_codes))
+        code = np.arange(1 << (eb + mb))
+        exp_field, mant = code >> mb, code & ((1 << mb) - 1)
+        sub = exp_field == 0
+        keep = ~sub | np.where(mant == 0, not fmt.exclude_zero, fmt.has_subnormals)
+        # subnormals have no implicit bit and share exponent field 1's scale
+        sig = np.where(sub, mant, mant + (1 << mb)).astype(np.float64)
+        with np.errstate(over="ignore"):
+            values = np.ldexp(sig[keep], (np.maximum(exp_field, 1) - bias - mb)[keep])
+        if np.isinf(values[-1]):
+            raise OverflowError(f"{fmt.name} grid exceeds the float64 range")
+        self.mag_values = values
+        self.mag_codes = code[keep].astype(np.uint16)
+        self.even = self.mag_codes % 2 == 0
+        self.is_grid_code = keep
+        # grid index of each valid magnitude code
+        self.idx_by_code = np.cumsum(keep) - 1
 
 
 @lru_cache(maxsize=None)
@@ -150,67 +139,146 @@ def _table(fmt: FpFormat) -> _GridTable:
     return _GridTable(fmt)
 
 
-class RoundingGrid:
-    """Rounding kernel over an arbitrary ascending magnitude grid.
+class _BucketRank:
+    """Exact ``count(bounds <= x)`` for float64 ``x >= 0`` in O(1).
 
-    Used with the raw per-format grid and, by the quantizer, with grids
-    rescaled to a block anchor. Operates on magnitudes; sign handling and
-    overflow policy belong to the caller-facing wrappers below.
+    For x >= 0 the float64 bit pattern is monotone in x, so its top bits
+    ``bits >> shift`` name ordered buckets. ``shift`` is the largest one at
+    which no bucket holds two bounds, and ``lut`` stores per bucket the
+    count of bounds below the bucket's first double. A magnitude's rank is
+    then that count plus one compare against the only bound that can lie
+    inside its bucket. Nothing is rounded, so the rank equals
+    ``searchsorted(bounds, x, side="right")`` for any strictly ascending
+    positive bounds.
     """
 
-    def __init__(self, values: np.ndarray, codes: np.ndarray, even: np.ndarray):
-        self.values = values
-        self.codes = codes
-        self.even = even
-        self.mids = (values[:-1] + values[1:]) / 2.0
+    def __init__(self, table: np.ndarray, top: float):
+        # table is the bounds plus one NaN pad, which never compares true,
+        # so a rank never passes the last bound
+        self.table = table
+        bits = table[:-1].view(np.int64)
+        for shift in range(52, -1, -1):
+            if not np.any(np.diff(bits >> shift) == 0):
+                break
+        else:
+            raise ValueError("grid boundaries are not distinct float64 values")
+        bottom = table[0] if len(table) > 1 else top
+        first = np.float64(bottom).view(np.int64) >> shift
+        last = np.float64(top).view(np.int64) >> shift
+        starts = (np.arange(first, last + 1) << shift).view(np.float64)
+        self.lut = np.searchsorted(table[:-1], starts, side="left")
+        self.shift, self.first = shift, first
+
+    def __call__(self, mag: np.ndarray) -> np.ndarray:
+        bucket = mag.view(np.int64) >> self.shift
+        bucket -= self.first
+        # clipping sends -0.0 and magnitudes below the first bound to the
+        # first bucket, and those above the top to the last one
+        rank = self.lut.take(bucket, mode="clip")
+        rank += self.table.take(rank) <= mag
+        return rank
+
+
+class RoundingGrid:
+    """One format's grid divided by ``unit``: the rounding kernel and the
+    code tables that encode an index and a sign and decode a code.
+
+    The raw grid has unit 1. The quantizer's grid has unit x_max; its points
+    are rounded quotients rather than a minifloat lattice. Both rounding
+    modes reduce to an exact rank among decision boundaries (see
+    ``_BucketRank``), so no binary search runs per element. Magnitudes must
+    be float64 and nonnegative; those above the top point round to it.
+    """
+
+    def __init__(self, fmt: FpFormat, unit: float, saturate: bool):
+        t = _table(fmt)
+        self.fmt, self.saturate = fmt, saturate
+        self.codes, self.even = t.mag_codes, t.even
+        padded = np.append(t.mag_values / unit, np.nan)
+        self.values = values = padded[:-1]
+        mids = (values[:-1] + values[1:]) / 2.0
+        # a tie at a midpoint goes to the even neighbor: moving the boundary
+        # one ulp up makes an exact midpoint round down to an even lower one
+        nr_bounds = np.where(t.even[:-1], np.nextafter(mids, np.inf), mids)
+        self._nearest = _BucketRank(np.append(nr_bounds, np.nan), values[-1])
+        # the lower bracket is the count of points above the bottom one that
+        # lie at or below mag; its upper neighbor is the same table's entry,
+        # and the NaN pad above the top point makes the top frac NaN, which
+        # never rounds up
+        self._lower = _BucketRank(padded[1:], values[-1])
+        self.decoded = np.full(1 << fmt.width, np.nan)
+        self.decoded[self.codes] = values
+        if fmt.sign_bits:
+            sign_bit = 1 << (fmt.exp_bits + fmt.mant_bits)
+            self.decoded[self.codes | sign_bit] = -values
+            # index + len(values) selects the negative code; zero keeps its
+            # positive code
+            neg = np.where(values > 0, self.codes | sign_bit, self.codes)
+            self.signed_codes = np.concatenate([self.codes, neg]).astype(np.uint16)
 
     def nearest_idx(self, mag: np.ndarray) -> np.ndarray:
-        idx = np.searchsorted(self.mids, mag, side="right")
-        # searchsorted sends exact midpoints up; pull back where the lower
-        # neighbor is the even-mantissa one
-        hit = idx > 0
-        if np.any(hit):
-            tie = np.zeros_like(hit)
-            tie[hit] = mag[hit] == self.mids[idx[hit] - 1]
-            fix = tie & self.even[np.minimum(idx - 1, len(self.values) - 1)]
-            idx = np.where(fix, idx - 1, idx)
-        return idx
+        return self._nearest(mag)
 
     def stochastic_idx(self, mag: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        lo = np.searchsorted(self.values, mag, side="right") - 1
-        lo = np.clip(lo, 0, len(self.values) - 1)
-        hi = np.minimum(lo + 1, len(self.values) - 1)
-        v_lo = self.values[lo]
-        v_hi = self.values[hi]
-        gap = v_hi - v_lo
-        with np.errstate(divide="ignore", invalid="ignore"):
-            frac = np.where(gap > 0, (mag - v_lo) / gap, 0.0)
-        frac = np.clip(frac, 0.0, 1.0)
+        lo = self._lower(mag)
+        v_lo = self.values.take(lo)
+        gap = self._lower.table.take(lo)
+        gap -= v_lo
+        # below the bottom point (grids without zero) frac is negative and
+        # never rounds up
+        frac = mag - v_lo
+        frac /= gap
         # one uniform per element, drawn unconditionally so the stream
         # position depends only on the call shape
-        up = rng.random(mag.shape) < frac
-        return np.where(up, hi, lo)
+        lo += rng.random(mag.shape) < frac
+        return lo
+
+    def encode(
+        self, x: np.ndarray, mode: RoundingMode, rng: np.random.Generator | None
+    ) -> np.ndarray:
+        """Full codes of x: magnitude, overflow policy, rounding, sign."""
+        x = np.asarray(x, dtype=np.float64)
+        # for unsigned formats the nearest point to a negative input is the
+        # bottom of the grid, so clamp rather than reflect
+        mag = np.abs(x) if self.fmt.sign_bits else np.maximum(x, 0.0)
+        if not self.saturate and np.any(mag > self.values[-1]):
+            raise OverflowError(
+                f"magnitude exceeds {self.fmt.name} x_max with saturation disabled"
+            )
+        if mode is RoundingMode.NEAREST_EVEN:
+            idx = self.nearest_idx(mag)
+        elif rng is None:
+            raise ValueError("stochastic rounding requires an rng stream")
+        else:
+            idx = self.stochastic_idx(mag, rng)
+        if not self.fmt.sign_bits:
+            return self.codes.take(idx)
+        np.add(idx, len(self.values), out=idx, where=x < 0)
+        return self.signed_codes.take(idx)
 
 
 @lru_cache(maxsize=None)
 def _raw_grid(fmt: FpFormat) -> RoundingGrid:
-    t = _table(fmt)
-    return RoundingGrid(t.mag_values, t.mag_codes, t.even)
+    return RoundingGrid(fmt, 1.0, fmt.saturate_on_overflow)
 
 
 @lru_cache(maxsize=None)
 def _normalized_grid(fmt: FpFormat) -> RoundingGrid:
-    """Grid divided by x_max; the top point is exactly 1.0."""
-    t = _table(fmt)
-    return RoundingGrid(t.mag_values / t.mag_values[-1], t.mag_codes, t.even)
+    """Grid divided by x_max; the top point is exactly 1.0. Scaled
+    quantization always saturates: the block anchor maps to the top point."""
+    return RoundingGrid(fmt, fmt.x_max, True)
 
 
-def _split_code(fmt: FpFormat, code: int) -> tuple[int, int]:
+def _grid_index(fmt: FpFormat, code: int) -> tuple[int, int]:
+    """Sign bit and grid index of a code; ValueError unless it is a grid point."""
     if not 0 <= code < (1 << fmt.width):
         raise ValueError(f"code {code} does not fit in {fmt.width} bits")
     mag_bits = fmt.exp_bits + fmt.mant_bits
-    sign = code >> mag_bits if fmt.sign_bits else 0
-    return sign, code & ((1 << mag_bits) - 1)
+    mag = code & ((1 << mag_bits) - 1)
+    t = _table(fmt)
+    if not t.is_grid_code[mag]:
+        raise ValueError(f"code {code} is not a valid {fmt.name} grid point")
+    return code >> mag_bits, int(t.idx_by_code[mag])
 
 
 def decode(fmt: FpFormat, code: int) -> float:
@@ -219,43 +287,22 @@ def decode(fmt: FpFormat, code: int) -> float:
     Raises ValueError for codes outside the format width, for the zero code
     under exclude_zero, and for subnormal codes when subnormals are disabled.
     """
-    sign, mag = _split_code(fmt, code)
-    t = _table(fmt)
-    if not t.decode_lut_valid[mag]:
-        raise ValueError(f"code {code} is not a valid {fmt.name} grid point")
-    val = float(t.decode_lut[mag])
+    sign, i = _grid_index(fmt, code)
+    val = float(_table(fmt).mag_values[i])
     return -val if sign else val
 
 
 def decode_array(fmt: FpFormat, codes: np.ndarray) -> np.ndarray:
     """Vectorized decode; assumes codes came from this module's rounders."""
-    t = _table(fmt)
-    mag_bits = fmt.exp_bits + fmt.mant_bits
-    mag = codes & ((1 << mag_bits) - 1)
-    vals = t.decode_lut[mag]
-    if fmt.sign_bits:
-        vals = np.where(codes >> mag_bits, -vals, vals)
-    return vals
+    return _raw_grid(fmt).decoded.take(codes)
 
 
-def _mag_codes_nearest(fmt: FpFormat, mag: np.ndarray) -> np.ndarray:
-    grid = _raw_grid(fmt)
-    over = mag > grid.values[-1]
-    if np.any(over):
-        if not fmt.saturate_on_overflow:
-            raise OverflowError(
-                f"magnitude exceeds {fmt.name} x_max with saturation disabled"
-            )
-        mag = np.where(over, grid.values[-1], mag)
-    return grid.codes[grid.nearest_idx(mag)]
-
-
-def _as_magnitudes(fmt: FpFormat, x: np.ndarray) -> np.ndarray:
-    # for unsigned formats the nearest point to a negative input is the
-    # bottom of the grid, so clamp rather than reflect
-    if fmt.sign_bits:
-        return np.abs(x)
-    return np.maximum(x, 0.0)
+def _round_array(
+    fmt: FpFormat, x: np.ndarray, mode: RoundingMode, rng: np.random.Generator | None
+) -> np.ndarray:
+    if not np.all(np.isfinite(x)):
+        raise ValueError("cannot round non-finite values")
+    return _raw_grid(fmt).encode(x, mode, rng)
 
 
 def round_nearest(fmt: FpFormat, x: float) -> GridValue:
@@ -265,11 +312,9 @@ def round_nearest(fmt: FpFormat, x: float) -> GridValue:
     is disabled); magnitudes below the smallest grid midpoint map to zero,
     or to s_min when the format excludes zero.
     """
-    if not math.isfinite(x):
-        raise ValueError("cannot round a non-finite value")
-    a = _as_magnitudes(fmt, np.asarray([x], dtype=np.float64))
-    mag_code = int(_mag_codes_nearest(fmt, a)[0])
-    return _with_sign(fmt, mag_code, x)
+    code = int(_round_array(fmt, [x], RoundingMode.NEAREST_EVEN, None)[0])
+    # zero results keep the canonical positive code
+    return GridValue(code, decode(fmt, code))
 
 
 def round_stochastic(
@@ -280,65 +325,20 @@ def round_stochastic(
     Exact grid points are returned unchanged with probability 1. Values
     beyond x_max saturate deterministically.
     """
-    if not math.isfinite(x):
-        raise ValueError("cannot round a non-finite value")
-    a = _as_magnitudes(fmt, np.asarray([x], dtype=np.float64))
-    mag_code = int(_mag_codes_stochastic(fmt, a, rng)[0])
-    return _with_sign(fmt, mag_code, x)
-
-
-def _mag_codes_stochastic(
-    fmt: FpFormat, mag: np.ndarray, rng: np.random.Generator
-) -> np.ndarray:
-    grid = _raw_grid(fmt)
-    over = mag > grid.values[-1]
-    if np.any(over):
-        if not fmt.saturate_on_overflow:
-            raise OverflowError(
-                f"magnitude exceeds {fmt.name} x_max with saturation disabled"
-            )
-        mag = np.where(over, grid.values[-1], mag)
-    return grid.codes[grid.stochastic_idx(mag, rng)]
-
-
-def _with_sign(fmt: FpFormat, mag_code: int, x: float) -> GridValue:
-    # zero results keep the canonical positive code
-    t = _table(fmt)
-    value = float(t.decode_lut[mag_code])
-    if fmt.sign_bits and x < 0 and value != 0.0:
-        return GridValue(
-            (1 << (fmt.exp_bits + fmt.mant_bits)) | mag_code, -value
-        )
-    return GridValue(mag_code, value)
+    code = int(_round_array(fmt, [x], RoundingMode.STOCHASTIC, rng)[0])
+    return GridValue(code, decode(fmt, code))
 
 
 def round_nearest_array(fmt: FpFormat, x: np.ndarray) -> np.ndarray:
     """Vectorized round_nearest returning full codes."""
-    if not np.all(np.isfinite(x)):
-        raise ValueError("cannot round non-finite values")
-    mag_codes = _mag_codes_nearest(fmt, _as_magnitudes(fmt, x))
-    return _apply_sign_codes(fmt, mag_codes, x)
+    return _round_array(fmt, x, RoundingMode.NEAREST_EVEN, None)
 
 
 def round_stochastic_array(
     fmt: FpFormat, x: np.ndarray, rng: np.random.Generator
 ) -> np.ndarray:
     """Vectorized round_stochastic returning full codes."""
-    if not np.all(np.isfinite(x)):
-        raise ValueError("cannot round non-finite values")
-    mag_codes = _mag_codes_stochastic(fmt, _as_magnitudes(fmt, x), rng)
-    return _apply_sign_codes(fmt, mag_codes, x)
-
-
-def _apply_sign_codes(
-    fmt: FpFormat, mag_codes: np.ndarray, x: np.ndarray
-) -> np.ndarray:
-    if not fmt.sign_bits:
-        return mag_codes.astype(np.uint16)
-    t = _table(fmt)
-    neg = (x < 0) & (t.decode_lut[mag_codes] != 0.0)
-    sign_bit = np.uint16(1 << (fmt.exp_bits + fmt.mant_bits))
-    return np.where(neg, mag_codes | sign_bit, mag_codes).astype(np.uint16)
+    return _round_array(fmt, x, RoundingMode.STOCHASTIC, rng)
 
 
 def ulp_at(fmt: FpFormat, code: int) -> float:
@@ -347,14 +347,9 @@ def ulp_at(fmt: FpFormat, code: int) -> float:
     The largest finite code uses the one-sided spacing below it; zero uses
     the spacing up to the first positive point.
     """
-    sign, mag = _split_code(fmt, code)
-    t = _table(fmt)
-    if not t.decode_lut_valid[mag]:
-        raise ValueError(f"code {code} is not a valid {fmt.name} grid point")
-    i = int(t.idx_by_code[mag])
-    if i == len(t.mag_values) - 1:
-        return float(t.mag_values[i] - t.mag_values[i - 1])
-    return float(t.mag_values[i + 1] - t.mag_values[i])
+    values = _table(fmt).mag_values
+    i = min(_grid_index(fmt, code)[1], len(values) - 2)
+    return float(values[i + 1] - values[i])
 
 
 def grid_values(fmt: FpFormat) -> np.ndarray:

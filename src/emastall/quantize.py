@@ -15,7 +15,6 @@ from __future__ import annotations
 import dataclasses
 import json
 from enum import Enum
-from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -25,7 +24,6 @@ from .formats import (
     PRESETS,
     RoundingMode,
     _normalized_grid,
-    _table,
     get_format,
 )
 
@@ -96,8 +94,11 @@ class QuantizedBlock:
         scheme = ScalingScheme(
             ScalingMode(d["scheme"]["mode"]), d["scheme"]["block_size"]
         )
+        codes = np.asarray(d["codes"], dtype=np.uint16)
+        if np.any(codes >> fmt.width):
+            raise ValueError(f"codes do not fit the {fmt.width}-bit {fmt.name} format")
         return cls(
-            codes=np.asarray(d["codes"], dtype=np.uint16),
+            codes=codes,
             scales=np.asarray(d["scales"], dtype=np.float64),
             format=fmt,
             scheme=scheme,
@@ -111,41 +112,11 @@ class QuantizedBlock:
         return cls.from_json_dict(json.loads(Path(path).read_text()))
 
 
-@lru_cache(maxsize=None)
-def _norm_decode_lut(fmt: FpFormat) -> np.ndarray:
-    t = _table(fmt)
-    return t.decode_lut / t.mag_values[-1]
-
-
 def _block_absmax(values: np.ndarray, scheme: ScalingScheme) -> np.ndarray:
     # an all-zero block keeps absmax 0, so it dequantizes to exact zeros
     # even on grids that exclude the zero point
     starts = scheme.block_starts(len(values))
     return np.maximum.reduceat(np.abs(values), starts)
-
-
-def _encode_normalized(
-    fmt: FpFormat,
-    w: np.ndarray,
-    mode: RoundingMode,
-    rng: np.random.Generator | None,
-) -> np.ndarray:
-    grid = _normalized_grid(fmt)
-    mag = np.abs(w) if fmt.sign_bits else np.maximum(w, 0.0)
-    # scaled quantization always saturates: the anchor maps to the top point
-    mag = np.minimum(mag, grid.values[-1])
-    if mode is RoundingMode.NEAREST_EVEN:
-        idx = grid.nearest_idx(mag)
-    else:
-        if rng is None:
-            raise ValueError("stochastic rounding requires an rng stream")
-        idx = grid.stochastic_idx(mag, rng)
-    mag_codes = grid.codes[idx]
-    if not fmt.sign_bits:
-        return mag_codes.astype(np.uint16)
-    neg = (w < 0) & (grid.values[idx] != 0.0)
-    sign_bit = np.uint16(1 << (fmt.exp_bits + fmt.mant_bits))
-    return np.where(neg, mag_codes | sign_bit, mag_codes).astype(np.uint16)
 
 
 def quantize(
@@ -159,8 +130,6 @@ def quantize(
     values = np.asarray(values, dtype=np.float64)
     if values.ndim != 1 or len(values) == 0:
         raise ValueError("expected a nonempty 1-d array")
-    if not np.all(np.isfinite(values)):
-        raise ValueError("cannot quantize non-finite values")
     scales = _block_absmax(values, scheme)
     return quantize_with_scales(values, fmt, scheme, scales, mode, rng)
 
@@ -180,24 +149,23 @@ def quantize_with_scales(
         raise ValueError("one scale per block required")
     if np.any(scales < 0):
         raise ValueError("scales must be nonnegative")
-    starts = scheme.block_starts(len(values))
-    lengths = np.diff(np.append(starts, len(values)))
-    rep = np.repeat(scales, lengths)
-    w = np.divide(values, rep, out=np.zeros_like(values), where=rep > 0)
-    codes = _encode_normalized(fmt, w, mode, rng)
+    if not np.all(np.isfinite(values)):
+        raise ValueError("cannot quantize non-finite values")
+    if len(scales) == 1:
+        w = values / scales[0] if scales[0] > 0 else np.zeros_like(values)
+    else:
+        starts = scheme.block_starts(len(values))
+        rep = np.repeat(scales, np.diff(np.append(starts, len(values))))
+        w = np.divide(values, rep, out=np.zeros_like(values), where=rep > 0)
+    codes = _normalized_grid(fmt).encode(w, mode, rng)
     return QuantizedBlock(codes=codes, scales=scales, format=fmt, scheme=scheme)
 
 
 def dequantize(q: QuantizedBlock) -> np.ndarray:
     """Exact read of the stored state; no new rounding on the grid."""
-    fmt = q.format
-    lut = _norm_decode_lut(fmt)
-    mag_bits = fmt.exp_bits + fmt.mant_bits
-    mag = q.codes & ((1 << mag_bits) - 1)
-    vals = lut[mag]
-    if fmt.sign_bits:
-        vals = np.where(q.codes >> mag_bits, -vals, vals)
-    return vals * q.scales_per_element()
+    vals = _normalized_grid(q.format).decoded.take(q.codes)
+    vals *= q.scales[0] if len(q.scales) == 1 else q.scales_per_element()
+    return vals
 
 
 def stalled_mask(

@@ -207,3 +207,32 @@ class TestExperimentCommands:
         cfg.write_text(json.dumps({"not_a_flag": 1}))
         with pytest.raises(SystemExit):
             main(["predict-stall", "--config", str(cfg)])
+
+    def test_config_file_string_steps_parsed_by_flag_type(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"steps": "400"}))
+        code, out = run_cli(
+            ["stall-curve", "--dim", "64", "--config", str(cfg)], capsys
+        )
+        assert code == 0
+        assert json.loads(out.splitlines()[0][len("config: "):])["steps"] == 400
+
+    def test_config_file_integer_seeds_means_range(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"seeds": 3}))
+        code, out = run_cli(
+            ["reset-study", "--format", "fp32", "--steps", "20",
+             "--config", str(cfg)],
+            capsys,
+        )
+        assert code == 0
+        assert json.loads(out.splitlines()[0][len("config: "):])["seeds"] == [0, 1, 2]
+
+    def test_config_file_bad_value_is_one_line_error(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"steps": "many"}))
+        with pytest.raises(SystemExit) as exc:
+            main(["stall-curve", "--config", str(cfg)])
+        message = exc.value.code
+        assert isinstance(message, str) and "steps" in message
+        assert "\n" not in message

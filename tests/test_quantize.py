@@ -84,6 +84,8 @@ class TestQuantizeBasics:
             quantize(np.array([1.0, np.inf]), BF16, PER_TENSOR)
         with pytest.raises(ValueError):
             quantize(np.array([]), BF16, PER_TENSOR)
+        with pytest.raises(ValueError):
+            quantize_with_scales(np.array([1.0, np.nan]), BF16, PER_TENSOR, [1.0])
 
     def test_sr_requires_rng(self):
         with pytest.raises(ValueError):
@@ -140,6 +142,12 @@ class TestRoundTrips:
         assert np.array_equal(q.scales, q2.scales)
         assert q2.format == FP4_E2M1 and q2.scheme == BLOCK128
         assert np.array_equal(dequantize(q), dequantize(q2))
+
+    def test_load_rejects_codes_wider_than_format(self):
+        d = quantize(np.ones(4), FP4_E2M1, PER_TENSOR).to_json_dict()
+        d["codes"][0] = 1 << FP4_E2M1.width
+        with pytest.raises(ValueError):
+            QuantizedBlock.from_json_dict(d)
 
 
 class TestInvariances:
