@@ -54,7 +54,6 @@ from .theory import (
     p_stall_sr_ss,
     remaining_error_E,
     reset_period_Kstar,
-    rhohat,
     startup_window,
 )
 

@@ -15,6 +15,7 @@ import os
 import sys
 from pathlib import Path
 
+from .csvio import write_csv
 from .engine import AdamHyper, ResetPolicy
 from .formats import RoundingMode, get_format
 from .simlab import (
@@ -30,11 +31,10 @@ from .simlab import (
 )
 from .theory import (
     TheoryInputs,
-    ThresholdUnreachableError,
-    p_stall_nr_ss,
-    p_stall_sr_ss,
+    period_columns,
     reset_period_Kstar,
-    startup_window,
+    stall_columns,
+    window_columns,
 )
 
 DEFAULT_FORMATS = ("bf16", "fp8_e4m3", "fp4_e2m2u")
@@ -68,19 +68,19 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = p.add_subparsers(dest="command", required=True)
 
-    def add_config_flag(sp):
+    def add_io(sp):
         sp.add_argument("--config", type=Path, default=None,
                         help="JSON file whose entries override command-line flags")
-
-    def add_common(sp, formats_default=",".join(DEFAULT_FORMATS)):
-        add_config_flag(sp)
-        sp.add_argument("--format", dest="formats", type=_str_list,
-                        default=_str_list(formats_default))
-        sp.add_argument("--beta2", type=float, default=0.999)
         sp.add_argument("--out", type=Path, default=None,
                         help="output base path (suffixes .csv/.json added)")
         sp.add_argument("--json", action="store_true",
                         help="print the JSON summary instead of the text table")
+
+    def add_common(sp, formats_default=",".join(DEFAULT_FORMATS)):
+        add_io(sp)
+        sp.add_argument("--format", dest="formats", type=_str_list,
+                        default=_str_list(formats_default))
+        sp.add_argument("--beta2", type=float, default=0.999)
 
     sp = sub.add_parser("predict-stall", help="steady-state stall probabilities")
     add_common(sp)
@@ -102,7 +102,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--steps", type=int, default=5000)
     sp.add_argument("--trials", type=int, default=1)
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--preset", choices=["quick", "full"], default=None)
+    sp.add_argument("--preset", choices=["quick"], default=None)
 
     sp = sub.add_parser("first-moment", help="first-moment stall curve")
     add_common(sp, formats_default="fp4_e2m1")
@@ -113,10 +113,10 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--steps", type=int, default=3000)
     sp.add_argument("--trials", type=int, default=1)
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--preset", choices=["quick", "full"], default=None)
+    sp.add_argument("--preset", choices=["quick"], default=None)
 
     sp = sub.add_parser("skip-study", help="forced-skip stress test")
-    add_config_flag(sp)
+    add_io(sp)
     sp.add_argument("--p-skip", dest="p_skip", type=_float_list,
                     default=[0.0, 0.5, 0.9])
     sp.add_argument("--target", choices=["first", "second"], default="second")
@@ -125,15 +125,10 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--problem", choices=["quadratic", "logistic"],
                     default="quadratic")
     sp.add_argument("--lr", type=float, default=0.01)
-    sp.add_argument("--out", type=Path, default=None)
-    sp.add_argument("--json", action="store_true")
-    sp.add_argument("--preset", choices=["quick", "full"], default=None)
+    sp.add_argument("--preset", choices=["quick"], default=None)
 
     sp = sub.add_parser("reset-study", help="reset-benefit matrix")
-    add_config_flag(sp)
-    sp.add_argument("--format", dest="formats", type=_str_list,
-                    default=["fp32", "fp4"])
-    sp.add_argument("--beta2", type=float, default=0.999)
+    add_common(sp, formats_default="fp32,fp4")
     sp.add_argument("--periods", type=_int_list, default=None,
                     help="periodic-reset periods; default is theory K*")
     sp.add_argument("--adaptive", action="store_true",
@@ -142,9 +137,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--seeds", type=_seed_list, default=[0, 1, 2, 3, 4])
     sp.add_argument("--lr", type=float, default=0.01)
     sp.add_argument("--s0", type=float, default=0.6)
-    sp.add_argument("--out", type=Path, default=None)
-    sp.add_argument("--json", action="store_true")
-    sp.add_argument("--preset", choices=["quick", "full"], default=None)
+    sp.add_argument("--preset", choices=["quick"], default=None)
     return p
 
 
@@ -212,43 +205,42 @@ def _format_cell(v) -> str:
     return str(v)
 
 
-def _emit_table(rows: list[dict], args, out: Path | None) -> None:
-    cols = list(rows[0].keys())
+def _emit_table(rows: list[dict], args) -> None:
     if args.json:
         print(json.dumps(rows, sort_keys=True))
-    else:
-        widths = [
-            max(len(c), *(len(_format_cell(r[c])) for r in rows)) for c in cols
-        ]
-        print("  ".join(c.ljust(w) for c, w in zip(cols, widths)))
-        for r in rows:
-            print("  ".join(_format_cell(r[c]).ljust(w) for c, w in zip(cols, widths)))
-    if out is not None:
-        lines = [",".join(cols)]
-        for r in rows:
-            lines.append(",".join(repr(r[c]) if isinstance(r[c], float) else str(r[c])
-                                  for c in cols))
-        _write_text(out.with_suffix(".csv"), "\n".join(lines) + "\n")
+        return
+    cols = list(rows[0])
+    widths = [max(len(c), *(len(_format_cell(r[c])) for r in rows)) for c in cols]
+    print("  ".join(c.ljust(w) for c, w in zip(cols, widths)))
+    for r in rows:
+        print("  ".join(_format_cell(r[c]).ljust(w) for c, w in zip(cols, widths)))
 
 
-def _write_text(path: Path, text: str) -> None:
+def _save_table(rows: list[dict], out: Path | None) -> None:
+    if out is None:
+        return
+    cols = list(rows[0])
+    path = out.with_suffix(".csv")
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(text)
+        write_csv(path, cols, ([r[c] for c in cols] for r in rows))
     except OSError as e:
         raise SystemExit(f"cannot write {path}: {e}")
 
 
-def _save_result(result, out: Path | None) -> None:
-    if out is None:
-        return
-    try:
-        out.parent.mkdir(parents=True, exist_ok=True)
-        result.save_csv(out.with_suffix(".csv"))
-        result.save_json(out.with_suffix(".json"))
-    except OSError as e:
-        raise SystemExit(f"cannot write {out}: {e}")
-    print(f"wrote {out.with_suffix('.csv')} and {out.with_suffix('.json')}")
+def _save_result(result, args, out: Path | None) -> None:
+    """Write BASE.csv and BASE.json when there is an output base, then
+    print the summary under --json."""
+    if out is not None:
+        try:
+            out.parent.mkdir(parents=True, exist_ok=True)
+            result.save_csv(out.with_suffix(".csv"))
+            result.save_json(out.with_suffix(".json"))
+        except OSError as e:
+            raise SystemExit(f"cannot write {out}: {e}")
+        print(f"wrote {out.with_suffix('.csv')} and {out.with_suffix('.json')}")
+    if args.json:
+        print(json.dumps(result.summary(), sort_keys=True))
 
 
 def _require_formats(args) -> list[str]:
@@ -259,68 +251,38 @@ def _require_formats(args) -> list[str]:
     return args.formats
 
 
-def cmd_predict_stall(args) -> int:
-    formats = _require_formats(args)
-    _print_config("predict-stall", {"formats": formats, "beta2": args.beta2})
-    rows = []
-    for name in formats:
-        fmt = get_format(name)
-        rho = TheoryInputs(beta2=args.beta2, format=fmt).rhohat
-        rows.append(
-            {
-                "format": name,
-                "epsilon": fmt.epsilon,
-                "rhohat": rho,
-                "p_nr": p_stall_nr_ss(rho),
-                "p_sr": p_stall_sr_ss(rho),
-            }
-        )
-    _emit_table(rows, args, _resolve_out(args, "predict_stall"))
-    return 0
+# the columns each predict command adds after "format"; a command runs only
+# the predictors its own table prints
+_PREDICT_COLUMNS = {
+    "predict-stall": lambda inputs, args: stall_columns(inputs),
+    "predict-window": lambda inputs, args: window_columns(inputs, args.p0),
+    "predict-period": lambda inputs, args: period_columns(inputs, args.s0),
+}
 
 
-def cmd_predict_window(args) -> int:
+def cmd_predict(args) -> int:
     formats = _require_formats(args)
-    if not args.p0:
-        raise SystemExit("at least one --p0 value is required")
-    p_inits = args.p_init
-    if p_inits is None:
-        p_inits = [PAPER_P_INIT.get(name, 0.0) for name in formats]
-    if len(p_inits) != len(formats):
-        raise SystemExit("--p-init needs one value per format")
-    _print_config(
-        "predict-window",
-        {"formats": formats, "beta2": args.beta2, "p0": args.p0, "p_init": p_inits},
-    )
+    resolved = {"formats": formats, "beta2": args.beta2}
+    p_inits = [0.0] * len(formats)
+    if args.command == "predict-window":
+        if not args.p0:
+            raise SystemExit("at least one --p0 value is required")
+        p_inits = args.p_init
+        if p_inits is None:
+            p_inits = [PAPER_P_INIT.get(name, 0.0) for name in formats]
+        if len(p_inits) != len(formats):
+            raise SystemExit("--p-init needs one value per format")
+        resolved.update(p0=args.p0, p_init=p_inits)
+    elif args.command == "predict-period":
+        resolved["s0"] = args.s0
+    _print_config(args.command, resolved)
+    columns = _PREDICT_COLUMNS[args.command]
     rows = []
     for name, p_init in zip(formats, p_inits):
-        inputs = TheoryInputs(
-            beta2=args.beta2, format=get_format(name), p_init=p_init
-        )
-        row: dict = {"format": name, "p_init": p_init}
-        for p0 in args.p0:
-            try:
-                row[f"jstar@{p0:g}"] = startup_window(p0, inputs)
-            except ThresholdUnreachableError:
-                row[f"jstar@{p0:g}"] = "unreachable"
-        rows.append(row)
-    _emit_table(rows, args, _resolve_out(args, "predict_window"))
-    return 0
-
-
-def cmd_predict_period(args) -> int:
-    formats = _require_formats(args)
-    _print_config(
-        "predict-period", {"formats": formats, "beta2": args.beta2, "s0": args.s0}
-    )
-    rows = []
-    for name in formats:
-        row: dict = {"format": name}
-        for s0 in args.s0:
-            inputs = TheoryInputs(beta2=args.beta2, format=get_format(name), s0=s0)
-            row[f"Kstar@{s0:g}"] = reset_period_Kstar(inputs)
-        rows.append(row)
-    _emit_table(rows, args, _resolve_out(args, "predict_period"))
+        inputs = TheoryInputs(beta2=args.beta2, format=get_format(name), p_init=p_init)
+        rows.append({"format": name, **columns(inputs, args)})
+    _emit_table(rows, args)
+    _save_table(rows, _resolve_out(args, args.command.replace("-", "_")))
     return 0
 
 
@@ -335,11 +297,20 @@ def _apply_preset(args) -> None:
             args.seeds = args.seeds[:3]
 
 
+def _curve_out(args, name: str) -> Path | None:
+    """Output base of one format's curve. With several formats, --out BASE
+    becomes BASE_<format>_<rounding>; the EMASTALL_OUTDIR default name
+    carries both already."""
+    tag = f"{name}_{args.rounding}"
+    if args.out is not None and len(args.formats) > 1:
+        return args.out.with_name(f"{args.out.name}_{tag}")
+    return _resolve_out(args, f"{args.command.replace('-', '_')}_{tag}")
+
+
 def cmd_stall_curve(args) -> int:
     formats = _require_formats(args)
     _apply_preset(args)
     mode = RoundingMode.NEAREST_EVEN if args.rounding == "nr" else RoundingMode.STOCHASTIC
-    rc = 0
     for name in formats:
         spec = GradientStreamSpec(dimension=args.dim, seed=args.seed)
         cfg = default_ema_config(name, args.beta2, mode)
@@ -362,13 +333,8 @@ def cmd_stall_curve(args) -> int:
             f"plateau={m['measured_plateau']:.4f} theory={m.get('theory_ss', 0):.4f} "
             f"seed={args.seed}"
         )
-        out = _resolve_out(args, f"stall_curve_{name}_{args.rounding}")
-        if out is not None and len(formats) > 1:
-            out = out.with_name(f"{out.name}_{name}_{args.rounding}")
-        _save_result(result, out)
-        if args.json:
-            print(json.dumps(result.summary(), sort_keys=True))
-    return rc
+        _save_result(result, args, _curve_out(args, name))
+    return 0
 
 
 def cmd_first_moment(args) -> int:
@@ -400,10 +366,7 @@ def cmd_first_moment(args) -> int:
             f"{name}: floor={m['measured_floor']:.4f} "
             f"steady={m['measured_steady']:.4f} seed={args.seed}"
         )
-        out = _resolve_out(args, f"first_moment_{name}_{args.rounding}")
-        _save_result(result, out)
-        if args.json:
-            print(json.dumps(result.summary(), sort_keys=True))
+        _save_result(result, args, _curve_out(args, name))
     return 0
 
 
@@ -437,9 +400,7 @@ def cmd_skip_study(args) -> int:
     )
     for key in sorted(result.metrics):
         print(f"{key}: {result.metrics[key]:.6g}")
-    _save_result(result, _resolve_out(args, f"skip_study_{args.target}"))
-    if args.json:
-        print(json.dumps(result.summary(), sort_keys=True))
+    _save_result(result, args, _resolve_out(args, f"skip_study_{args.target}"))
     return 0
 
 
@@ -500,16 +461,14 @@ def cmd_reset_study(args) -> int:
         print(f"{key}: {result.metrics[key]:.6g}")
     winner = min(result.metrics, key=result.metrics.get)
     print(f"best cell: {winner}")
-    _save_result(result, _resolve_out(args, "reset_study"))
-    if args.json:
-        print(json.dumps(result.summary(), sort_keys=True))
+    _save_result(result, args, _resolve_out(args, "reset_study"))
     return 0
 
 
 _HANDLERS = {
-    "predict-stall": cmd_predict_stall,
-    "predict-window": cmd_predict_window,
-    "predict-period": cmd_predict_period,
+    "predict-stall": cmd_predict,
+    "predict-window": cmd_predict,
+    "predict-period": cmd_predict,
     "stall-curve": cmd_stall_curve,
     "first-moment": cmd_first_moment,
     "skip-study": cmd_skip_study,

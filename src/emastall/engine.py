@@ -9,13 +9,13 @@ working precision and is the full-precision control used by experiments.
 
 from __future__ import annotations
 
-import csv
 import dataclasses
 from enum import Enum
 from pathlib import Path
 
 import numpy as np
 
+from .csvio import write_csv
 from .formats import FpFormat, RoundingMode
 from .quantize import (
     QuantizedBlock,
@@ -55,11 +55,16 @@ class EmaConfig:
 
 @dataclasses.dataclass
 class EmaState:
-    """Stored (quantized) state plus its position in the reset cycle."""
+    """Stored (quantized) state plus its position in the reset cycle.
+
+    excess is the staleness in excess of the tolerance accumulated over the
+    current cycle; only the adaptive reset policy reads and advances it.
+    """
 
     stored: QuantizedBlock | np.ndarray
     k: int
     config: EmaConfig
+    excess: float = 0.0
 
     @classmethod
     def initialize(cls, config: EmaConfig, dim: int) -> "EmaState":
@@ -103,7 +108,7 @@ def _store(
     cfg = state.config
     if cfg.format is None:
         frac = float(np.mean(proposal == state.stored))
-        return EmaState(proposal, state.k + 1, cfg), frac
+        return EmaState(proposal, state.k + 1, cfg, state.excess), frac
     if cfg.freeze_scale:
         new = quantize_with_scales(
             proposal, cfg.format, cfg.scheme, state.stored.scales, cfg.rounding, rng
@@ -111,7 +116,7 @@ def _store(
     else:
         new = quantize(proposal, cfg.format, cfg.scheme, cfg.rounding, rng)
     frac = stalled_fraction(state.stored, new, include_scale=False)
-    return EmaState(new, state.k + 1, cfg), frac
+    return EmaState(new, state.k + 1, cfg, state.excess), frac
 
 
 def ema_step(
@@ -139,7 +144,7 @@ def skip_intervention_step(
     if not 0.0 <= p_skip <= 1.0:
         raise ValueError("p_skip must be in [0, 1]")
     if p_skip > 0.0 and rng.random() < p_skip:
-        return EmaState(state.stored, state.k + 1, state.config)
+        return EmaState(state.stored, state.k + 1, state.config, state.excess)
     new, _ = ema_step(state, signal, rng)
     return new
 
@@ -150,14 +155,13 @@ class ResetKind(Enum):
     ADAPTIVE = "adaptive"
 
 
-@dataclasses.dataclass
+@dataclasses.dataclass(frozen=True)
 class ResetPolicy:
     """When to clear an EMA state.
 
     PERIODIC resets every K steps. ADAPTIVE accumulates the observed excess
-    staleness and resets once its cycle average overtakes the remaining
-    statistical error E(k); the accumulator lives on the policy, so use one
-    policy instance per state tensor.
+    staleness on the state and resets once its cycle average overtakes the
+    remaining statistical error E(k).
     """
 
     kind: ResetKind
@@ -166,7 +170,6 @@ class ResetPolicy:
     p_ss: float = 1.0
     beta2: float | None = None
     applies_to: str = "both"
-    accumulated_excess: float = 0.0
 
     def __post_init__(self) -> None:
         if self.applies_to not in ("first", "second", "both"):
@@ -207,7 +210,7 @@ def _reset_state(state: EmaState) -> EmaState:
         stored = quantize_with_scales(
             np.zeros(len(state)), cfg.format, cfg.scheme, state.stored.scales
         )
-        return EmaState(stored, 0, cfg)
+        return EmaState(stored, 0, cfg, 0.0)
     return EmaState.initialize(cfg, len(state))
 
 
@@ -230,12 +233,10 @@ def apply_reset_policy(
     if k < 1:
         return state, False
     s = last_fraction / policy.p_ss
-    policy.accumulated_excess += max(0.0, (s - policy.s0) / (1.0 - policy.s0))
-    sbar = policy.accumulated_excess / k
-    if sbar >= remaining_error_E(k, policy.beta2):
-        policy.accumulated_excess = 0.0
+    excess = state.excess + max(0.0, (s - policy.s0) / (1.0 - policy.s0))
+    if excess / k >= remaining_error_E(k, policy.beta2):
         return _reset_state(state), True
-    return state, False
+    return EmaState(state.stored, k, state.config, excess), False
 
 
 @dataclasses.dataclass(frozen=True)
@@ -333,10 +334,13 @@ class StallTrace:
         return [i + 1 for i, r in enumerate(self.reset_flags) if r]
 
     def to_csv(self, path: str | Path) -> None:
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["step", "tensor_id", "stalled_fraction", "cycle_k", "reset_flag"])
-            for i, (f, k, r) in enumerate(
-                zip(self.fractions, self.cycle_ks, self.reset_flags)
-            ):
-                w.writerow([i + 1, self.tensor_id, repr(f), k, int(r)])
+        write_csv(
+            path,
+            ["step", "tensor_id", "stalled_fraction", "cycle_k", "reset_flag"],
+            (
+                [i, self.tensor_id, f, k, int(r)]
+                for i, (f, k, r) in enumerate(
+                    zip(self.fractions, self.cycle_ks, self.reset_flags), start=1
+                )
+            ),
+        )

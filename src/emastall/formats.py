@@ -83,13 +83,6 @@ class FpFormat:
         i = 1 if t.mag_values[0] == 0.0 else 0
         return float(t.mag_values[i])
 
-    def valid_code(self, code: int) -> bool:
-        try:
-            _grid_index(self, code)
-        except ValueError:
-            return False
-        return True
-
 
 # Presets. FP4 biases are not standardized; all FP4 use here is scale-relative,
 # so the bias only fixes the grid's nominal range.

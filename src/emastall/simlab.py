@@ -19,6 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .csvio import write_csv
 from .engine import (
     AdamHyper,
     EmaConfig,
@@ -242,18 +243,7 @@ class ExperimentResult:
         Path(path).write_text(json.dumps(self.summary(), indent=2, sort_keys=True))
 
     def save_csv(self, path: str | Path) -> None:
-        cols = list(self.series)
-        n = len(self.series[cols[0]]) if cols else 0
-        lines = [",".join(cols)]
-        for i in range(n):
-            lines.append(",".join(_csv_cell(self.series[c][i]) for c in cols))
-        Path(path).write_text("\n".join(lines) + "\n")
-
-
-def _csv_cell(v) -> str:
-    if isinstance(v, (float, np.floating)):
-        return repr(float(v))
-    return str(v)
+        write_csv(path, list(self.series), zip(*self.series.values()))
 
 
 def _config_dict(obj):
@@ -314,6 +304,51 @@ def moment_configs(
     )
 
 
+def _curve_result(
+    experiment: str,
+    stream: GradientStreamSpec,
+    ema: EmaConfig,
+    steps: int,
+    trials: int,
+    second_moment: bool,
+    steady_key: str,
+) -> ExperimentResult:
+    # per-step stalled fraction averaged over trials, for an EMA of the
+    # stream (of its square for a second moment), with the measured floor
+    # (step 1) and the last-decile mean under steady_key
+    if steps < 1 or trials < 1:
+        raise ValueError("steps and trials must be >= 1")
+    t0 = time.perf_counter()
+    acc = np.zeros(steps)
+    for trial in range(trials):
+        gs = GradientStream(stream, trial)
+        rng = np.random.default_rng([stream.seed, trial, _KEY_ROUND])
+        state = EmaState.initialize(ema, stream.dimension)
+        for t in range(steps):
+            g = gs.draw()
+            state, frac = ema_step(state, g * g if second_moment else g, rng)
+            acc[t] += frac
+    mean_frac = acc / trials
+    return ExperimentResult(
+        config={
+            "experiment": experiment,
+            "stream": _config_dict(stream),
+            "ema": _config_dict(ema),
+            "steps": steps,
+            "trials": trials,
+        },
+        series={
+            "step": list(range(1, steps + 1)),
+            "stalled_fraction": mean_frac.tolist(),
+        },
+        metrics={
+            "measured_floor": float(mean_frac[0]),
+            steady_key: float(np.mean(mean_frac[-_trailing_window(steps):])),
+        },
+        wall_time=time.perf_counter() - t0,
+    )
+
+
 def run_stall_curve(
     stream: GradientStreamSpec,
     ema: EmaConfig,
@@ -326,31 +361,12 @@ def run_stall_curve(
     measured floor (step 1) and plateau (last decile), and overlays the
     transient and steady-state theory values for the config's format.
     """
-    if steps < 1 or trials < 1:
-        raise ValueError("steps and trials must be >= 1")
-    t0 = time.perf_counter()
-    acc = np.zeros(steps)
-    for trial in range(trials):
-        gs = GradientStream(stream, trial)
-        rng = np.random.default_rng([stream.seed, trial, _KEY_ROUND])
-        state = EmaState.initialize(ema, stream.dimension)
-        for t in range(steps):
-            g = gs.draw()
-            state, frac = ema_step(state, g * g, rng)
-            acc[t] += frac
-    mean_frac = acc / trials
-
-    series: dict = {
-        "step": list(range(1, steps + 1)),
-        "stalled_fraction": mean_frac.tolist(),
-    }
-    metrics: dict = {
-        "measured_floor": float(mean_frac[0]),
-        "measured_plateau": float(np.mean(mean_frac[-max(1, steps // 10):])),
-    }
+    result = _curve_result(
+        "stall_curve", stream, ema, steps, trials, True, "measured_plateau"
+    )
     if ema.format is not None:
-        inputs = TheoryInputs(beta2=ema.beta, format=ema.format)
-        rho = inputs.rhohat
+        metrics = result.metrics
+        rho = TheoryInputs(beta2=ema.beta, format=ema.format).rhohat
         metrics["rhohat"] = rho
         metrics["theory_ss_nr"] = p_stall_nr_ss(rho)
         metrics["theory_ss_sr"] = p_stall_sr_ss(rho)
@@ -359,21 +375,10 @@ def run_stall_curve(
             if ema.rounding is RoundingMode.NEAREST_EVEN
             else metrics["theory_ss_sr"]
         )
-        series["theory_nr_transient"] = [
+        result.series["theory_nr_transient"] = [
             p_stall_nr_transient(j, ema.beta, rho) for j in range(1, steps + 1)
         ]
-    return ExperimentResult(
-        config={
-            "experiment": "stall_curve",
-            "stream": _config_dict(stream),
-            "ema": _config_dict(ema),
-            "steps": steps,
-            "trials": trials,
-        },
-        series=series,
-        metrics=metrics,
-        wall_time=time.perf_counter() - t0,
-    )
+    return result
 
 
 def run_first_moment_curve(
@@ -384,35 +389,8 @@ def run_first_moment_curve(
 ) -> ExperimentResult:
     """Stalled fraction of a signed first-moment EMA; measurement only,
     there is no closed-form overlay for the first moment."""
-    if steps < 1 or trials < 1:
-        raise ValueError("steps and trials must be >= 1")
-    t0 = time.perf_counter()
-    acc = np.zeros(steps)
-    for trial in range(trials):
-        gs = GradientStream(stream, trial)
-        rng = np.random.default_rng([stream.seed, trial, _KEY_ROUND])
-        state = EmaState.initialize(ema, stream.dimension)
-        for t in range(steps):
-            state, frac = ema_step(state, gs.draw(), rng)
-            acc[t] += frac
-    mean_frac = acc / trials
-    return ExperimentResult(
-        config={
-            "experiment": "first_moment_curve",
-            "stream": _config_dict(stream),
-            "ema": _config_dict(ema),
-            "steps": steps,
-            "trials": trials,
-        },
-        series={
-            "step": list(range(1, steps + 1)),
-            "stalled_fraction": mean_frac.tolist(),
-        },
-        metrics={
-            "measured_floor": float(mean_frac[0]),
-            "measured_steady": float(np.mean(mean_frac[-max(1, steps // 10):])),
-        },
-        wall_time=time.perf_counter() - t0,
+    return _curve_result(
+        "first_moment_curve", stream, ema, steps, trials, False, "measured_steady"
     )
 
 
@@ -448,8 +426,7 @@ def run_skip_study(
             raise ValueError("p_skip values must be in [0, 1]")
         for seed in seeds:
             inst = problem.make_instance(seed)
-            cfg_m = EmaConfig(beta=hyper.beta1, format=None)
-            cfg_v = EmaConfig(beta=hyper.beta2, format=None)
+            cfg_m, cfg_v = moment_configs(None, hyper)
             params = inst.init_params()
             m = EmaState.initialize(cfg_m, len(params))
             v = EmaState.initialize(cfg_v, len(params))
@@ -497,10 +474,6 @@ def run_skip_study(
     )
 
 
-def _fresh_policy(policy: ResetPolicy) -> ResetPolicy:
-    return dataclasses.replace(policy, accumulated_excess=0.0)
-
-
 def run_reset_training(
     problem,
     cfg_m: EmaConfig,
@@ -517,8 +490,6 @@ def run_reset_training(
     params = inst.init_params()
     m = EmaState.initialize(cfg_m, len(params))
     v = EmaState.initialize(cfg_v, len(params))
-    pol_m = _fresh_policy(policy)
-    pol_v = _fresh_policy(policy)
     grad_rng = np.random.default_rng([seed, _KEY_GRAD])
     round_rng = np.random.default_rng([seed, _KEY_ROUND])
     trace_m = StallTrace("first_moment")
@@ -532,9 +503,9 @@ def run_reset_training(
         reset_m = reset_v = False
         if policy.kind is not ResetKind.NONE:
             if policy.applies_to in ("first", "both"):
-                m, reset_m = apply_reset_policy(m, pol_m, stats["stalled_m"])
+                m, reset_m = apply_reset_policy(m, policy, stats["stalled_m"])
             if policy.applies_to in ("second", "both"):
-                v, reset_v = apply_reset_policy(v, pol_v, stats["stalled_v"])
+                v, reset_v = apply_reset_policy(v, policy, stats["stalled_v"])
         if record_trace:
             trace_m.append(stats["stalled_m"], m.k, reset_m)
             trace_v.append(stats["stalled_v"], v.k, reset_v)
@@ -558,8 +529,7 @@ def run_reset_study(
     """Final-loss matrix over storage config x reset policy x seed.
 
     configs is a list of (label, cfg_m, cfg_v); policies a list of
-    (label, ResetPolicy). Policies are copied per run so adaptive
-    accumulators never leak across cells.
+    (label, ResetPolicy).
     """
     if len(seeds) < 3:
         raise ValueError("need at least 3 seeds")

@@ -1,17 +1,17 @@
 """Closed-form predictors for quantized-EMA stalling.
 
-Everything here reduces to the chi-squared(1) CDF, built on an internal
-error-function implementation (power series for small arguments, a
-continued-fraction tail otherwise). The predictors cover one-step stall
-probabilities under nearest and stochastic rounding, the transient buildup
-after a reset, the effective decay induced by stalling, the initialization
-floor model, startup windows, and the reset-period heuristic.
+Everything here reduces to the chi-squared(1) CDF. The predictors cover
+one-step stall probabilities under nearest and stochastic rounding, the
+transient buildup after a reset, the effective decay induced by stalling,
+the initialization floor model, startup windows, and the reset-period
+heuristic.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
+from collections.abc import Iterable
 
 from .formats import FpFormat
 
@@ -21,71 +21,11 @@ MBAR = 1.0 / math.log(2.0)
 # E|z - 1| for z ~ chi2_1, i.e. 4 * phi(1) with phi the standard normal pdf
 MU1 = 4.0 * math.exp(-0.5) / math.sqrt(2.0 * math.pi)
 
-_SQRT_PI = math.sqrt(math.pi)
+erf = math.erf
 
 
 class ThresholdUnreachableError(ValueError):
     """The stall-probability target exceeds what the format can reach."""
-
-
-def _erf_series(x: float) -> float:
-    # erf(x) = 2x e^{-x^2}/sqrt(pi) * sum (2x^2)^n / (1*3*...*(2n+1));
-    # all terms positive, so no cancellation
-    z = 2.0 * x * x
-    term = 1.0
-    total = 1.0
-    denom = 1.0
-    for _ in range(300):
-        denom += 2.0
-        term *= z / denom
-        total += term
-        if term < total * 1e-17:
-            break
-    return 2.0 * x * math.exp(-x * x) / _SQRT_PI * total
-
-
-def _erfc_cf(x: float) -> float:
-    # continued fraction for Gamma(1/2, x^2)/sqrt(pi), modified Lentz
-    a = 0.5
-    z = x * x
-    tiny = 1e-300
-    b = z + 1.0 - a
-    c = 1.0 / tiny
-    d = 1.0 / b
-    h = d
-    for i in range(1, 300):
-        an = -i * (i - a)
-        b += 2.0
-        d = an * d + b
-        if abs(d) < tiny:
-            d = tiny
-        c = b + an / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < 1e-16:
-            break
-    return math.exp(-z) * x / _SQRT_PI * h
-
-
-def erf(x: float) -> float:
-    """Error function, accurate to well under 1e-10 everywhere."""
-    ax = abs(x)
-    if ax == 0.0:
-        return 0.0
-    if ax > 27.0:
-        r = 1.0
-    elif ax <= 3.0:
-        r = _erf_series(ax)
-    else:
-        r = 1.0 - _erfc_cf(ax)
-    return -r if x < 0 else r
-
-
-def normal_cdf(z: float) -> float:
-    return 0.5 * (1.0 + erf(z / math.sqrt(2.0)))
 
 
 def normal_pdf(z: float) -> float:
@@ -182,6 +122,7 @@ class TheoryInputs:
 
     @property
     def rhohat(self) -> float:
+        """Effective precision ratio: grid spacing over typical update size."""
         return rhohat_value(self.format.epsilon, self.beta2)
 
     @property
@@ -201,11 +142,6 @@ def rhohat_value(epsilon: float, beta2: float) -> float:
     if beta2 >= 1.0:
         raise ValueError("beta2 must be < 1")
     return epsilon / (2.0 * (1.0 - beta2) * MBAR)
-
-
-def rhohat(inputs: TheoryInputs) -> float:
-    """Effective precision ratio: grid spacing over typical update size."""
-    return inputs.rhohat
 
 
 def p_stall_nr_ss(rho: float) -> float:
@@ -400,30 +336,48 @@ def reset_period_Kstar(inputs: TheoryInputs) -> int:
     return int(kstar_info(inputs).value)
 
 
-def predictor_row(
-    inputs: TheoryInputs,
-    P0_list: tuple[float, ...] = (0.5, 0.8, 0.9, 0.95),
-    s0_list: tuple[float, ...] = (0.5, 0.6, 0.7),
-) -> dict:
-    """One predictor-table row for a format, as emitted by the CLI."""
+def stall_columns(inputs: TheoryInputs) -> dict:
+    """Steady-state stall columns of a predictor row."""
     rho = inputs.rhohat
-    row = {
-        "format": inputs.format.name,
-        "beta2": inputs.beta2,
+    return {
         "epsilon": inputs.format.epsilon,
         "rhohat": rho,
         "p_nr": p_stall_nr_ss(rho),
         "p_sr": p_stall_sr_ss(rho),
-        "p_init": inputs.p_init,
     }
+
+
+def window_columns(inputs: TheoryInputs, P0_list: Iterable[float]) -> dict:
+    """Startup-window columns: p_init, then j* per target ("unreachable"
+    where the steady state stays below it)."""
+    row: dict = {"p_init": inputs.p_init}
     for p0 in P0_list:
         key = f"jstar@{p0:g}"
         try:
             row[key] = startup_window(p0, inputs)
         except ThresholdUnreachableError:
             row[key] = "unreachable"
-    for s0 in s0_list:
-        row[f"Kstar@{s0:g}"] = reset_period_Kstar(
-            dataclasses.replace(inputs, s0=s0)
-        )
     return row
+
+
+def period_columns(inputs: TheoryInputs, s0_list: Iterable[float]) -> dict:
+    """Reset-period columns: K* per staleness tolerance."""
+    return {
+        f"Kstar@{s0:g}": reset_period_Kstar(dataclasses.replace(inputs, s0=s0))
+        for s0 in s0_list
+    }
+
+
+def predictor_row(
+    inputs: TheoryInputs,
+    P0_list: tuple[float, ...] = (0.5, 0.8, 0.9, 0.95),
+    s0_list: tuple[float, ...] = (0.5, 0.6, 0.7),
+) -> dict:
+    """One full predictor-table row for a format."""
+    return {
+        "format": inputs.format.name,
+        "beta2": inputs.beta2,
+        **stall_columns(inputs),
+        **window_columns(inputs, P0_list),
+        **period_columns(inputs, s0_list),
+    }

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+import emastall.theory
 from emastall.cli import main
 
 
@@ -110,6 +111,40 @@ class TestPredictWindow:
             main(["predict-window", "--p-init", "0.1,0.2"])
 
 
+class TestPredictTables:
+    @pytest.mark.parametrize("command,header", [
+        ("predict-stall", "format,epsilon,rhohat,p_nr,p_sr"),
+        ("predict-window", "format,p_init,jstar@0.5,jstar@0.8,jstar@0.9,jstar@0.95"),
+        ("predict-period", "format,Kstar@0.6"),
+    ])
+    def test_csv_holds_exactly_the_printed_table(self, command, header, capsys, tmp_path):
+        code, out = run_cli([command, "--json", "--out", str(tmp_path / "t")], capsys)
+        assert code == 0
+        text = (tmp_path / "t.csv").read_bytes().decode()
+        lines = text.split("\n")
+        assert lines[0] == header and lines[-1] == "" and "\r" not in text
+        for line, row in zip(lines[1:], json_rows(out)):
+            assert line == ",".join(
+                repr(row[c]) if isinstance(row[c], float) else str(row[c])
+                for c in header.split(",")
+            )
+
+    @pytest.mark.parametrize("command,broken", [
+        ("predict-stall", "kstar_info"),
+        ("predict-stall", "startup_window_info"),
+        ("predict-window", "p_stall_sr_ss"),
+        ("predict-window", "kstar_info"),
+        ("predict-period", "p_stall_sr_ss"),
+        ("predict-period", "startup_window_info"),
+    ])
+    def test_runs_only_its_own_predictors(self, command, broken, capsys, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError(f"{command} ran {broken}")
+
+        monkeypatch.setattr(emastall.theory, broken, fail)
+        assert main([command]) == 0
+
+
 class TestExperimentCommands:
     def test_stall_curve_quick_writes_files(self, capsys, tmp_path):
         out_base = tmp_path / "curve"
@@ -167,6 +202,25 @@ class TestExperimentCommands:
         assert code == 0
         assert (tmp_path / "fm.csv").exists()
         assert "steady=" in out
+
+    @pytest.mark.parametrize("command", ["stall-curve", "first-moment"])
+    def test_multi_format_out_gets_one_file_per_format(self, command, capsys, tmp_path):
+        code, _ = run_cli(
+            [command, "--format", "fp4_e2m1,bf16", "--preset", "quick",
+             "--dim", "64", "--steps", "20", "--out", str(tmp_path / "c")],
+            capsys,
+        )
+        assert code == 0
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "c_bf16_nr.csv", "c_bf16_nr.json", "c_fp4_e2m1_nr.csv", "c_fp4_e2m1_nr.json"
+        ]
+        for name in ("fp4_e2m1", "bf16"):
+            summary = json.loads((tmp_path / f"c_{name}_nr.json").read_text())
+            assert summary["config"]["ema"]["format"]["name"] == name
+
+    def test_preset_full_is_not_a_choice(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["stall-curve", "--preset", "full"])
 
     def test_skip_study_quick(self, capsys, tmp_path):
         code, out = run_cli(

@@ -240,7 +240,7 @@ class TestResetPolicies:
             state, _ = ema_step(state, np.ones(8))
             state, did = apply_reset_policy(state, policy, 0.0)
             assert not did
-        assert policy.accumulated_excess == 0.0
+        assert state.excess == 0.0
 
     def test_adaptive_saturated_fractions_trigger_at_k1(self):
         # inequality-scan oracle: smallest k with avg of 1 >= E(k) is k = 1
@@ -252,7 +252,7 @@ class TestResetPolicies:
         state, _ = ema_step(state, np.ones(8))
         state, did = apply_reset_policy(state, policy, 1.0)
         assert did
-        assert state.k == 0 and policy.accumulated_excess == 0.0
+        assert state.k == 0 and state.excess == 0.0
 
     def test_adaptive_matches_direct_inequality_scan(self):
         rng = np.random.default_rng(11)
@@ -275,6 +275,43 @@ class TestResetPolicies:
                 fired_at = k
                 break
         assert fired_at == trigger
+
+    def test_shared_adaptive_policy_resets_like_separate_instances(self):
+        # the accumulator lives on each state, so one policy can serve both
+        fractions = np.random.default_rng(5).uniform(0.5, 1.0, (300, 2))
+        config = EmaConfig(beta=0.95, format=None)
+        shared = ResetPolicy.adaptive(beta2=0.95)
+        policies = {"shared": [shared, shared],
+                    "separate": [ResetPolicy.adaptive(beta2=0.95) for _ in range(2)]}
+        resets = {}
+        for key, pair in policies.items():
+            states = [EmaState.initialize(config, 4) for _ in range(2)]
+            resets[key] = [[], []]
+            for t, step_fractions in enumerate(fractions, start=1):
+                for i, policy in enumerate(pair):
+                    states[i], _ = ema_step(states[i], np.ones(4))
+                    states[i], did = apply_reset_policy(
+                        states[i], policy, float(step_fractions[i])
+                    )
+                    if did:
+                        resets[key][i].append(t)
+        assert resets["shared"] == resets["separate"]
+        assert all(len(r) >= 2 for r in resets["separate"])
+
+    def test_state_carries_excess_through_writes_and_skips(self):
+        config = EmaConfig(beta=0.99, format=FP8_E4M3, scheme=PER_TENSOR)
+        state = EmaState(EmaState.initialize(config, 8).stored, 3, config, 0.75)
+        state, _ = ema_step(state, np.ones(8))
+        assert (state.k, state.excess) == (4, 0.75)
+        state = skip_intervention_step(state, np.ones(8), 1.0, np.random.default_rng(0))
+        assert (state.k, state.excess) == (5, 0.75)
+        state, did = apply_reset_policy(state, ResetPolicy.periodic(5))
+        assert did and (state.k, state.excess) == (0, 0.0)
+
+    def test_policy_is_immutable(self):
+        policy = ResetPolicy.adaptive(beta2=0.999)
+        with pytest.raises(AttributeError):
+            policy.s0 = 0.5
 
     def test_policy_validation(self):
         with pytest.raises(ValueError):
@@ -448,6 +485,11 @@ class TestStallTrace:
         trace.append(0.75, 2, True)
         path = tmp_path / "trace.csv"
         trace.to_csv(path)
+        assert path.read_bytes() == (
+            b"step,tensor_id,stalled_fraction,cycle_k,reset_flag\n"
+            b"1,second_moment,0.5,1,0\n"
+            b"2,second_moment,0.75,2,1\n"
+        )
         lines = path.read_text().strip().split("\n")
         assert lines[0] == "step,tensor_id,stalled_fraction,cycle_k,reset_flag"
         assert lines[1] == "1,second_moment,0.5,1,0"
