@@ -422,14 +422,13 @@ def cmd_reset_study(args) -> int:
             configs.append((f"{label}_{tag}" if key else "fp32", cfg_m, cfg_v))
     periods = args.periods
     if periods is None:
-        # theory K* for the narrowest quantized format in the run
-        quantized = [n for n in args.formats if n not in ("fp32", "none")]
+        # theory K* of the second moment's storage format in the first
+        # quantized config (fp4 stores it in fp4_e2m2u)
+        quantized = [cfg_v.format for _, _, cfg_v in configs if cfg_v.format]
         if quantized:
-            name = quantized[0]
-            fmt = get_format("fp4_e2m2u" if name == "fp4" else name)
             periods = [
                 reset_period_Kstar(
-                    TheoryInputs(beta2=args.beta2, format=fmt, s0=args.s0)
+                    TheoryInputs(beta2=args.beta2, format=quantized[0], s0=args.s0)
                 )
             ]
         else:

@@ -5,6 +5,14 @@ One update dequantizes the stored state, forms the high-precision proposal
 form makes the no-op case exact: a signal equal to the stored state leaves
 every code untouched. A config with ``format=None`` keeps the state at
 working precision and is the full-precision control used by experiments.
+
+A state may also be a batch: a ``(rows, dim)`` stack of independent states
+of one config, with a per-row cycle counter and excess. The row functions
+(``adam_rows``, ``reset_rows``) step a batch at once; every operation is
+elementwise or a reduction along the last axis, so each row comes out
+bit-identical to the same state stepped on its own. ``ema_step``,
+``adam_step``, ``apply_reset_policy`` and ``skip_intervention_step`` are
+the single-state forms.
 """
 
 from __future__ import annotations
@@ -23,7 +31,7 @@ from .quantize import (
     dequantize,
     quantize,
     quantize_with_scales,
-    stalled_fraction,
+    stalled_mask,
 )
 from .theory import remaining_error_E
 
@@ -59,29 +67,34 @@ class EmaState:
 
     excess is the staleness in excess of the tolerance accumulated over the
     current cycle; only the adaptive reset policy reads and advances it.
+    A batch stores ``(rows, dim)`` and holds k and excess as ``(rows,)``
+    arrays.
     """
 
     stored: QuantizedBlock | np.ndarray
-    k: int
+    k: int | np.ndarray
     config: EmaConfig
-    excess: float = 0.0
+    excess: float | np.ndarray = 0.0
 
     @classmethod
-    def initialize(cls, config: EmaConfig, dim: int) -> "EmaState":
-        zeros = np.zeros(dim)
+    def initialize(
+        cls, config: EmaConfig, dim: int, rows: int | None = None
+    ) -> "EmaState":
+        """Zero state of one tensor, or of a batch of ``rows`` tensors."""
+        if rows is None:
+            shape, k, excess = (dim,), 0, 0.0
+        else:
+            shape, k, excess = (rows, dim), np.zeros(rows, np.int64), np.zeros(rows)
+        zeros = np.zeros(shape)
         if config.format is None:
-            return cls(stored=zeros, k=0, config=config)
+            return cls(zeros, k, config, excess)
         if config.freeze_scale and config.init_scale is not None:
-            n_blocks = config.scheme.n_blocks(dim)
-            stored = quantize_with_scales(
-                zeros,
-                config.format,
-                config.scheme,
-                np.full(n_blocks, float(config.init_scale)),
-            )
+            scales = np.full(shape[:-1] + (config.scheme.n_blocks(dim),),
+                             float(config.init_scale))
+            stored = quantize_with_scales(zeros, config.format, config.scheme, scales)
         else:
             stored = quantize(zeros, config.format, config.scheme)
-        return cls(stored=stored, k=0, config=config)
+        return cls(stored, k, config, excess)
 
     def values(self) -> np.ndarray:
         if self.config.format is None:
@@ -92,31 +105,70 @@ class EmaState:
         return len(self.stored)
 
 
-def _proposal(state: EmaState, signal: np.ndarray) -> np.ndarray:
+class RowStreams:
+    """Rounding stream of a batch whose rows share per-seed generators.
+
+    Row r draws from ``generators[r // rows_per_stream]``. ``random`` draws
+    one ``(dim,)`` vector from each generator in turn and hands it to all
+    of that generator's rows, so each generator advances exactly as it
+    does for one of its rows stepped alone.
+    """
+
+    def __init__(self, generators: list, rows_per_stream: int):
+        self.generators = list(generators)
+        self.rows_per_stream = rows_per_stream
+
+    def random(self, shape: tuple) -> np.ndarray:
+        rows, dim = shape
+        if rows != len(self.generators) * self.rows_per_stream:
+            raise ValueError("draw shape does not match the batch")
+        draws = np.empty((len(self.generators), dim))
+        for g, row in zip(self.generators, draws):
+            g.random(out=row)
+        return np.repeat(draws, self.rows_per_stream, axis=0)
+
+
+def _proposal(
+    state: EmaState, signal: np.ndarray, hold: np.ndarray | None = None
+) -> np.ndarray:
+    # rows flagged in hold propose their stored value, which storage then
+    # reproduces exactly: a skipped update
     signal = np.asarray(signal, dtype=np.float64)
-    if signal.shape != (len(state),):
+    x = state.stored if state.config.format is None else dequantize(state.stored)
+    if signal.shape != x.shape:
         raise ValueError("signal shape does not match state")
-    if not np.all(np.isfinite(signal)):
+    if not np.isfinite(signal).all():
         raise ValueError("non-finite signal")
-    x = state.values()
-    return x + (1.0 - state.config.beta) * (signal - x)
+    proposal = x + (1.0 - state.config.beta) * (signal - x)
+    if hold is not None:
+        proposal = np.where(hold[:, None], x, proposal)
+    return proposal
 
 
 def _store(
-    state: EmaState, proposal: np.ndarray, rng: np.random.Generator | None
-) -> tuple[EmaState, float]:
+    state: EmaState, proposal: np.ndarray, rng
+) -> tuple[EmaState, np.ndarray]:
+    # the stalled fraction of each row, as a 0-d array for a single state
     cfg = state.config
     if cfg.format is None:
-        frac = float(np.mean(proposal == state.stored))
-        return EmaState(proposal, state.k + 1, cfg, state.excess), frac
-    if cfg.freeze_scale:
-        new = quantize_with_scales(
-            proposal, cfg.format, cfg.scheme, state.stored.scales, cfg.rounding, rng
-        )
+        stalled = proposal == state.stored
+        new = proposal
     else:
-        new = quantize(proposal, cfg.format, cfg.scheme, cfg.rounding, rng)
-    frac = stalled_fraction(state.stored, new, include_scale=False)
+        if cfg.freeze_scale:
+            new = quantize_with_scales(
+                proposal, cfg.format, cfg.scheme, state.stored.scales, cfg.rounding, rng
+            )
+        else:
+            new = quantize(proposal, cfg.format, cfg.scheme, cfg.rounding, rng)
+        stalled = stalled_mask(state.stored, new, include_scale=False)
+    # an exact count over dim, the same bits as the mean of the flags
+    frac = stalled.sum(axis=-1) / stalled.shape[-1]
     return EmaState(new, state.k + 1, cfg, state.excess), frac
+
+
+def _require_single(*states: EmaState) -> None:
+    if any(np.ndim(state.k) for state in states):
+        raise ValueError("a batch of states steps through adam_rows and reset_rows")
 
 
 def ema_step(
@@ -130,7 +182,9 @@ def ema_step(
     stored-bit-pattern convention); per-step scale recomputation does not
     count as movement on its own.
     """
-    return _store(state, _proposal(state, signal), rng)
+    _require_single(state)
+    new, frac = _store(state, _proposal(state, signal), rng)
+    return new, float(frac)
 
 
 def skip_intervention_step(
@@ -143,6 +197,7 @@ def skip_intervention_step(
     p_skip (a forced stall; the cycle counter still advances)."""
     if not 0.0 <= p_skip <= 1.0:
         raise ValueError("p_skip must be in [0, 1]")
+    _require_single(state)
     if p_skip > 0.0 and rng.random() < p_skip:
         return EmaState(state.stored, state.k + 1, state.config, state.excess)
     new, _ = ema_step(state, signal, rng)
@@ -203,15 +258,69 @@ class ResetPolicy:
         )
 
 
-def _reset_state(state: EmaState) -> EmaState:
-    cfg = state.config
-    if cfg.format is not None and cfg.freeze_scale:
-        # frozen anchors survive resets
-        stored = quantize_with_scales(
-            np.zeros(len(state)), cfg.format, cfg.scheme, state.stored.scales
+class ResetRows:
+    """The reset rules of a batch as per-row vectors, for one moment.
+
+    Row r follows ``policies[r]``; with ``moment`` ("first" or "second"),
+    a policy whose applies_to excludes that moment never resets its row.
+    """
+
+    def __init__(self, policies: list, moment: str | None = None):
+        if moment is not None:
+            policies = [
+                p if p.applies_to in (moment, "both") else ResetPolicy.none()
+                for p in policies
+            ]
+        self.period = np.array(
+            [p.K if p.kind is ResetKind.PERIODIC else np.inf for p in policies]
         )
-        return EmaState(stored, 0, cfg, 0.0)
-    return EmaState.initialize(cfg, len(state))
+        self.adaptive = [
+            (r, p) for r, p in enumerate(policies) if p.kind is ResetKind.ADAPTIVE
+        ]
+
+
+def reset_rows(
+    state: EmaState, rules: ResetRows, fractions: np.ndarray
+) -> tuple[EmaState, np.ndarray]:
+    """Apply each row's reset rule after a batch step; returns the state and
+    the per-row reset flags. fractions are the rows' stalled fractions of
+    the step just taken (only ADAPTIVE reads them)."""
+    k = state.k
+    reset = k >= rules.period
+    excess = state.excess
+    if rules.adaptive:
+        excess = excess.copy()
+        for r, policy in rules.adaptive:
+            if k[r] < 1:
+                continue
+            # cycle-average the observed excess staleness online
+            s = fractions[r] / policy.p_ss
+            excess[r] += max(0.0, (s - policy.s0) / (1.0 - policy.s0))
+            reset[r] = excess[r] / k[r] >= remaining_error_E(int(k[r]), policy.beta2)
+    if not reset.any():
+        return EmaState(state.stored, k, state.config, excess), reset
+    cfg = state.config
+    fresh = EmaState.initialize(cfg, state.stored.shape[-1], len(reset))
+    keep = ~reset[:, None]
+    if cfg.format is None:
+        stored = np.where(keep, state.stored, fresh.stored)
+    else:
+        old = state.stored
+        # frozen anchors survive resets; a zero row encodes the same under
+        # any scale
+        scales = old.scales if cfg.freeze_scale else np.where(keep, old.scales, 0.0)
+        codes = np.where(keep, old.codes, fresh.stored.codes)
+        stored = QuantizedBlock(codes, scales, old.format, old.scheme)
+    k, excess = np.where(reset, 0, k), np.where(reset, 0.0, excess)
+    return EmaState(stored, k, cfg, excess), reset
+
+
+def _map_stored(state: EmaState, f):
+    stored = state.stored
+    if isinstance(stored, QuantizedBlock):
+        return QuantizedBlock(f(stored.codes), f(stored.scales), stored.format,
+                              stored.scheme)
+    return f(stored)
 
 
 def apply_reset_policy(
@@ -222,21 +331,13 @@ def apply_reset_policy(
     For ADAPTIVE, last_fraction is the empirical stalled fraction of the
     step just taken.
     """
-    if policy.kind is ResetKind.NONE:
-        return state, False
-    if policy.kind is ResetKind.PERIODIC:
-        if state.k >= policy.K:
-            return _reset_state(state), True
-        return state, False
-    # adaptive: cycle-average the observed excess staleness online
-    k = state.k
-    if k < 1:
-        return state, False
-    s = last_fraction / policy.p_ss
-    excess = state.excess + max(0.0, (s - policy.s0) / (1.0 - policy.s0))
-    if excess / k >= remaining_error_E(k, policy.beta2):
-        return _reset_state(state), True
-    return EmaState(state.stored, k, state.config, excess), False
+    _require_single(state)
+    batch = EmaState(_map_stored(state, lambda a: a[None]), np.array([state.k]),
+                     state.config, np.array([state.excess]))
+    batch, reset = reset_rows(batch, ResetRows([policy]), np.array([last_fraction]))
+    single = EmaState(_map_stored(batch, lambda a: a[0]), int(batch.k[0]),
+                      state.config, float(batch.excess[0]))
+    return single, bool(reset[0])
 
 
 @dataclasses.dataclass(frozen=True)
@@ -252,14 +353,17 @@ def _adam_update(
     params: np.ndarray,
     m_vals: np.ndarray,
     v_vals: np.ndarray,
-    k_m: int,
-    k_v: int,
+    k_m: int | np.ndarray,
+    k_v: int | np.ndarray,
     hyper: AdamHyper,
 ) -> np.ndarray:
-    if k_m < 1 or k_v < 1:
+    # k_m and k_v are ints, or (rows,) arrays for a batch
+    k_m, k_v = np.asarray(k_m), np.asarray(k_v)
+    if k_m.min() < 1 or k_v.min() < 1:
         raise ValueError("bias correction needs at least one accumulated step")
-    m_hat = m_vals / -np.expm1(k_m * np.log(hyper.beta1))
-    v_hat = v_vals / -np.expm1(k_v * np.log(hyper.beta2))
+    # one correction per row, broadcast along the row
+    m_hat = m_vals / -np.expm1(k_m * np.log(hyper.beta1))[..., None]
+    v_hat = v_vals / -np.expm1(k_v * np.log(hyper.beta2))[..., None]
     step = m_hat / (np.sqrt(v_hat) + hyper.eps)
     return params - hyper.lr * step - hyper.lr * hyper.weight_decay * params
 
@@ -283,6 +387,38 @@ def apply_adam_update(
     return _adam_update(params, m_state.values(), v_state.values(), k_m, k_v, hyper)
 
 
+def adam_rows(
+    m_state: EmaState,
+    v_state: EmaState,
+    grad: np.ndarray,
+    hyper: AdamHyper,
+    params: np.ndarray,
+    rng=None,
+    t_global: int | None = None,
+    hold_m: np.ndarray | None = None,
+    hold_v: np.ndarray | None = None,
+) -> tuple[np.ndarray, EmaState, EmaState, np.ndarray, np.ndarray]:
+    """``adam_step`` on a batch: returns (params, m, v, stalled_m, stalled_v)
+    with per-row stalled fractions.
+
+    rng is a Generator or a ``RowStreams``. Rows flagged in hold_m (hold_v)
+    skip that moment's update: its stored value stays, its cycle counter
+    still advances, and the parameter update reads the stored value.
+    """
+    grad = np.asarray(grad, dtype=np.float64)
+    if grad.shape != params.shape:
+        raise ValueError("gradient/parameter shape mismatch")
+    if m_state.config.beta != hyper.beta1 or v_state.config.beta != hyper.beta2:
+        raise ValueError("moment config betas must match the hyperparameters")
+    pm = _proposal(m_state, grad, hold_m)
+    pv = _proposal(v_state, grad * grad, hold_v)
+    m2, frac_m = _store(m_state, pm, rng)
+    v2, frac_v = _store(v_state, pv, rng)
+    k_m = t_global if t_global is not None else m2.k
+    k_v = t_global if t_global is not None else v2.k
+    return _adam_update(params, pm, pv, k_m, k_v, hyper), m2, v2, frac_m, frac_v
+
+
 def adam_step(
     m_state: EmaState,
     v_state: EmaState,
@@ -297,19 +433,11 @@ def adam_step(
     The parameter update is computed from the high-precision moment
     proposals; quantization error enters future steps through storage only.
     """
-    grad = np.asarray(grad, dtype=np.float64)
-    if grad.shape != params.shape:
-        raise ValueError("gradient/parameter shape mismatch")
-    if m_state.config.beta != hyper.beta1 or v_state.config.beta != hyper.beta2:
-        raise ValueError("moment config betas must match the hyperparameters")
-    pm = _proposal(m_state, grad)
-    pv = _proposal(v_state, grad * grad)
-    m2, frac_m = _store(m_state, pm, rng)
-    v2, frac_v = _store(v_state, pv, rng)
-    k_m = t_global if t_global is not None else m2.k
-    k_v = t_global if t_global is not None else v2.k
-    new_params = _adam_update(params, pm, pv, k_m, k_v, hyper)
-    return new_params, m2, v2, {"stalled_m": frac_m, "stalled_v": frac_v}
+    _require_single(m_state, v_state)
+    new_params, m2, v2, frac_m, frac_v = adam_rows(
+        m_state, v_state, grad, hyper, params, rng, t_global
+    )
+    return new_params, m2, v2, {"stalled_m": float(frac_m), "stalled_v": float(frac_v)}
 
 
 @dataclasses.dataclass

@@ -8,6 +8,10 @@ format's largest grid point, and a decoded element is
 ratio ``absmax / x_max`` keeps requantization exactly idempotent, because
 the top of the normalized grid is exactly 1.0 and a dequantize/quantize
 round trip reproduces the scale bit for bit.
+
+A 2-d input is a stack of independent rows: blocks run along the last
+axis, every row has its own scales, and quantizing the stack equals
+quantizing each row in turn.
 """
 
 from __future__ import annotations
@@ -15,6 +19,7 @@ from __future__ import annotations
 import dataclasses
 import json
 from enum import Enum
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -55,9 +60,11 @@ class ScalingScheme:
 class QuantizedBlock:
     """Quantized tensor: codes plus one scale per block.
 
-    ``scales[b]`` is the absolute maximum of block b (0.0 for an all-zero
-    block, which therefore dequantizes to exact zeros). Scales stay at
-    working precision; only the codes live on the minifloat grid.
+    ``scales[..., b]`` is the absolute maximum of block b (0.0 for an
+    all-zero block, which therefore dequantizes to exact zeros). Codes of
+    shape ``(dim,)`` or ``(rows, dim)`` have scales of shape ``(n_blocks,)``
+    or ``(rows, n_blocks)``. Scales stay at working precision; only the
+    codes live on the minifloat grid.
     """
 
     codes: np.ndarray
@@ -68,10 +75,13 @@ class QuantizedBlock:
     def __len__(self) -> int:
         return len(self.codes)
 
+    @property
+    def shape(self) -> tuple:
+        return self.codes.shape
+
     def scales_per_element(self) -> np.ndarray:
-        starts = self.scheme.block_starts(len(self.codes))
-        lengths = np.diff(np.append(starts, len(self.codes)))
-        return np.repeat(self.scales, lengths)
+        dim = self.codes.shape[-1]
+        return np.repeat(self.scales, _layout(self.scheme, dim)[1], axis=-1)
 
     def to_json_dict(self) -> dict:
         fmt = self.format
@@ -83,8 +93,8 @@ class QuantizedBlock:
                 "mode": self.scheme.mode.value,
                 "block_size": self.scheme.block_size,
             },
-            "codes": [int(c) for c in self.codes],
-            "scales": [float(s) for s in self.scales],
+            "codes": self.codes.tolist(),
+            "scales": self.scales.tolist(),
         }
 
     @classmethod
@@ -112,11 +122,30 @@ class QuantizedBlock:
         return cls.from_json_dict(json.loads(Path(path).read_text()))
 
 
-def _block_absmax(values: np.ndarray, scheme: ScalingScheme) -> np.ndarray:
-    # an all-zero block keeps absmax 0, so it dequantizes to exact zeros
-    # even on grids that exclude the zero point
-    starts = scheme.block_starts(len(values))
-    return np.maximum.reduceat(np.abs(values), starts)
+def _check_values(values) -> np.ndarray:
+    values = np.asarray(values, dtype=np.float64)
+    if values.ndim not in (1, 2) or values.size == 0:
+        raise ValueError("expected a nonempty 1-d array or (rows, dim) array")
+    return values
+
+
+@lru_cache(maxsize=None)
+def _layout(scheme: ScalingScheme, dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """First index and length of each block of a length-dim last axis."""
+    starts = scheme.block_starts(dim)
+    lengths = np.diff(np.append(starts, dim))
+    starts.flags.writeable = lengths.flags.writeable = False
+    return starts, lengths
+
+
+def _broadcast_scales(
+    scales: np.ndarray, scheme: ScalingScheme, dim: int
+) -> np.ndarray:
+    # block scales that broadcast against (..., dim) values; a single block
+    # needs no copy
+    if scales.shape[-1] == 1:
+        return scales
+    return np.repeat(scales, _layout(scheme, dim)[1], axis=-1)
 
 
 def quantize(
@@ -126,11 +155,13 @@ def quantize(
     mode: RoundingMode = RoundingMode.NEAREST_EVEN,
     rng: np.random.Generator | None = None,
 ) -> QuantizedBlock:
-    """Quantize a vector, recomputing each block's scale from its absmax."""
-    values = np.asarray(values, dtype=np.float64)
-    if values.ndim != 1 or len(values) == 0:
-        raise ValueError("expected a nonempty 1-d array")
-    scales = _block_absmax(values, scheme)
+    """Quantize a vector or each row of a (rows, dim) array, recomputing
+    each block's scale from its absmax."""
+    values = _check_values(values)
+    # an all-zero block keeps absmax 0, so it dequantizes to exact zeros
+    # even on grids that exclude the zero point
+    starts = _layout(scheme, values.shape[-1])[0]
+    scales = np.maximum.reduceat(np.abs(values), starts, axis=-1)
     return quantize_with_scales(values, fmt, scheme, scales, mode, rng)
 
 
@@ -142,20 +173,25 @@ def quantize_with_scales(
     mode: RoundingMode = RoundingMode.NEAREST_EVEN,
     rng: np.random.Generator | None = None,
 ) -> QuantizedBlock:
-    """Quantize against externally supplied block scales (frozen anchors)."""
-    values = np.asarray(values, dtype=np.float64)
+    """Quantize against externally supplied block scales (frozen anchors).
+
+    Stochastic rounding draws ``rng.random(values.shape)``; any object with
+    that method serves as the stream.
+    """
+    values = _check_values(values)
     scales = np.asarray(scales, dtype=np.float64)
-    if len(scales) != scheme.n_blocks(len(values)):
+    n_blocks = len(_layout(scheme, values.shape[-1])[0])
+    if scales.shape != values.shape[:-1] + (n_blocks,):
         raise ValueError("one scale per block required")
-    if np.any(scales < 0):
+    smallest = scales.min()
+    if smallest < 0:
         raise ValueError("scales must be nonnegative")
-    if not np.all(np.isfinite(values)):
+    if not np.isfinite(values).all():
         raise ValueError("cannot quantize non-finite values")
-    if len(scales) == 1:
-        w = values / scales[0] if scales[0] > 0 else np.zeros_like(values)
+    rep = _broadcast_scales(scales, scheme, values.shape[-1])
+    if smallest > 0:
+        w = values / rep
     else:
-        starts = scheme.block_starts(len(values))
-        rep = np.repeat(scales, np.diff(np.append(starts, len(values))))
         w = np.divide(values, rep, out=np.zeros_like(values), where=rep > 0)
     codes = _normalized_grid(fmt).encode(w, mode, rng)
     return QuantizedBlock(codes=codes, scales=scales, format=fmt, scheme=scheme)
@@ -164,7 +200,7 @@ def quantize_with_scales(
 def dequantize(q: QuantizedBlock) -> np.ndarray:
     """Exact read of the stored state; no new rounding on the grid."""
     vals = _normalized_grid(q.format).decoded.take(q.codes)
-    vals *= q.scales[0] if len(q.scales) == 1 else q.scales_per_element()
+    vals *= _broadcast_scales(q.scales, q.scheme, q.codes.shape[-1])
     return vals
 
 
@@ -178,13 +214,15 @@ def stalled_mask(
     either changed). Code-only comparison (include_scale=False) matches the
     stored-bit-pattern convention used by the stall statistics.
     """
-    if len(prev) != len(next):
-        raise ValueError("length mismatch")
+    if prev.codes.shape != next.codes.shape:
+        raise ValueError("shape mismatch")
     if prev.format != next.format or prev.scheme != next.scheme:
         raise ValueError("format/scheme mismatch")
     mask = prev.codes == next.codes
     if include_scale:
-        mask = mask & (prev.scales_per_element() == next.scales_per_element())
+        dim = prev.codes.shape[-1]
+        same = prev.scales == next.scales
+        mask = mask & _broadcast_scales(same, prev.scheme, dim)
     return mask
 
 

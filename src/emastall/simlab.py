@@ -6,6 +6,12 @@ reproduces its outputs bit for bit, and noise streams are shared across the
 cells of a study at fixed seed (paired comparisons). Seeds also select the
 toy-problem instance, so inter-seed spread reflects instance-to-instance
 variation rather than residual sampling noise.
+
+A problem's ``make_instance(seed)`` returns an instance with
+``init_params()``, ``step_begin()``, ``grad_sample(params, rng)`` and
+``loss(params)``. ``grad_sample`` takes params of shape ``(dim,)`` or
+``(rows, dim)``; all rows share one draw, which is how the study drivers
+step every cell of a seed at once.
 """
 
 from __future__ import annotations
@@ -24,14 +30,13 @@ from .engine import (
     AdamHyper,
     EmaConfig,
     EmaState,
-    ResetKind,
     ResetPolicy,
+    ResetRows,
+    RowStreams,
     StallTrace,
-    adam_step,
-    apply_adam_update,
-    apply_reset_policy,
+    adam_rows,
     ema_step,
-    skip_intervention_step,
+    reset_rows,
 )
 from .formats import RoundingMode, get_format
 from .quantize import ScalingMode, ScalingScheme
@@ -212,8 +217,13 @@ class LogisticInstance:
     def grad_sample(self, params: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         idx = rng.integers(0, len(self.x), self.batch_size)
         xb, yb = self.x[idx], self.y[idx]
-        s = 1.0 / (1.0 + np.exp(yb * (xb @ params)))
-        return -(yb * s) @ xb / len(idx)
+        # one matrix-vector product per row: a matrix product over all rows
+        # sums in another order
+        grads = []
+        for p in np.reshape(params, (-1, self.dimension)):
+            s = 1.0 / (1.0 + np.exp(yb * (xb @ p)))
+            grads.append(-(yb * s) @ xb / len(idx))
+        return np.reshape(grads, np.shape(params))
 
     def loss(self, params: np.ndarray) -> float:
         z = self.y * (self.x @ params)
@@ -398,6 +408,99 @@ def _trailing_window(steps: int) -> int:
     return max(1, steps // 10)
 
 
+class _Skips:
+    """Forced skips of one moment: after warmup, row r skips its update
+    with probability p[r], decided by its own stream."""
+
+    def __init__(self, target: str, p_rows: list, seed_rows: list, warmup: int):
+        self.target = target
+        self.warmup = warmup
+        self.n_rows = len(p_rows)
+        self.live = [
+            (r, p, np.random.default_rng([seed, _KEY_ROUND, int(p * 10**6)]))
+            for r, (p, seed) in enumerate(zip(p_rows, seed_rows))
+            if p > 0.0
+        ]
+
+    def draw(self, t: int) -> tuple:
+        """(hold_m, hold_v) for step t; None where no row skips."""
+        if t <= self.warmup or not self.live:
+            return None, None
+        hold = np.zeros(self.n_rows, dtype=bool)
+        for r, p, rng in self.live:
+            hold[r] = rng.random() < p
+        return (hold, None) if self.target == "first" else (None, hold)
+
+
+def _train_rows(
+    problem,
+    cfg_m: EmaConfig,
+    cfg_v: EmaConfig,
+    policies: list,
+    steps: int,
+    seeds: tuple,
+    hyper: AdamHyper,
+    skips: _Skips | None = None,
+    record_trace: bool = False,
+) -> dict:
+    """Adam training of every (seed, cell) pair of one storage config at once.
+
+    Row ``i * len(policies) + j`` runs cell j, whose reset rule is
+    ``policies[j]``, on ``seeds[i]``. The rows of a seed share its problem
+    instance and its gradient, target and rounding draws; no draw depends
+    on the state and resets draw nothing, so each row follows the run it
+    would make alone bit for bit. Returns the per-row trailing-decile mean
+    losses and, optionally, per-row (first, second) moment stall traces.
+    """
+    if steps < 1:
+        raise ValueError("steps must be >= 1")
+    if not seeds:
+        raise ValueError("at least one seed is required")
+    if not policies:
+        raise ValueError("at least one reset policy or p_skip value is required")
+    cells = len(policies)
+    insts = [problem.make_instance(seed) for seed in seeds]
+    params = np.repeat([inst.init_params() for inst in insts], cells, axis=0)
+    rows, dim = params.shape
+    m = EmaState.initialize(cfg_m, dim, rows)
+    v = EmaState.initialize(cfg_v, dim, rows)
+    grad_rngs = [np.random.default_rng([seed, _KEY_GRAD]) for seed in seeds]
+    round_rng = RowStreams(
+        [np.random.default_rng([seed, _KEY_ROUND]) for seed in seeds], cells
+    )
+    row_policies = list(policies) * len(seeds)
+    rules_m = ResetRows(row_policies, "first")
+    rules_v = ResetRows(row_policies, "second")
+    blocks = [slice(i * cells, (i + 1) * cells) for i in range(len(seeds))]
+    window = _trailing_window(steps)
+    tail = np.empty((rows, window))
+    traces = [(StallTrace("first_moment"), StallTrace("second_moment"))
+              for _ in range(rows if record_trace else 0)]
+    g = np.empty_like(params)
+    for t in range(1, steps + 1):
+        for inst, rng, block in zip(insts, grad_rngs, blocks):
+            inst.step_begin()
+            g[block] = inst.grad_sample(params[block], rng)
+        hold_m, hold_v = skips.draw(t) if skips is not None else (None, None)
+        params, m, v, frac_m, frac_v = adam_rows(
+            m, v, g, hyper, params, round_rng, hold_m=hold_m, hold_v=hold_v
+        )
+        m, reset_m = reset_rows(m, rules_m, frac_m)
+        v, reset_v = reset_rows(v, rules_v, frac_v)
+        for r, (trace_m, trace_v) in enumerate(traces):
+            trace_m.append(float(frac_m[r]), int(m.k[r]), reset_m[r])
+            trace_v.append(float(frac_v[r]), int(v.k[r]), reset_v[r])
+        j = t - 1 - (steps - window)
+        if j >= 0:
+            for r in range(rows):
+                tail[r, j] = insts[r // cells].loss(params[r])
+    # one contiguous row per mean: a mean over axis 0 sums in another order
+    out = {"final_loss": [float(np.mean(row)) for row in tail]}
+    if record_trace:
+        out["traces"] = traces
+    return out
+
+
 def run_skip_study(
     problem,
     p_skip_grid: tuple,
@@ -416,41 +519,27 @@ def run_skip_study(
     """
     if target not in ("first", "second"):
         raise ValueError("target must be 'first' or 'second'")
+    if not all(0.0 <= p <= 1.0 for p in p_skip_grid):
+        raise ValueError("p_skip values must be in [0, 1]")
     hyper = hyper or AdamHyper(lr=0.01)
     t0 = time.perf_counter()
-    warmup = int(round(warmup_fraction * steps))
-    window = _trailing_window(steps)
+    cfg_m, cfg_v = moment_configs(None, hyper)
+    n_p = len(p_skip_grid)
+    skips = _Skips(
+        target,
+        list(p_skip_grid) * len(seeds),
+        [seed for seed in seeds for _ in range(n_p)],
+        int(round(warmup_fraction * steps)),
+    )
+    losses = _train_rows(
+        problem, cfg_m, cfg_v, [ResetPolicy.none()] * n_p, steps, seeds, hyper, skips
+    )["final_loss"]
     rows_p, rows_seed, rows_loss = [], [], []
-    for p in p_skip_grid:
-        if not 0.0 <= p <= 1.0:
-            raise ValueError("p_skip values must be in [0, 1]")
-        for seed in seeds:
-            inst = problem.make_instance(seed)
-            cfg_m, cfg_v = moment_configs(None, hyper)
-            params = inst.init_params()
-            m = EmaState.initialize(cfg_m, len(params))
-            v = EmaState.initialize(cfg_v, len(params))
-            grad_rng = np.random.default_rng([seed, _KEY_GRAD])
-            skip_rng = np.random.default_rng([seed, _KEY_ROUND, int(p * 10**6)])
-            tail = []
-            for t in range(1, steps + 1):
-                inst.step_begin()
-                g = inst.grad_sample(params, grad_rng)
-                live = t > warmup and p > 0.0
-                if target == "first" and live:
-                    m = skip_intervention_step(m, g, p, skip_rng)
-                else:
-                    m, _ = ema_step(m, g)
-                if target == "second" and live:
-                    v = skip_intervention_step(v, g * g, p, skip_rng)
-                else:
-                    v, _ = ema_step(v, g * g)
-                params = apply_adam_update(params, m, v, hyper)
-                if t > steps - window:
-                    tail.append(inst.loss(params))
+    for j, p in enumerate(p_skip_grid):
+        for i, seed in enumerate(seeds):
             rows_p.append(p)
             rows_seed.append(seed)
-            rows_loss.append(float(np.mean(tail)))
+            rows_loss.append(losses[i * n_p + j])
     medians = {
         f"median_final_loss@p={p:g}": float(
             np.median([l for pp, l in zip(rows_p, rows_loss) if pp == p])
@@ -486,35 +575,13 @@ def run_reset_training(
 ) -> dict:
     """One training run; returns the trailing-decile mean loss and,
     optionally, per-moment stall traces."""
-    inst = problem.make_instance(seed)
-    params = inst.init_params()
-    m = EmaState.initialize(cfg_m, len(params))
-    v = EmaState.initialize(cfg_v, len(params))
-    grad_rng = np.random.default_rng([seed, _KEY_GRAD])
-    round_rng = np.random.default_rng([seed, _KEY_ROUND])
-    trace_m = StallTrace("first_moment")
-    trace_v = StallTrace("second_moment")
-    window = _trailing_window(steps)
-    tail = []
-    for t in range(1, steps + 1):
-        inst.step_begin()
-        g = inst.grad_sample(params, grad_rng)
-        params, m, v, stats = adam_step(m, v, g, hyper, params, round_rng)
-        reset_m = reset_v = False
-        if policy.kind is not ResetKind.NONE:
-            if policy.applies_to in ("first", "both"):
-                m, reset_m = apply_reset_policy(m, policy, stats["stalled_m"])
-            if policy.applies_to in ("second", "both"):
-                v, reset_v = apply_reset_policy(v, policy, stats["stalled_v"])
-        if record_trace:
-            trace_m.append(stats["stalled_m"], m.k, reset_m)
-            trace_v.append(stats["stalled_v"], v.k, reset_v)
-        if t > steps - window:
-            tail.append(inst.loss(params))
-    out = {"final_loss": float(np.mean(tail))}
+    res = _train_rows(
+        problem, cfg_m, cfg_v, [policy], steps, (seed,), hyper,
+        record_trace=record_trace,
+    )
+    out = {"final_loss": res["final_loss"][0]}
     if record_trace:
-        out["trace_m"] = trace_m
-        out["trace_v"] = trace_v
+        out["trace_m"], out["trace_v"] = res["traces"][0]
     return out
 
 
@@ -529,7 +596,8 @@ def run_reset_study(
     """Final-loss matrix over storage config x reset policy x seed.
 
     configs is a list of (label, cfg_m, cfg_v); policies a list of
-    (label, ResetPolicy).
+    (label, ResetPolicy). All policy x seed cells of one config train
+    together as the rows of one batch.
     """
     if len(seeds) < 3:
         raise ValueError("need at least 3 seeds")
@@ -537,19 +605,18 @@ def run_reset_study(
     t0 = time.perf_counter()
     cols: dict = {"config": [], "policy": [], "seed": [], "final_loss": []}
     medians: dict = {}
+    n_pol = len(policies)
     for config_label, cfg_m, cfg_v in configs:
-        for policy_label, policy in policies:
-            losses = []
-            for seed in seeds:
-                out = run_reset_training(
-                    problem, cfg_m, cfg_v, policy, steps, seed, hyper
-                )
-                cols["config"].append(config_label)
-                cols["policy"].append(policy_label)
-                cols["seed"].append(seed)
-                cols["final_loss"].append(out["final_loss"])
-                losses.append(out["final_loss"])
-            medians[f"median@{config_label}/{policy_label}"] = float(np.median(losses))
+        losses = _train_rows(
+            problem, cfg_m, cfg_v, [p for _, p in policies], steps, seeds, hyper
+        )["final_loss"]
+        for j, (policy_label, _) in enumerate(policies):
+            cell = [losses[i * n_pol + j] for i in range(len(seeds))]
+            cols["config"] += [config_label] * len(seeds)
+            cols["policy"] += [policy_label] * len(seeds)
+            cols["seed"] += list(seeds)
+            cols["final_loss"] += cell
+            medians[f"median@{config_label}/{policy_label}"] = float(np.median(cell))
     return ExperimentResult(
         config={
             "experiment": "reset_study",

@@ -290,3 +290,37 @@ class TestExperimentCommands:
         message = exc.value.code
         assert isinstance(message, str) and "steps" in message
         assert "\n" not in message
+
+
+class TestStudyValidation:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["reset-study", "--steps", "0", "--seeds", "0,1,2"],
+            ["reset-study", "--steps", "-5", "--seeds", "0,1,2"],
+            ["skip-study", "--steps", "0"],
+            ["skip-study", "--seeds", "0", "--steps", "20"],
+            ["skip-study", "--p-skip", "", "--steps", "20"],
+        ],
+        ids=["reset-steps-0", "reset-steps-neg", "skip-steps-0", "skip-no-seeds",
+             "skip-no-p"],
+    )
+    def test_empty_run_is_one_line_error(self, argv, capsys, tmp_path):
+        # these once exited 0 with nan medians
+        assert main(argv + ["--out", str(tmp_path / "x")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not (tmp_path / "x.csv").exists()
+
+    @pytest.mark.parametrize("spelling", ["fp4", "fp4_e2m1", "fp4_e2m2u"])
+    def test_default_period_follows_the_second_moment_format(self, spelling, capsys):
+        # fp4 stores the second moment in fp4_e2m2u whatever the spelling
+        code, out = run_cli(
+            ["reset-study", "--format", f"fp32,{spelling}", "--steps", "2",
+             "--seeds", "0,1,2"],
+            capsys,
+        )
+        assert code == 0
+        resolved = json.loads(out.splitlines()[0][len("config: "):])
+        assert resolved["periods"] == [224]
+        assert f"median@{spelling}_nr/periodic224" in out

@@ -430,6 +430,35 @@ class TestAdam:
             apply_adam_update(np.zeros(4), m, v, hyper)
 
 
+class TestBatchState:
+    def test_initialize_rows(self):
+        for config in (EmaConfig(beta=0.9, format=None),
+                       EmaConfig(beta=0.9, format=FP4_E2M1, scheme=BLOCK128),
+                       EmaConfig(beta=0.9, format=BF16, freeze_scale=True,
+                                 init_scale=BF16.x_max)):
+            state = EmaState.initialize(config, 200, rows=3)
+            one = EmaState.initialize(config, 200)
+            assert state.values().shape == (3, 200)
+            assert np.array_equal(state.values(), np.stack([one.values()] * 3))
+            assert state.k.tolist() == [0, 0, 0]
+            assert state.excess.tolist() == [0.0, 0.0, 0.0]
+
+    def test_single_state_forms_reject_a_batch(self):
+        hyper = AdamHyper(lr=0.01)
+        m = EmaState.initialize(EmaConfig(beta=hyper.beta1, format=None), 4, rows=2)
+        v = EmaState.initialize(EmaConfig(beta=hyper.beta2, format=None), 4, rows=2)
+        g = np.ones((2, 4))
+        rng = np.random.default_rng(0)
+        with pytest.raises(ValueError):
+            ema_step(m, g)
+        with pytest.raises(ValueError):
+            skip_intervention_step(m, g, 0.5, rng)
+        with pytest.raises(ValueError):
+            apply_reset_policy(m, ResetPolicy.periodic(1))
+        with pytest.raises(ValueError):
+            adam_step(m, v, g, hyper, np.zeros((2, 4)))
+
+
 class TestSkipIntervention:
     def test_p_zero_identical_to_ema_step(self):
         config = EmaConfig(beta=0.99, format=None)

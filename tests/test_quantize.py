@@ -232,3 +232,84 @@ class TestStalledMask:
         q3 = quantize(np.ones(4), FP8_E4M3, PER_TENSOR)
         with pytest.raises(ValueError):
             stalled_mask(q1, q3)
+
+
+def row_stack(fmt, rng, dim):
+    """Three random rows and an all-zero one."""
+    rows = [random_vector(fmt, rng, dim) for _ in range(3)]
+    rows.insert(1, np.zeros(dim))
+    return np.stack(rows)
+
+
+def assert_rows_match(batched, singles):
+    assert batched.codes.dtype == singles[0].codes.dtype
+    assert np.array_equal(batched.codes, np.stack([s.codes for s in singles]))
+    assert np.array_equal(batched.scales, np.stack([s.scales for s in singles]))
+    read = np.stack([dequantize(s) for s in singles])
+    assert np.array_equal(dequantize(batched), read)
+
+
+class TestRows:
+    """A (rows, dim) array quantizes, reads and compares exactly as its rows
+    do one at a time; stochastic rounding consumes the stream row after row."""
+
+    @pytest.mark.parametrize("dim", [200, 1, 256])
+    @pytest.mark.parametrize("scheme", [PER_TENSOR, BLOCK128], ids=["tensor", "block"])
+    @pytest.mark.parametrize("mode", list(RoundingMode), ids=lambda m: m.name)
+    @pytest.mark.parametrize("name", sorted(PRESETS))
+    def test_rows_equal_row_by_row(self, name, mode, scheme, dim):
+        fmt = PRESETS[name]
+        rng = np.random.default_rng([dim, len(name)])
+        x = row_stack(fmt, rng, dim)
+
+        stream = np.random.default_rng(7)
+        q = quantize(x, fmt, scheme, mode, np.random.default_rng(7))
+        singles = [quantize(row, fmt, scheme, mode, stream) for row in x]
+        assert_rows_match(q, singles)
+
+        # a frozen-scale row anchored at x_max among recomputed ones
+        frozen = q.scales.copy()
+        frozen[2] = fmt.x_max
+        stream = np.random.default_rng(9)
+        qf = quantize_with_scales(
+            x, fmt, scheme, frozen, mode, np.random.default_rng(9)
+        )
+        assert_rows_match(qf, [
+            quantize_with_scales(row, fmt, scheme, s, mode, stream)
+            for row, s in zip(x, frozen)
+        ])
+
+        y = x * np.where(rng.random(x.shape) < 0.5, 1.0, 1.1)
+        q2 = quantize(y, fmt, scheme)
+        singles2 = [quantize(row, fmt, scheme) for row in y]
+        for include_scale in (True, False):
+            mask = stalled_mask(q, q2, include_scale)
+            pairs = zip(singles, singles2)
+            rows = [stalled_mask(a, b, include_scale) for a, b in pairs]
+            assert np.array_equal(mask, np.stack(rows))
+
+    @pytest.mark.parametrize(
+        "values,scheme,scales",
+        [
+            (np.ones((2, 2, 4)), PER_TENSOR, np.ones((2, 2, 1))),
+            (np.ones((0, 4)), PER_TENSOR, np.ones((0, 1))),
+            (np.ones((2, 0)), BLOCK128, np.ones((2, 0))),
+            # per-tensor rows take one scale per row, as a column
+            (np.ones((2, 4)), PER_TENSOR, np.ones(2)),
+            (np.ones((2, 300)), BLOCK128, np.ones((2, 2))),
+            (np.ones((2, 300)), BLOCK128, np.ones(3)),
+        ],
+        ids=["3d", "zero-rows", "zero-dim", "flat-scales", "few-blocks", "1d-scales"],
+    )
+    def test_malformed_input_rejected(self, values, scheme, scales):
+        with pytest.raises(ValueError):
+            quantize_with_scales(values, FP4_E2M1, scheme, scales)
+        if values.ndim != 2 or values.size == 0:
+            with pytest.raises(ValueError):
+                quantize(values, FP4_E2M1, scheme)
+
+    def test_row_count_mismatch_rejected(self):
+        q2 = quantize(np.ones((2, 4)), FP4_E2M1, PER_TENSOR)
+        q3 = quantize(np.ones((3, 4)), FP4_E2M1, PER_TENSOR)
+        with pytest.raises(ValueError):
+            stalled_mask(q2, q3)
