@@ -10,6 +10,7 @@ EMASTALL_OUTDIR (falling back to the working directory).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -274,6 +275,8 @@ def cmd_predict(args) -> int:
             raise SystemExit("--p-init needs one value per format")
         resolved.update(p0=args.p0, p_init=p_inits)
     elif args.command == "predict-period":
+        if not args.s0:
+            raise SystemExit("at least one --s0 value is required")
         resolved["s0"] = args.s0
     _print_config(args.command, resolved)
     columns = _PREDICT_COLUMNS[args.command]
@@ -475,8 +478,12 @@ _HANDLERS = {
 }
 
 
+# the parser main uses: built on its first call, not at import, then shared
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser = _parser()
     args = parser.parse_args(argv)
     if getattr(args, "config", None):
         commands = next(

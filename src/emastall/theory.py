@@ -176,10 +176,6 @@ def p_stall_sr_large_rho(rho: float) -> float:
     return 1.0 - MU1 / (2.0 * rho)
 
 
-def _phi_j(j: int, beta2: float) -> float:
-    return -math.expm1(j * math.log(beta2))
-
-
 def p_stall_nr_transient(j: int, beta2: float, rho: float) -> float:
     """Stall probability j steps after a zero initialization (NR).
 
@@ -190,7 +186,7 @@ def p_stall_nr_transient(j: int, beta2: float, rho: float) -> float:
         raise ValueError("j must be >= 0")
     if rho <= 0:
         raise ValueError("rhohat must be positive")
-    ph = _phi_j(j, beta2)
+    ph = -math.expm1(j * math.log(beta2))
     return chi2_1_cdf(ph * (1.0 + rho)) - chi2_1_cdf(max(0.0, ph * (1.0 - rho)))
 
 
@@ -297,39 +293,64 @@ def remaining_error_E(K: int, beta2: float) -> float:
     return 2.0 * bk / (1.0 + bk)
 
 
-def stalling_progress(j: int, inputs: TheoryInputs) -> float:
-    """S(j): transient stall probability normalized by its steady state."""
+def _excess_sums(inputs: TheoryInputs, s0s: tuple[float, ...], max_K: int):
+    """For K = 1..max_K, yield the sums over j <= K of the excess staleness
+    max(0, (S(j) - s0) / (1 - s0)) for each s0 (one list, updated in place).
+    S(j), the NR transient normalized by its steady state, is evaluated once
+    per j for all s0, with the terms that do not depend on j hoisted."""
+    if not all(0.0 <= s0 < 1.0 for s0 in s0s):
+        raise ValueError("s0 must be in [0, 1)")
     rho = inputs.rhohat
-    return p_stall_nr_transient(j, inputs.beta2, rho) / p_stall_nr_ss(rho)
+    p_ss = p_stall_nr_ss(rho)
+    log_b = math.log(inputs.beta2)
+    hi, lo = 1.0 + rho, 1.0 - rho
+    sums = [0.0] * len(s0s)
+    for j in range(1, max_K + 1):
+        ph = -math.expm1(j * log_b)
+        s = erf(math.sqrt(0.5 * (ph * hi))) - erf(math.sqrt(0.5 * max(0.0, ph * lo)))
+        s /= p_ss
+        for i, s0 in enumerate(s0s):
+            if s > s0:  # the excess is exactly 0.0 otherwise
+                sums[i] += (s - s0) / (1.0 - s0)
+        yield sums
 
 
 def avg_excess_staleness(K: int, inputs: TheoryInputs) -> float:
     """Cycle-averaged staleness in excess of the tolerance s0."""
     if K < 1:
         raise ValueError("K must be >= 1")
-    acc = 0.0
-    for j in range(1, K + 1):
-        acc += max(0.0, (stalling_progress(j, inputs) - inputs.s0) / (1.0 - inputs.s0))
-    return acc / K
+    for sums in _excess_sums(inputs, (inputs.s0,), K):
+        pass
+    return sums[0] / K
+
+
+def _kstar_scan(inputs: TheoryInputs, s0s: Iterable, max_K: int = 10_000_000) -> dict:
+    """kstar_info for each distinct s0, from one scan that stops once every
+    s0 has crossed."""
+    s0s = tuple(dict.fromkeys(s0s))
+    found: dict = {}
+    for K, sums in enumerate(_excess_sums(inputs, s0s, max_K), 1):
+        e = remaining_error_E(K, inputs.beta2)
+        for s0, acc in zip(s0s, sums):
+            if acc / K >= e and s0 not in found:
+                found[s0] = PredictorOutput(
+                    value=K, meta={"sbar": acc / K, "E": e, "rhohat": inputs.rhohat}
+                )
+        if len(found) == len(s0s):
+            return found
+    raise RuntimeError(f"no crossing found up to K={max_K}")
 
 
 def kstar_info(inputs: TheoryInputs, max_K: int = 10_000_000) -> PredictorOutput:
-    """Smallest cycle length where accumulated excess staleness matches E(K).
+    """Smallest cycle length K* at which the cycle-averaged excess staleness
+    at tolerance inputs.s0 reaches the remaining error E(K).
 
     The left side is nondecreasing and E(K) strictly decreasing, so the
-    crossing is unique; an incremental scan finds it.
+    crossing is unique; an incremental scan finds it, the one-s0 case of the
+    scan period_columns shares across its tolerances. meta holds sbar and E
+    at the crossing and rhohat; RuntimeError when no crossing comes by max_K.
     """
-    acc = 0.0
-    s0 = inputs.s0
-    for K in range(1, max_K + 1):
-        acc += max(0.0, (stalling_progress(K, inputs) - s0) / (1.0 - s0))
-        e = remaining_error_E(K, inputs.beta2)
-        sbar = acc / K
-        if sbar >= e:
-            return PredictorOutput(
-                value=K, meta={"sbar": sbar, "E": e, "rhohat": inputs.rhohat}
-            )
-    raise RuntimeError(f"no crossing found up to K={max_K}")
+    return _kstar_scan(inputs, (inputs.s0,), max_K)[inputs.s0]
 
 
 def reset_period_Kstar(inputs: TheoryInputs) -> int:
@@ -347,12 +368,23 @@ def stall_columns(inputs: TheoryInputs) -> dict:
     }
 
 
+def _column_keys(prefix: str, values: Iterable[float]) -> dict[str, float]:
+    """Column label -> value, in first-seen order. Exact duplicates share a
+    column; distinct values whose labels collide are an error."""
+    keys: dict[str, float] = {}
+    for v in values:
+        key = f"{prefix}@{v:g}"
+        if key in keys and keys[key] != v:
+            raise ValueError(f"values {keys[key]!r} and {v!r} share the column {key}")
+        keys.setdefault(key, v)
+    return keys
+
+
 def window_columns(inputs: TheoryInputs, P0_list: Iterable[float]) -> dict:
     """Startup-window columns: p_init, then j* per target ("unreachable"
     where the steady state stays below it)."""
     row: dict = {"p_init": inputs.p_init}
-    for p0 in P0_list:
-        key = f"jstar@{p0:g}"
+    for key, p0 in _column_keys("jstar", P0_list).items():
         try:
             row[key] = startup_window(p0, inputs)
         except ThresholdUnreachableError:
@@ -361,11 +393,10 @@ def window_columns(inputs: TheoryInputs, P0_list: Iterable[float]) -> dict:
 
 
 def period_columns(inputs: TheoryInputs, s0_list: Iterable[float]) -> dict:
-    """Reset-period columns: K* per staleness tolerance."""
-    return {
-        f"Kstar@{s0:g}": reset_period_Kstar(dataclasses.replace(inputs, s0=s0))
-        for s0 in s0_list
-    }
+    """Reset-period columns: K* per staleness tolerance, all from one scan."""
+    keys = _column_keys("Kstar", s0_list)
+    found = _kstar_scan(inputs, keys.values())
+    return {key: int(found[s0].value) for key, s0 in keys.items()}
 
 
 def predictor_row(

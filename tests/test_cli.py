@@ -1,11 +1,18 @@
 """CLI tests: table reproduction, config resolution, file determinism."""
 
+import argparse
+import copy
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import emastall.cli
 import emastall.theory
-from emastall.cli import main
+from emastall.cli import build_parser, main
 
 
 def run_cli(argv, capsys):
@@ -130,10 +137,10 @@ class TestPredictTables:
             )
 
     @pytest.mark.parametrize("command,broken", [
-        ("predict-stall", "kstar_info"),
+        ("predict-stall", "_kstar_scan"),
         ("predict-stall", "startup_window_info"),
         ("predict-window", "p_stall_sr_ss"),
-        ("predict-window", "kstar_info"),
+        ("predict-window", "_kstar_scan"),
         ("predict-period", "p_stall_sr_ss"),
         ("predict-period", "startup_window_info"),
     ])
@@ -143,6 +150,81 @@ class TestPredictTables:
 
         monkeypatch.setattr(emastall.theory, broken, fail)
         assert main([command]) == 0
+
+    @pytest.mark.parametrize("argv", [
+        ["predict-period", "--s0", ""],
+        ["predict-window", "--p0", ""],
+    ], ids=["s0", "p0"])
+    def test_empty_value_list_is_one_line_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        message = exc.value.code
+        assert isinstance(message, str) and argv[1] in message and "\n" not in message
+        assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("argv,values", [
+        (["predict-period", "--s0", "0.6,0.6000001"], ("0.6", "0.6000001")),
+        (["predict-window", "--p0", "0.5,0.9,0.50000001"], ("0.5", "0.50000001")),
+    ], ids=["s0", "p0"])
+    def test_colliding_column_labels_are_one_line_error(self, argv, values, capsys):
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert all(f" {v} " in err for v in values)
+
+    @pytest.mark.parametrize("command,flag,value", [
+        ("predict-period", "--s0", "0.6"),
+        ("predict-window", "--p0", "0.8"),
+    ])
+    def test_exact_duplicates_share_one_column(self, command, flag, value, capsys):
+        _, once = run_cli([command, flag, value, "--json"], capsys)
+        _, twice = run_cli([command, flag, f"{value},{value}", "--json"], capsys)
+        assert json_rows(twice) == json_rows(once)
+
+
+def _defaults(parser):
+    """Every subcommand's flag defaults, keyed by (command, dest)."""
+    commands = next(
+        a for a in parser._actions if isinstance(a, argparse._SubParsersAction)
+    )
+    return {
+        (name, a.dest): copy.deepcopy(a.default)
+        for name, sub in commands.choices.items()
+        for a in sub._actions
+    }
+
+
+class TestParserReuse:
+    def test_built_on_first_call_not_at_import(self):
+        probe = "import emastall.cli as c; print(c._parser.cache_info().currsize)"
+        src = str(Path(emastall.cli.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+        out = subprocess.run(
+            [sys.executable, "-c", probe], capture_output=True, text=True, check=True,
+            env=env,
+        ).stdout
+        assert out.strip() == "0"
+        assert emastall.cli._parser() is emastall.cli._parser()
+        assert build_parser() is not build_parser()
+
+    @pytest.mark.parametrize("flags", [
+        ["predict-period", "--format", "bf16", "--s0", "0.5,0.7", "--beta2", "0.99"],
+        ["predict-window", "--format", "fp8_e4m3", "--p0", "0.9", "--p-init", "0.2"],
+        ["predict-stall", "--format", "fp4_e2m2u", "--beta2", "0.9", "--json"],
+    ])
+    def test_defaults_survive_an_earlier_command(self, flags, capsys, monkeypatch):
+        fresh_defaults = _defaults(build_parser())
+        command = flags[0]
+        assert main(flags) == 0
+        capsys.readouterr()
+        assert _defaults(emastall.cli._parser()) == fresh_defaults
+        _, reused = run_cli([command], capsys)
+        assert _defaults(emastall.cli._parser()) == fresh_defaults
+        monkeypatch.setattr(emastall.cli, "_parser", build_parser)
+        _, fresh = run_cli([command], capsys)
+        assert reused.splitlines()[0].startswith("config: ")
+        assert reused.splitlines()[0] == fresh.splitlines()[0]
 
 
 class TestExperimentCommands:
