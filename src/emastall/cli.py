@@ -25,10 +25,10 @@ from .simlab import (
     SynthLogistic,
     default_ema_config,
     moment_configs,
-    run_first_moment_curve,
+    run_first_moment_curves,
     run_reset_study,
     run_skip_study,
-    run_stall_curve,
+    run_stall_curves,
 )
 from .theory import (
     TheoryInputs,
@@ -314,9 +314,12 @@ def cmd_stall_curve(args) -> int:
     formats = _require_formats(args)
     _apply_preset(args)
     mode = RoundingMode.NEAREST_EVEN if args.rounding == "nr" else RoundingMode.STOCHASTIC
-    for name in formats:
-        spec = GradientStreamSpec(dimension=args.dim, seed=args.seed)
-        cfg = default_ema_config(name, args.beta2, mode)
+    spec = GradientStreamSpec(dimension=args.dim, seed=args.seed)
+    results = run_stall_curves(
+        spec, [default_ema_config(name, args.beta2, mode) for name in formats],
+        args.steps, args.trials,
+    )
+    for name, result in zip(formats, results):
         _print_config(
             "stall-curve",
             {
@@ -329,7 +332,6 @@ def cmd_stall_curve(args) -> int:
                 "seed": args.seed,
             },
         )
-        result = run_stall_curve(spec, cfg, args.steps, args.trials)
         m = result.metrics
         print(
             f"{name}: floor={m['measured_floor']:.4f} "
@@ -342,14 +344,17 @@ def cmd_stall_curve(args) -> int:
 
 def cmd_first_moment(args) -> int:
     formats = _require_formats(args)
+    for name in formats:
+        if not get_format(name).sign_bits:
+            raise SystemExit(f"first-moment study needs a signed format, got {name}")
     _apply_preset(args)
     mode = RoundingMode.NEAREST_EVEN if args.rounding == "nr" else RoundingMode.STOCHASTIC
-    for name in formats:
-        fmt = get_format(name)
-        if not fmt.sign_bits:
-            raise SystemExit(f"first-moment study needs a signed format, got {name}")
-        spec = GradientStreamSpec(dimension=args.dim, seed=args.seed, mu=args.mu)
-        cfg = default_ema_config(name, args.beta1, mode)
+    spec = GradientStreamSpec(dimension=args.dim, seed=args.seed, mu=args.mu)
+    results = run_first_moment_curves(
+        spec, [default_ema_config(name, args.beta1, mode) for name in formats],
+        args.steps, args.trials,
+    )
+    for name, result in zip(formats, results):
         _print_config(
             "first-moment",
             {
@@ -363,7 +368,6 @@ def cmd_first_moment(args) -> int:
                 "seed": args.seed,
             },
         )
-        result = run_first_moment_curve(spec, cfg, args.steps, args.trials)
         m = result.metrics
         print(
             f"{name}: floor={m['measured_floor']:.4f} "

@@ -28,10 +28,11 @@ from .formats import FpFormat, RoundingMode
 from .quantize import (
     QuantizedBlock,
     ScalingScheme,
+    _block_absmax,
+    _quantize_unchecked,
     dequantize,
     quantize,
     quantize_with_scales,
-    stalled_mask,
 )
 from .theory import remaining_error_E
 
@@ -129,38 +130,48 @@ class RowStreams:
 
 
 def _proposal(
-    state: EmaState, signal: np.ndarray, hold: np.ndarray | None = None
+    state: EmaState,
+    signal: np.ndarray,
+    hold: np.ndarray | None = None,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
-    # rows flagged in hold propose their stored value, which storage then
+    # the one validation of a write: a NaN, infinite or overflowing signal
+    # leaves a non-finite proposal, so storage trusts what passes. Rows
+    # flagged in hold propose their stored value, which storage then
     # reproduces exactly: a skipped update
     signal = np.asarray(signal, dtype=np.float64)
     x = state.stored if state.config.format is None else dequantize(state.stored)
     if signal.shape != x.shape:
         raise ValueError("signal shape does not match state")
-    if not np.isfinite(signal).all():
-        raise ValueError("non-finite signal")
-    proposal = x + (1.0 - state.config.beta) * (signal - x)
+    proposal = np.subtract(signal, x, out=out)
+    proposal *= 1.0 - state.config.beta
+    proposal += x
+    if not np.isfinite(proposal).all():
+        raise ValueError("non-finite or overflowing signal")
     if hold is not None:
-        proposal = np.where(hold[:, None], x, proposal)
+        np.copyto(proposal, x, where=hold[:, None])
     return proposal
 
 
 def _store(
     state: EmaState, proposal: np.ndarray, rng
 ) -> tuple[EmaState, np.ndarray]:
-    # the stalled fraction of each row, as a 0-d array for a single state
+    # the stalled fraction of each row, as a 0-d array for a single state;
+    # the proposal comes from _proposal, which has validated it
     cfg = state.config
     if cfg.format is None:
         stalled = proposal == state.stored
         new = proposal
     else:
         if cfg.freeze_scale:
-            new = quantize_with_scales(
-                proposal, cfg.format, cfg.scheme, state.stored.scales, cfg.rounding, rng
-            )
+            scales = state.stored.scales
         else:
-            new = quantize(proposal, cfg.format, cfg.scheme, cfg.rounding, rng)
-        stalled = stalled_mask(state.stored, new, include_scale=False)
+            scales = _block_absmax(proposal, cfg.scheme)
+        new = _quantize_unchecked(
+            proposal, cfg.format, cfg.scheme, scales, cfg.rounding, rng
+        )
+        # code-only comparison: the stored-bit-pattern convention
+        stalled = state.stored.codes == new.codes
     # an exact count over dim, the same bits as the mean of the flags
     frac = stalled.sum(axis=-1) / stalled.shape[-1]
     return EmaState(new, state.k + 1, cfg, state.excess), frac
@@ -361,11 +372,19 @@ def _adam_update(
     k_m, k_v = np.asarray(k_m), np.asarray(k_v)
     if k_m.min() < 1 or k_v.min() < 1:
         raise ValueError("bias correction needs at least one accumulated step")
-    # one correction per row, broadcast along the row
-    m_hat = m_vals / -np.expm1(k_m * np.log(hyper.beta1))[..., None]
-    v_hat = v_vals / -np.expm1(k_v * np.log(hyper.beta2))[..., None]
-    step = m_hat / (np.sqrt(v_hat) + hyper.eps)
-    return params - hyper.lr * step - hyper.lr * hyper.weight_decay * params
+    # one correction per row, broadcast along the row; the temporaries are
+    # updated in place, with the float operations of
+    # params - lr * m_hat / (sqrt(v_hat) + eps) - lr * weight_decay * params
+    step = m_vals / -np.expm1(k_m * np.log(hyper.beta1))[..., None]
+    denom = v_vals / -np.expm1(k_v * np.log(hyper.beta2))[..., None]
+    np.sqrt(denom, out=denom)
+    denom += hyper.eps
+    step /= denom
+    step *= hyper.lr
+    new = params - step
+    np.multiply(params, hyper.lr * hyper.weight_decay, out=step)
+    new -= step
+    return new
 
 
 def apply_adam_update(
@@ -408,15 +427,53 @@ def adam_rows(
     grad = np.asarray(grad, dtype=np.float64)
     if grad.shape != params.shape:
         raise ValueError("gradient/parameter shape mismatch")
-    if m_state.config.beta != hyper.beta1 or v_state.config.beta != hyper.beta2:
-        raise ValueError("moment config betas must match the hyperparameters")
-    pm = _proposal(m_state, grad, hold_m)
-    pv = _proposal(v_state, grad * grad, hold_v)
-    m2, frac_m = _store(m_state, pm, rng)
-    v2, frac_v = _store(v_state, pv, rng)
-    k_m = t_global if t_global is not None else m2.k
-    k_v = t_global if t_global is not None else v2.k
-    return _adam_update(params, pm, pv, k_m, k_v, hyper), m2, v2, frac_m, frac_v
+    new_params, [(m2, v2)], frac_m, frac_v = adam_lockstep(
+        [(m_state, v_state)], grad[None], hyper, params[None], [rng], t_global,
+        hold_m, hold_v,
+    )
+    return new_params[0], m2, v2, frac_m[0], frac_v[0]
+
+
+def adam_lockstep(
+    moments: list,
+    grad: np.ndarray,
+    hyper: AdamHyper,
+    params: np.ndarray,
+    rngs: list,
+    t_global: int | None = None,
+    hold_m: np.ndarray | None = None,
+    hold_v: np.ndarray | None = None,
+) -> tuple[np.ndarray, list, np.ndarray, np.ndarray]:
+    """``adam_rows`` for several storage configs in one step.
+
+    ``moments[c]`` is config c's (m, v) pair, stepped on ``grad[c]`` and
+    ``params[c]`` with the stream ``rngs[c]``; hold_m and hold_v apply to
+    every config. Each config stores its moments as ``adam_rows`` does, and
+    one update moves the whole parameter stack. Returns (params, moments,
+    stalled_m, stalled_v), the fractions stacked by config.
+    """
+    shape = (len(moments),) + params.shape[1:]
+    if grad.shape != params.shape or params.shape != shape:
+        raise ValueError("gradient/parameter shape mismatch")
+    pm, pv = np.empty(shape), np.empty(shape)
+    stepped, frac_m, frac_v = [], [], []
+    for c, ((m, v), rng) in enumerate(zip(moments, rngs)):
+        if m.config.beta != hyper.beta1 or v.config.beta != hyper.beta2:
+            raise ValueError("moment config betas must match the hyperparameters")
+        _proposal(m, grad[c], hold_m, pm[c])
+        _proposal(v, grad[c] * grad[c], hold_v, pv[c])
+        m2, fm = _store(m, pm[c], rng)
+        v2, fv = _store(v, pv[c], rng)
+        stepped.append((m2, v2))
+        frac_m.append(fm)
+        frac_v.append(fv)
+    if t_global is not None:
+        k_m = k_v = t_global
+    else:
+        k_m = np.array([m.k for m, _ in stepped])
+        k_v = np.array([v.k for _, v in stepped])
+    new_params = _adam_update(params, pm, pv, k_m, k_v, hyper)
+    return new_params, stepped, np.array(frac_m), np.array(frac_v)
 
 
 def adam_step(

@@ -158,11 +158,16 @@ def quantize(
     """Quantize a vector or each row of a (rows, dim) array, recomputing
     each block's scale from its absmax."""
     values = _check_values(values)
-    # an all-zero block keeps absmax 0, so it dequantizes to exact zeros
-    # even on grids that exclude the zero point
+    return quantize_with_scales(values, fmt, scheme, _block_absmax(values, scheme),
+                                mode, rng)
+
+
+def _block_absmax(values: np.ndarray, scheme: ScalingScheme) -> np.ndarray:
+    """The absmax of each block along the last axis: the scales quantize
+    recomputes. An all-zero block keeps absmax 0, so it dequantizes to
+    exact zeros even on grids that exclude the zero point."""
     starts = _layout(scheme, values.shape[-1])[0]
-    scales = np.maximum.reduceat(np.abs(values), starts, axis=-1)
-    return quantize_with_scales(values, fmt, scheme, scales, mode, rng)
+    return np.maximum.reduceat(np.abs(values), starts, axis=-1)
 
 
 def quantize_with_scales(
@@ -183,13 +188,26 @@ def quantize_with_scales(
     n_blocks = len(_layout(scheme, values.shape[-1])[0])
     if scales.shape != values.shape[:-1] + (n_blocks,):
         raise ValueError("one scale per block required")
-    smallest = scales.min()
-    if smallest < 0:
+    if scales.min() < 0:
         raise ValueError("scales must be nonnegative")
     if not np.isfinite(values).all():
         raise ValueError("cannot quantize non-finite values")
+    return _quantize_unchecked(values, fmt, scheme, scales, mode, rng)
+
+
+def _quantize_unchecked(
+    values: np.ndarray,
+    fmt: FpFormat,
+    scheme: ScalingScheme,
+    scales: np.ndarray,
+    mode: RoundingMode,
+    rng: np.random.Generator | None,
+) -> QuantizedBlock:
+    """``quantize_with_scales`` without its checks, for callers that have
+    validated once: values finite float64 of shape ``(dim,)`` or
+    ``(rows, dim)``, scales nonnegative float64 with one per block."""
     rep = _broadcast_scales(scales, scheme, values.shape[-1])
-    if smallest > 0:
+    if scales.min() > 0:
         w = values / rep
     else:
         w = np.divide(values, rep, out=np.zeros_like(values), where=rep > 0)

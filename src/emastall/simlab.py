@@ -7,11 +7,20 @@ cells of a study at fixed seed (paired comparisons). Seeds also select the
 toy-problem instance, so inter-seed spread reflects instance-to-instance
 variation rather than residual sampling noise.
 
+The storage configs of a study or a curve command step in lockstep: each
+seed's gradient, target and stream draws are made once per step and shared
+by every config, while each config rounds with its own streams, seeded as
+the config run alone would seed them. No draw depends on the state, so
+every cell and every curve equals its run alone bit for bit.
+``run_reset_cells`` returns the losses of a config x seed x policy grid as
+one array; ``run_stall_curves``/``run_first_moment_curves`` return one
+result per EMA config.
+
 A problem's ``make_instance(seed)`` returns an instance with
 ``init_params()``, ``step_begin()``, ``grad_sample(params, rng)`` and
-``loss(params)``. ``grad_sample`` takes params of shape ``(dim,)`` or
-``(rows, dim)``; all rows share one draw, which is how the study drivers
-step every cell of a seed at once.
+``loss(params)``. ``grad_sample`` takes params of any shape ``(..., dim)``;
+every row shares one draw, which is how the studies step every cell
+of a seed, in every config, at once.
 """
 
 from __future__ import annotations
@@ -34,7 +43,7 @@ from .engine import (
     ResetRows,
     RowStreams,
     StallTrace,
-    adam_rows,
+    adam_lockstep,
     ema_step,
     reset_rows,
 )
@@ -314,67 +323,82 @@ def moment_configs(
     )
 
 
-def _curve_result(
+def _curve_results(
     experiment: str,
     stream: GradientStreamSpec,
-    ema: EmaConfig,
+    emas: list,
     steps: int,
     trials: int,
     second_moment: bool,
     steady_key: str,
-) -> ExperimentResult:
+) -> list:
     # per-step stalled fraction averaged over trials, for an EMA of the
-    # stream (of its square for a second moment), with the measured floor
-    # (step 1) and the last-decile mean under steady_key
+    # stream (of its square for a second moment) under each config, with
+    # the measured floor (step 1) and the last-decile mean under
+    # steady_key. The configs step in lockstep over one draw per step; each
+    # rounds with its own stream, seeded as a config run alone seeds it
     if steps < 1 or trials < 1:
         raise ValueError("steps and trials must be >= 1")
+    if not emas:
+        raise ValueError("at least one EMA config is required")
     t0 = time.perf_counter()
-    acc = np.zeros(steps)
+    acc = np.zeros((len(emas), steps))
     for trial in range(trials):
         gs = GradientStream(stream, trial)
-        rng = np.random.default_rng([stream.seed, trial, _KEY_ROUND])
-        state = EmaState.initialize(ema, stream.dimension)
+        rngs = [np.random.default_rng([stream.seed, trial, _KEY_ROUND]) for _ in emas]
+        states = [EmaState.initialize(ema, stream.dimension) for ema in emas]
         for t in range(steps):
             g = gs.draw()
-            state, frac = ema_step(state, g * g if second_moment else g, rng)
-            acc[t] += frac
+            signal = g * g if second_moment else g
+            for c, rng in enumerate(rngs):
+                states[c], frac = ema_step(states[c], signal, rng)
+                acc[c, t] += frac
     mean_frac = acc / trials
-    return ExperimentResult(
-        config={
-            "experiment": experiment,
-            "stream": _config_dict(stream),
-            "ema": _config_dict(ema),
-            "steps": steps,
-            "trials": trials,
-        },
-        series={
-            "step": list(range(1, steps + 1)),
-            "stalled_fraction": mean_frac.tolist(),
-        },
-        metrics={
-            "measured_floor": float(mean_frac[0]),
-            steady_key: float(np.mean(mean_frac[-_trailing_window(steps):])),
-        },
-        wall_time=time.perf_counter() - t0,
-    )
+    wall_time = time.perf_counter() - t0
+    return [
+        ExperimentResult(
+            config={
+                "experiment": experiment,
+                "stream": _config_dict(stream),
+                "ema": _config_dict(ema),
+                "steps": steps,
+                "trials": trials,
+            },
+            series={
+                "step": list(range(1, steps + 1)),
+                "stalled_fraction": frac.tolist(),
+            },
+            metrics={
+                "measured_floor": float(frac[0]),
+                steady_key: float(np.mean(frac[-_trailing_window(steps):])),
+            },
+            wall_time=wall_time,
+        )
+        for ema, frac in zip(emas, mean_frac)
+    ]
 
 
-def run_stall_curve(
+def run_stall_curves(
     stream: GradientStreamSpec,
-    ema: EmaConfig,
+    emas: list,
     steps: int,
     trials: int = 1,
-) -> ExperimentResult:
-    """Measure the second-moment stalled fraction against the predictors.
+) -> list:
+    """Measure the second-moment stalled fraction against the predictors,
+    one result per EMA config.
 
     Averages the per-step stalled fraction over trials, reports the
     measured floor (step 1) and plateau (last decile), and overlays the
-    transient and steady-state theory values for the config's format.
+    transient and steady-state theory values for each config's format.
+    The configs share each step's draw, so each result equals the one
+    ``run_stall_curve`` gives for its config alone.
     """
-    result = _curve_result(
-        "stall_curve", stream, ema, steps, trials, True, "measured_plateau"
+    results = _curve_results(
+        "stall_curve", stream, emas, steps, trials, True, "measured_plateau"
     )
-    if ema.format is not None:
+    for ema, result in zip(emas, results):
+        if ema.format is None:
+            continue
         metrics = result.metrics
         rho = TheoryInputs(beta2=ema.beta, format=ema.format).rhohat
         metrics["rhohat"] = rho
@@ -388,7 +412,31 @@ def run_stall_curve(
         result.series["theory_nr_transient"] = [
             p_stall_nr_transient(j, ema.beta, rho) for j in range(1, steps + 1)
         ]
-    return result
+    return results
+
+
+def run_stall_curve(
+    stream: GradientStreamSpec,
+    ema: EmaConfig,
+    steps: int,
+    trials: int = 1,
+) -> ExperimentResult:
+    """``run_stall_curves`` for one config."""
+    return run_stall_curves(stream, [ema], steps, trials)[0]
+
+
+def run_first_moment_curves(
+    stream: GradientStreamSpec,
+    emas: list,
+    steps: int,
+    trials: int = 1,
+) -> list:
+    """Stalled fraction of a signed first-moment EMA under each config;
+    measurement only, there is no closed-form overlay for the first
+    moment. The configs share each step's draw."""
+    return _curve_results(
+        "first_moment_curve", stream, emas, steps, trials, False, "measured_steady"
+    )
 
 
 def run_first_moment_curve(
@@ -397,11 +445,8 @@ def run_first_moment_curve(
     steps: int,
     trials: int = 1,
 ) -> ExperimentResult:
-    """Stalled fraction of a signed first-moment EMA; measurement only,
-    there is no closed-form overlay for the first moment."""
-    return _curve_result(
-        "first_moment_curve", stream, ema, steps, trials, False, "measured_steady"
-    )
+    """``run_first_moment_curves`` for one config."""
+    return run_first_moment_curves(stream, [ema], steps, trials)[0]
 
 
 def _trailing_window(steps: int) -> int:
@@ -434,8 +479,7 @@ class _Skips:
 
 def _train_rows(
     problem,
-    cfg_m: EmaConfig,
-    cfg_v: EmaConfig,
+    configs: list,
     policies: list,
     steps: int,
     seeds: tuple,
@@ -443,14 +487,18 @@ def _train_rows(
     skips: _Skips | None = None,
     record_trace: bool = False,
 ) -> dict:
-    """Adam training of every (seed, cell) pair of one storage config at once.
+    """Adam training of every (config, seed, cell) triple in lockstep.
 
-    Row ``i * len(policies) + j`` runs cell j, whose reset rule is
-    ``policies[j]``, on ``seeds[i]``. The rows of a seed share its problem
-    instance and its gradient, target and rounding draws; no draw depends
-    on the state and resets draw nothing, so each row follows the run it
-    would make alone bit for bit. Returns the per-row trailing-decile mean
-    losses and, optionally, per-row (first, second) moment stall traces.
+    configs is a list of (cfg_m, cfg_v) storage configs. Row
+    ``i * len(policies) + j`` of each config runs cell j, whose reset rule
+    is ``policies[j]``, on ``seeds[i]``. Every row of a seed, in every
+    config, shares that seed's problem instance and its gradient and target
+    draws; each config draws its rounding from its own streams, seeded as a
+    config trained alone would seed them. No draw depends on the state and
+    resets draw nothing, so each row follows the run it would make alone
+    bit for bit. Returns the trailing-decile mean losses as a (config, seed,
+    cell) array and, optionally, per-config lists of per-row (first, second)
+    moment stall traces.
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
@@ -458,47 +506,81 @@ def _train_rows(
         raise ValueError("at least one seed is required")
     if not policies:
         raise ValueError("at least one reset policy or p_skip value is required")
+    if not configs:
+        raise ValueError("at least one storage config is required")
     cells = len(policies)
     insts = [problem.make_instance(seed) for seed in seeds]
-    params = np.repeat([inst.init_params() for inst in insts], cells, axis=0)
-    rows, dim = params.shape
-    m = EmaState.initialize(cfg_m, dim, rows)
-    v = EmaState.initialize(cfg_v, dim, rows)
+    start = np.repeat([inst.init_params() for inst in insts], cells, axis=0)
+    rows, dim = start.shape
+    params = np.repeat(start[None], len(configs), axis=0)
+    moments = [
+        (EmaState.initialize(cfg_m, dim, rows), EmaState.initialize(cfg_v, dim, rows))
+        for cfg_m, cfg_v in configs
+    ]
     grad_rngs = [np.random.default_rng([seed, _KEY_GRAD]) for seed in seeds]
-    round_rng = RowStreams(
-        [np.random.default_rng([seed, _KEY_ROUND]) for seed in seeds], cells
-    )
+    round_rngs = [
+        RowStreams([np.random.default_rng([seed, _KEY_ROUND]) for seed in seeds], cells)
+        for _ in configs
+    ]
     row_policies = list(policies) * len(seeds)
     rules_m = ResetRows(row_policies, "first")
     rules_v = ResetRows(row_policies, "second")
     blocks = [slice(i * cells, (i + 1) * cells) for i in range(len(seeds))]
     window = _trailing_window(steps)
-    tail = np.empty((rows, window))
-    traces = [(StallTrace("first_moment"), StallTrace("second_moment"))
-              for _ in range(rows if record_trace else 0)]
+    tail = np.empty((len(configs), rows, window))
+    traces = [
+        [(StallTrace("first_moment"), StallTrace("second_moment"))
+         for _ in range(rows if record_trace else 0)]
+        for _ in configs
+    ]
     g = np.empty_like(params)
     for t in range(1, steps + 1):
         for inst, rng, block in zip(insts, grad_rngs, blocks):
             inst.step_begin()
-            g[block] = inst.grad_sample(params[block], rng)
+            g[:, block] = inst.grad_sample(params[:, block], rng)
         hold_m, hold_v = skips.draw(t) if skips is not None else (None, None)
-        params, m, v, frac_m, frac_v = adam_rows(
-            m, v, g, hyper, params, round_rng, hold_m=hold_m, hold_v=hold_v
+        params, moments, frac_m, frac_v = adam_lockstep(
+            moments, g, hyper, params, round_rngs, hold_m=hold_m, hold_v=hold_v
         )
-        m, reset_m = reset_rows(m, rules_m, frac_m)
-        v, reset_v = reset_rows(v, rules_v, frac_v)
-        for r, (trace_m, trace_v) in enumerate(traces):
-            trace_m.append(float(frac_m[r]), int(m.k[r]), reset_m[r])
-            trace_v.append(float(frac_v[r]), int(v.k[r]), reset_v[r])
+        for c, (m, v) in enumerate(moments):
+            m, reset_m = reset_rows(m, rules_m, frac_m[c])
+            v, reset_v = reset_rows(v, rules_v, frac_v[c])
+            moments[c] = (m, v)
+            for r, (trace_m, trace_v) in enumerate(traces[c]):
+                trace_m.append(float(frac_m[c, r]), int(m.k[r]), reset_m[r])
+                trace_v.append(float(frac_v[c, r]), int(v.k[r]), reset_v[r])
         j = t - 1 - (steps - window)
         if j >= 0:
-            for r in range(rows):
-                tail[r, j] = insts[r // cells].loss(params[r])
+            for c in range(len(configs)):
+                for r in range(rows):
+                    tail[c, r, j] = insts[r // cells].loss(params[c, r])
     # one contiguous row per mean: a mean over axis 0 sums in another order
-    out = {"final_loss": [float(np.mean(row)) for row in tail]}
+    losses = [[float(np.mean(row)) for row in cfg_tail] for cfg_tail in tail]
+    out = {"final_loss": np.reshape(losses, (len(configs), len(seeds), cells))}
     if record_trace:
         out["traces"] = traces
     return out
+
+
+def run_reset_cells(
+    problem,
+    configs: list,
+    policies: list,
+    steps: int,
+    seeds: tuple,
+    hyper: AdamHyper,
+) -> np.ndarray:
+    """Final losses of every storage config x seed x reset policy cell.
+
+    configs is a list of (cfg_m, cfg_v) pairs and policies a list of
+    ``ResetPolicy``. Every cell trains in one lockstep loop: the cells of a
+    seed share its problem instance and its gradient and target draws, and
+    the cells of a config share its rounding streams, so each loss equals
+    the cell's own ``run_reset_training`` bit for bit. Returns an array of
+    shape ``(len(configs), len(seeds), len(policies))``; entry [c, i, j] is
+    the trailing-decile mean loss of config c under policies[j] on seeds[i].
+    """
+    return _train_rows(problem, configs, policies, steps, seeds, hyper)["final_loss"]
 
 
 def run_skip_study(
@@ -532,14 +614,15 @@ def run_skip_study(
         int(round(warmup_fraction * steps)),
     )
     losses = _train_rows(
-        problem, cfg_m, cfg_v, [ResetPolicy.none()] * n_p, steps, seeds, hyper, skips
-    )["final_loss"]
+        problem, [(cfg_m, cfg_v)], [ResetPolicy.none()] * n_p, steps, seeds, hyper,
+        skips,
+    )["final_loss"][0].tolist()
     rows_p, rows_seed, rows_loss = [], [], []
     for j, p in enumerate(p_skip_grid):
         for i, seed in enumerate(seeds):
             rows_p.append(p)
             rows_seed.append(seed)
-            rows_loss.append(losses[i * n_p + j])
+            rows_loss.append(losses[i][j])
     medians = {
         f"median_final_loss@p={p:g}": float(
             np.median([l for pp, l in zip(rows_p, rows_loss) if pp == p])
@@ -576,12 +659,12 @@ def run_reset_training(
     """One training run; returns the trailing-decile mean loss and,
     optionally, per-moment stall traces."""
     res = _train_rows(
-        problem, cfg_m, cfg_v, [policy], steps, (seed,), hyper,
+        problem, [(cfg_m, cfg_v)], [policy], steps, (seed,), hyper,
         record_trace=record_trace,
     )
-    out = {"final_loss": res["final_loss"][0]}
+    out = {"final_loss": float(res["final_loss"][0, 0, 0])}
     if record_trace:
-        out["trace_m"], out["trace_v"] = res["traces"][0]
+        out["trace_m"], out["trace_v"] = res["traces"][0][0]
     return out
 
 
@@ -596,8 +679,8 @@ def run_reset_study(
     """Final-loss matrix over storage config x reset policy x seed.
 
     configs is a list of (label, cfg_m, cfg_v); policies a list of
-    (label, ResetPolicy). All policy x seed cells of one config train
-    together as the rows of one batch.
+    (label, ResetPolicy). Every cell trains in one ``run_reset_cells``
+    call.
     """
     if len(seeds) < 3:
         raise ValueError("need at least 3 seeds")
@@ -605,13 +688,13 @@ def run_reset_study(
     t0 = time.perf_counter()
     cols: dict = {"config": [], "policy": [], "seed": [], "final_loss": []}
     medians: dict = {}
-    n_pol = len(policies)
-    for config_label, cfg_m, cfg_v in configs:
-        losses = _train_rows(
-            problem, cfg_m, cfg_v, [p for _, p in policies], steps, seeds, hyper
-        )["final_loss"]
+    losses = run_reset_cells(
+        problem, [(cfg_m, cfg_v) for _, cfg_m, cfg_v in configs],
+        [p for _, p in policies], steps, seeds, hyper,
+    )
+    for (config_label, _, _), by_seed in zip(configs, losses.tolist()):
         for j, (policy_label, _) in enumerate(policies):
-            cell = [losses[i * n_pol + j] for i in range(len(seeds))]
+            cell = [row[j] for row in by_seed]
             cols["config"] += [config_label] * len(seeds)
             cols["policy"] += [policy_label] * len(seeds)
             cols["seed"] += list(seeds)

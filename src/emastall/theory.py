@@ -369,14 +369,12 @@ def stall_columns(inputs: TheoryInputs) -> dict:
 
 
 def _column_keys(prefix: str, values: Iterable[float]) -> dict[str, float]:
-    """Column label -> value, in first-seen order. Exact duplicates share a
-    column; distinct values whose labels collide are an error."""
+    """Column label -> value, in first-seen order. A label carries the
+    value's shortest round-trip text, so distinct values get distinct
+    columns and exact duplicates share one."""
     keys: dict[str, float] = {}
     for v in values:
-        key = f"{prefix}@{v:g}"
-        if key in keys and keys[key] != v:
-            raise ValueError(f"values {keys[key]!r} and {v!r} share the column {key}")
-        keys.setdefault(key, v)
+        keys.setdefault(f"{prefix}@{float(v)!r}", v)
     return keys
 
 

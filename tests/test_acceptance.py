@@ -26,9 +26,9 @@ from emastall.simlab import (
     NoisyQuadratic,
     default_ema_config,
     moment_configs,
+    run_reset_cells,
     run_reset_study,
-    run_reset_training,
-    run_stall_curve,
+    run_stall_curves,
 )
 from emastall.theory import (
     TheoryInputs,
@@ -130,18 +130,22 @@ def test_criterion_05_monte_carlo_vs_theory():
     spec = GradientStreamSpec(dimension=10_000, seed=1)
     gaps = {}
     envelope_viol = {}
-    for name in FORMAT_NAMES:
-        for mode, tag in ((RoundingMode.NEAREST_EVEN, "nr"),
-                          (RoundingMode.STOCHASTIC, "sr")):
-            cfg = default_ema_config(name, B2, mode)
-            res = run_stall_curve(spec, cfg, steps=5000)
-            gaps[f"{name}/{tag}"] = (
-                res.metrics["measured_plateau"] - res.metrics["theory_ss"]
-            )
-            if tag == "nr":
-                f = np.asarray(res.series["stalled_fraction"])
-                w = f[: len(f) // 50 * 50].reshape(-1, 50).mean(axis=1)
-                envelope_viol[name] = float(np.max(np.maximum(0, w[:-1] - w[1:])))
+    cells = [(name, mode, tag) for name in FORMAT_NAMES
+             for mode, tag in ((RoundingMode.NEAREST_EVEN, "nr"),
+                               (RoundingMode.STOCHASTIC, "sr"))]
+    # the six configs step in lockstep over one draw of the stream per step
+    results = run_stall_curves(
+        spec, [default_ema_config(name, B2, mode) for name, mode, _ in cells],
+        steps=5000,
+    )
+    for (name, _, tag), res in zip(cells, results):
+        gaps[f"{name}/{tag}"] = (
+            res.metrics["measured_plateau"] - res.metrics["theory_ss"]
+        )
+        if tag == "nr":
+            f = np.asarray(res.series["stalled_fraction"])
+            w = f[: len(f) // 50 * 50].reshape(-1, 50).mean(axis=1)
+            envelope_viol[name] = float(np.max(np.maximum(0, w[:-1] - w[1:])))
     elapsed = time.perf_counter() - t0
     ok = all(abs(g) <= 0.05 for g in gaps.values()) and all(
         v <= 0.02 for v in envelope_viol.values()
@@ -223,19 +227,19 @@ def test_criterion_08_reset_benefit_ordering():
 
     # (c) loss within 5% of its minimum across a 4x period range around K*
     sweep_periods = (kstar // 2, kstar, 2 * kstar)
-    sweep_medians = {}
-    for K in sweep_periods:
-        key = f"median@fp4_nr/periodic{K}"
-        if key in med:
-            sweep_medians[K] = med[key]
-        else:
-            losses = [
-                run_reset_training(
-                    problem, cm_nr, cv_nr, ResetPolicy.periodic(K), steps, s, hyper
-                )["final_loss"]
-                for s in seeds
-            ]
-            sweep_medians[K] = float(np.median(losses))
+    sweep_medians = {
+        K: med[f"median@fp4_nr/periodic{K}"]
+        for K in sweep_periods if f"median@fp4_nr/periodic{K}" in med
+    }
+    # the periods the study did not run train as one batch: fp4_nr x
+    # periods x seeds
+    extra = [K for K in sweep_periods if K not in sweep_medians]
+    losses = run_reset_cells(
+        problem, [(cm_nr, cv_nr)], [ResetPolicy.periodic(K) for K in extra],
+        steps, seeds, hyper,
+    )[0]
+    for j, K in enumerate(extra):
+        sweep_medians[K] = float(np.median(losses[:, j].tolist()))
     flatness = max(sweep_medians.values()) / min(sweep_medians.values())
     c_ok = flatness <= 1.05
 

@@ -162,15 +162,26 @@ class TestPredictTables:
         assert isinstance(message, str) and argv[1] in message and "\n" not in message
         assert capsys.readouterr().out == ""
 
-    @pytest.mark.parametrize("argv,values", [
-        (["predict-period", "--s0", "0.6,0.6000001"], ("0.6", "0.6000001")),
-        (["predict-window", "--p0", "0.5,0.9,0.50000001"], ("0.5", "0.50000001")),
+    @pytest.mark.parametrize("argv,columns", [
+        (["predict-period", "--s0", "0.6,0.6000001"],
+         ["Kstar@0.6", "Kstar@0.6000001"]),
+        (["predict-window", "--p0", "0.5,0.9,0.50000001"],
+         ["p_init", "jstar@0.5", "jstar@0.9", "jstar@0.50000001"]),
     ], ids=["s0", "p0"])
-    def test_colliding_column_labels_are_one_line_error(self, argv, values, capsys):
-        assert main(argv) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and err.count("\n") == 1
-        assert all(f" {v} " in err for v in values)
+    def test_close_values_get_distinct_columns(self, argv, columns, capsys):
+        code, out = run_cli(argv + ["--json"], capsys)
+        assert code == 0
+        # the JSON rows carry sorted keys
+        assert all(sorted(row) == sorted(["format"] + columns) for row in json_rows(out))
+
+    def test_labels_are_shortest_round_trip_text(self, capsys):
+        # :g kept six digits and printed 0.9999999 as Kstar@1
+        code, out = run_cli(["predict-period", "--format", "bf16", "--beta2", "0.9",
+                             "--s0", "0.9999999,0,0.6"], capsys)
+        assert code == 0
+        assert out.splitlines()[1].split() == [
+            "format", "Kstar@0.9999999", "Kstar@0.0", "Kstar@0.6"
+        ]
 
     @pytest.mark.parametrize("command,flag,value", [
         ("predict-period", "--s0", "0.6"),
@@ -284,6 +295,14 @@ class TestExperimentCommands:
         assert code == 0
         assert (tmp_path / "fm.csv").exists()
         assert "steady=" in out
+
+    def test_first_moment_rejects_unsigned_before_any_output(self, capsys, tmp_path):
+        base = tmp_path / "fm"
+        with pytest.raises(SystemExit, match="signed format, got fp4_e2m2u"):
+            main(["first-moment", "--format", "fp4_e2m1,fp4_e2m2u", "--preset", "quick",
+                  "--out", str(base)])
+        assert capsys.readouterr().out == ""
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("command", ["stall-curve", "first-moment"])
     def test_multi_format_out_gets_one_file_per_format(self, command, capsys, tmp_path):

@@ -120,6 +120,21 @@ class TestEmaStep:
         with pytest.raises(ValueError):
             ema_step(state, np.array([1.0, np.nan, 1.0, 1.0]))
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.parametrize("fmt", [None, FP4_E2M2U], ids=["fp32", "fp4_e2m2u"])
+    def test_overflowing_signal_rejected(self, fmt):
+        # finite signals whose increment overflows: full-precision storage
+        # used to keep the infinite proposal
+        state = EmaState.initialize(EmaConfig(beta=0.5, format=fmt), 2)
+        state, _ = ema_step(state, np.full(2, 1.5e308))
+        with pytest.raises(ValueError):
+            ema_step(state, np.full(2, -1.5e308))
+        hyper = AdamHyper(lr=0.01)
+        m = EmaState.initialize(EmaConfig(beta=hyper.beta1, format=fmt), 2)
+        v = EmaState.initialize(EmaConfig(beta=hyper.beta2, format=fmt), 2)
+        with pytest.raises(ValueError):
+            adam_step(m, v, np.full(2, 1e200), hyper, np.zeros(2))
+
     def test_power_of_two_signal_equivariance(self):
         config = EmaConfig(beta=0.999, format=FP4_E2M2U, scheme=PER_TENSOR)
         rng = np.random.default_rng(55)
