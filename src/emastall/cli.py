@@ -58,7 +58,11 @@ def _str_list(text: str) -> list[str]:
 def _seed_list(text: str) -> list[int]:
     vals = _int_list(text)
     if len(vals) == 1 and "," not in text:
-        return list(range(vals[0]))
+        seeds = list(range(vals[0]))
+        if seeds:  # an empty list fails as "at least one seed is required"
+            print(f"note: seeds {text.strip()} means seeds {seeds}; "
+                  f"write '{vals[0]},' for that one seed", file=sys.stderr)
+        return seeds
     return vals
 
 

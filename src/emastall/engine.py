@@ -34,7 +34,7 @@ from .quantize import (
     quantize,
     quantize_with_scales,
 )
-from .theory import remaining_error_E
+from .theory import excess_staleness, remaining_error_E
 
 
 @dataclasses.dataclass(frozen=True)
@@ -129,6 +129,10 @@ class RowStreams:
         return np.repeat(draws, self.rows_per_stream, axis=0)
 
 
+# the floating-point errors a proposal may raise, left to its finiteness check
+_QUIET = {"over": "ignore", "invalid": "ignore"}
+
+
 def _proposal(
     state: EmaState,
     signal: np.ndarray,
@@ -136,9 +140,10 @@ def _proposal(
     out: np.ndarray | None = None,
 ) -> np.ndarray:
     # the one validation of a write: a NaN, infinite or overflowing signal
-    # leaves a non-finite proposal, so storage trusts what passes. Rows
-    # flagged in hold propose their stored value, which storage then
-    # reproduces exactly: a skipped update
+    # leaves a non-finite proposal, so storage trusts what passes. Callers
+    # run it under _QUIET, so an overflow surfaces as this ValueError rather
+    # than as a warning. Rows flagged in hold propose their stored value,
+    # which storage then reproduces exactly: a skipped update
     signal = np.asarray(signal, dtype=np.float64)
     x = state.stored if state.config.format is None else dequantize(state.stored)
     if signal.shape != x.shape:
@@ -194,7 +199,9 @@ def ema_step(
     count as movement on its own.
     """
     _require_single(state)
-    new, frac = _store(state, _proposal(state, signal), rng)
+    with np.errstate(**_QUIET):
+        proposal = _proposal(state, signal)
+    new, frac = _store(state, proposal, rng)
     return new, float(frac)
 
 
@@ -300,13 +307,15 @@ def reset_rows(
     reset = k >= rules.period
     excess = state.excess
     if rules.adaptive:
+        # one row at a time: with the few adaptive rows of a study, numpy's
+        # per-call cost makes a vectorized rule slower than this loop
         excess = excess.copy()
         for r, policy in rules.adaptive:
             if k[r] < 1:
                 continue
             # cycle-average the observed excess staleness online
             s = fractions[r] / policy.p_ss
-            excess[r] += max(0.0, (s - policy.s0) / (1.0 - policy.s0))
+            excess[r] += excess_staleness(s, policy.s0)
             reset[r] = excess[r] / k[r] >= remaining_error_E(int(k[r]), policy.beta2)
     if not reset.any():
         return EmaState(state.stored, k, state.config, excess), reset
@@ -456,12 +465,17 @@ def adam_lockstep(
     if grad.shape != params.shape or params.shape != shape:
         raise ValueError("gradient/parameter shape mismatch")
     pm, pv = np.empty(shape), np.empty(shape)
+    # every proposal first, under one errstate; _proposal rejects an
+    # infinite square
+    with np.errstate(**_QUIET):
+        square = grad * grad
+        for c, (m, v) in enumerate(moments):
+            if m.config.beta != hyper.beta1 or v.config.beta != hyper.beta2:
+                raise ValueError("moment config betas must match the hyperparameters")
+            _proposal(m, grad[c], hold_m, pm[c])
+            _proposal(v, square[c], hold_v, pv[c])
     stepped, frac_m, frac_v = [], [], []
     for c, ((m, v), rng) in enumerate(zip(moments, rngs)):
-        if m.config.beta != hyper.beta1 or v.config.beta != hyper.beta2:
-            raise ValueError("moment config betas must match the hyperparameters")
-        _proposal(m, grad[c], hold_m, pm[c])
-        _proposal(v, grad[c] * grad[c], hold_v, pv[c])
         m2, fm = _store(m, pm[c], rng)
         v2, fv = _store(v, pv[c], rng)
         stepped.append((m2, v2))

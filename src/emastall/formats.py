@@ -248,7 +248,11 @@ class RoundingGrid:
             idx = self.stochastic_idx(mag, rng)
         if not self.fmt.sign_bits:
             return self.codes.take(idx)
-        np.add(idx, len(self.values), out=idx, where=x < 0)
+        # an offset by multiplication, skipped when nothing is negative (a
+        # second moment): a masked add costs several times more on mixed signs
+        negative = x < 0
+        if negative.any():
+            idx += negative * len(self.values)
         return self.signed_codes.take(idx)
 
     @cached_property

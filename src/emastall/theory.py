@@ -5,13 +5,23 @@ one-step stall probabilities under nearest and stochastic rounding, the
 transient buildup after a reset, the effective decay induced by stalling,
 the initialization floor model, startup windows, and the reset-period
 heuristic.
+
+The reset period K* comes from a scan over K in geometrically growing
+chunks (``_excess_chunks``): each chunk evaluates the normalized transient
+S(j), the excess staleness and its running sums as arrays, with the libm
+calls kept in Python so that every value equals the step-by-step scan's.
+``excess_staleness`` is the one excess term; the scan applies it to arrays
+and the adaptive reset rule in ``engine`` to each row's float.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import math
 from collections.abc import Iterable
+
+import numpy as np
 
 from .formats import FpFormat
 
@@ -293,48 +303,96 @@ def remaining_error_E(K: int, beta2: float) -> float:
     return 2.0 * bk / (1.0 + bk)
 
 
-def _excess_sums(inputs: TheoryInputs, s0s: tuple[float, ...], max_K: int):
-    """For K = 1..max_K, yield the sums over j <= K of the excess staleness
-    max(0, (S(j) - s0) / (1 - s0)) for each s0 (one list, updated in place).
-    S(j), the NR transient normalized by its steady state, is evaluated once
-    per j for all s0, with the terms that do not depend on j hoisted."""
+def excess_staleness(s, s0):
+    """Staleness in excess of the tolerance, max(0, (s - s0) / (1 - s0)), on
+    floats or elementwise on arrays (s0 broadcasts against s). The K* scan
+    and the adaptive reset rule both use it, so the two cannot drift apart.
+
+    A negative excess comes out as -0.0, which adds nothing to a sum. The
+    product keeps a scalar call as cheap as Python's max; np.maximum costs
+    about a microsecond a call on scalars.
+    """
+    x = (s - s0) / (1.0 - s0)
+    return x * (x > 0.0)
+
+
+# K* scans run in chunks that double from the first size up to the cap:
+# most crossings come within a few hundred steps, and the cap keeps the
+# arrays of a long scan small
+_FIRST_CHUNK, _MAX_CHUNK = 128, 4096
+
+
+def _pymap(f, x: np.ndarray) -> np.ndarray:
+    # a libm function applied through Python's math module, element by element
+    return np.fromiter(map(f, x.tolist()), np.float64, len(x))
+
+
+def _excess_chunks(inputs: TheoryInputs, s0s: tuple[float, ...], max_K: int):
+    """Scan K = 1..max_K in chunks. Yields each chunk's first K and the sums
+    over j <= K of excess_staleness(S(j), s0), one row per s0, where S(j) is
+    the NR transient normalized by its steady state.
+
+    The libm calls (expm1, erf) stay Python's, whose last bits numpy's do
+    not always reproduce; the other operations act on the same operands in
+    the same order as a scalar loop, and cumsum adds in sequence, so every
+    sum equals the scalar loop's. Adding a zero excess (0.0 or -0.0)
+    leaves a sum unchanged, as skipping it does.
+    """
     if not all(0.0 <= s0 < 1.0 for s0 in s0s):
         raise ValueError("s0 must be in [0, 1)")
+    s0 = np.array(s0s)[:, None]
     rho = inputs.rhohat
     p_ss = p_stall_nr_ss(rho)
     log_b = math.log(inputs.beta2)
     hi, lo = 1.0 + rho, 1.0 - rho
-    sums = [0.0] * len(s0s)
-    for j in range(1, max_K + 1):
-        ph = -math.expm1(j * log_b)
-        s = erf(math.sqrt(0.5 * (ph * hi))) - erf(math.sqrt(0.5 * max(0.0, ph * lo)))
+    carry = np.zeros(len(s0s))
+    k0, size = 1, _FIRST_CHUNK
+    while k0 <= max_K:
+        k1 = min(k0 + size, max_K + 1)
+        # phi_j = -expm1(j log beta2), and (-em1) * hi is em1 * (-hi) bit
+        # for bit
+        em1 = _pymap(math.expm1, np.arange(k0, k1) * log_b)
+        s = _pymap(erf, np.sqrt(0.5 * (em1 * -hi)))
+        if lo > 0.0:  # otherwise the lower term is erf(0.0) = 0.0
+            s -= _pymap(erf, np.sqrt(0.5 * (em1 * -lo)))
         s /= p_ss
-        for i, s0 in enumerate(s0s):
-            if s > s0:  # the excess is exactly 0.0 otherwise
-                sums[i] += (s - s0) / (1.0 - s0)
-        yield sums
+        terms = excess_staleness(s, s0)
+        terms[:, 0] += carry
+        sums = terms.cumsum(axis=1)
+        carry = sums[:, -1]
+        yield k0, sums
+        k0, size = k1, min(2 * size, _MAX_CHUNK)
 
 
 def avg_excess_staleness(K: int, inputs: TheoryInputs) -> float:
     """Cycle-averaged staleness in excess of the tolerance s0."""
     if K < 1:
         raise ValueError("K must be >= 1")
-    for sums in _excess_sums(inputs, (inputs.s0,), K):
+    for _, sums in _excess_chunks(inputs, (inputs.s0,), K):
         pass
-    return sums[0] / K
+    return float(sums[0, -1]) / K
 
 
 def _kstar_scan(inputs: TheoryInputs, s0s: Iterable, max_K: int = 10_000_000) -> dict:
-    """kstar_info for each distinct s0, from one scan that stops once every
-    s0 has crossed."""
+    """kstar_info for each distinct s0, from one scan that stops after the
+    chunk in which the last s0 crosses."""
     s0s = tuple(dict.fromkeys(s0s))
     found: dict = {}
-    for K, sums in enumerate(_excess_sums(inputs, s0s, max_K), 1):
-        e = remaining_error_E(K, inputs.beta2)
-        for s0, acc in zip(s0s, sums):
-            if acc / K >= e and s0 not in found:
+    for k0, sums in _excess_chunks(inputs, s0s, max_K):
+        K = np.arange(k0, k0 + sums.shape[1])
+        # remaining_error_E per K; the powers stay Python's (beta2 ** K with
+        # K a Python int), which numpy's power does not always reproduce
+        bk = np.fromiter(map(pow, itertools.repeat(inputs.beta2), K.tolist()),
+                         np.float64)
+        e = 2.0 * bk / (1.0 + bk)
+        sbar = sums / K
+        for s0, row, crossed in zip(s0s, sbar, sbar >= e):
+            i = int(crossed.argmax())  # the first crossing, or 0 for none
+            if s0 not in found and crossed[i]:
                 found[s0] = PredictorOutput(
-                    value=K, meta={"sbar": acc / K, "E": e, "rhohat": inputs.rhohat}
+                    value=k0 + i,
+                    meta={"sbar": float(row[i]), "E": float(e[i]),
+                          "rhohat": inputs.rhohat},
                 )
         if len(found) == len(s0s):
             return found
@@ -346,9 +404,9 @@ def kstar_info(inputs: TheoryInputs, max_K: int = 10_000_000) -> PredictorOutput
     at tolerance inputs.s0 reaches the remaining error E(K).
 
     The left side is nondecreasing and E(K) strictly decreasing, so the
-    crossing is unique; an incremental scan finds it, the one-s0 case of the
-    scan period_columns shares across its tolerances. meta holds sbar and E
-    at the crossing and rhohat; RuntimeError when no crossing comes by max_K.
+    crossing is unique; a chunked scan finds it, the one-s0 case of the scan
+    period_columns shares across its tolerances. meta holds sbar and E at
+    the crossing and rhohat; RuntimeError when no crossing comes by max_K.
     """
     return _kstar_scan(inputs, (inputs.s0,), max_K)[inputs.s0]
 

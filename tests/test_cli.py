@@ -383,6 +383,23 @@ class TestExperimentCommands:
         assert code == 0
         assert json.loads(out.splitlines()[0][len("config: "):])["seeds"] == [0, 1, 2]
 
+    def test_bare_seed_count_is_echoed_on_stderr(self, capsys, tmp_path):
+        # --seeds 3 means seeds 0-2, not seed 3; stdout and files stay as
+        # they are for the listed seeds
+        argv = ["reset-study", "--format", "fp32", "--steps", "2", "--out"]
+        assert main(argv + [str(tmp_path / "bare"), "--seeds", "3"]) == 0
+        bare = capsys.readouterr()
+        assert bare.err == (
+            "note: seeds 3 means seeds [0, 1, 2]; write '3,' for that one seed\n"
+        )
+        assert main(argv + [str(tmp_path / "listed"), "--seeds", "0,1,2"]) == 0
+        listed = capsys.readouterr()
+        assert listed.err == ""
+        assert bare.out == listed.out.replace("listed", "bare")
+        for ext in (".csv", ".json"):
+            assert ((tmp_path / "bare").with_suffix(ext).read_bytes()
+                    == (tmp_path / "listed").with_suffix(ext).read_bytes())
+
     def test_config_file_bad_value_is_one_line_error(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"steps": "many"}))

@@ -120,7 +120,6 @@ class TestEmaStep:
         with pytest.raises(ValueError):
             ema_step(state, np.array([1.0, np.nan, 1.0, 1.0]))
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     @pytest.mark.parametrize("fmt", [None, FP4_E2M2U], ids=["fp32", "fp4_e2m2u"])
     def test_overflowing_signal_rejected(self, fmt):
         # finite signals whose increment overflows: full-precision storage

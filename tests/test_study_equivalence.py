@@ -128,6 +128,73 @@ def test_mixed_traces_and_duplicate_seeds_equal_per_cell_runs():
     assert resets > 0  # the reset path ran
 
 
+# adaptive rules that differ in every parameter, so that no row's rule can
+# stand in for another's
+MIXED_ADAPTIVE = [
+    ResetPolicy.adaptive(beta2, s0=s0, p_ss=p_ss, applies_to=a)
+    for beta2, s0, p_ss, a in [
+        (0.99, 0.0, 0.25, "both"),
+        (0.999, 0.0, 0.25, "first"),
+        (0.995, 0.3, 0.5, "second"),
+        (0.9, 0.6, 0.3, "both"),
+        (0.999, 0.6, 1.0, "both"),
+        (0.95, 0.1, 0.2, "second"),
+        (0.99, 0.45, 0.4, "first"),
+        (0.98, 0.2, 0.35, "both"),
+    ]
+]
+
+
+def test_many_mixed_adaptive_rows_equal_per_cell_runs():
+    configs = [_moments(None, NR), _moments("fp4", SR), _moments("fp8_e4m3", NR)]
+    policies = MIXED_ADAPTIVE + [ResetPolicy.none(), ResetPolicy.periodic(30)]
+    seeds = (0, 7)
+    got = _train_rows(PROBLEM, configs, policies, 120, seeds, HYPER, record_trace=True)
+    resetting = set()
+    for c, (cfg_m, cfg_v) in enumerate(configs):
+        for i, seed in enumerate(seeds):
+            for j, policy in enumerate(policies):
+                want = oracle.run_reset_training(PROBLEM, cfg_m, cfg_v, policy, 120,
+                                                 seed, HYPER, record_trace=True)
+                assert got["final_loss"][c, i, j] == want["final_loss"], (c, i, j)
+                traces = got["traces"][c][i * len(policies) + j]
+                for a, b in zip(traces, (want["trace_m"], want["trace_v"])):
+                    assert a.fractions == b.fractions
+                    assert a.cycle_ks == b.cycle_ks
+                    assert a.reset_flags == b.reset_flags
+                    if any(a.reset_flags) and j < len(MIXED_ADAPTIVE):
+                        resetting.add(j)
+    assert len(resetting) >= 5  # most of the adaptive rules fired
+
+
+def test_reset_rows_equal_the_per_state_rule():
+    # one call over a batch whose rows mix rules, cycle counts (k = 0 among
+    # them), accumulated excess and fractions, against the scalar rule per row
+    rng = np.random.default_rng(3)
+    policies = (MIXED_ADAPTIVE + [ResetPolicy.none(), ResetPolicy.periodic(4)]) * 3
+    rows, dim = len(policies), 6
+    config = engine.EmaConfig(beta=HYPER.beta2, format=None)
+    batch = engine.EmaState.initialize(config, dim, rows)
+    k = rng.integers(0, 6, rows)
+    k[::7] = 0
+    excess = np.where(k > 0, rng.uniform(0.0, 3.0, rows), 0.0)
+    batch = engine.EmaState(rng.standard_normal((rows, dim)), k, config, excess)
+    fractions = rng.uniform(0.0, 1.0, rows)
+    for moment in ("first", "second"):
+        got, reset = engine.reset_rows(batch, engine.ResetRows(policies, moment),
+                                       fractions)
+        for r, policy in enumerate(policies):
+            if policy.applies_to not in (moment, "both"):
+                policy = ResetPolicy.none()
+            state = oracle.OracleState(batch.stored[r], int(k[r]), config,
+                                       float(excess[r]))
+            want, did = oracle.apply_reset_policy(state, policy, float(fractions[r]))
+            assert (bool(reset[r]), int(got.k[r])) == (did, want.k), r
+            assert float(got.excess[r]) == want.excess, r
+            assert got.stored[r].tolist() == want.values().tolist(), r
+        assert reset.any() and not reset.all()
+
+
 @pytest.mark.parametrize("weight_decay", [0.0, 0.01])
 def test_stacked_adam_update_equals_per_row_updates(weight_decay):
     rng = np.random.default_rng(9)

@@ -72,3 +72,89 @@ def test_max_K_without_a_crossing_raises():
             theory.kstar_info(inputs, max_K=max_K)
         with pytest.raises(RuntimeError, match=f"no crossing found up to K={max_K}$"):
             oracle.kstar_info(inputs, max_K=max_K)
+
+
+# The scan runs in chunks of K that double from theory._FIRST_CHUNK up to
+# theory._MAX_CHUNK, carrying the sums from one chunk to the next. The cases
+# below put crossings and max_K on chunk edges, under the default layout and
+# under patched ones that make every K an edge.
+BF16, FP8 = PRESETS["bf16"], PRESETS["fp8_e4m3"]
+# (format, beta2, s0, whether rhohat < 1)
+EDGE_INPUTS = [
+    (BF16, 0.99, 0.6, True),  # rhohat 0.27
+    (BF16, 0.999, 0.0, False),  # rhohat 2.7
+    (PRESETS["fp4_e2m2u"], 0.999, 0.9, False),
+    # rhohat one ulp below 1 (the lower erf term is tiny but computed) and
+    # just above 1 (where the scan skips it as exactly 0.0)
+    (FP8, 0.9566783012150034, 0.6, True),
+    (FP8, 0.9566783012150035, 0.6, False),
+]
+
+
+def _chunk_ends(n: int) -> list[int]:
+    """The last K of each of the first n chunks of the default layout."""
+    ends, end, size = [], 0, theory._FIRST_CHUNK
+    for _ in range(n):
+        end += size
+        ends.append(end)
+        size = min(2 * size, theory._MAX_CHUNK)
+    return ends
+
+
+def _layouts(kstar: int) -> list[tuple[int, int]]:
+    # (first chunk, cap): K* as the last K of the first chunk and the first
+    # K of the second; one K per chunk; two-K chunks ending at odd and at
+    # even K, so that K* is both the first and the last K of a later chunk
+    return [(kstar, kstar), (kstar - 1, kstar), (1, 1), (1, 2), (2, 2)]
+
+
+@pytest.mark.parametrize("fmt,beta2,s0,below_one", EDGE_INPUTS,
+                         ids=[f"{f.name}-{b!r}" for f, b, _, _ in EDGE_INPUTS])
+def test_crossing_on_a_chunk_edge(monkeypatch, fmt, beta2, s0, below_one):
+    inputs = TheoryInputs(beta2=beta2, format=fmt, s0=s0)
+    assert (inputs.rhohat < 1.0) == below_one
+    want = oracle.kstar_info(inputs)
+    for first, cap in _layouts(want.value):
+        monkeypatch.setattr(theory, "_FIRST_CHUNK", first)
+        monkeypatch.setattr(theory, "_MAX_CHUNK", cap)
+        got = theory.kstar_info(inputs)
+        assert (got.value, got.meta) == (want.value, want.meta), (first, cap)
+        K = want.value
+        for k in (K - 1, K):
+            got = theory.avg_excess_staleness(k, inputs)
+            assert got == oracle.avg_excess_staleness(k, inputs), (first, cap, k)
+
+
+@pytest.mark.parametrize("layout", [None, (4, 16)], ids=["default", "small"])
+def test_tolerances_crossing_in_different_chunks(monkeypatch, layout):
+    # at beta2 0.999 the K* of these tolerances run from 671 to 2269, over
+    # three chunks of the default layout and dozens of the small one
+    if layout is not None:
+        monkeypatch.setattr(theory, "_FIRST_CHUNK", layout[0])
+        monkeypatch.setattr(theory, "_MAX_CHUNK", layout[1])
+    inputs = TheoryInputs(beta2=0.999, format=BF16)
+    s0s = (0.9, 0.0, 0.6, 0.95)
+    got = theory.period_columns(inputs, s0s)
+    assert list(got.values()) == list(oracle.period_columns(inputs, s0s).values())
+    if layout is None:
+        ends = _chunk_ends(8)
+        chunks = {sum(k > e for e in ends) for k in got.values()}
+        assert len(chunks) == 3
+
+
+def test_max_K_on_a_chunk_edge_of_a_long_scan():
+    # beta2 0.99995 with s0 0.95 crosses at 9352, past six default chunks
+    inputs = TheoryInputs(beta2=0.99995, format=BF16, s0=0.95)
+    want = oracle.kstar_info(inputs)
+    ends = [e for e in _chunk_ends(12) if e < want.value]
+    assert len(ends) >= 5
+    for max_K in sorted({e + d for e in ends for d in (-1, 0, 1)}):
+        with pytest.raises(RuntimeError, match=f"^no crossing found up to K={max_K}$"):
+            theory.kstar_info(inputs, max_K=max_K)
+    for max_K in (want.value, want.value + 1):
+        got = theory.kstar_info(inputs, max_K=max_K)
+        assert (got.value, got.meta) == (want.value, want.meta)
+    with pytest.raises(RuntimeError, match=f"^no crossing found up to K={want.value - 1}$"):
+        oracle.kstar_info(inputs, max_K=want.value - 1)
+    for K in (ends[2], ends[2] + 1, ends[-1], ends[-1] + 1):
+        assert theory.avg_excess_staleness(K, inputs) == oracle.avg_excess_staleness(K, inputs)
