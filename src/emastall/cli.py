@@ -57,6 +57,8 @@ def _str_list(text: str) -> list[str]:
 
 def _seed_list(text: str) -> list[int]:
     vals = _int_list(text)
+    if any(v < 0 for v in vals):
+        raise argparse.ArgumentTypeError(f"seeds must be non-negative, got {text!r}")
     if len(vals) == 1 and "," not in text:
         seeds = list(range(vals[0]))
         if seeds:  # an empty list fails as "at least one seed is required"
@@ -501,7 +503,9 @@ def main(argv=None) -> int:
     try:
         return _HANDLERS[args.command](args)
     except (ValueError, KeyError) as e:
-        print(f"error: {e}", file=sys.stderr)
+        # str() of a KeyError is the repr of its message
+        message = e.args[0] if isinstance(e, KeyError) and e.args else e
+        print(f"error: {message}", file=sys.stderr)
         return 1
 
 

@@ -14,7 +14,10 @@ the config run alone would seed them. No draw depends on the state, so
 every cell and every curve equals its run alone bit for bit.
 ``run_reset_cells`` returns the losses of a config x seed x policy grid as
 one array; ``run_stall_curves``/``run_first_moment_curves`` return one
-result per EMA config.
+result per EMA config. The curve drivers take each step's signal from a
+producer thread that draws one chunk ahead while the caller rounds (see
+``_SignalRing``); the rows it hands out are the bits a step-by-step draw
+gives, so the curves are unchanged.
 
 A problem's ``make_instance(seed)`` returns an instance with
 ``init_params()``, ``step_begin()``, ``grad_sample(params, rng)`` and
@@ -25,9 +28,13 @@ of a seed, in every config, at once.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import json
 import math
+import numbers
+import os
+import threading
 import time
 from enum import Enum
 from pathlib import Path
@@ -43,6 +50,7 @@ from .engine import (
     ResetRows,
     RowStreams,
     StallTrace,
+    _QUIET,
     adam_lockstep,
     ema_step,
     reset_rows,
@@ -87,14 +95,27 @@ class GradientStreamSpec:
     schedule: tuple = ()
 
     def __post_init__(self) -> None:
-        if self.sigma <= 0:
-            raise ValueError("sigma must be positive")
+        # a bad value would surface only as non-finite draws (or a stream
+        # that flips sign) at the first write
         if self.dimension < 1:
             raise ValueError("dimension must be >= 1")
+        if not math.isfinite(self.mu):
+            raise ValueError("mu must be finite")
+        if not (math.isfinite(self.sigma) and self.sigma > 0):
+            raise ValueError("sigma must be positive and finite")
+        if not math.isfinite(self.sigma_binades):
+            raise ValueError("sigma_binades must be finite")
         if self.kind not in ("gaussian_iid", "piecewise"):
             raise ValueError(f"unknown stream kind {self.kind!r}")
         if self.kind == "piecewise" and not self.schedule:
             raise ValueError("piecewise stream needs a schedule")
+        for steps, factor in self.schedule:
+            if not (isinstance(steps, numbers.Integral) and steps >= 1):
+                raise ValueError(f"schedule steps must be integers >= 1, got {steps!r}")
+            if not (math.isfinite(factor) and factor > 0):
+                raise ValueError(
+                    f"schedule factors must be positive and finite, got {factor!r}"
+                )
 
 
 class GradientStream:
@@ -102,25 +123,45 @@ class GradientStream:
         self.spec = spec
         scale_rng = np.random.default_rng([spec.seed, trial, _KEY_SCALES])
         u = scale_rng.random(spec.dimension)
-        self.scales = spec.sigma * np.exp2(u * spec.sigma_binades)
+        with np.errstate(**_QUIET):
+            self.scales = spec.sigma * np.exp2(u * spec.sigma_binades)
         self._rng = np.random.default_rng([spec.seed, trial, _KEY_GRAD])
         self._t = 0
 
-    def _segment_factor(self) -> float:
+    def _segment(self) -> tuple:
+        """(factor, steps it still holds for) at the stream's step."""
         if self.spec.kind != "piecewise":
-            return 1.0
+            return 1.0, math.inf
         t = self._t
         for steps, factor in self.spec.schedule:
             if t < steps:
-                return factor
+                return factor, steps - t
             t -= steps
-        return self.spec.schedule[-1][1]
+        return self.spec.schedule[-1][1], math.inf
+
+    def fill(self, out: np.ndarray) -> np.ndarray:
+        """Write the next ``len(out)`` draws into the rows of ``out``, a
+        C-contiguous ``(n, dim)`` float64 array, and return it.
+
+        One ``standard_normal`` over the block yields the bits of n
+        ``(dim,)`` calls, and ``xi += mu; xi *= factor * scales`` rounds as
+        ``factor * scales * (mu + xi)`` does. An overflow leaves a
+        non-finite draw, which the first write rejects.
+        """
+        self._rng.standard_normal(out=out)
+        with np.errstate(**_QUIET):
+            out += self.spec.mu
+            row = 0
+            while row < len(out):
+                factor, left = self._segment()
+                stop = int(min(len(out), row + left))
+                out[row:stop] *= factor * self.scales
+                self._t += stop - row
+                row = stop
+        return out
 
     def draw(self) -> np.ndarray:
-        factor = self._segment_factor()
-        self._t += 1
-        xi = self._rng.standard_normal(self.spec.dimension)
-        return factor * self.scales * (self.spec.mu + xi)
+        return self.fill(np.empty((1, self.spec.dimension)))[0]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -323,6 +364,107 @@ def moment_configs(
     )
 
 
+# bytes of the producer's ring: chunks of about a quarter each, so the
+# producer works one to three chunks ahead
+_RING_BYTES = 1 << 20
+
+
+def _worker_cpus() -> set | None:
+    """The CPUs this process may use, less the one the calling thread runs
+    on now; None if that leaves none or threads cannot be placed here."""
+    if not hasattr(os, "sched_setaffinity"):
+        return None
+    try:
+        with open("/proc/thread-self/stat") as f:
+            stat = f.read()
+        # field 39, "processor"; the fields after the command name start at 3
+        current = int(stat[stat.rindex(")") + 1:].split()[36])
+        others = os.sched_getaffinity(0) - {current}
+    except (OSError, ValueError, IndexError):
+        return None
+    return others or None
+
+
+class _SignalRing:
+    """Per-step signal rows of a curve run, drawn by a producer thread.
+
+    The producer fills a ring of chunk buffers with each trial's stream in
+    turn (squared for a second moment) while the caller rounds the current
+    row; no draw depends on the state, so each row has the bits a
+    step-by-step ``draw()`` gives. The caller allocates the ring and owns
+    the thread: leaving the ``with`` block stops and joins it, and an error
+    raised while filling is raised again by ``next_row``. The producer
+    moves itself off the caller's current CPU when another is allowed; left
+    to the scheduler, both threads tend to share one CPU.
+    """
+
+    def __init__(self, spec: GradientStreamSpec, steps: int, trials: int, square: bool):
+        row_bytes = spec.dimension * 8
+        self._steps, self._square = steps, square
+        self._total = steps * trials
+        self._chunk = min(self._total, max(1, _RING_BYTES // 4 // row_bytes))
+        n_chunks = -(-self._total // self._chunk)
+        n_bufs = min(n_chunks, max(2, _RING_BYTES // (self._chunk * row_bytes)))
+        self._bufs = np.empty((n_bufs, self._chunk, spec.dimension))
+        self._free = threading.Semaphore(n_bufs)
+        self._full = threading.Semaphore(0)
+        self._stop = False
+        self._error: Exception | None = None
+        self._next = 0
+        # built here, not in the producer: allocations in a new thread
+        # come from an arena of its own, which adds resident memory
+        self._streams = [GradientStream(spec, trial) for trial in range(trials)]
+        self._thread = threading.Thread(
+            target=self._produce, args=(_worker_cpus(),), name="signal-ring",
+            daemon=True,
+        )
+
+    def __enter__(self) -> "_SignalRing":
+        self._thread.start()
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self._stop = True
+        self._free.release()  # wakes a producer waiting for a buffer
+        self._thread.join()
+
+    def _produce(self, cpus: set | None) -> None:
+        try:
+            if cpus:
+                with contextlib.suppress(OSError):
+                    os.sched_setaffinity(0, cpus)  # this thread only
+            for k, start in enumerate(range(0, self._total, self._chunk)):
+                self._free.acquire()
+                if self._stop:
+                    return
+                block = self._bufs[k % len(self._bufs), : self._total - start]
+                row = 0
+                while row < len(block):
+                    trial, t = divmod(start + row, self._steps)
+                    n = min(len(block) - row, self._steps - t)
+                    self._streams[trial].fill(block[row:row + n])
+                    row += n
+                if self._square:
+                    with np.errstate(**_QUIET):
+                        np.multiply(block, block, out=block)
+                self._full.release()
+        except Exception as exc:  # handed to the caller by next_row
+            self._error = exc
+            self._full.release()
+
+    def next_row(self) -> np.ndarray:
+        """The next step's signal; valid until the following call."""
+        chunk, row = divmod(self._next, self._chunk)
+        if row == 0:
+            if chunk:
+                self._free.release()
+            self._full.acquire()
+            if self._error is not None:
+                raise self._error
+        self._next += 1
+        return self._bufs[chunk % len(self._bufs), row]
+
+
 def _curve_results(
     experiment: str,
     stream: GradientStreamSpec,
@@ -343,16 +485,17 @@ def _curve_results(
         raise ValueError("at least one EMA config is required")
     t0 = time.perf_counter()
     acc = np.zeros((len(emas), steps))
-    for trial in range(trials):
-        gs = GradientStream(stream, trial)
-        rngs = [np.random.default_rng([stream.seed, trial, _KEY_ROUND]) for _ in emas]
-        states = [EmaState.initialize(ema, stream.dimension) for ema in emas]
-        for t in range(steps):
-            g = gs.draw()
-            signal = g * g if second_moment else g
-            for c, rng in enumerate(rngs):
-                states[c], frac = ema_step(states[c], signal, rng)
-                acc[c, t] += frac
+    with _SignalRing(stream, steps, trials, second_moment) as ring:
+        for trial in range(trials):
+            rngs = [
+                np.random.default_rng([stream.seed, trial, _KEY_ROUND]) for _ in emas
+            ]
+            states = [EmaState.initialize(ema, stream.dimension) for ema in emas]
+            for t in range(steps):
+                signal = ring.next_row()
+                for c, rng in enumerate(rngs):
+                    states[c], frac = ema_step(states[c], signal, rng)
+                    acc[c, t] += frac
     mean_frac = acc / trials
     wall_time = time.perf_counter() - t0
     return [

@@ -205,6 +205,19 @@ def _defaults(parser):
     }
 
 
+def test_python_m_runs_the_cli():
+    src = str(Path(emastall.cli.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    proc = subprocess.run(
+        [sys.executable, "-m", "emastall", "predict-stall", "--format", "bf16",
+         "--json"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json_rows(proc.stdout)[0]["format"] == "bf16"
+
+
 class TestParserReuse:
     def test_built_on_first_call_not_at_import(self):
         probe = "import emastall.cli as c; print(c._parser.cache_info().currsize)"
@@ -429,6 +442,31 @@ class TestStudyValidation:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert not (tmp_path / "x.csv").exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["skip-study", "--seeds", "-2"], ["reset-study", "--seeds", "2,-1,3"]],
+        ids=["bare-count", "listed"],
+    )
+    def test_negative_seeds_are_usage_errors(self, argv, capsys, tmp_path):
+        # a bare -2 once meant no seeds, and a listed -1 failed in numpy
+        # after the config was printed
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--steps", "2", "--out", str(tmp_path / "x")])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.splitlines()[-1].endswith(
+            f"error: argument --seeds: seeds must be non-negative, got {argv[2]!r}"
+        )
+        assert not (tmp_path / "x.csv").exists()
+
+    def test_unknown_format_message_has_no_repr_quotes(self, capsys):
+        assert main(["stall-curve", "--format", "nope"]) == 1
+        assert capsys.readouterr().err == (
+            "error: unknown format 'nope', expected one of "
+            "['bf16', 'fp4_e2m1', 'fp4_e2m2u', 'fp8_e4m3']\n"
+        )
 
     @pytest.mark.parametrize("spelling", ["fp4", "fp4_e2m1", "fp4_e2m2u"])
     def test_default_period_follows_the_second_moment_format(self, spelling, capsys):

@@ -20,6 +20,22 @@ from emastall.simlab import (
 )
 
 HYPER = AdamHyper(lr=0.01)
+BAD_STREAM_FIELDS = [
+    {"mu": float("nan")},
+    {"mu": float("inf")},
+    {"sigma": float("inf")},
+    {"sigma": float("nan")},
+    {"sigma": 0.0},
+    {"sigma_binades": float("nan")},
+    {"sigma_binades": float("-inf")},
+    {"kind": "piecewise", "schedule": ((5, -1.0),)},
+    {"kind": "piecewise", "schedule": ((5, 0.0),)},
+    {"kind": "piecewise", "schedule": ((5, 1.0), (3, float("inf")))},
+    {"kind": "piecewise", "schedule": ((5, float("nan")),)},
+    {"kind": "piecewise", "schedule": ((0, 1.0),)},
+    {"kind": "piecewise", "schedule": ((-2, 1.0), (5, 2.0))},
+    {"kind": "piecewise", "schedule": ((2.5, 1.0),)},
+]
 
 
 class TestGradientStream:
@@ -57,6 +73,11 @@ class TestGradientStream:
             GradientStreamSpec(dimension=0, seed=0)
         with pytest.raises(ValueError):
             GradientStreamSpec(dimension=4, seed=0, kind="piecewise")
+        # each once passed, to give non-finite draws or a sign-flipped stream
+        for fields in BAD_STREAM_FIELDS:
+            with pytest.raises(ValueError) as exc:
+                GradientStreamSpec(dimension=4, seed=0, **fields)
+            assert "\n" not in str(exc.value), fields
 
 
 class TestStallCurve:
