@@ -501,11 +501,20 @@ def main(argv=None) -> int:
         )
         _apply_config_file(args, args.config, commands.choices[args.command]._actions)
     try:
-        return _HANDLERS[args.command](args)
+        code = _HANDLERS[args.command](args)
+        sys.stdout.flush()  # a closed pipe raises here, not at exit
+        return code
     except (ValueError, KeyError) as e:
         # str() of a KeyError is the repr of its message
         message = e.args[0] if isinstance(e, KeyError) and e.args else e
         print(f"error: {message}", file=sys.stderr)
+        return 1
+    except BrokenPipeError:
+        # the reader is gone; what is left goes to devnull, so the flush at
+        # exit cannot fail again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
         return 1
 
 

@@ -8,7 +8,8 @@ working precision and is the full-precision control used by experiments.
 
 A state may also be a batch: a ``(rows, dim)`` stack of independent states
 of one config, with a per-row cycle counter and excess. The row functions
-(``adam_rows``, ``reset_rows``) step a batch at once; every operation is
+(``adam_lockstep``, ``reset_rows``) step batches at once, ``adam_lockstep``
+those of several storage configs in one step; every operation is
 elementwise or a reduction along the last axis, so each row comes out
 bit-identical to the same state stepped on its own. ``ema_step``,
 ``adam_step``, ``apply_reset_policy`` and ``skip_intervention_step`` are
@@ -18,6 +19,7 @@ the single-state forms.
 from __future__ import annotations
 
 import dataclasses
+import math
 from enum import Enum
 from pathlib import Path
 
@@ -42,8 +44,9 @@ class EmaConfig:
     """Storage and rounding configuration for one EMA state tensor.
 
     freeze_scale pins the block scales at their current values instead of
-    recomputing them from each incoming proposal; with init_scale it anchors
-    the grid absolutely (init_scale = x_max reproduces raw-format storage).
+    recomputing them from each incoming proposal; init_scale, which only a
+    frozen scale reads, anchors the grid absolutely (init_scale = x_max
+    reproduces raw-format storage).
     """
 
     beta: float
@@ -58,8 +61,11 @@ class EmaConfig:
             raise ValueError("beta must be in (0, 1)")
         if self.freeze_scale and self.format is not None and self.init_scale is None:
             raise ValueError("freeze_scale needs an init_scale anchor")
-        if self.init_scale is not None and self.init_scale <= 0:
-            raise ValueError("init_scale must be positive")
+        if self.init_scale is not None:
+            if not self.freeze_scale:
+                raise ValueError("init_scale needs freeze_scale")
+            if not (math.isfinite(self.init_scale) and self.init_scale > 0):
+                raise ValueError("init_scale must be positive and finite")
 
 
 @dataclasses.dataclass
@@ -89,7 +95,7 @@ class EmaState:
         zeros = np.zeros(shape)
         if config.format is None:
             return cls(zeros, k, config, excess)
-        if config.freeze_scale and config.init_scale is not None:
+        if config.init_scale is not None:
             scales = np.full(shape[:-1] + (config.scheme.n_blocks(dim),),
                              float(config.init_scale))
             stored = quantize_with_scales(zeros, config.format, config.scheme, scales)
@@ -184,7 +190,7 @@ def _store(
 
 def _require_single(*states: EmaState) -> None:
     if any(np.ndim(state.k) for state in states):
-        raise ValueError("a batch of states steps through adam_rows and reset_rows")
+        raise ValueError("a batch of states steps through adam_lockstep and reset_rows")
 
 
 def ema_step(
@@ -415,34 +421,6 @@ def apply_adam_update(
     return _adam_update(params, m_state.values(), v_state.values(), k_m, k_v, hyper)
 
 
-def adam_rows(
-    m_state: EmaState,
-    v_state: EmaState,
-    grad: np.ndarray,
-    hyper: AdamHyper,
-    params: np.ndarray,
-    rng=None,
-    t_global: int | None = None,
-    hold_m: np.ndarray | None = None,
-    hold_v: np.ndarray | None = None,
-) -> tuple[np.ndarray, EmaState, EmaState, np.ndarray, np.ndarray]:
-    """``adam_step`` on a batch: returns (params, m, v, stalled_m, stalled_v)
-    with per-row stalled fractions.
-
-    rng is a Generator or a ``RowStreams``. Rows flagged in hold_m (hold_v)
-    skip that moment's update: its stored value stays, its cycle counter
-    still advances, and the parameter update reads the stored value.
-    """
-    grad = np.asarray(grad, dtype=np.float64)
-    if grad.shape != params.shape:
-        raise ValueError("gradient/parameter shape mismatch")
-    new_params, [(m2, v2)], frac_m, frac_v = adam_lockstep(
-        [(m_state, v_state)], grad[None], hyper, params[None], [rng], t_global,
-        hold_m, hold_v,
-    )
-    return new_params[0], m2, v2, frac_m[0], frac_v[0]
-
-
 def adam_lockstep(
     moments: list,
     grad: np.ndarray,
@@ -453,13 +431,15 @@ def adam_lockstep(
     hold_m: np.ndarray | None = None,
     hold_v: np.ndarray | None = None,
 ) -> tuple[np.ndarray, list, np.ndarray, np.ndarray]:
-    """``adam_rows`` for several storage configs in one step.
+    """``adam_step`` for the row batches of several storage configs at once.
 
-    ``moments[c]`` is config c's (m, v) pair, stepped on ``grad[c]`` and
-    ``params[c]`` with the stream ``rngs[c]``; hold_m and hold_v apply to
-    every config. Each config stores its moments as ``adam_rows`` does, and
-    one update moves the whole parameter stack. Returns (params, moments,
-    stalled_m, stalled_v), the fractions stacked by config.
+    ``moments[c]`` is config c's (m, v) pair of ``(rows, dim)`` batches,
+    stepped on ``grad[c]`` and ``params[c]`` with ``rngs[c]``, a Generator
+    or a ``RowStreams``. Rows flagged in hold_m (hold_v) skip that moment's
+    update in every config: its stored value stays, its cycle counter still
+    advances, and the parameter update reads the stored value. One update
+    moves the whole parameter stack. Returns (params, moments, stalled_m,
+    stalled_v), the per-row fractions stacked by config.
     """
     shape = (len(moments),) + params.shape[1:]
     if grad.shape != params.shape or params.shape != shape:
@@ -505,10 +485,12 @@ def adam_step(
     proposals; quantization error enters future steps through storage only.
     """
     _require_single(m_state, v_state)
-    new_params, m2, v2, frac_m, frac_v = adam_rows(
-        m_state, v_state, grad, hyper, params, rng, t_global
+    grad = np.asarray(grad, dtype=np.float64)
+    new_params, [(m2, v2)], frac_m, frac_v = adam_lockstep(
+        [(m_state, v_state)], grad[None], hyper, params[None], [rng], t_global
     )
-    return new_params, m2, v2, {"stalled_m": float(frac_m), "stalled_v": float(frac_v)}
+    stalled = {"stalled_m": float(frac_m[0]), "stalled_v": float(frac_v[0])}
+    return new_params[0], m2, v2, stalled
 
 
 @dataclasses.dataclass

@@ -104,15 +104,16 @@ class QuantizedBlock:
         scheme = ScalingScheme(
             ScalingMode(d["scheme"]["mode"]), d["scheme"]["block_size"]
         )
-        codes = np.asarray(d["codes"], dtype=np.uint16)
+        codes = np.asarray(d["codes"])
+        if codes.ndim not in (1, 2) or codes.size == 0 or codes.dtype.kind not in "iu":
+            raise ValueError("codes must be a nonempty 1-d or 2-d integer array")
         if np.any(codes >> fmt.width):
             raise ValueError(f"codes do not fit the {fmt.width}-bit {fmt.name} format")
-        return cls(
-            codes=codes,
-            scales=np.asarray(d["scales"], dtype=np.float64),
-            format=fmt,
-            scheme=scheme,
-        )
+        codes = codes.astype(np.uint16)
+        if np.isnan(_normalized_grid(fmt).decoded.take(codes)).any():
+            raise ValueError(f"codes must be {fmt.name} grid points")
+        scales = _check_scales(d["scales"], scheme, codes.shape)
+        return cls(codes=codes, scales=scales, format=fmt, scheme=scheme)
 
     def save(self, path: str | Path) -> None:
         Path(path).write_text(json.dumps(self.to_json_dict()))
@@ -127,6 +128,17 @@ def _check_values(values) -> np.ndarray:
     if values.ndim not in (1, 2) or values.size == 0:
         raise ValueError("expected a nonempty 1-d array or (rows, dim) array")
     return values
+
+
+def _check_scales(scales, scheme: ScalingScheme, shape: tuple) -> np.ndarray:
+    """Block scales for values of ``shape``: one per block, each finite and
+    nonnegative (a negative scale would flip the decoded signs)."""
+    scales = np.asarray(scales, dtype=np.float64)
+    if scales.shape != shape[:-1] + (len(_layout(scheme, shape[-1])[0]),):
+        raise ValueError("one scale per block required")
+    if not (np.isfinite(scales).all() and scales.min() >= 0):
+        raise ValueError("scales must be nonnegative and finite")
+    return scales
 
 
 @lru_cache(maxsize=None)
@@ -184,12 +196,7 @@ def quantize_with_scales(
     that method serves as the stream.
     """
     values = _check_values(values)
-    scales = np.asarray(scales, dtype=np.float64)
-    n_blocks = len(_layout(scheme, values.shape[-1])[0])
-    if scales.shape != values.shape[:-1] + (n_blocks,):
-        raise ValueError("one scale per block required")
-    if scales.min() < 0:
-        raise ValueError("scales must be nonnegative")
+    scales = _check_scales(scales, scheme, values.shape)
     if not np.isfinite(values).all():
         raise ValueError("cannot quantize non-finite values")
     return _quantize_unchecked(values, fmt, scheme, scales, mode, rng)

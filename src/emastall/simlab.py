@@ -14,10 +14,10 @@ the config run alone would seed them. No draw depends on the state, so
 every cell and every curve equals its run alone bit for bit.
 ``run_reset_cells`` returns the losses of a config x seed x policy grid as
 one array; ``run_stall_curves``/``run_first_moment_curves`` return one
-result per EMA config. The curve drivers take each step's signal from a
-producer thread that draws one chunk ahead while the caller rounds (see
-``_SignalRing``); the rows it hands out are the bits a step-by-step draw
-gives, so the curves are unchanged.
+result per EMA config. The curve drivers take each step's signal from the
+generator ``_signal_rows``, whose producer thread draws up to a ring of
+chunks ahead while the caller rounds; its rows are the bits a step-by-step
+draw gives, so the curves are unchanged.
 
 A problem's ``make_instance(seed)`` returns an instance with
 ``init_params()``, ``step_begin()``, ``grad_sample(params, rng)`` and
@@ -34,6 +34,7 @@ import json
 import math
 import numbers
 import os
+import queue
 import threading
 import time
 from enum import Enum
@@ -385,84 +386,64 @@ def _worker_cpus() -> set | None:
     return others or None
 
 
-class _SignalRing:
-    """Per-step signal rows of a curve run, drawn by a producer thread.
+def _signal_rows(spec: GradientStreamSpec, steps: int, trials: int, square: bool):
+    """Yield each step's signal row of a curve run, trial after trial; a row
+    is valid until the next one is asked for.
 
-    The producer fills a ring of chunk buffers with each trial's stream in
-    turn (squared for a second moment) while the caller rounds the current
-    row; no draw depends on the state, so each row has the bits a
-    step-by-step ``draw()`` gives. The caller allocates the ring and owns
-    the thread: leaving the ``with`` block stops and joins it, and an error
-    raised while filling is raised again by ``next_row``. The producer
-    moves itself off the caller's current CPU when another is allowed; left
-    to the scheduler, both threads tend to share one CPU.
+    A producer thread fills a ring of chunk buffers with each trial's stream
+    (squared for a second moment) while the caller rounds the current row;
+    no draw depends on the state, so each row has the bits a step-by-step
+    ``draw()`` gives. One queue hands filled blocks, or the producer's
+    error, to the caller; the other hands back ``True`` per freed buffer, or
+    ``False`` to stop. Closing the generator stops and joins the producer.
+    The producer moves itself off the caller's current CPU when another is
+    allowed; left to the scheduler, both threads tend to share one CPU.
     """
+    row_bytes = spec.dimension * 8
+    chunk = min(steps, max(1, _RING_BYTES // 4 // row_bytes))
+    n_chunks = trials * -(-steps // chunk)
+    n_bufs = min(n_chunks, max(2, _RING_BYTES // (chunk * row_bytes)))
+    # built here, not in the producer: allocations in a new thread come
+    # from an arena of its own, which adds resident memory
+    ring = np.empty((n_bufs, chunk, spec.dimension))
+    streams = [GradientStream(spec, trial) for trial in range(trials)]
+    full, free = queue.SimpleQueue(), queue.SimpleQueue()
 
-    def __init__(self, spec: GradientStreamSpec, steps: int, trials: int, square: bool):
-        row_bytes = spec.dimension * 8
-        self._steps, self._square = steps, square
-        self._total = steps * trials
-        self._chunk = min(self._total, max(1, _RING_BYTES // 4 // row_bytes))
-        n_chunks = -(-self._total // self._chunk)
-        n_bufs = min(n_chunks, max(2, _RING_BYTES // (self._chunk * row_bytes)))
-        self._bufs = np.empty((n_bufs, self._chunk, spec.dimension))
-        self._free = threading.Semaphore(n_bufs)
-        self._full = threading.Semaphore(0)
-        self._stop = False
-        self._error: Exception | None = None
-        self._next = 0
-        # built here, not in the producer: allocations in a new thread
-        # come from an arena of its own, which adds resident memory
-        self._streams = [GradientStream(spec, trial) for trial in range(trials)]
-        self._thread = threading.Thread(
-            target=self._produce, args=(_worker_cpus(),), name="signal-ring",
-            daemon=True,
-        )
-
-    def __enter__(self) -> "_SignalRing":
-        self._thread.start()
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self._stop = True
-        self._free.release()  # wakes a producer waiting for a buffer
-        self._thread.join()
-
-    def _produce(self, cpus: set | None) -> None:
+    def produce(cpus: set | None) -> None:
         try:
             if cpus:
                 with contextlib.suppress(OSError):
                     os.sched_setaffinity(0, cpus)  # this thread only
-            for k, start in enumerate(range(0, self._total, self._chunk)):
-                self._free.acquire()
-                if self._stop:
-                    return
-                block = self._bufs[k % len(self._bufs), : self._total - start]
-                row = 0
-                while row < len(block):
-                    trial, t = divmod(start + row, self._steps)
-                    n = min(len(block) - row, self._steps - t)
-                    self._streams[trial].fill(block[row:row + n])
-                    row += n
-                if self._square:
-                    with np.errstate(**_QUIET):
-                        np.multiply(block, block, out=block)
-                self._full.release()
-        except Exception as exc:  # handed to the caller by next_row
-            self._error = exc
-            self._full.release()
+            k = 0
+            for stream in streams:
+                for start in range(0, steps, chunk):
+                    if not free.get():
+                        return
+                    block = stream.fill(ring[k % n_bufs, : steps - start])
+                    k += 1
+                    if square:
+                        with np.errstate(**_QUIET):
+                            np.multiply(block, block, out=block)
+                    full.put(block)
+        except BaseException as exc:  # raised again by the caller, exits too
+            full.put(exc)
 
-    def next_row(self) -> np.ndarray:
-        """The next step's signal; valid until the following call."""
-        chunk, row = divmod(self._next, self._chunk)
-        if row == 0:
-            if chunk:
-                self._free.release()
-            self._full.acquire()
-            if self._error is not None:
-                raise self._error
-        self._next += 1
-        return self._bufs[chunk % len(self._bufs), row]
+    for _ in range(n_bufs):
+        free.put(True)
+    producer = threading.Thread(
+        target=produce, args=(_worker_cpus(),), name="signal-rows", daemon=True
+    )
+    producer.start()
+    try:
+        for _ in range(n_chunks):
+            block = full.get()
+            if isinstance(block, BaseException):
+                raise block
+            yield from block
+            free.put(True)
+    finally:
+        free.put(False)
+        producer.join()
 
 
 def _curve_results(
@@ -485,14 +466,16 @@ def _curve_results(
         raise ValueError("at least one EMA config is required")
     t0 = time.perf_counter()
     acc = np.zeros((len(emas), steps))
-    with _SignalRing(stream, steps, trials, second_moment) as ring:
+    with contextlib.closing(
+        _signal_rows(stream, steps, trials, second_moment)
+    ) as signals:
         for trial in range(trials):
             rngs = [
                 np.random.default_rng([stream.seed, trial, _KEY_ROUND]) for _ in emas
             ]
             states = [EmaState.initialize(ema, stream.dimension) for ema in emas]
             for t in range(steps):
-                signal = ring.next_row()
+                signal = next(signals)
                 for c, rng in enumerate(rngs):
                     states[c], frac = ema_step(states[c], signal, rng)
                     acc[c, t] += frac
@@ -594,6 +577,15 @@ def run_first_moment_curve(
 
 def _trailing_window(steps: int) -> int:
     return max(1, steps // 10)
+
+
+def _require_unique(what: str, labels: list) -> None:
+    # a study keys its medians by label, so cells under one label would merge
+    seen = set()
+    for label in labels:
+        if label in seen:
+            raise ValueError(f"two {what} share the label {label!r}")
+        seen.add(label)
 
 
 class _Skips:
@@ -746,6 +738,8 @@ def run_skip_study(
         raise ValueError("target must be 'first' or 'second'")
     if not all(0.0 <= p <= 1.0 for p in p_skip_grid):
         raise ValueError("p_skip values must be in [0, 1]")
+    labels = [f"p={p:g}" for p in p_skip_grid]
+    _require_unique("p_skip values", labels)
     hyper = hyper or AdamHyper(lr=0.01)
     t0 = time.perf_counter()
     cfg_m, cfg_v = moment_configs(None, hyper)
@@ -760,18 +754,13 @@ def run_skip_study(
         problem, [(cfg_m, cfg_v)], [ResetPolicy.none()] * n_p, steps, seeds, hyper,
         skips,
     )["final_loss"][0].tolist()
-    rows_p, rows_seed, rows_loss = [], [], []
-    for j, p in enumerate(p_skip_grid):
-        for i, seed in enumerate(seeds):
-            rows_p.append(p)
-            rows_seed.append(seed)
-            rows_loss.append(losses[i][j])
-    medians = {
-        f"median_final_loss@p={p:g}": float(
-            np.median([l for pp, l in zip(rows_p, rows_loss) if pp == p])
-        )
-        for p in p_skip_grid
-    }
+    rows_p, rows_seed, rows_loss, medians = [], [], [], {}
+    for j, (p, label) in enumerate(zip(p_skip_grid, labels)):
+        cell = [row[j] for row in losses]
+        rows_p += [p] * len(seeds)
+        rows_seed += list(seeds)
+        rows_loss += cell
+        medians[f"median_final_loss@{label}"] = float(np.median(cell))
     return ExperimentResult(
         config={
             "experiment": "skip_study",
@@ -827,6 +816,8 @@ def run_reset_study(
     """
     if len(seeds) < 3:
         raise ValueError("need at least 3 seeds")
+    _require_unique("configs", [c[0] for c in configs])
+    _require_unique("policies", [p[0] for p in policies])
     hyper = hyper or AdamHyper(lr=0.01)
     t0 = time.perf_counter()
     cols: dict = {"config": [], "policy": [], "seed": [], "final_loss": []}

@@ -218,6 +218,29 @@ def test_python_m_runs_the_cli():
     assert json_rows(proc.stdout)[0]["format"] == "bf16"
 
 
+@pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
+def test_closed_stdout_ends_quietly(buffered):
+    # the pipe's read end is closed before the CLI starts, so its first
+    # write (or, buffered, its flush) meets a broken pipe
+    src = str(Path(emastall.cli.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    env.pop("PYTHONUNBUFFERED", None)
+    if not buffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "emastall", "predict-stall"],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.stderr == b""
+    assert proc.returncode == 1
+
+
 class TestParserReuse:
     def test_built_on_first_call_not_at_import(self):
         probe = "import emastall.cli as c; print(c._parser.cache_info().currsize)"
@@ -459,6 +482,25 @@ class TestStudyValidation:
         assert err.splitlines()[-1].endswith(
             f"error: argument --seeds: seeds must be non-negative, got {argv[2]!r}"
         )
+        assert not (tmp_path / "x.csv").exists()
+
+    @pytest.mark.parametrize("argv,message", [
+        (["reset-study", "--format", "fp4,fp4"],
+         "two configs share the label 'fp4_nr'"),
+        (["reset-study", "--format", "fp32,none"],
+         "two configs share the label 'fp32'"),
+        (["reset-study", "--format", "bf16", "--periods", "50,50"],
+         "two policies share the label 'periodic50'"),
+        (["skip-study", "--p-skip", "0.1,0.1000001"],
+         "two p_skip values share the label 'p=0.1'"),
+    ], ids=["reset-formats", "reset-fp32-spellings", "reset-periods", "skip-p"])
+    def test_colliding_labels_are_one_line_errors(self, argv, message, capsys,
+                                                  tmp_path):
+        # the cells once merged under one label: 6 CSV rows for 3 seeds and
+        # one median for two cells
+        argv = argv + ["--steps", "2", "--seeds", "0,1,2", "--out", str(tmp_path / "x")]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
         assert not (tmp_path / "x.csv").exists()
 
     def test_unknown_format_message_has_no_repr_quotes(self, capsys):

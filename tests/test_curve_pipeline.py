@@ -2,17 +2,20 @@
 
 ``curve_oracle`` keeps the old loop: one ``standard_normal(dim)`` draw per
 step, squared for a second moment, and one ``ema_step`` per config. The
-drivers now take each step's signal from ``simlab._SignalRing``, which a
-producer thread fills one chunk ahead; the signal rows and every curve must
-equal the oracle's bit for bit (``==`` on floats), over chunk layouts that
-put trial and schedule boundaries inside chunks. The lifecycle tests check
+drivers now take each step's signal from the generator
+``simlab._signal_rows``, whose producer thread fills a ring of chunks ahead
+of the caller; the signal rows and every curve must equal the oracle's bit
+for bit (``==`` on floats), over chunk layouts that put schedule boundaries
+inside chunks and end trials on short chunks. The lifecycle tests check
 that no producer thread outlives a call and that errors from either thread
 reach the caller.
 """
 
+import contextlib
 import os
 import sys
 import threading
+import time
 import warnings
 
 import numpy as np
@@ -34,13 +37,15 @@ import curve_oracle as oracle
 NR, SR = RoundingMode.NEAREST_EVEN, RoundingMode.STOCHASTIC
 JOIN_S = 60
 
-# (dim, ring bytes or None for the default ring, steps): dim 64 gets 512
-# steps per chunk; the 1280-byte ring gives dim 8 chunks of 5 steps in 4
-# buffers, so 12 steps x 2 trials cross a trial boundary inside a chunk and
-# end on a short one; dim 33000 gets one step per chunk in 3 buffers
+# (dim, ring bytes or None for the default ring, steps): dim 64 gets chunks
+# of up to 512 steps, so 515 steps end each trial on a 3-step chunk; the
+# 1280-byte ring gives dim 8 chunks of 5 steps in 4 buffers, so 12 steps end
+# each trial on a 2-step chunk; dim 33000 gets one step per chunk in 3
+# buffers
 LAYOUTS = [
     (64, None, 1),
     (64, None, 7),
+    (64, None, 515),
     (8, 1280, 1),
     (8, 1280, 3),
     (8, 1280, 12),
@@ -96,16 +101,39 @@ def _bits(a):
 
 @pytest.mark.parametrize("dim,ring,steps,chunk,n_bufs", [
     (10_000, None, 200, 3, 4),
-    (64, None, 7, 14, 1),  # one chunk holds both trials
-    (64, None, 600, 512, 3),
+    (64, None, 7, 7, 2),  # one chunk per trial
+    (64, None, 600, 512, 4),
     (8, 1280, 12, 5, 4),
     (33_000, None, 3, 1, 3),
 ])
 def test_ring_layout(dim, ring, steps, chunk, n_bufs, monkeypatch):
+    # chunks of `chunk` steps end at trial ends; holding the first row, the
+    # caller leaves the producer n_bufs buffers to fill before it waits
     if ring is not None:
         monkeypatch.setattr(simlab, "_RING_BYTES", ring)
-    ring_ = simlab._SignalRing(_spec(dim, "iid"), steps, 2, True)
-    assert ring_._bufs.shape == (n_bufs, chunk, dim)
+    per_trial = [chunk] * (steps // chunk) + ([steps % chunk] if steps % chunk else [])
+    fill, fills, filled = GradientStream.fill, [], threading.Event()
+
+    def counted_fill(self, out):
+        fills.append(len(out))
+        if len(fills) == n_bufs:
+            filled.set()
+        return fill(self, out)
+
+    monkeypatch.setattr(GradientStream, "fill", counted_fill)
+
+    def rows():
+        with contextlib.closing(
+            simlab._signal_rows(_spec(dim, "iid"), steps, 2, True)
+        ) as signals:
+            next(signals)
+            assert filled.wait(JOIN_S)
+            time.sleep(0.1)  # room for a fill the ring should not allow
+            assert len(fills) == n_bufs
+            assert sum(1 for _ in signals) == steps * 2 - 1
+
+    _bounded(rows)
+    assert fills == per_trial * 2
 
 
 @pytest.mark.parametrize("second_moment", [True, False], ids=["second", "first"])
@@ -124,8 +152,10 @@ def test_ring_rows_equal_step_by_step_draws(dim, ring, steps, stream, second_mom
             want.append(_bits(g * g if second_moment else g))
 
     def rows():
-        with simlab._SignalRing(spec, steps, trials, second_moment) as ring_:
-            return [_bits(ring_.next_row()) for _ in range(steps * trials)]
+        with contextlib.closing(
+            simlab._signal_rows(spec, steps, trials, second_moment)
+        ) as signals:
+            return [_bits(row) for row in signals]
 
     assert _bounded(rows) == want
 

@@ -48,6 +48,19 @@ def warm_state(config, dim, seed=0, steps=10):
     return state
 
 
+@pytest.mark.parametrize("fmt,init_scale,freeze", [
+    (BF16, math.nan, True),
+    (BF16, math.inf, True),
+    (BF16, 3.0, False),
+    (None, 3.0, False),
+], ids=["nan", "inf", "unfrozen", "unfrozen-fp32"])
+def test_config_rejects_an_unusable_init_scale(fmt, init_scale, freeze):
+    # a non-finite anchor used to surface only at the first write, and one
+    # without freeze_scale was silently ignored
+    with pytest.raises(ValueError, match="init_scale"):
+        EmaConfig(beta=0.9, format=fmt, freeze_scale=freeze, init_scale=init_scale)
+
+
 class TestEmaStep:
     @pytest.mark.parametrize(
         "fmt,scheme",

@@ -143,9 +143,24 @@ class TestRoundTrips:
         assert q2.format == FP4_E2M1 and q2.scheme == BLOCK128
         assert np.array_equal(dequantize(q), dequantize(q2))
 
-    def test_load_rejects_codes_wider_than_format(self):
-        d = quantize(np.ones(4), FP4_E2M1, PER_TENSOR).to_json_dict()
-        d["codes"][0] = 1 << FP4_E2M1.width
+    @pytest.mark.parametrize("fmt,key,edit", [
+        (FP4_E2M1, "codes", lambda c: [1 << FP4_E2M1.width] + c[1:]),
+        (FP4_E2M1, "codes", lambda c: [-1] + c[1:]),
+        (FP4_E2M1, "codes", lambda c: [0.5] + c[1:]),
+        (FP4_E2M2U, "codes", lambda c: [0] + c[1:]),  # decodes to NaN
+        (FP4_E2M1, "codes", lambda c: []),
+        (FP4_E2M1, "codes", lambda c: 3),
+        (FP4_E2M1, "codes", lambda c: [[c]]),
+        (FP4_E2M1, "scales", lambda s: s + [1.0]),  # 3 scales for 2 blocks
+        (FP4_E2M1, "scales", lambda s: [-s[0], s[1]]),
+        (FP4_E2M1, "scales", lambda s: [np.nan, s[1]]),
+        (FP4_E2M1, "scales", lambda s: [s[0], np.inf]),
+    ], ids=["wider", "negative", "float", "off-grid", "empty", "0-d", "3-d",
+            "scale-count", "negative-scale", "nan-scale", "inf-scale"])
+    def test_load_rejects_codes_wider_than_format(self, fmt, key, edit):
+        # what quantize_with_scales rejects cannot come back from a file
+        d = quantize(np.linspace(0.5, 2.0, 200), fmt, BLOCK128).to_json_dict()
+        d[key] = edit(d[key])
         with pytest.raises(ValueError):
             QuantizedBlock.from_json_dict(d)
 

@@ -192,6 +192,12 @@ class TestSkipStudy:
         inst = prob.make_instance(0)
         assert res.series["final_loss"][0] < 0.01 * inst.loss(inst.init_params())
 
+    @pytest.mark.parametrize("grid", [(0.5, 0.5), (0.1, 0.1000001)])
+    def test_colliding_labels_rejected(self, grid):
+        # both cells print as p=0.5 (p=0.1): one median for two cells
+        with pytest.raises(ValueError, match=f"share the label 'p={grid[0]}'"):
+            run_skip_study(NoisyQuadratic(dimension=8), grid, "first", 2, (0,), HYPER)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             run_skip_study(NoisyQuadratic(), (0.5,), "third", 100, (0,))
@@ -244,6 +250,19 @@ class TestResetStudy:
         with pytest.raises(ValueError):
             run_reset_study(prob, [("x", cm, cv)], [("none", ResetPolicy.none())],
                             100, (0, 1), HYPER)
+
+    @pytest.mark.parametrize("configs,policies,label", [
+        (["x", "x"], ["none"], "configs share the label 'x'"),
+        (["x"], ["none", "none"], "policies share the label 'none'"),
+    ], ids=["configs", "policies"])
+    def test_colliding_labels_rejected(self, configs, policies, label):
+        # the cells would merge under one median key
+        prob = NoisyQuadratic(dimension=8)
+        cm, cv = moment_configs("fp4", HYPER)
+        with pytest.raises(ValueError, match=label):
+            run_reset_study(prob, [(c, cm, cv) for c in configs],
+                            [(p, ResetPolicy.none()) for p in policies],
+                            2, (0, 1, 2), HYPER)
 
 
 class TestProblems:
