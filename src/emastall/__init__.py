@@ -3,20 +3,12 @@
 Minifloat emulation, scaled tensor quantization, closed-form stall
 predictors, a quantized-EMA engine with reset policies, and Monte Carlo
 experiment drivers.
+
+The engine names are looked up in ``emastall.engine``, which loads on the
+first access to one of them, so a process that only runs the predictors
+never imports the engine.
 """
 
-from .engine import (
-    AdamHyper,
-    EmaConfig,
-    EmaState,
-    ResetKind,
-    ResetPolicy,
-    StallTrace,
-    adam_step,
-    apply_reset_policy,
-    ema_step,
-    skip_intervention_step,
-)
 from .formats import (
     BF16,
     FP4_E2M1,
@@ -32,6 +24,8 @@ from .formats import (
     round_stochastic,
     ulp_at,
 )
+# binds the function over the submodule of the same name; the submodule is
+# loaded here, so a later import of it (by the engine) leaves this binding
 from .quantize import (
     QuantizedBlock,
     ScalingMode,
@@ -56,5 +50,31 @@ from .theory import (
     reset_period_Kstar,
     startup_window,
 )
+
+_ENGINE_NAMES = (
+    "AdamHyper",
+    "EmaConfig",
+    "EmaState",
+    "ResetKind",
+    "ResetPolicy",
+    "StallTrace",
+    "adam_step",
+    "apply_reset_policy",
+    "ema_step",
+    "skip_intervention_step",
+)
+
+
+def __getattr__(name: str):
+    if name in _ENGINE_NAMES:
+        from . import engine
+
+        return getattr(engine, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_ENGINE_NAMES})
+
 
 __version__ = "0.1.0"

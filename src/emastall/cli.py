@@ -16,20 +16,10 @@ import os
 import sys
 from pathlib import Path
 
+# the experiment commands import engine and simlab when they run, so the
+# predict commands and --help never load them
 from .csvio import write_csv
-from .engine import AdamHyper, ResetPolicy
 from .formats import RoundingMode, get_format
-from .simlab import (
-    GradientStreamSpec,
-    NoisyQuadratic,
-    SynthLogistic,
-    default_ema_config,
-    moment_configs,
-    run_first_moment_curves,
-    run_reset_study,
-    run_skip_study,
-    run_stall_curves,
-)
 from .theory import (
     TheoryInputs,
     period_columns,
@@ -253,8 +243,10 @@ def _save_result(result, args, out: Path | None) -> None:
 def _require_formats(args) -> list[str]:
     if not args.formats:
         raise SystemExit("at least one --format is required")
-    for name in args.formats:
+    for i, name in enumerate(args.formats):
         get_format(name)
+        if name in args.formats[:i]:
+            raise ValueError(f"--format lists {name} twice")
     return args.formats
 
 
@@ -317,6 +309,8 @@ def _curve_out(args, name: str) -> Path | None:
 
 
 def cmd_stall_curve(args) -> int:
+    from .simlab import GradientStreamSpec, default_ema_config, run_stall_curves
+
     formats = _require_formats(args)
     _apply_preset(args)
     mode = RoundingMode.NEAREST_EVEN if args.rounding == "nr" else RoundingMode.STOCHASTIC
@@ -349,6 +343,8 @@ def cmd_stall_curve(args) -> int:
 
 
 def cmd_first_moment(args) -> int:
+    from .simlab import GradientStreamSpec, default_ema_config, run_first_moment_curves
+
     formats = _require_formats(args)
     for name in formats:
         if not get_format(name).sign_bits:
@@ -384,14 +380,20 @@ def cmd_first_moment(args) -> int:
 
 
 def _make_problem(name: str):
+    from .simlab import NoisyQuadratic, SynthLogistic
+
     if name == "logistic":
         return SynthLogistic()
     return NoisyQuadratic()
 
 
 def cmd_skip_study(args) -> int:
+    from .engine import AdamHyper
+    from .simlab import run_skip_study
+
     _apply_preset(args)
     problem = _make_problem(args.problem)
+    hyper = AdamHyper(lr=args.lr)
     _print_config(
         "skip-study",
         {
@@ -409,7 +411,7 @@ def cmd_skip_study(args) -> int:
         args.target,
         args.steps,
         tuple(args.seeds),
-        AdamHyper(lr=args.lr),
+        hyper,
     )
     for key in sorted(result.metrics):
         print(f"{key}: {result.metrics[key]:.6g}")
@@ -418,6 +420,9 @@ def cmd_skip_study(args) -> int:
 
 
 def cmd_reset_study(args) -> int:
+    from .engine import AdamHyper, ResetPolicy
+    from .simlab import NoisyQuadratic, moment_configs, run_reset_study
+
     _apply_preset(args)
     problem = NoisyQuadratic()
     hyper = AdamHyper(lr=args.lr, beta2=args.beta2)
@@ -492,7 +497,7 @@ _HANDLERS = {
 _parser = functools.cache(build_parser)
 
 
-def main(argv=None) -> int:
+def _parse_args(argv) -> argparse.Namespace:
     parser = _parser()
     args = parser.parse_args(argv)
     if getattr(args, "config", None):
@@ -500,15 +505,23 @@ def main(argv=None) -> int:
             a for a in parser._actions if isinstance(a, argparse._SubParsersAction)
         )
         _apply_config_file(args, args.config, commands.choices[args.command]._actions)
+    return args
+
+
+def main(argv=None) -> int:
     try:
-        code = _HANDLERS[args.command](args)
-        sys.stdout.flush()  # a closed pipe raises here, not at exit
-        return code
-    except (ValueError, KeyError) as e:
-        # str() of a KeyError is the repr of its message
-        message = e.args[0] if isinstance(e, KeyError) and e.args else e
-        print(f"error: {message}", file=sys.stderr)
-        return 1
+        try:
+            args = _parse_args(argv)
+            return _HANDLERS[args.command](args)
+        except (ValueError, KeyError) as e:
+            # str() of a KeyError is the repr of its message
+            message = e.args[0] if isinstance(e, KeyError) and e.args else e
+            print(f"error: {message}", file=sys.stderr)
+            return 1
+        finally:
+            # a closed pipe raises here, not at exit; this covers what was
+            # printed before a SystemExit too, such as --help's text
+            sys.stdout.flush()
     except BrokenPipeError:
         # the reader is gone; what is left goes to devnull, so the flush at
         # exit cannot fail again

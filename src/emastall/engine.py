@@ -374,6 +374,17 @@ class AdamHyper:
     eps: float = 1e-6
     weight_decay: float = 0.0
 
+    def __post_init__(self) -> None:
+        for name in ("lr", "eps"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be positive and finite")
+        if not (math.isfinite(self.weight_decay) and self.weight_decay >= 0):
+            raise ValueError("weight_decay must be non-negative and finite")
+        for name in ("beta1", "beta2"):
+            if not 0.0 < getattr(self, name) < 1.0:
+                raise ValueError(f"{name} must be in (0, 1)")
+
 
 def _adam_update(
     params: np.ndarray,

@@ -205,14 +205,35 @@ def _defaults(parser):
     }
 
 
-def test_python_m_runs_the_cli():
+def _cli_env(**changes) -> dict:
+    """The environment of a child interpreter that imports this package;
+    a None value unsets that variable."""
     src = str(Path(emastall.cli.__file__).parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    env.update(changes)
+    return {k: v for k, v in env.items() if v is not None}
+
+
+def _run_closed(argv, env):
+    """Run ``python -m emastall argv`` with its stdout on a pipe whose read
+    end is closed before the CLI starts."""
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        return subprocess.run(
+            [sys.executable, "-m", "emastall", *argv],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60,
+        )
+    finally:
+        os.close(write_end)
+
+
+def test_python_m_runs_the_cli():
     proc = subprocess.run(
         [sys.executable, "-m", "emastall", "predict-stall", "--format", "bf16",
          "--json"],
-        capture_output=True, text=True, env=env, timeout=60,
+        capture_output=True, text=True, env=_cli_env(), timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
     assert json_rows(proc.stdout)[0]["format"] == "bf16"
@@ -220,36 +241,108 @@ def test_python_m_runs_the_cli():
 
 @pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
 def test_closed_stdout_ends_quietly(buffered):
-    # the pipe's read end is closed before the CLI starts, so its first
-    # write (or, buffered, its flush) meets a broken pipe
-    src = str(Path(emastall.cli.__file__).parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
-    env.pop("PYTHONUNBUFFERED", None)
-    if not buffered:
-        env["PYTHONUNBUFFERED"] = "1"
-    read_end, write_end = os.pipe()
-    os.close(read_end)
-    try:
-        proc = subprocess.run(
-            [sys.executable, "-m", "emastall", "predict-stall"],
-            stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60,
-        )
-    finally:
-        os.close(write_end)
+    # the CLI's first write (or, buffered, its flush) meets a broken pipe
+    proc = _run_closed(["predict-stall"],
+                       _cli_env(PYTHONUNBUFFERED=None if buffered else "1"))
     assert proc.stderr == b""
     assert proc.returncode == 1
+
+
+@pytest.mark.parametrize("buffered,code", [(True, 1), (False, 0)],
+                         ids=["buffered", "unbuffered"])
+def test_help_into_a_closed_pipe_ends_quietly(buffered, code):
+    # argparse prints the help inside parse_args and exits; buffered, the
+    # flush at interpreter exit once met the closed pipe ("Exception ignored
+    # ... BrokenPipeError", exit code 120). Unbuffered, argparse drops the
+    # failed write itself and exits 0.
+    proc = _run_closed(["--help"], _cli_env(PYTHONUNBUFFERED=None if buffered else "1"))
+    assert proc.stderr == b""
+    assert proc.returncode == code
+
+
+def test_help_into_an_open_pipe_prints_and_exits_0():
+    proc = subprocess.run(
+        [sys.executable, "-m", "emastall", "--help"],
+        capture_output=True, text=True, env=_cli_env(PYTHONUNBUFFERED=None), timeout=60,
+    )
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+    assert proc.stdout.startswith("usage: emastall")
+    assert "predict-stall" in proc.stdout
+
+
+ENGINE_NAMES = ("AdamHyper", "EmaConfig", "EmaState", "ResetKind", "ResetPolicy",
+                "StallTrace", "adam_step", "apply_reset_policy", "ema_step",
+                "skip_intervention_step")
+
+
+class TestColdStart:
+    """The predict commands and --help never load engine or simlab."""
+
+    @staticmethod
+    def _imports(args) -> set:
+        # every module a fresh interpreter imports, as -X importtime lists them
+        proc = subprocess.run(
+            [sys.executable, "-X", "importtime", *args],
+            capture_output=True, text=True, env=_cli_env(), timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr[-500:]
+        return {line.rsplit("|", 1)[1].strip() for line in proc.stderr.splitlines()
+                if line.startswith("import time:")}
+
+    @pytest.mark.parametrize("args", [
+        ["-c", "import emastall, emastall.cli"],
+        ["-m", "emastall", "predict-stall"],
+        ["-m", "emastall", "predict-window"],
+        ["-m", "emastall", "predict-period"],
+        ["-m", "emastall", "--help"],
+    ], ids=["import", "predict-stall", "predict-window", "predict-period", "help"])
+    def test_predictors_do_not_import_the_engine(self, args):
+        imported = self._imports(args)
+        assert {"emastall.cli", "emastall.theory"} <= imported
+        assert not imported & {"emastall.engine", "emastall.simlab", "queue"}
+
+    def test_an_experiment_command_imports_them(self):
+        # the probe sees the modules when a command does load them
+        imported = self._imports(["-m", "emastall", "stall-curve", "--dim", "8",
+                                  "--steps", "2"])
+        assert {"emastall.engine", "emastall.simlab"} <= imported
+
+    def test_engine_names_are_the_engine_objects(self):
+        import emastall
+        import emastall.engine
+
+        for name in ENGINE_NAMES:
+            assert name in dir(emastall)
+            assert getattr(emastall, name) is getattr(emastall.engine, name)
+            assert getattr(emastall, name).__module__ == "emastall.engine"
+        with pytest.raises(AttributeError, match="no attribute 'nope'"):
+            emastall.nope  # noqa: B018
+
+    @pytest.mark.parametrize("first", [
+        "import emastall.engine",
+        "import emastall.quantize",
+        "import emastall; emastall.ema_step",
+        "from emastall import ema_step",
+    ], ids=["engine", "quantize-module", "engine-name", "from-import"])
+    def test_quantize_stays_the_function(self, first):
+        # the function shares its submodule's name; loading the engine (which
+        # imports the submodule) must not rebind the package attribute
+        probe = (f"{first}\nimport emastall, emastall.engine, inspect\n"
+                 "q = emastall.quantize\n"
+                 "assert inspect.isfunction(q) and q.__module__ == 'emastall.quantize'\n"
+                 "assert q is emastall.engine.quantize\n"
+                 "assert emastall.ema_step is emastall.engine.ema_step\n")
+        subprocess.run([sys.executable, "-c", probe], env=_cli_env(), check=True,
+                       timeout=60)
 
 
 class TestParserReuse:
     def test_built_on_first_call_not_at_import(self):
         probe = "import emastall.cli as c; print(c._parser.cache_info().currsize)"
-        src = str(Path(emastall.cli.__file__).parents[1])
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            p for p in (src, os.environ.get("PYTHONPATH")) if p)}
         out = subprocess.run(
             [sys.executable, "-c", probe], capture_output=True, text=True, check=True,
-            env=env,
+            env=_cli_env(),
         ).stdout
         assert out.strip() == "0"
         assert emastall.cli._parser() is emastall.cli._parser()
@@ -446,6 +539,10 @@ class TestExperimentCommands:
         assert "\n" not in message
 
 
+# a short study run, for tests that expect it to stop before training
+STUDY = ["--steps", "2", "--seeds", "0,1,2"]
+
+
 class TestStudyValidation:
     @pytest.mark.parametrize(
         "argv",
@@ -485,23 +582,52 @@ class TestStudyValidation:
         assert not (tmp_path / "x.csv").exists()
 
     @pytest.mark.parametrize("argv,message", [
-        (["reset-study", "--format", "fp4,fp4"],
+        (["reset-study", "--format", "fp4,fp4", *STUDY],
          "two configs share the label 'fp4_nr'"),
-        (["reset-study", "--format", "fp32,none"],
+        (["reset-study", "--format", "fp32,none", *STUDY],
          "two configs share the label 'fp32'"),
-        (["reset-study", "--format", "bf16", "--periods", "50,50"],
+        (["reset-study", "--format", "bf16", "--periods", "50,50", *STUDY],
          "two policies share the label 'periodic50'"),
-        (["skip-study", "--p-skip", "0.1,0.1000001"],
+        (["skip-study", "--p-skip", "0.1,0.1000001", *STUDY],
          "two p_skip values share the label 'p=0.1'"),
-    ], ids=["reset-formats", "reset-fp32-spellings", "reset-periods", "skip-p"])
+        (["predict-stall", "--format", "bf16,bf16"], "--format lists bf16 twice"),
+        (["predict-window", "--format", "bf16,fp8_e4m3,bf16"],
+         "--format lists bf16 twice"),
+        (["predict-period", "--format", "fp4_e2m2u,fp4_e2m2u"],
+         "--format lists fp4_e2m2u twice"),
+        (["stall-curve", "--format", "bf16,bf16", "--steps", "2", "--dim", "8"],
+         "--format lists bf16 twice"),
+        (["first-moment", "--format", "fp4_e2m1,fp4_e2m1", "--steps", "2", "--dim", "8"],
+         "--format lists fp4_e2m1 twice"),
+    ], ids=["reset-formats", "reset-fp32-spellings", "reset-periods", "skip-p",
+            "predict-stall", "predict-window", "predict-period", "stall-curve",
+            "first-moment"])
     def test_colliding_labels_are_one_line_errors(self, argv, message, capsys,
                                                   tmp_path):
         # the cells once merged under one label: 6 CSV rows for 3 seeds and
-        # one median for two cells
-        argv = argv + ["--steps", "2", "--seeds", "0,1,2", "--out", str(tmp_path / "x")]
-        assert main(argv) == 1
+        # one median for two cells; a repeated --format once printed its row
+        # twice, or wrote one curve's files twice
+        assert main(argv + ["--out", str(tmp_path / "x")]) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
-        assert not (tmp_path / "x.csv").exists()
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("argv,message", [
+        (["reset-study", "--lr", "-1"], "lr must be positive and finite"),
+        (["reset-study", "--lr", "nan"], "lr must be positive and finite"),
+        (["reset-study", "--beta2", "1"], "beta2 must be in (0, 1)"),
+        (["skip-study", "--lr", "-1"], "lr must be positive and finite"),
+        (["skip-study", "--lr", "inf"], "lr must be positive and finite"),
+    ], ids=["reset-negative-lr", "reset-nan-lr", "reset-beta2", "skip-negative-lr",
+            "skip-inf-lr"])
+    def test_unusable_adam_hyper_is_one_line_error(self, argv, message, capsys,
+                                                   tmp_path):
+        # a negative lr once trained uphill and wrote its outputs; a nan lr
+        # failed as a non-finite signal
+        assert main(argv + [*STUDY, "--out", str(tmp_path / "x")]) == 1
+        out, err = capsys.readouterr()
+        assert err == f"error: {message}\n"
+        assert "config:" not in out
+        assert not list(tmp_path.iterdir())
 
     def test_unknown_format_message_has_no_repr_quotes(self, capsys):
         assert main(["stall-curve", "--format", "nope"]) == 1

@@ -349,6 +349,20 @@ class TestResetPolicies:
             ResetPolicy.periodic(5, applies_to="third")
 
 
+@pytest.mark.parametrize("field,value", [
+    ("lr", -1.0), ("lr", 0.0), ("lr", math.nan), ("lr", math.inf),
+    ("eps", -1.0), ("eps", 0.0), ("eps", math.nan),
+    ("weight_decay", -0.01), ("weight_decay", math.nan), ("weight_decay", math.inf),
+    ("beta1", 0.0), ("beta1", 1.0), ("beta1", math.nan),
+    ("beta2", 0.0), ("beta2", 1.5), ("beta2", math.nan),
+])
+def test_adam_hyper_rejects_unusable_values(field, value):
+    # a negative lr once trained uphill, and a nan lr failed later as a
+    # non-finite signal
+    with pytest.raises(ValueError, match=f"^{field} must be"):
+        AdamHyper(**{"lr": 0.01, field: value})
+
+
 class TestAdam:
     def _configs(self, hyper, fmt=None, scheme=PER_TENSOR):
         if fmt is None:
