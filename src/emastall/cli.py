@@ -58,8 +58,24 @@ def _seed_list(text: str) -> list[int]:
     return vals
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose help, usage and error writes let a closed
+    pipe's BrokenPipeError reach ``main``; argparse's own drops it, so
+    ``--help`` into a closed pipe exited 0 when stdout was unbuffered.
+    Subparsers take the class of their parent."""
+
+    def _print_message(self, message, file=None):
+        if message:
+            try:
+                (file or sys.stderr).write(message)
+            except BrokenPipeError:
+                raise
+            except (AttributeError, OSError):
+                pass
+
+
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="emastall",
         description="Stall predictors and simulations for low-precision EMA states.",
     )

@@ -7,13 +7,18 @@ every code untouched. A config with ``format=None`` keeps the state at
 working precision and is the full-precision control used by experiments.
 
 A state may also be a batch: a ``(rows, dim)`` stack of independent states
-of one config, with a per-row cycle counter and excess. The row functions
-(``adam_lockstep``, ``reset_rows``) step batches at once, ``adam_lockstep``
-those of several storage configs in one step; every operation is
+of one config, with a per-row cycle counter and excess. A ``StateStack``
+holds one moment's batches under several storage configs as one
+``(configs, rows, dim)`` stack of stored values, and ``adam_lockstep`` and
+``reset_rows`` step it in place, each operation once per step over the
+whole stack: one proposal expression, one quantizer pass per storage group
+(the configs that share format, scheme and scale anchor), one Adam update
+and one array form of every row's reset rule. Every operation is
 elementwise or a reduction along the last axis, so each row comes out
 bit-identical to the same state stepped on its own. ``ema_step``,
 ``adam_step``, ``apply_reset_policy`` and ``skip_intervention_step`` are
-the single-state forms.
+the single-state forms; ``adam_step`` and ``apply_reset_policy`` run the
+stack path with one config and one row.
 """
 
 from __future__ import annotations
@@ -26,17 +31,18 @@ from pathlib import Path
 import numpy as np
 
 from .csvio import write_csv
-from .formats import FpFormat, RoundingMode
+from .formats import FpFormat, RoundingMode, _normalized_grid
 from .quantize import (
     QuantizedBlock,
     ScalingScheme,
     _block_absmax,
     _quantize_unchecked,
+    _scaled,
     dequantize,
     quantize,
     quantize_with_scales,
 )
-from .theory import excess_staleness, remaining_error_E
+from .theory import excess_staleness, remaining_error_table
 
 
 @dataclasses.dataclass(frozen=True)
@@ -115,10 +121,11 @@ class EmaState:
 class RowStreams:
     """Rounding stream of a batch whose rows share per-seed generators.
 
-    Row r draws from ``generators[r // rows_per_stream]``. ``random`` draws
-    one ``(dim,)`` vector from each generator in turn and hands it to all
-    of that generator's rows, so each generator advances exactly as it
-    does for one of its rows stepped alone.
+    Row r draws from ``generators[r // rows_per_stream]``, rows counted over
+    every axis but the last. ``random`` draws one ``(dim,)`` vector from
+    each generator in turn and hands it to all of that generator's rows, so
+    each generator advances exactly as it does for one of its rows stepped
+    alone.
     """
 
     def __init__(self, generators: list, rows_per_stream: int):
@@ -126,49 +133,37 @@ class RowStreams:
         self.rows_per_stream = rows_per_stream
 
     def random(self, shape: tuple) -> np.ndarray:
-        rows, dim = shape
-        if rows != len(self.generators) * self.rows_per_stream:
+        dim = shape[-1]
+        if math.prod(shape[:-1]) != len(self.generators) * self.rows_per_stream:
             raise ValueError("draw shape does not match the batch")
         draws = np.empty((len(self.generators), dim))
         for g, row in zip(self.generators, draws):
             g.random(out=row)
-        return np.repeat(draws, self.rows_per_stream, axis=0)
+        return np.repeat(draws, self.rows_per_stream, axis=0).reshape(shape)
 
 
 # the floating-point errors a proposal may raise, left to its finiteness check
 _QUIET = {"over": "ignore", "invalid": "ignore"}
 
 
-def _proposal(
-    state: EmaState,
-    signal: np.ndarray,
-    hold: np.ndarray | None = None,
-    out: np.ndarray | None = None,
-) -> np.ndarray:
+def _proposal(x: np.ndarray, signal: np.ndarray, beta: float) -> np.ndarray:
     # the one validation of a write: a NaN, infinite or overflowing signal
     # leaves a non-finite proposal, so storage trusts what passes. Callers
     # run it under _QUIET, so an overflow surfaces as this ValueError rather
-    # than as a warning. Rows flagged in hold propose their stored value,
-    # which storage then reproduces exactly: a skipped update
-    signal = np.asarray(signal, dtype=np.float64)
-    x = state.stored if state.config.format is None else dequantize(state.stored)
-    if signal.shape != x.shape:
-        raise ValueError("signal shape does not match state")
-    proposal = np.subtract(signal, x, out=out)
-    proposal *= 1.0 - state.config.beta
+    # than as a warning
+    proposal = signal - x
+    proposal *= 1.0 - beta
     proposal += x
     if not np.isfinite(proposal).all():
         raise ValueError("non-finite or overflowing signal")
-    if hold is not None:
-        np.copyto(proposal, x, where=hold[:, None])
     return proposal
 
 
 def _store(
     state: EmaState, proposal: np.ndarray, rng
 ) -> tuple[EmaState, np.ndarray]:
-    # the stalled fraction of each row, as a 0-d array for a single state;
-    # the proposal comes from _proposal, which has validated it
+    # the stalled fraction as a 0-d array; the proposal comes from
+    # _proposal, which has validated it
     cfg = state.config
     if cfg.format is None:
         stalled = proposal == state.stored
@@ -205,8 +200,12 @@ def ema_step(
     count as movement on its own.
     """
     _require_single(state)
+    signal = np.asarray(signal, dtype=np.float64)
+    x = state.stored if state.config.format is None else dequantize(state.stored)
+    if signal.shape != x.shape:
+        raise ValueError("signal shape does not match state")
     with np.errstate(**_QUIET):
-        proposal = _proposal(state, signal)
+        proposal = _proposal(x, signal, state.config.beta)
     new, frac = _store(state, proposal, rng)
     return new, float(frac)
 
@@ -226,6 +225,138 @@ def skip_intervention_step(
         return EmaState(state.stored, state.k + 1, state.config, state.excess)
     new, _ = ema_step(state, signal, rng)
     return new
+
+
+class _Group:
+    """The configs of a stack that share format, scheme, freeze_scale and
+    init_scale: one quantizer pass stores all their rows. members lists
+    their places in the stack, nearest-rounding ones first; codes and
+    scales are ``(members, rows, ...)`` (None at full precision)."""
+
+    def __init__(self, members: list, states: list, streams: list):
+        nearest = [c for c in members
+                   if states[c].config.rounding is RoundingMode.NEAREST_EVEN]
+        self.members = nearest + [c for c in members if c not in nearest]
+        first, last = min(members), max(members)
+        contiguous = self.members == list(range(first, last + 1))
+        self.sel = slice(first, last + 1) if contiguous else np.array(self.members)
+        self.config = cfg = states[members[0]].config
+        self.n_nearest = len(nearest)
+        self.codes = self.scales = self.fresh = self.streams = None
+        if cfg.format is None:
+            return
+        self.codes = np.stack([states[c].stored.codes for c in self.members])
+        self.scales = np.stack([states[c].stored.scales for c in self.members])
+        self.fresh = EmaState.initialize(cfg, self.codes.shape[-1]).stored.codes
+        drawn = [streams[c] for c in self.members[self.n_nearest:]]
+        if len(drawn) == 1:
+            self.streams = drawn[0]
+        elif drawn and None not in drawn:
+            # one stream whose generators are every member's, in member order
+            self.streams = RowStreams([g for st in drawn for g in st.generators],
+                                      drawn[0].rows_per_stream)
+
+    def store(self, proposal: np.ndarray) -> tuple:
+        """(stored values, stalled flags) of a quantized group's proposal
+        rows."""
+        cfg = self.config
+        if cfg.freeze_scale:
+            scales = self.scales
+        else:
+            scales = _block_absmax(proposal, cfg.scheme)
+        w, rep = _scaled(proposal, cfg.scheme, scales)
+        grid = _normalized_grid(cfg.format)
+        mag = grid.magnitude(w)
+        n = self.n_nearest
+        if n == len(mag):
+            idx = grid.nearest_idx(mag)
+        elif self.streams is None:
+            raise ValueError("stochastic rounding requires an rng stream")
+        elif n == 0:
+            idx = grid.stochastic_idx(mag, self.streams)
+        else:
+            idx = np.concatenate((grid.nearest_idx(mag[:n]),
+                                  grid.stochastic_idx(mag[n:], self.streams)))
+        codes = grid.signed(w, idx)
+        # code-only comparison: the stored-bit-pattern convention
+        stalled = codes == self.codes
+        self.codes, self.scales = codes, scales
+        values = grid.decoded.take(codes)
+        values *= rep
+        return values, stalled
+
+
+class StateStack:
+    """One moment's states under several storage configs, stacked.
+
+    ``values[c, r]`` is row r of config c as stored (its exact decoded
+    value), with cycle counter ``k[c, r]`` and excess ``excess[c, r]``.
+    Built from one ``(rows, dim)`` ``EmaState`` batch per config; config
+    c's stochastic rounding draws from ``streams[c]``, a Generator or a
+    ``RowStreams``. Configs that share format, scheme, freeze_scale and
+    init_scale form a storage group, which stores its rows in one
+    quantizer pass; only the rank kernel runs once per rounding mode in
+    it, and the stochastic members draw from their own streams in stack
+    order. ``adam_lockstep`` and ``reset_rows`` step a stack in place.
+    """
+
+    def __init__(self, states: list, streams: list):
+        self.configs = [state.config for state in states]
+        self.values = np.stack([state.values() for state in states])
+        self.k = np.stack([state.k for state in states])
+        self.excess = np.stack([state.excess for state in states])
+        dim = self.values.shape[-1]
+        # the values of a zero row, per config
+        self.fresh = np.stack([EmaState.initialize(cfg, dim).values()
+                               for cfg in self.configs])
+        keys: dict = {}
+        for c, cfg in enumerate(self.configs):
+            key = None if cfg.format is None else (
+                cfg.format, cfg.scheme, cfg.freeze_scale, cfg.init_scale)
+            keys.setdefault(key, []).append(c)
+        self.groups = [_Group(members, states, streams) for members in keys.values()]
+
+    def store(self, proposal: np.ndarray) -> np.ndarray:
+        """Write a validated ``(configs, rows, dim)`` proposal; returns the
+        stalled fraction of each row."""
+        frac = np.empty(self.k.shape)
+        for group in self.groups:
+            new = proposal[group.sel]
+            if group.codes is None:
+                values, stalled = new, new == self.values[group.sel]
+            else:
+                values, stalled = group.store(new)
+            # an exact count over dim, the same bits as the mean of the flags
+            frac[group.sel] = stalled.sum(axis=-1) / stalled.shape[-1]
+            self.values[group.sel] = values
+        self.k += 1
+        return frac
+
+    def clear(self, flags: np.ndarray) -> None:
+        """Reset the ``(configs, rows)`` flagged rows to the zero state."""
+        self.k[flags] = 0
+        self.excess[flags] = 0.0
+        np.copyto(self.values, self.fresh[:, None], where=flags[..., None])
+        for group in self.groups:
+            if group.codes is not None:
+                rows = flags[group.sel]
+                group.codes[rows] = group.fresh
+                # frozen anchors survive resets; a zero row encodes the same
+                # under any scale
+                if not group.config.freeze_scale:
+                    group.scales[rows] = 0.0
+
+    def state(self, c: int) -> EmaState:
+        """Config c's rows as an ``EmaState`` batch (copies)."""
+        cfg = self.configs[c]
+        group = next(g for g in self.groups if c in g.members)
+        if group.codes is None:
+            stored = self.values[c].copy()
+        else:
+            j = group.members.index(c)
+            stored = QuantizedBlock(group.codes[j].copy(), group.scales[j].copy(),
+                                    cfg.format, cfg.scheme)
+        return EmaState(stored, self.k[c].copy(), cfg, self.excess[c].copy())
 
 
 class ResetKind(Enum):
@@ -283,13 +414,15 @@ class ResetPolicy:
 
 
 class ResetRows:
-    """The reset rules of a batch as per-row vectors, for one moment.
+    """The reset rules of a stack's rows as per-row vectors, for one moment.
 
     Row r follows ``policies[r]``; with ``moment`` ("first" or "second"),
     a policy whose applies_to excludes that moment never resets its row.
+    The adaptive rule reads E(k), for cycle counts up to k_max, from one
+    ``remaining_error_table`` per beta2.
     """
 
-    def __init__(self, policies: list, moment: str | None = None):
+    def __init__(self, policies: list, moment: str | None, k_max: int):
         if moment is not None:
             policies = [
                 p if p.applies_to in (moment, "both") else ResetPolicy.none()
@@ -298,47 +431,38 @@ class ResetRows:
         self.period = np.array(
             [p.K if p.kind is ResetKind.PERIODIC else np.inf for p in policies]
         )
-        self.adaptive = [
-            (r, p) for r, p in enumerate(policies) if p.kind is ResetKind.ADAPTIVE
-        ]
+        adaptive = [p.kind is ResetKind.ADAPTIVE for p in policies]
+        self.adaptive = np.array(adaptive)
+        # neutral values on the other rows, which the rule masks out
+        self.s0 = np.array([p.s0 if a else 0.0 for p, a in zip(policies, adaptive)])
+        self.p_ss = np.array([p.p_ss if a else 1.0 for p, a in zip(policies, adaptive)])
+        betas = list(dict.fromkeys(p.beta2 for p, a in zip(policies, adaptive) if a))
+        self.which = np.array(
+            [betas.index(p.beta2) if a else 0 for p, a in zip(policies, adaptive)]
+        )
+        tables = [remaining_error_table(b, k_max) for b in betas]
+        self.table = np.stack(tables) if tables else None
 
 
 def reset_rows(
-    state: EmaState, rules: ResetRows, fractions: np.ndarray
-) -> tuple[EmaState, np.ndarray]:
-    """Apply each row's reset rule after a batch step; returns the state and
-    the per-row reset flags. fractions are the rows' stalled fractions of
-    the step just taken (only ADAPTIVE reads them)."""
-    k = state.k
+    stack: StateStack, rules: ResetRows, fractions: np.ndarray
+) -> np.ndarray:
+    """Apply each row's reset rule after a stack step, in place; returns the
+    ``(configs, rows)`` reset flags. fractions are the rows' stalled
+    fractions of the step just taken (only ADAPTIVE reads them)."""
+    k = stack.k
     reset = k >= rules.period
-    excess = state.excess
-    if rules.adaptive:
-        # one row at a time: with the few adaptive rows of a study, numpy's
-        # per-call cost makes a vectorized rule slower than this loop
-        excess = excess.copy()
-        for r, policy in rules.adaptive:
-            if k[r] < 1:
-                continue
-            # cycle-average the observed excess staleness online
-            s = fractions[r] / policy.p_ss
-            excess[r] += excess_staleness(s, policy.s0)
-            reset[r] = excess[r] / k[r] >= remaining_error_E(int(k[r]), policy.beta2)
-    if not reset.any():
-        return EmaState(state.stored, k, state.config, excess), reset
-    cfg = state.config
-    fresh = EmaState.initialize(cfg, state.stored.shape[-1], len(reset))
-    keep = ~reset[:, None]
-    if cfg.format is None:
-        stored = np.where(keep, state.stored, fresh.stored)
-    else:
-        old = state.stored
-        # frozen anchors survive resets; a zero row encodes the same under
-        # any scale
-        scales = old.scales if cfg.freeze_scale else np.where(keep, old.scales, 0.0)
-        codes = np.where(keep, old.codes, fresh.stored.codes)
-        stored = QuantizedBlock(codes, scales, old.format, old.scheme)
-    k, excess = np.where(reset, 0, k), np.where(reset, 0.0, excess)
-    return EmaState(stored, k, cfg, excess), reset
+    if rules.table is not None:
+        # cycle-average the observed excess staleness online; k = 0 rows
+        # have no cycle yet, and E's table reads inf there
+        live = rules.adaptive & (k >= 1)
+        excess = stack.excess + excess_staleness(fractions / rules.p_ss, rules.s0)
+        stack.excess = np.where(live, excess, stack.excess)
+        average = stack.excess / np.maximum(k, 1)
+        reset |= live & (average >= rules.table[rules.which, k])
+    if reset.any():
+        stack.clear(reset)
+    return reset
 
 
 def _map_stored(state: EmaState, f):
@@ -347,6 +471,17 @@ def _map_stored(state: EmaState, f):
         return QuantizedBlock(f(stored.codes), f(stored.scales), stored.format,
                               stored.scheme)
     return f(stored)
+
+
+def _one_row(state: EmaState) -> EmaState:
+    # a single state as a batch of one row
+    return EmaState(_map_stored(state, lambda a: a[None]), np.array([state.k]),
+                    state.config, np.array([float(state.excess)]))
+
+
+def _row_zero(batch: EmaState) -> EmaState:
+    return EmaState(_map_stored(batch, lambda a: a[0]), int(batch.k[0]),
+                    batch.config, float(batch.excess[0]))
 
 
 def apply_reset_policy(
@@ -358,12 +493,10 @@ def apply_reset_policy(
     step just taken.
     """
     _require_single(state)
-    batch = EmaState(_map_stored(state, lambda a: a[None]), np.array([state.k]),
-                     state.config, np.array([state.excess]))
-    batch, reset = reset_rows(batch, ResetRows([policy]), np.array([last_fraction]))
-    single = EmaState(_map_stored(batch, lambda a: a[0]), int(batch.k[0]),
-                      state.config, float(batch.excess[0]))
-    return single, bool(reset[0])
+    stack = StateStack([_one_row(state)], [None])
+    rules = ResetRows([policy], None, max(1, state.k))
+    reset = reset_rows(stack, rules, np.array([[last_fraction]]))
+    return _row_zero(stack.state(0)), bool(reset[0, 0])
 
 
 @dataclasses.dataclass(frozen=True)
@@ -433,52 +566,44 @@ def apply_adam_update(
 
 
 def adam_lockstep(
-    moments: list,
+    m: StateStack,
+    v: StateStack,
     grad: np.ndarray,
     hyper: AdamHyper,
     params: np.ndarray,
-    rngs: list,
     t_global: int | None = None,
     hold_m: np.ndarray | None = None,
     hold_v: np.ndarray | None = None,
-) -> tuple[np.ndarray, list, np.ndarray, np.ndarray]:
-    """``adam_step`` for the row batches of several storage configs at once.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``adam_step`` for the stacked states of several storage configs.
 
-    ``moments[c]`` is config c's (m, v) pair of ``(rows, dim)`` batches,
-    stepped on ``grad[c]`` and ``params[c]`` with ``rngs[c]``, a Generator
-    or a ``RowStreams``. Rows flagged in hold_m (hold_v) skip that moment's
-    update in every config: its stored value stays, its cycle counter still
-    advances, and the parameter update reads the stored value. One update
-    moves the whole parameter stack. Returns (params, moments, stalled_m,
-    stalled_v), the per-row fractions stacked by config.
+    m and v are ``StateStack``s of shape ``(configs, rows, dim)``, stepped
+    in place on grad and params of that shape. One proposal expression per
+    moment covers every config, each storage group stores in one pass, and
+    one update moves the whole parameter stack. Rows flagged in hold_m
+    (hold_v), a ``(rows,)`` mask, skip that moment's update in every
+    config: the stored value stays, the cycle counter still advances, and
+    the parameter update reads the stored value. Returns (params,
+    stalled_m, stalled_v), the fractions as ``(configs, rows)`` arrays.
     """
-    shape = (len(moments),) + params.shape[1:]
-    if grad.shape != params.shape or params.shape != shape:
+    if not grad.shape == params.shape == m.values.shape == v.values.shape:
         raise ValueError("gradient/parameter shape mismatch")
-    pm, pv = np.empty(shape), np.empty(shape)
-    # every proposal first, under one errstate; _proposal rejects an
-    # infinite square
+    if any(cfg.beta != hyper.beta1 for cfg in m.configs) or any(
+        cfg.beta != hyper.beta2 for cfg in v.configs
+    ):
+        raise ValueError("moment config betas must match the hyperparameters")
+    # _proposal rejects an infinite square
     with np.errstate(**_QUIET):
-        square = grad * grad
-        for c, (m, v) in enumerate(moments):
-            if m.config.beta != hyper.beta1 or v.config.beta != hyper.beta2:
-                raise ValueError("moment config betas must match the hyperparameters")
-            _proposal(m, grad[c], hold_m, pm[c])
-            _proposal(v, square[c], hold_v, pv[c])
-    stepped, frac_m, frac_v = [], [], []
-    for c, ((m, v), rng) in enumerate(zip(moments, rngs)):
-        m2, fm = _store(m, pm[c], rng)
-        v2, fv = _store(v, pv[c], rng)
-        stepped.append((m2, v2))
-        frac_m.append(fm)
-        frac_v.append(fv)
-    if t_global is not None:
-        k_m = k_v = t_global
-    else:
-        k_m = np.array([m.k for m, _ in stepped])
-        k_v = np.array([v.k for _, v in stepped])
-    new_params = _adam_update(params, pm, pv, k_m, k_v, hyper)
-    return new_params, stepped, np.array(frac_m), np.array(frac_v)
+        pm = _proposal(m.values, grad, hyper.beta1)
+        pv = _proposal(v.values, grad * grad, hyper.beta2)
+    # a held row proposes its stored value, which storage reproduces exactly
+    if hold_m is not None:
+        np.copyto(pm, m.values, where=hold_m[:, None])
+    if hold_v is not None:
+        np.copyto(pv, v.values, where=hold_v[:, None])
+    frac_m, frac_v = m.store(pm), v.store(pv)
+    k_m, k_v = (m.k, v.k) if t_global is None else (t_global, t_global)
+    return _adam_update(params, pm, pv, k_m, k_v, hyper), frac_m, frac_v
 
 
 def adam_step(
@@ -497,11 +622,13 @@ def adam_step(
     """
     _require_single(m_state, v_state)
     grad = np.asarray(grad, dtype=np.float64)
-    new_params, [(m2, v2)], frac_m, frac_v = adam_lockstep(
-        [(m_state, v_state)], grad[None], hyper, params[None], [rng], t_global
+    m = StateStack([_one_row(m_state)], [rng])
+    v = StateStack([_one_row(v_state)], [rng])
+    new_params, frac_m, frac_v = adam_lockstep(
+        m, v, grad[None, None], hyper, params[None, None], t_global
     )
-    stalled = {"stalled_m": float(frac_m[0]), "stalled_v": float(frac_v[0])}
-    return new_params[0], m2, v2, stalled
+    stalled = {"stalled_m": float(frac_m[0, 0]), "stalled_v": float(frac_v[0, 0])}
+    return new_params[0, 0], _row_zero(m.state(0)), _row_zero(v.state(0)), stalled
 
 
 @dataclasses.dataclass

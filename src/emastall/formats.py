@@ -228,14 +228,30 @@ class RoundingGrid:
         lo += rng.random(mag.shape) < frac
         return lo
 
+    def magnitude(self, x: np.ndarray) -> np.ndarray:
+        """The magnitudes the rank kernels take: |x|, or x clamped at 0 for
+        unsigned formats, whose nearest point to a negative input is the
+        bottom of the grid."""
+        return np.abs(x) if self.fmt.sign_bits else np.maximum(x, 0.0)
+
+    def signed(self, x: np.ndarray, idx: np.ndarray) -> np.ndarray:
+        """Full codes from the grid indices of x's magnitudes and the signs
+        of x; idx is overwritten."""
+        if not self.fmt.sign_bits:
+            return self.codes.take(idx)
+        # an offset by multiplication, skipped when nothing is negative (a
+        # second moment): a masked add costs several times more on mixed signs
+        negative = x < 0
+        if negative.any():
+            idx += negative * len(self.values)
+        return self.signed_codes.take(idx)
+
     def encode(
         self, x: np.ndarray, mode: RoundingMode, rng: np.random.Generator | None
     ) -> np.ndarray:
         """Full codes of x: magnitude, overflow policy, rounding, sign."""
         x = np.asarray(x, dtype=np.float64)
-        # for unsigned formats the nearest point to a negative input is the
-        # bottom of the grid, so clamp rather than reflect
-        mag = np.abs(x) if self.fmt.sign_bits else np.maximum(x, 0.0)
+        mag = self.magnitude(x)
         if not self.saturate and np.any(mag > self.values[-1]):
             raise OverflowError(
                 f"magnitude exceeds {self.fmt.name} x_max with saturation disabled"
@@ -246,14 +262,7 @@ class RoundingGrid:
             raise ValueError("stochastic rounding requires an rng stream")
         else:
             idx = self.stochastic_idx(mag, rng)
-        if not self.fmt.sign_bits:
-            return self.codes.take(idx)
-        # an offset by multiplication, skipped when nothing is negative (a
-        # second moment): a masked add costs several times more on mixed signs
-        negative = x < 0
-        if negative.any():
-            idx += negative * len(self.values)
-        return self.signed_codes.take(idx)
+        return self.signed(x, idx)
 
     @cached_property
     def _scalar_tables(self) -> tuple:

@@ -213,13 +213,20 @@ def _quantize_unchecked(
     """``quantize_with_scales`` without its checks, for callers that have
     validated once: values finite float64 of shape ``(dim,)`` or
     ``(rows, dim)``, scales nonnegative float64 with one per block."""
-    rep = _broadcast_scales(scales, scheme, values.shape[-1])
-    if scales.min() > 0:
-        w = values / rep
-    else:
-        w = np.divide(values, rep, out=np.zeros_like(values), where=rep > 0)
+    w, _ = _scaled(values, scheme, scales)
     codes = _normalized_grid(fmt).encode(w, mode, rng)
     return QuantizedBlock(codes=codes, scales=scales, format=fmt, scheme=scheme)
+
+
+def _scaled(
+    values: np.ndarray, scheme: ScalingScheme, scales: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """(values on the normalized grid's unit, the scales broadcast against
+    values); a zero-scale block maps to zeros."""
+    rep = _broadcast_scales(scales, scheme, values.shape[-1])
+    if scales.min() > 0:
+        return values / rep, rep
+    return np.divide(values, rep, out=np.zeros_like(values), where=rep > 0), rep
 
 
 def dequantize(q: QuantizedBlock) -> np.ndarray:

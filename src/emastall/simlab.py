@@ -14,16 +14,25 @@ the config run alone would seed them. No draw depends on the state, so
 every cell and every curve equals its run alone bit for bit.
 ``run_reset_cells`` returns the losses of a config x seed x policy grid as
 one array; ``run_stall_curves``/``run_first_moment_curves`` return one
-result per EMA config. The curve drivers take each step's signal from the
-generator ``_signal_rows``, whose producer thread draws up to a ring of
-chunks ahead while the caller rounds; its rows are the bits a step-by-step
-draw gives, so the curves are unchanged.
+result per EMA config. A study step is fused: the gradient of every row,
+the proposals, each storage group's quantizer pass, the Adam update, each
+moment's reset rule and the tail loss each run once over the whole
+``(configs, rows, dim)`` stack. The curve drivers take each step's signal
+from the generator ``_signal_rows``, whose producer thread draws up to a
+ring of chunks ahead while the caller rounds; its rows are the bits a
+step-by-step draw gives, so the curves are unchanged.
 
 A problem's ``make_instance(seed)`` returns an instance with
 ``init_params()``, ``step_begin()``, ``grad_sample(params, rng)`` and
-``loss(params)``. ``grad_sample`` takes params of any shape ``(..., dim)``;
-every row shares one draw, which is how the studies step every cell
-of a seed, in every config, at once.
+``loss(params)``; ``grad_sample`` takes params of any shape ``(..., dim)``
+and every row shares one draw. Its ``make_stack(seeds)`` returns the
+seeds' instances as one ``InstanceStack``, which the studies step: with
+params of shape ``(configs, seeds, cells, dim)``, ``grad`` starts every
+instance's step and returns every row's gradient, each seed's rows sharing
+that seed's draws, and ``losses`` returns every row's loss. The base class
+calls the instance methods seed by seed (``SynthLogistic`` keeps its
+per-row matrix-vector products); ``QuadraticStack`` draws every seed's
+vectors into one buffer and evaluates each step as array expressions.
 """
 
 from __future__ import annotations
@@ -51,6 +60,7 @@ from .engine import (
     ResetRows,
     RowStreams,
     StallTrace,
+    StateStack,
     _QUIET,
     adam_lockstep,
     ema_step,
@@ -75,6 +85,10 @@ _KEY_TARGET = 14
 _KEY_PROBLEM = 15
 
 
+def _is_integer(x) -> bool:
+    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
+
+
 @dataclasses.dataclass(frozen=True)
 class GradientStreamSpec:
     """Synthetic per-coordinate gradient stream.
@@ -97,7 +111,10 @@ class GradientStreamSpec:
 
     def __post_init__(self) -> None:
         # a bad value would surface only as non-finite draws (or a stream
-        # that flips sign) at the first write
+        # that flips sign) at the first write, or as numpy's error on a
+        # negative seed
+        if not (_is_integer(self.seed) and self.seed >= 0):
+            raise ValueError(f"seed must be an integer >= 0, got {self.seed!r}")
         if self.dimension < 1:
             raise ValueError("dimension must be >= 1")
         if not math.isfinite(self.mu):
@@ -198,6 +215,9 @@ class NoisyQuadratic:
             target_rng=np.random.default_rng([seed, _KEY_TARGET]),
         )
 
+    def make_stack(self, seeds: tuple) -> "QuadraticStack":
+        return QuadraticStack([self.make_instance(seed) for seed in seeds], seeds)
+
 
 class QuadraticInstance:
     def __init__(self, curvatures, noise_mult, drift, init_offset, target_rng):
@@ -248,6 +268,9 @@ class SynthLogistic:
         y[flip] *= -1
         return LogisticInstance(x, y, self.batch_size)
 
+    def make_stack(self, seeds: tuple) -> "InstanceStack":
+        return InstanceStack([self.make_instance(seed) for seed in seeds], seeds)
+
 
 class LogisticInstance:
     def __init__(self, x, y, batch_size):
@@ -279,6 +302,77 @@ class LogisticInstance:
     def loss(self, params: np.ndarray) -> float:
         z = self.y * (self.x @ params)
         return float(np.mean(np.logaddexp(0.0, -z)))
+
+
+class InstanceStack:
+    """The instances of a study's seeds, stepped together.
+
+    Parameters, gradients and losses are stacks of shape ``(configs, seeds,
+    cells, dim)`` (losses without dim), with block i belonging to seeds[i].
+    ``grad`` starts the step of every instance and draws each seed's
+    gradient from its own stream, one draw shared by all rows of the seed;
+    this form calls the per-instance methods seed by seed and row by row.
+    """
+
+    def __init__(self, insts: list, seeds: tuple):
+        self.insts = insts
+        self.grad_rngs = [np.random.default_rng([seed, _KEY_GRAD]) for seed in seeds]
+
+    def init_params(self) -> np.ndarray:
+        return np.stack([inst.init_params() for inst in self.insts])
+
+    def grad(self, params: np.ndarray) -> np.ndarray:
+        g = np.empty_like(params)
+        for i, (inst, rng) in enumerate(zip(self.insts, self.grad_rngs)):
+            inst.step_begin()
+            g[:, i] = inst.grad_sample(params[:, i], rng)
+        return g
+
+    def losses(self, params: np.ndarray) -> np.ndarray:
+        out = np.empty(params.shape[:-1])
+        for c, i, j in np.ndindex(out.shape):
+            out[c, i, j] = self.insts[i].loss(params[c, i, j])
+        return out
+
+
+class QuadraticStack(InstanceStack):
+    """``InstanceStack`` of ``QuadraticInstance``s with the step as array
+    expressions: each seed's target and noise vectors are drawn in seed
+    order into one ``(seeds, dim)`` buffer, and every row's gradient and
+    loss comes from one elementwise expression and one row-wise sum, with
+    the bits of the per-instance methods."""
+
+    def __init__(self, insts: list, seeds: tuple):
+        super().__init__(insts, seeds)
+        first = insts[0]
+        self.noise_mult, self.drift = first.noise_mult, first.drift
+        # (seeds, 1, dim): broadcast over each seed's cells
+        self.curvatures = np.stack([inst.curvatures for inst in insts])[:, None]
+        self.target = np.stack([inst.target for inst in insts])[:, None]
+        self.target_rngs = [inst._target_rng for inst in insts]
+        self._draws = np.empty((len(insts), first.dimension))
+
+    def _draw(self, rngs: list) -> np.ndarray:
+        for rng, row in zip(rngs, self._draws):
+            rng.standard_normal(out=row)
+        return self._draws[:, None]
+
+    def grad(self, params: np.ndarray) -> np.ndarray:
+        if self.drift:
+            step = self._draw(self.target_rngs)
+            step *= self.drift
+            self.target += step
+        # curvatures * (params - target) * (1 + noise_mult * noise)
+        g = params - self.target
+        g *= self.curvatures
+        factor = self._draw(self.grad_rngs)
+        factor *= self.noise_mult
+        factor += 1.0
+        g *= factor
+        return g
+
+    def losses(self, params: np.ndarray) -> np.ndarray:
+        return 0.5 * np.sum(self.curvatures * (params - self.target) ** 2, axis=-1)
 
 
 @dataclasses.dataclass
@@ -612,6 +706,18 @@ class _Skips:
         return (hold, None) if self.target == "first" else (None, hold)
 
 
+def _check_run(steps, seeds) -> None:
+    # bad values would fail later as a TypeError or as numpy's error on a
+    # negative entropy
+    if not (_is_integer(steps) and steps >= 1):
+        raise ValueError(f"steps must be an integer >= 1, got {steps!r}")
+    if not seeds:
+        raise ValueError("at least one seed is required")
+    for seed in seeds:
+        if not (_is_integer(seed) and seed >= 0):
+            raise ValueError(f"seeds must be integers >= 0, got {seed!r}")
+
+
 def _train_rows(
     problem,
     configs: list,
@@ -628,73 +734,73 @@ def _train_rows(
     ``i * len(policies) + j`` of each config runs cell j, whose reset rule
     is ``policies[j]``, on ``seeds[i]``. Every row of a seed, in every
     config, shares that seed's problem instance and its gradient and target
-    draws; each config draws its rounding from its own streams, seeded as a
-    config trained alone would seed them. No draw depends on the state and
-    resets draw nothing, so each row follows the run it would make alone
-    bit for bit. Returns the trailing-decile mean losses as a (config, seed,
-    cell) array and, optionally, per-config lists of per-row (first, second)
-    moment stall traces.
+    draws (``problem.make_stack``); each config draws its rounding from its
+    own streams, seeded as a config trained alone would seed them. Each
+    step is one ``adam_lockstep`` and one ``reset_rows`` per moment over
+    the whole ``(configs, rows, dim)`` stack. No draw depends on the state
+    and resets draw nothing, so each row follows the run it would make
+    alone bit for bit. Returns the trailing-decile mean losses as a
+    (config, seed, cell) array and, optionally, per-config lists of per-row
+    (first, second) moment stall traces.
     """
-    if steps < 1:
-        raise ValueError("steps must be >= 1")
-    if not seeds:
-        raise ValueError("at least one seed is required")
+    _check_run(steps, seeds)
     if not policies:
         raise ValueError("at least one reset policy or p_skip value is required")
     if not configs:
         raise ValueError("at least one storage config is required")
     cells = len(policies)
-    insts = [problem.make_instance(seed) for seed in seeds]
-    start = np.repeat([inst.init_params() for inst in insts], cells, axis=0)
+    stack = problem.make_stack(seeds)
+    start = np.repeat(stack.init_params(), cells, axis=0)
     rows, dim = start.shape
     params = np.repeat(start[None], len(configs), axis=0)
-    moments = [
-        (EmaState.initialize(cfg_m, dim, rows), EmaState.initialize(cfg_v, dim, rows))
-        for cfg_m, cfg_v in configs
-    ]
-    grad_rngs = [np.random.default_rng([seed, _KEY_GRAD]) for seed in seeds]
-    round_rngs = [
+    blocks = (len(configs), len(seeds), cells, dim)
+    streams = [
         RowStreams([np.random.default_rng([seed, _KEY_ROUND]) for seed in seeds], cells)
         for _ in configs
     ]
+    m, v = (
+        StateStack([EmaState.initialize(pair[i], dim, rows) for pair in configs],
+                   streams)
+        for i in (0, 1)
+    )
     row_policies = list(policies) * len(seeds)
-    rules_m = ResetRows(row_policies, "first")
-    rules_v = ResetRows(row_policies, "second")
-    blocks = [slice(i * cells, (i + 1) * cells) for i in range(len(seeds))]
+    rules_m = ResetRows(row_policies, "first", steps)
+    rules_v = ResetRows(row_policies, "second", steps)
     window = _trailing_window(steps)
     tail = np.empty((len(configs), rows, window))
-    traces = [
-        [(StallTrace("first_moment"), StallTrace("second_moment"))
-         for _ in range(rows if record_trace else 0)]
-        for _ in configs
-    ]
-    g = np.empty_like(params)
+    record = []
     for t in range(1, steps + 1):
-        for inst, rng, block in zip(insts, grad_rngs, blocks):
-            inst.step_begin()
-            g[:, block] = inst.grad_sample(params[:, block], rng)
+        g = stack.grad(params.reshape(blocks)).reshape(params.shape)
         hold_m, hold_v = skips.draw(t) if skips is not None else (None, None)
-        params, moments, frac_m, frac_v = adam_lockstep(
-            moments, g, hyper, params, round_rngs, hold_m=hold_m, hold_v=hold_v
+        params, frac_m, frac_v = adam_lockstep(
+            m, v, g, hyper, params, hold_m=hold_m, hold_v=hold_v
         )
-        for c, (m, v) in enumerate(moments):
-            m, reset_m = reset_rows(m, rules_m, frac_m[c])
-            v, reset_v = reset_rows(v, rules_v, frac_v[c])
-            moments[c] = (m, v)
-            for r, (trace_m, trace_v) in enumerate(traces[c]):
-                trace_m.append(float(frac_m[c, r]), int(m.k[r]), reset_m[r])
-                trace_v.append(float(frac_v[c, r]), int(v.k[r]), reset_v[r])
+        reset_m = reset_rows(m, rules_m, frac_m)
+        reset_v = reset_rows(v, rules_v, frac_v)
+        if record_trace:
+            record.append((frac_m, m.k.copy(), reset_m, frac_v, v.k.copy(), reset_v))
         j = t - 1 - (steps - window)
         if j >= 0:
-            for c in range(len(configs)):
-                for r in range(rows):
-                    tail[c, r, j] = insts[r // cells].loss(params[c, r])
+            tail[..., j] = stack.losses(params.reshape(blocks)).reshape(tail.shape[:2])
     # one contiguous row per mean: a mean over axis 0 sums in another order
     losses = [[float(np.mean(row)) for row in cfg_tail] for cfg_tail in tail]
     out = {"final_loss": np.reshape(losses, (len(configs), len(seeds), cells))}
     if record_trace:
-        out["traces"] = traces
+        out["traces"] = _traces(record)
     return out
+
+
+def _traces(record: list) -> list:
+    # per-step (frac_m, k_m, reset_m, frac_v, k_v, reset_v) arrays of shape
+    # (configs, rows) as per-config lists of per-row (first, second) traces
+    fm, km, rm, fv, kv, rv = (np.moveaxis(a, 0, -1).tolist()
+                              for a in map(np.array, zip(*record)))
+    return [
+        [(StallTrace("first_moment", fm[c][r], km[c][r], rm[c][r]),
+          StallTrace("second_moment", fv[c][r], kv[c][r], rv[c][r]))
+         for r in range(len(fm[c]))]
+        for c in range(len(fm))
+    ]
 
 
 def run_reset_cells(
@@ -734,6 +840,7 @@ def run_skip_study(
     are due to the intervention. final_loss is the mean loss over the
     trailing decile of steps.
     """
+    _check_run(steps, seeds)
     if target not in ("first", "second"):
         raise ValueError("target must be 'first' or 'second'")
     if not all(0.0 <= p <= 1.0 for p in p_skip_grid):
@@ -814,6 +921,7 @@ def run_reset_study(
     (label, ResetPolicy). Every cell trains in one ``run_reset_cells``
     call.
     """
+    _check_run(steps, seeds)
     if len(seeds) < 3:
         raise ValueError("need at least 3 seeds")
     _require_unique("configs", [c[0] for c in configs])

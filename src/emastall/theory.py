@@ -303,6 +303,17 @@ def remaining_error_E(K: int, beta2: float) -> float:
     return 2.0 * bk / (1.0 + bk)
 
 
+def remaining_error_table(beta2: float, k_max: int) -> np.ndarray:
+    """E(k) for k = 0 … k_max as an array, each entry from
+    ``remaining_error_E``; entry 0, where no cycle has run, is inf. An
+    array power is not used: it can differ from Python's ``**`` in the last
+    bit, which would move an adaptive reset by a step."""
+    table = np.empty(k_max + 1)
+    table[0] = math.inf
+    table[1:] = _pymap(lambda k: remaining_error_E(k, beta2), np.arange(1, k_max + 1))
+    return table
+
+
 def excess_staleness(s, s0):
     """Staleness in excess of the tolerance, max(0, (s - s0) / (1 - s0)), on
     floats or elementwise on arrays (s0 broadcasts against s). The K* scan

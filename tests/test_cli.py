@@ -248,13 +248,14 @@ def test_closed_stdout_ends_quietly(buffered):
     assert proc.returncode == 1
 
 
-@pytest.mark.parametrize("buffered,code", [(True, 1), (False, 0)],
+@pytest.mark.parametrize("buffered,code", [(True, 1), (False, 1)],
                          ids=["buffered", "unbuffered"])
 def test_help_into_a_closed_pipe_ends_quietly(buffered, code):
     # argparse prints the help inside parse_args and exits; buffered, the
     # flush at interpreter exit once met the closed pipe ("Exception ignored
-    # ... BrokenPipeError", exit code 120). Unbuffered, argparse drops the
-    # failed write itself and exits 0.
+    # ... BrokenPipeError", exit code 120). Unbuffered, argparse's own
+    # _print_message once dropped the failed write and exited 0; both now
+    # end like every other command into a closed pipe.
     proc = _run_closed(["--help"], _cli_env(PYTHONUNBUFFERED=None if buffered else "1"))
     assert proc.stderr == b""
     assert proc.returncode == code
@@ -580,6 +581,14 @@ class TestStudyValidation:
             f"error: argument --seeds: seeds must be non-negative, got {argv[2]!r}"
         )
         assert not (tmp_path / "x.csv").exists()
+
+    @pytest.mark.parametrize("command", ["stall-curve", "first-moment"])
+    def test_negative_stream_seed_is_one_line_error(self, command, capsys, tmp_path):
+        # it once failed in numpy as "error: expected non-negative integer"
+        argv = [command, "--seed=-1", "--steps", "2", "--dim", "8"]
+        assert main(argv + ["--out", str(tmp_path / "x")]) == 1
+        assert capsys.readouterr().err == "error: seed must be an integer >= 0, got -1\n"
+        assert not list(tmp_path.iterdir())
 
     @pytest.mark.parametrize("argv,message", [
         (["reset-study", "--format", "fp4,fp4", *STUDY],

@@ -1,5 +1,7 @@
 """Experiment-driver tests: reproducibility, scale invariance, orderings."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,7 @@ from emastall.simlab import (
     default_ema_config,
     moment_configs,
     run_first_moment_curve,
+    run_reset_cells,
     run_reset_study,
     run_reset_training,
     run_skip_study,
@@ -35,6 +38,9 @@ BAD_STREAM_FIELDS = [
     {"kind": "piecewise", "schedule": ((0, 1.0),)},
     {"kind": "piecewise", "schedule": ((-2, 1.0), (5, 2.0))},
     {"kind": "piecewise", "schedule": ((2.5, 1.0),)},
+    {"seed": -1},
+    {"seed": 1.5},
+    {"seed": True},
 ]
 
 
@@ -76,7 +82,7 @@ class TestGradientStream:
         # each once passed, to give non-finite draws or a sign-flipped stream
         for fields in BAD_STREAM_FIELDS:
             with pytest.raises(ValueError) as exc:
-                GradientStreamSpec(dimension=4, seed=0, **fields)
+                GradientStreamSpec(**{"dimension": 4, "seed": 0, **fields})
             assert "\n" not in str(exc.value), fields
 
 
@@ -263,6 +269,36 @@ class TestResetStudy:
             run_reset_study(prob, [(c, cm, cv) for c in configs],
                             [(p, ResetPolicy.none()) for p in policies],
                             2, (0, 1, 2), HYPER)
+
+
+@pytest.mark.parametrize("steps,seeds,message", [
+    (10.5, (0, 1, 2), "steps must be an integer >= 1, got 10.5"),
+    (True, (0, 1, 2), "steps must be an integer >= 1, got True"),
+    (0, (0, 1, 2), "steps must be an integer >= 1, got 0"),
+    (5, (0, -1, 2), "seeds must be integers >= 0, got -1"),
+    (5, (0, 1.0, 2), "seeds must be integers >= 0, got 1.0"),
+    (5, (0, False, 2), "seeds must be integers >= 0, got False"),
+    (5, (), "at least one seed is required"),
+], ids=["float-steps", "bool-steps", "zero-steps", "negative-seed", "float-seed",
+        "bool-seed", "no-seeds"])
+def test_bad_study_inputs_name_the_field(steps, seeds, message):
+    # a float step count once failed as a TypeError, and a negative seed as
+    # numpy's "expected non-negative integer"
+    prob = NoisyQuadratic(dimension=8)
+    cm, cv = moment_configs("fp4", HYPER)
+    calls = [
+        lambda: run_reset_cells(prob, [(cm, cv)], [ResetPolicy.none()], steps, seeds,
+                                HYPER),
+        lambda: run_reset_study(prob, [("x", cm, cv)], [("none", ResetPolicy.none())],
+                                steps, seeds, HYPER),
+        lambda: run_skip_study(prob, (0.0, 0.5), "first", steps, seeds, HYPER),
+    ]
+    if seeds:  # the middle seed carries any bad value
+        calls.append(lambda: run_reset_training(prob, cm, cv, ResetPolicy.none(), steps,
+                                                seeds[1], HYPER))
+    for call in calls:
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            call()
 
 
 class TestProblems:

@@ -1,10 +1,11 @@
 """The batched studies against the per-cell loops they replaced.
 
 ``engine_oracle`` keeps the single-state engine and the per-cell training
-loops verbatim. The studies below train every cell of every storage config
-in one lockstep loop; their final losses, and their stall traces, must
-equal the oracle's bit for bit (``==`` on floats). Each multi-config call
-must also equal the one-config calls it combines.
+loops verbatim, and ``lockstep_oracle`` the per-config lockstep loop that
+the fused study step replaced. The studies below train every cell of every
+storage config in one fused loop; their final losses, and their stall
+traces, must equal the oracles' bit for bit (``==`` on floats). Each
+multi-config call must also equal the one-config calls it combines.
 """
 
 import numpy as np
@@ -13,10 +14,12 @@ import pytest
 from emastall import engine
 from emastall.engine import AdamHyper, ResetPolicy
 from emastall.formats import RoundingMode
+from emastall.theory import remaining_error_E, remaining_error_table
 from emastall.simlab import (
     GradientStreamSpec,
     NoisyQuadratic,
     SynthLogistic,
+    _Skips,
     _train_rows,
     default_ema_config,
     moment_configs,
@@ -31,6 +34,7 @@ from emastall.simlab import (
 )
 
 import engine_oracle as oracle
+import lockstep_oracle
 
 HYPER = AdamHyper(lr=0.01)
 SEEDS = (0, 1, 2)
@@ -168,31 +172,152 @@ def test_many_mixed_adaptive_rows_equal_per_cell_runs():
 
 
 def test_reset_rows_equal_the_per_state_rule():
-    # one call over a batch whose rows mix rules, cycle counts (k = 0 among
-    # them), accumulated excess and fractions, against the scalar rule per row
+    # one call over a two-config stack whose rows mix rules, cycle counts
+    # (k = 0 among them), accumulated excess and fractions, against the
+    # scalar rule per row
     rng = np.random.default_rng(3)
     policies = (MIXED_ADAPTIVE + [ResetPolicy.none(), ResetPolicy.periodic(4)]) * 3
     rows, dim = len(policies), 6
     config = engine.EmaConfig(beta=HYPER.beta2, format=None)
-    batch = engine.EmaState.initialize(config, dim, rows)
-    k = rng.integers(0, 6, rows)
-    k[::7] = 0
-    excess = np.where(k > 0, rng.uniform(0.0, 3.0, rows), 0.0)
-    batch = engine.EmaState(rng.standard_normal((rows, dim)), k, config, excess)
-    fractions = rng.uniform(0.0, 1.0, rows)
+    batches = []
+    for _ in range(2):
+        k = rng.integers(0, 6, rows)
+        k[::7] = 0
+        excess = np.where(k > 0, rng.uniform(0.0, 3.0, rows), 0.0)
+        batches.append(engine.EmaState(rng.standard_normal((rows, dim)), k, config,
+                                       excess))
+    fractions = rng.uniform(0.0, 1.0, (2, rows))
     for moment in ("first", "second"):
-        got, reset = engine.reset_rows(batch, engine.ResetRows(policies, moment),
-                                       fractions)
-        for r, policy in enumerate(policies):
-            if policy.applies_to not in (moment, "both"):
-                policy = ResetPolicy.none()
-            state = oracle.OracleState(batch.stored[r], int(k[r]), config,
-                                       float(excess[r]))
-            want, did = oracle.apply_reset_policy(state, policy, float(fractions[r]))
-            assert (bool(reset[r]), int(got.k[r])) == (did, want.k), r
-            assert float(got.excess[r]) == want.excess, r
-            assert got.stored[r].tolist() == want.values().tolist(), r
+        stack = engine.StateStack(batches, [None, None])
+        reset = engine.reset_rows(stack, engine.ResetRows(policies, moment, 5),
+                                  fractions)
+        for c, batch in enumerate(batches):
+            got = stack.state(c)
+            for r, policy in enumerate(policies):
+                if policy.applies_to not in (moment, "both"):
+                    policy = ResetPolicy.none()
+                state = oracle.OracleState(batch.stored[r], int(batch.k[r]), config,
+                                           float(batch.excess[r]))
+                want, did = oracle.apply_reset_policy(state, policy,
+                                                      float(fractions[c, r]))
+                assert (bool(reset[c, r]), int(got.k[r])) == (did, want.k), (c, r)
+                assert float(got.excess[r]) == want.excess, (c, r)
+                assert got.stored[r].tolist() == want.values().tolist(), (c, r)
         assert reset.any() and not reset.all()
+
+
+def _assert_cells_equal_per_cell_runs(problem, configs, policies, steps, seeds,
+                                      got):
+    for c, (cfg_m, cfg_v) in enumerate(configs):
+        for i, seed in enumerate(seeds):
+            for j, policy in enumerate(policies):
+                want = oracle.run_reset_training(problem, cfg_m, cfg_v, policy,
+                                                 steps, seed, HYPER)
+                assert got[c, i, j] == want["final_loss"], (c, i, j)
+
+
+def test_non_contiguous_storage_groups_equal_per_cell_runs():
+    # fp4's group holds stack places 0 and 2, bf16's holds 3 (sr) and 4
+    # (nr), so no group is a contiguous nearest-first slice
+    order = [("fp4", NR), (None, NR), ("fp4", SR), ("bf16", SR), ("bf16", NR)]
+    configs = [_moments(fmt, r) for fmt, r in order]
+    policies = [ResetPolicy.none(), ResetPolicy.periodic(25),
+                ResetPolicy.adaptive(HYPER.beta2, s0=0.0, p_ss=0.25)]
+    got = run_reset_cells(PROBLEM, configs, policies, 80, SEEDS, HYPER)
+    _assert_cells_equal_per_cell_runs(PROBLEM, configs, policies, 80, SEEDS, got)
+
+
+def test_duplicated_stochastic_config_rounds_like_its_run_alone():
+    # two identical fp4_sr entries share one storage group; each draws from
+    # its own streams, so each equals its run alone
+    configs = [_moments("fp4", SR), _moments("fp4", SR)]
+    policies = [ResetPolicy.none(), ResetPolicy.periodic(30)]
+    got = run_reset_cells(PROBLEM, configs, policies, 80, SEEDS, HYPER)
+    alone = run_reset_cells(PROBLEM, configs[:1], policies, 80, SEEDS, HYPER)
+    assert got[0].tolist() == alone[0].tolist() == got[1].tolist()
+    _assert_cells_equal_per_cell_runs(PROBLEM, configs[:1], policies, 80, SEEDS,
+                                      alone)
+
+
+def test_logistic_reset_cells_equal_per_cell_runs():
+    problem = SynthLogistic(n_samples=256)
+    configs = [_moments(None, NR), _moments("fp4", SR), _moments("bf16", NR),
+               _moments("fp4", NR)]
+    policies = [ResetPolicy.none(), ResetPolicy.periodic(20, applies_to="second"),
+                ResetPolicy.adaptive(HYPER.beta2, s0=0.0, p_ss=0.25)]
+    got = run_reset_cells(problem, configs, policies, 60, (0, 4), HYPER)
+    _assert_cells_equal_per_cell_runs(problem, configs, policies, 60, (0, 4), got)
+
+
+# storage pairs for the random grid: the presets' pairs, and pairs whose
+# moments fall into different storage groups and rounding modes
+CONFIG_POOL = [_moments(fmt, r) for _, fmt, r in CONFIGS] + [
+    (default_ema_config("fp8_e4m3", HYPER.beta1, NR),
+     default_ema_config("bf16", HYPER.beta2, SR)),
+    (default_ema_config("bf16", HYPER.beta1, SR),
+     default_ema_config("fp8_e4m3", HYPER.beta2, NR)),
+    (default_ema_config(None, HYPER.beta1),
+     default_ema_config("fp4_e2m2u", HYPER.beta2, SR)),
+]
+
+
+def _random_policy(rng):
+    applies = str(rng.choice(APPLIES))
+    kind = rng.integers(3)
+    if kind == 0:
+        return ResetPolicy.none()
+    if kind == 1:
+        return ResetPolicy.periodic(int(rng.integers(1, 60)), applies_to=applies)
+    return ResetPolicy.adaptive(
+        float(rng.choice([0.9, 0.99, 0.999])), s0=float(rng.uniform(0.0, 0.7)),
+        p_ss=float(rng.uniform(0.2, 1.0)), applies_to=applies,
+    )
+
+
+@pytest.mark.parametrize("case", range(8))
+def test_fused_loop_equals_the_lockstep_loop(case):
+    # a fixed, seeded random grid of config orders, policies, seeds, traces
+    # and skips against the per-config loop the fused step replaced
+    rng = np.random.default_rng([2024, case])
+    problem = SynthLogistic(n_samples=128) if case == 7 else PROBLEM
+    picks = rng.choice(len(CONFIG_POOL), int(rng.integers(2, 7)))
+    configs = [CONFIG_POOL[i] for i in picks]
+    policies = [_random_policy(rng) for _ in range(int(rng.integers(1, 5)))]
+    seeds = tuple(int(s) for s in rng.integers(0, 4, int(rng.integers(1, 4))))
+    steps = int(rng.integers(20, 70))
+    record_trace = bool(case % 2)
+
+    def skips():
+        # a fresh copy per run: _Skips draws from streams of its own
+        if case not in (2, 3):
+            return None
+        rows = len(policies) * len(seeds)
+        return _Skips(str(rng_skip.choice(["first", "second"])),
+                      [0.5] * rows, [s for s in seeds for _ in policies], 5)
+
+    rng_skip = np.random.default_rng(case)
+    got = _train_rows(problem, configs, policies, steps, seeds, HYPER, skips(),
+                      record_trace)
+    rng_skip = np.random.default_rng(case)
+    want = lockstep_oracle.train_rows(problem, configs, policies, steps, seeds,
+                                      HYPER, skips(), record_trace)
+    assert got["final_loss"].tolist() == want["final_loss"].tolist()
+    assert ("traces" in got) == record_trace
+    if record_trace:
+        for got_c, want_c in zip(got["traces"], want["traces"], strict=True):
+            for pair_got, pair_want in zip(got_c, want_c, strict=True):
+                for a, b in zip(pair_got, pair_want):
+                    assert (a.tensor_id, a.fractions, a.cycle_ks, a.reset_flags) == (
+                        b.tensor_id, b.fractions, b.cycle_ks, b.reset_flags)
+
+
+@pytest.mark.parametrize("beta2", [0.99, 0.999, 0.9999])
+def test_remaining_error_table_equals_the_scalar_rule(beta2):
+    steps = 20_000
+    table = remaining_error_table(beta2, steps)
+    assert len(table) == steps + 1 and table[0] == np.inf
+    assert table[1:].tolist() == [remaining_error_E(k, beta2)
+                                  for k in range(1, steps + 1)]
 
 
 @pytest.mark.parametrize("weight_decay", [0.0, 0.01])
