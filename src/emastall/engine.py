@@ -18,13 +18,16 @@ elementwise or a reduction along the last axis, so each row comes out
 bit-identical to the same state stepped on its own. ``ema_step``,
 ``adam_step``, ``apply_reset_policy`` and ``skip_intervention_step`` are
 the single-state forms; ``adam_step`` and ``apply_reset_policy`` run the
-stack path with one config and one row.
+stack path with one config and one row, and ``ema_step`` takes one step of
+``_Stepper``, the in-place single-state store that the curve drivers keep
+per config.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
+import numbers
 from enum import Enum
 from pathlib import Path
 
@@ -36,13 +39,17 @@ from .quantize import (
     QuantizedBlock,
     ScalingScheme,
     _block_absmax,
-    _quantize_unchecked,
+    _layout,
     _scaled,
     dequantize,
     quantize,
     quantize_with_scales,
 )
 from .theory import excess_staleness, remaining_error_table
+
+
+def _is_integer(x) -> bool:
+    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -146,12 +153,14 @@ class RowStreams:
 _QUIET = {"over": "ignore", "invalid": "ignore"}
 
 
-def _proposal(x: np.ndarray, signal: np.ndarray, beta: float) -> np.ndarray:
+def _proposal(
+    x: np.ndarray, signal: np.ndarray, beta: float, out: np.ndarray | None = None
+) -> np.ndarray:
     # the one validation of a write: a NaN, infinite or overflowing signal
     # leaves a non-finite proposal, so storage trusts what passes. Callers
     # run it under _QUIET, so an overflow surfaces as this ValueError rather
     # than as a warning
-    proposal = signal - x
+    proposal = np.subtract(signal, x, out=out)
     proposal *= 1.0 - beta
     proposal += x
     if not np.isfinite(proposal).all():
@@ -159,33 +168,96 @@ def _proposal(x: np.ndarray, signal: np.ndarray, beta: float) -> np.ndarray:
     return proposal
 
 
-def _store(
-    state: EmaState, proposal: np.ndarray, rng
-) -> tuple[EmaState, np.ndarray]:
-    # the stalled fraction as a 0-d array; the proposal comes from
-    # _proposal, which has validated it
-    cfg = state.config
-    if cfg.format is None:
-        stalled = proposal == state.stored
-        new = proposal
-    else:
-        if cfg.freeze_scale:
-            scales = state.stored.scales
-        else:
-            scales = _block_absmax(proposal, cfg.scheme)
-        new = _quantize_unchecked(
-            proposal, cfg.format, cfg.scheme, scales, cfg.rounding, rng
-        )
-        # code-only comparison: the stored-bit-pattern convention
-        stalled = state.stored.codes == new.codes
-    # an exact count over dim, the same bits as the mean of the flags
-    frac = stalled.sum(axis=-1) / stalled.shape[-1]
-    return EmaState(new, state.k + 1, cfg, state.excess), frac
-
-
 def _require_single(*states: EmaState) -> None:
     if any(np.ndim(state.k) for state in states):
         raise ValueError("a batch of states steps through adam_lockstep and reset_rows")
+
+
+class _Stepper:
+    """One EMA state stepped in place: the single-state store path.
+
+    Built from a copy of a single state, it holds the stored codes and
+    scales (the values themselves at full precision), the decoded values
+    and its work buffers; the config's rounding grid and block layout are
+    looked up once, and a frozen scale is broadcast once. ``step`` writes
+    one validated ``(dim,)`` signal through those buffers and returns the
+    stalled count: stored codes unchanged by the write (the
+    stored-bit-pattern convention), or values unchanged at full precision.
+    Callers step under ``_QUIET``. Stochastic rounding draws one uniform
+    per element per step from rng.
+    """
+
+    def __init__(self, state: EmaState, rng):
+        cfg = self.config = state.config
+        self.rng, self.k, self.excess = rng, state.k, state.excess
+        self.values = state.values()
+        dim = self.values.shape[-1]
+        self.proposal = np.empty(dim)
+        self.flags = np.empty(dim, dtype=bool)
+        if cfg.format is None:
+            return
+        self.grid = _normalized_grid(cfg.format)
+        self.codes = state.stored.codes.copy()
+        self.starts, lengths = _layout(cfg.scheme, dim)
+        self.w, self.mag = np.empty(dim), np.empty(dim)
+        # the scales broadcast against the values: a single block's scale
+        # broadcasts as it is, several are gathered per element
+        self.block_of = self.rep = None
+        if len(self.starts) > 1:
+            self.block_of = np.repeat(np.arange(len(self.starts)), lengths)
+            self.rep = np.empty(dim)
+        self._set_scales(state.stored.scales.copy())
+
+    def _set_scales(self, scales: np.ndarray) -> None:
+        self.scales = scales
+        if self.block_of is None:
+            self.rep = scales
+        else:
+            # a take into out buffers it unless the mode skips the bounds
+            # check; the indices are valid by construction
+            scales.take(self.block_of, out=self.rep, mode="clip")
+        self.positive = scales.min() > 0
+
+    def step(self, signal: np.ndarray) -> int:
+        cfg, x = self.config, self.values
+        p = _proposal(x, signal, cfg.beta, self.proposal)
+        self.k += 1
+        if cfg.format is None:
+            stalled = np.count_nonzero(np.equal(p, x, out=self.flags))
+            self.values, self.proposal = p, x
+            return stalled
+        if not cfg.freeze_scale:
+            # _block_absmax over the fixed layout
+            self._set_scales(np.maximum.reduceat(np.abs(p, out=self.mag), self.starts))
+        # _scaled: a zero-scale block maps to zeros
+        w = self.w
+        if self.positive:
+            np.divide(p, self.rep, out=w)
+        else:
+            w.fill(0.0)
+            np.divide(p, self.rep, out=w, where=self.rep > 0)
+        grid = self.grid
+        mag = grid.magnitude(w, out=self.mag)
+        if cfg.rounding is RoundingMode.NEAREST_EVEN:
+            idx = grid.nearest_idx(mag)
+        elif self.rng is None:
+            raise ValueError("stochastic rounding requires an rng stream")
+        else:
+            idx = grid.stochastic_idx(mag, self.rng)
+        codes = grid.signed(w, idx)
+        stalled = np.count_nonzero(np.equal(codes, self.codes, out=self.flags))
+        self.codes = codes
+        # the exact decoded values, as dequantize reads them
+        grid.decoded.take(codes, out=x, mode="clip")
+        x *= self.rep
+        return stalled
+
+    def state(self) -> EmaState:
+        """The stepped state; it shares the stepper's arrays."""
+        cfg = self.config
+        stored = self.values if cfg.format is None else QuantizedBlock(
+            self.codes, self.scales, cfg.format, cfg.scheme)
+        return EmaState(stored, self.k, cfg, self.excess)
 
 
 def ema_step(
@@ -197,17 +269,17 @@ def ema_step(
 
     The fraction compares stored codes before and after the write (the
     stored-bit-pattern convention); per-step scale recomputation does not
-    count as movement on its own.
+    count as movement on its own. The input state is left untouched.
     """
     _require_single(state)
     signal = np.asarray(signal, dtype=np.float64)
-    x = state.stored if state.config.format is None else dequantize(state.stored)
-    if signal.shape != x.shape:
+    if signal.shape != state.stored.shape:
         raise ValueError("signal shape does not match state")
+    stepper = _Stepper(state, rng)
     with np.errstate(**_QUIET):
-        proposal = _proposal(x, signal, state.config.beta)
-    new, frac = _store(state, proposal, rng)
-    return new, float(frac)
+        stalled = stepper.step(signal)
+    # an exact count over dim, the same bits as the mean of the flags
+    return stepper.state(), stalled / len(signal)
 
 
 def skip_intervention_step(
@@ -384,13 +456,17 @@ class ResetPolicy:
     def __post_init__(self) -> None:
         if self.applies_to not in ("first", "second", "both"):
             raise ValueError("applies_to must be first, second or both")
-        if self.kind is ResetKind.PERIODIC and (self.K is None or self.K < 1):
-            raise ValueError("PERIODIC needs K >= 1")
+        periodic = self.kind is ResetKind.PERIODIC
+        if periodic and not (_is_integer(self.K) and self.K >= 1):
+            raise ValueError(f"PERIODIC needs an integer K >= 1, got {self.K!r}")
         if self.kind is ResetKind.ADAPTIVE:
             if self.beta2 is None or not 0.0 < self.beta2 < 1.0:
                 raise ValueError("ADAPTIVE needs beta2 in (0, 1)")
-            if not 0.0 <= self.s0 < 1.0 or self.p_ss <= 0.0:
-                raise ValueError("ADAPTIVE needs s0 in [0, 1) and p_ss > 0")
+            if not 0.0 <= self.s0 < 1.0:
+                raise ValueError("ADAPTIVE needs s0 in [0, 1)")
+            if not (math.isfinite(self.p_ss) and self.p_ss > 0.0):
+                raise ValueError(
+                    f"ADAPTIVE needs a positive, finite p_ss, got {self.p_ss!r}")
 
     @classmethod
     def none(cls) -> "ResetPolicy":

@@ -228,11 +228,11 @@ class RoundingGrid:
         lo += rng.random(mag.shape) < frac
         return lo
 
-    def magnitude(self, x: np.ndarray) -> np.ndarray:
+    def magnitude(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """The magnitudes the rank kernels take: |x|, or x clamped at 0 for
         unsigned formats, whose nearest point to a negative input is the
-        bottom of the grid."""
-        return np.abs(x) if self.fmt.sign_bits else np.maximum(x, 0.0)
+        bottom of the grid; written into out if given."""
+        return np.abs(x, out=out) if self.fmt.sign_bits else np.maximum(x, 0.0, out=out)
 
     def signed(self, x: np.ndarray, idx: np.ndarray) -> np.ndarray:
         """Full codes from the grid indices of x's magnitudes and the signs

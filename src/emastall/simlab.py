@@ -62,8 +62,9 @@ from .engine import (
     StallTrace,
     StateStack,
     _QUIET,
+    _Stepper,
+    _is_integer,
     adam_lockstep,
-    ema_step,
     reset_rows,
 )
 from .formats import RoundingMode, get_format
@@ -83,10 +84,6 @@ _KEY_GRAD = 12
 _KEY_ROUND = 13
 _KEY_TARGET = 14
 _KEY_PROBLEM = 15
-
-
-def _is_integer(x) -> bool:
-    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -115,8 +112,9 @@ class GradientStreamSpec:
         # negative seed
         if not (_is_integer(self.seed) and self.seed >= 0):
             raise ValueError(f"seed must be an integer >= 0, got {self.seed!r}")
-        if self.dimension < 1:
-            raise ValueError("dimension must be >= 1")
+        if not (_is_integer(self.dimension) and self.dimension >= 1):
+            raise ValueError(
+                f"dimension must be an integer >= 1, got {self.dimension!r}")
         if not math.isfinite(self.mu):
             raise ValueError("mu must be finite")
         if not (math.isfinite(self.sigma) and self.sigma > 0):
@@ -552,27 +550,32 @@ def _curve_results(
     # per-step stalled fraction averaged over trials, for an EMA of the
     # stream (of its square for a second moment) under each config, with
     # the measured floor (step 1) and the last-decile mean under
-    # steady_key. The configs step in lockstep over one draw per step; each
-    # rounds with its own stream, seeded as a config run alone seeds it
+    # steady_key. The configs step in lockstep over one draw per step, each
+    # in its own in-place stepper; each rounds with its own stream, seeded
+    # as a config run alone seeds it
     if steps < 1 or trials < 1:
         raise ValueError("steps and trials must be >= 1")
     if not emas:
         raise ValueError("at least one EMA config is required")
     t0 = time.perf_counter()
+    dim = stream.dimension
     acc = np.zeros((len(emas), steps))
+    counts = np.empty((len(emas), steps), dtype=np.int64)
     with contextlib.closing(
         _signal_rows(stream, steps, trials, second_moment)
-    ) as signals:
+    ) as signals, np.errstate(**_QUIET):
         for trial in range(trials):
-            rngs = [
-                np.random.default_rng([stream.seed, trial, _KEY_ROUND]) for _ in emas
+            steppers = [
+                _Stepper(EmaState.initialize(ema, dim),
+                         np.random.default_rng([stream.seed, trial, _KEY_ROUND]))
+                for ema in emas
             ]
-            states = [EmaState.initialize(ema, stream.dimension) for ema in emas]
             for t in range(steps):
                 signal = next(signals)
-                for c, rng in enumerate(rngs):
-                    states[c], frac = ema_step(states[c], signal, rng)
-                    acc[c, t] += frac
+                for c, stepper in enumerate(steppers):
+                    counts[c, t] = stepper.step(signal)
+            # an exact count over dim, the same bits as the mean of the flags
+            acc += counts / dim
     mean_frac = acc / trials
     wall_time = time.perf_counter() - t0
     return [

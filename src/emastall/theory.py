@@ -154,10 +154,15 @@ def rhohat_value(epsilon: float, beta2: float) -> float:
     return epsilon / (2.0 * (1.0 - beta2) * MBAR)
 
 
+def _check_rho(rho: float) -> None:
+    # an infinite rhohat would send the SR integral over an infinite interval
+    if not (math.isfinite(rho) and rho > 0):
+        raise ValueError(f"rhohat must be positive and finite, got {rho!r}")
+
+
 def p_stall_nr_ss(rho: float) -> float:
     """Steady-state one-step stall probability under nearest rounding."""
-    if rho <= 0:
-        raise ValueError("rhohat must be positive")
+    _check_rho(rho)
     return chi2_1_cdf(1.0 + rho) - chi2_1_cdf(max(0.0, 1.0 - rho))
 
 
@@ -167,9 +172,10 @@ def p_stall_sr_ss(rho: float, tol: float = 1e-9) -> float:
     Expectation of the soft gate max(0, 1 - |z-1| / (2 rho)) over z ~ chi2_1,
     integrated adaptively after the substitution z = y^2 (which removes the
     density's singularity at zero). Pieces are split at the gate's kink.
+    The quadrature error can carry the sum past 1 as rhohat grows; the
+    result is capped there.
     """
-    if rho <= 0:
-        raise ValueError("rhohat must be positive")
+    _check_rho(rho)
     y_lo = math.sqrt(max(0.0, 1.0 - 2.0 * rho))
     y_hi = math.sqrt(1.0 + 2.0 * rho)
 
@@ -178,7 +184,7 @@ def p_stall_sr_ss(rho: float, tol: float = 1e-9) -> float:
 
     left = _adaptive_simpson(integrand, y_lo, 1.0, tol / 4.0)
     right = _adaptive_simpson(integrand, 1.0, y_hi, tol / 4.0)
-    return 2.0 * (left + right)
+    return min(1.0, 2.0 * (left + right))
 
 
 def p_stall_sr_large_rho(rho: float) -> float:
@@ -194,8 +200,7 @@ def p_stall_nr_transient(j: int, beta2: float, rho: float) -> float:
     """
     if j < 0:
         raise ValueError("j must be >= 0")
-    if rho <= 0:
-        raise ValueError("rhohat must be positive")
+    _check_rho(rho)
     ph = -math.expm1(j * math.log(beta2))
     return chi2_1_cdf(ph * (1.0 + rho)) - chi2_1_cdf(max(0.0, ph * (1.0 - rho)))
 

@@ -4,16 +4,19 @@
 ring: one ``standard_normal(dim)`` call per step, scaled as
 ``factor * scales * (mu + xi)``. ``curve_fractions`` is the old
 ``simlab._curve_results`` loop: per trial, one draw per step, squared for a
-second moment, and one ``engine.ema_step`` per config. The curve drivers
-must reproduce its per-step stalled fractions bit for bit.
+second moment, and one single-state step per config, taken by the frozen
+reference engine (``engine_oracle.ema_step`` on an ``OracleState``), so the
+oracle shares no store code with the drivers. The curve drivers must
+reproduce its per-step stalled fractions bit for bit.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from emastall.engine import EmaState, ema_step
 from emastall.simlab import _KEY_GRAD, _KEY_ROUND, _KEY_SCALES
+
+from engine_oracle import OracleState, ema_step
 
 
 class OracleStream:
@@ -48,7 +51,7 @@ def curve_fractions(stream, emas, steps, trials, second_moment):
     for trial in range(trials):
         gs = OracleStream(stream, trial)
         rngs = [np.random.default_rng([stream.seed, trial, _KEY_ROUND]) for _ in emas]
-        states = [EmaState.initialize(ema, stream.dimension) for ema in emas]
+        states = [OracleState.initialize(ema, stream.dimension) for ema in emas]
         for t in range(steps):
             g = gs.draw()
             signal = g * g if second_moment else g

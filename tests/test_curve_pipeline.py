@@ -1,14 +1,15 @@
 """The curve drivers' producer ring against the step loop it replaced.
 
 ``curve_oracle`` keeps the old loop: one ``standard_normal(dim)`` draw per
-step, squared for a second moment, and one ``ema_step`` per config. The
-drivers now take each step's signal from the generator
+step, squared for a second moment, and one reference-engine ``ema_step``
+per config. The drivers now take each step's signal from the generator
 ``simlab._signal_rows``, whose producer thread fills a ring of chunks ahead
-of the caller; the signal rows and every curve must equal the oracle's bit
-for bit (``==`` on floats), over chunk layouts that put schedule boundaries
-inside chunks and end trials on short chunks. The lifecycle tests check
-that no producer thread outlives a call and that errors from either thread
-reach the caller.
+of the caller, and step each config in its own in-place stepper; the
+signal rows and every curve must equal the oracle's bit for bit (``==`` on
+floats), for every preset and rounding mode, custom formats and one to
+three trials, over chunk layouts that put schedule boundaries inside chunks
+and end trials on short chunks. The lifecycle tests check that no producer
+thread outlives a call and that errors from either thread reach the caller.
 """
 
 import contextlib
@@ -21,8 +22,10 @@ import warnings
 import numpy as np
 import pytest
 
-from emastall import simlab
-from emastall.formats import PRESETS, RoundingMode
+from emastall import engine, simlab
+from emastall.engine import EmaConfig
+from emastall.formats import PRESETS, FpFormat, RoundingMode
+from emastall.quantize import ScalingMode, ScalingScheme
 from emastall.simlab import (
     GradientStream,
     GradientStreamSpec,
@@ -67,12 +70,25 @@ def _spec(dim, stream):
     return GradientStreamSpec(dimension=dim, seed=5, **STREAMS[stream])
 
 
+# custom formats: a signed E3M2 whose 16-element block scales follow the
+# proposal, and an unsigned E2M3 without zero or subnormals under frozen
+# 16-element block anchors, which saturate
+E3M2 = FpFormat("e3m2", 1, 3, 2, 3)
+E2M3U = FpFormat("e2m3u", 0, 2, 3, 1, has_subnormals=False, exclude_zero=True)
+BLOCK16 = ScalingScheme(ScalingMode.BLOCKWISE, 16)
+
+
 def _emas(second_moment):
+    # every preset under both rounding modes (an unsigned one clamps a
+    # signed first moment at its bottom point), the custom formats and the
+    # full-precision control
     beta = 0.99 if second_moment else 0.9
-    names = [n for n in PRESETS if second_moment or PRESETS[n].sign_bits]
-    return [default_ema_config(n, beta, r) for n in names for r in (NR, SR)] + [
-        default_ema_config(None, beta)
-    ]
+    return [default_ema_config(n, beta, r) for n in PRESETS for r in (NR, SR)] + [
+        EmaConfig(beta, E3M2, BLOCK16, r) for r in (NR, SR)
+    ] + [
+        EmaConfig(beta, E2M3U, BLOCK16, r, freeze_scale=True, init_scale=2.0)
+        for r in (NR, SR)
+    ] + [default_ema_config(None, beta)]
 
 
 def _bounded(fn, *args, **kwargs):
@@ -160,22 +176,46 @@ def test_ring_rows_equal_step_by_step_draws(dim, ring, steps, stream, second_mom
     assert _bounded(rows) == want
 
 
-@pytest.mark.parametrize("driver,second_moment", [
+DRIVERS = pytest.mark.parametrize("driver,second_moment", [
     (run_stall_curves, True),
     (run_first_moment_curves, False),
 ], ids=["stall", "first-moment"])
+
+
+def _check_curves(dim, ring, steps, stream, driver, second_moment, trials, monkeypatch):
+    # every config in one multi-format call
+    if ring is not None:
+        monkeypatch.setattr(simlab, "_RING_BYTES", ring)
+    spec, emas = _spec(dim, stream), _emas(second_moment)
+    results = _bounded(driver, spec, emas, steps, trials=trials)
+    want = oracle.curve_fractions(spec, emas, steps, trials, second_moment)
+    for result, fracs in zip(results, want):
+        assert result.series["stalled_fraction"] == fracs.tolist()
+        assert result.metrics["measured_floor"] == fracs[0]
+
+
+@DRIVERS
 @pytest.mark.parametrize("stream", list(STREAMS))
 @pytest.mark.parametrize("dim,ring,steps", LAYOUTS, ids=LAYOUT_IDS)
 def test_curves_equal_oracle(dim, ring, steps, stream, driver, second_moment,
                              monkeypatch):
-    if ring is not None:
-        monkeypatch.setattr(simlab, "_RING_BYTES", ring)
-    spec, emas = _spec(dim, stream), _emas(second_moment)
-    results = _bounded(driver, spec, emas, steps, trials=2)
-    want = oracle.curve_fractions(spec, emas, steps, 2, second_moment)
-    for result, fracs in zip(results, want):
-        assert result.series["stalled_fraction"] == fracs.tolist()
-        assert result.metrics["measured_floor"] == fracs[0]
+    _check_curves(dim, ring, steps, stream, driver, second_moment, 2, monkeypatch)
+
+
+# the layouts above but the 515-step one, whose trials run long
+SHORT = [(layout, i) for layout, i in zip(LAYOUTS, LAYOUT_IDS) if layout[2] < 100]
+
+
+@pytest.mark.parametrize("trials", [1, 3])
+@DRIVERS
+@pytest.mark.parametrize("stream", list(STREAMS))
+@pytest.mark.parametrize("dim,ring,steps", [layout for layout, _ in SHORT],
+                         ids=[i for _, i in SHORT])
+def test_curves_equal_oracle_over_trials(dim, ring, steps, stream, driver,
+                                         second_moment, trials, monkeypatch):
+    # a trial's steppers start from fresh states and rounding streams
+    _check_curves(dim, ring, steps, stream, driver, second_moment, trials,
+                  monkeypatch)
 
 
 def test_draw_equals_oracle_draw():
@@ -207,7 +247,7 @@ class TestLifecycle:
         # 7, holding chunk 1, the producer has filled chunk 4 and has no
         # free buffer left to wait for
         monkeypatch.setattr(simlab, "_RING_BYTES", 1280)
-        fill, step = GradientStream.fill, simlab.ema_step
+        fill, step = GradientStream.fill, engine._Stepper.step
         fills, steps, ring_full = [], [], threading.Event()
 
         def counted_fill(self, out):
@@ -216,15 +256,15 @@ class TestLifecycle:
                 ring_full.set()
             return fill(self, out)
 
-        def failing_step(*args, **kwargs):
+        def failing_step(self, signal):
             steps.append(1)
             if len(steps) == 7:
                 assert ring_full.wait(JOIN_S)
                 raise ValueError("caller failed")
-            return step(*args, **kwargs)
+            return step(self, signal)
 
         monkeypatch.setattr(GradientStream, "fill", counted_fill)
-        monkeypatch.setattr(simlab, "ema_step", failing_step)
+        monkeypatch.setattr(engine._Stepper, "step", failing_step)
         baseline = threading.active_count()
         with pytest.raises(ValueError, match="caller failed"):
             _bounded(run_stall_curve, _spec(8, "iid"), default_ema_config("bf16", 0.99),

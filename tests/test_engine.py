@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import engine_oracle as oracle
 from gate_sweep import run_gate_sweep
 
 from emastall.engine import (
@@ -14,6 +15,8 @@ from emastall.engine import (
     ResetKind,
     ResetPolicy,
     StallTrace,
+    _QUIET,
+    _Stepper,
     adam_step,
     apply_adam_update,
     apply_reset_policy,
@@ -38,6 +41,19 @@ from emastall.theory import p_stall_nr_ss, remaining_error_E
 
 PER_TENSOR = ScalingScheme(ScalingMode.PER_TENSOR)
 BLOCK128 = ScalingScheme(ScalingMode.BLOCKWISE, 128)
+BLOCK16 = ScalingScheme(ScalingMode.BLOCKWISE, 16)
+NR, SR = RoundingMode.NEAREST_EVEN, RoundingMode.STOCHASTIC
+
+# one config per store path of the stepper: full precision, a frozen single
+# anchor, a recomputed single scale, recomputed block scales and frozen
+# block anchors (an unsigned grid without zero)
+STEP_CONFIGS = {
+    "fp32": lambda r: EmaConfig(0.9, None),
+    "bf16-frozen": lambda r: EmaConfig(0.9, BF16, PER_TENSOR, r, True, BF16.x_max),
+    "fp8-tensor": lambda r: EmaConfig(0.9, FP8_E4M3, PER_TENSOR, r),
+    "fp4-block": lambda r: EmaConfig(0.9, FP4_E2M1, BLOCK16, r),
+    "fp4u-block-frozen": lambda r: EmaConfig(0.9, FP4_E2M2U, BLOCK16, r, True, 2.0),
+}
 
 
 def warm_state(config, dim, seed=0, steps=10):
@@ -195,6 +211,75 @@ class TestEmaStep:
         assert f1 == f2
 
 
+def _arrays(state):
+    stored = state.stored
+    return [stored] if state.config.format is None else [stored.codes, stored.scales]
+
+
+class TestStepper:
+    @pytest.mark.parametrize("rounding", [NR, SR], ids=["nr", "sr"])
+    @pytest.mark.parametrize("name", list(STEP_CONFIGS))
+    def test_ema_step_leaves_the_input_state_untouched(self, name, rounding):
+        config = STEP_CONFIGS[name](rounding)
+        rng = np.random.default_rng(3)
+        state = EmaState.initialize(config, 40)
+        for _ in range(3):
+            state, _ = ema_step(state, rng.standard_normal(40), rng)
+        before = [a.copy() for a in _arrays(state)]
+        new, _ = ema_step(state, 5.0 * rng.standard_normal(40), rng)
+        assert (state.k, state.excess) == (3, 0.0)
+        for old, kept, out in zip(_arrays(state), before, _arrays(new)):
+            assert np.array_equal(old, kept)
+            assert not np.shares_memory(old, out)
+
+    @staticmethod
+    def _signals():
+        # zero-scale blocks included: the first signals leave blocks 0 and 2
+        # all zero (every block, and so the single scale, at first), and the
+        # last ones drive the state back towards zero
+        sig_rng = np.random.default_rng(8)
+        signals = [np.zeros(64)]
+        for t in range(12):
+            g = sig_rng.standard_normal(64) * np.exp2(sig_rng.random(64))
+            if t < 4:
+                g[:16] = g[32:48] = 0.0
+            signals.append(g)
+        return signals + [np.zeros(64)] * 3
+
+    @pytest.mark.parametrize("kept", [False, True], ids=["ema_step", "kept-stepper"])
+    @pytest.mark.parametrize("rounding", [NR, SR], ids=["nr", "sr"])
+    @pytest.mark.parametrize("name", list(STEP_CONFIGS))
+    def test_steps_equal_the_reference_engine(self, name, rounding, kept):
+        # ema_step, or one stepper kept across steps as the curve drivers
+        # keep it, with its work buffers poisoned first: no step may read
+        # what an earlier one left there
+        config = STEP_CONFIGS[name](rounding)
+        rng, ref_rng = np.random.default_rng(9), np.random.default_rng(9)
+        state = EmaState.initialize(config, 64)
+        ref = oracle.OracleState.initialize(config, 64)
+        stepper = _Stepper(state, rng)
+        for buf in (stepper.proposal, getattr(stepper, "w", None)):
+            if buf is not None:
+                buf.fill(np.nan)
+        zero_scales = 0
+        for signal in self._signals():
+            if kept:
+                with np.errstate(**_QUIET):
+                    frac = stepper.step(signal) / 64
+                state = stepper.state()
+            else:
+                state, frac = ema_step(state, signal, rng)
+            ref, ref_frac = oracle.ema_step(ref, signal, ref_rng)
+            assert frac == ref_frac
+            assert state.k == ref.k
+            for got, want in zip(_arrays(state), _arrays(ref)):
+                assert np.array_equal(got, want)
+            if config.format is not None:
+                zero_scales += int((state.stored.scales == 0).sum())
+        if config.format is not None and not config.freeze_scale:
+            assert zero_scales > 0
+
+
 class TestGateEquivalence:
     def test_exhaustive_fp4_sweep(self):
         checked, mismatches = run_gate_sweep(FP4_E2M2U)
@@ -347,6 +432,21 @@ class TestResetPolicies:
             ResetPolicy(ResetKind.ADAPTIVE)
         with pytest.raises(ValueError):
             ResetPolicy.periodic(5, applies_to="third")
+
+    @pytest.mark.parametrize("K", [2.5, 5.0, True, math.inf, 0, -3, "5"])
+    def test_periodic_needs_an_integer_period(self, K):
+        # periodic(2.5) once reset every 3 steps under the label periodic2.5
+        with pytest.raises(ValueError, match="^PERIODIC needs an integer K >= 1") as exc:
+            ResetPolicy.periodic(K)
+        assert "\n" not in str(exc.value)
+
+    def test_periodic_takes_numpy_integers(self):
+        assert ResetPolicy.periodic(np.int64(7)).K == 7
+
+    @pytest.mark.parametrize("p_ss", [math.nan, math.inf, 0.0, -0.5])
+    def test_adaptive_needs_a_positive_finite_p_ss(self, p_ss):
+        with pytest.raises(ValueError, match="^ADAPTIVE needs a positive, finite p_ss"):
+            ResetPolicy.adaptive(0.999, p_ss=p_ss)
 
 
 @pytest.mark.parametrize("field,value", [

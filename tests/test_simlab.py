@@ -38,6 +38,9 @@ BAD_STREAM_FIELDS = [
     {"kind": "piecewise", "schedule": ((0, 1.0),)},
     {"kind": "piecewise", "schedule": ((-2, 1.0), (5, 2.0))},
     {"kind": "piecewise", "schedule": ((2.5, 1.0),)},
+    {"dimension": True},
+    {"dimension": 2.0},
+    {"dimension": 0},
     {"seed": -1},
     {"seed": 1.5},
     {"seed": True},
@@ -84,6 +87,12 @@ class TestGradientStream:
             with pytest.raises(ValueError) as exc:
                 GradientStreamSpec(**{"dimension": 4, "seed": 0, **fields})
             assert "\n" not in str(exc.value), fields
+
+    @pytest.mark.parametrize("dim", [True, 2.0, 0, -1])
+    def test_dimension_must_be_an_integer_at_least_one(self, dim):
+        # dimension=True once gave a one-coordinate stream
+        with pytest.raises(ValueError, match="^dimension must be an integer >= 1"):
+            GradientStreamSpec(dimension=dim, seed=0)
 
 
 class TestStallCurve:

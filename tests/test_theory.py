@@ -235,6 +235,38 @@ class TestSrSteadyState:
             assert p_stall_sr_ss(rho) <= p_stall_nr_ss(rho)
 
 
+class TestNonFiniteRho:
+    @pytest.mark.parametrize("rho", [math.inf, math.nan, -math.inf, 0.0, -1.0])
+    @pytest.mark.parametrize("predictor", [
+        p_stall_nr_ss,
+        p_stall_sr_ss,
+        lambda rho: p_stall_nr_transient(10, B2, rho),
+    ], ids=["nr_ss", "sr_ss", "nr_transient"])
+    def test_rejected(self, predictor, rho):
+        # an infinite rhohat sent the SR integral into endless recursion, and
+        # NaN came back as a NaN probability
+        with pytest.raises(ValueError, match="^rhohat must be positive and finite"):
+            predictor(rho)
+
+
+class TestSrCap:
+    @pytest.mark.parametrize("fmt", [BF16, FP8_E4M3, FP4_E2M2U], ids=lambda f: f.name)
+    def test_at_most_one_as_beta2_approaches_one(self, fmt):
+        # the quadrature once returned 1.0000000000000062 here for bf16
+        rho = rhohat_value(fmt.epsilon, 0.9999999999999999)
+        assert p_stall_sr_ss(rho) == 1.0
+
+    def test_cap_leaves_the_sweep_range_alone(self):
+        # the cap binds only past the quadrature's error: across beta2 in
+        # [0.99, 0.9999] every value is below 1 and tracks the closed form
+        for fmt in (BF16, FP8_E4M3, FP4_E2M2U):
+            for b2 in np.linspace(0.99, 0.9999, 20):
+                rho = rhohat_value(fmt.epsilon, float(b2))
+                p = p_stall_sr_ss(rho)
+                assert p < 1.0
+                assert abs(p - sr_closed_form_oracle(rho)) < 1e-6
+
+
 class TestTransient:
     def test_zero_steps(self):
         assert p_stall_nr_transient(0, B2, RHO_BF16) == 0.0
