@@ -18,17 +18,20 @@ elementwise or a reduction along the last axis, so each row comes out
 bit-identical to the same state stepped on its own. ``ema_step``,
 ``adam_step``, ``apply_reset_policy`` and ``skip_intervention_step`` are
 the single-state forms; ``adam_step`` and ``apply_reset_policy`` run the
-stack path with one config and one row, and ``ema_step`` takes one step of
-``_Stepper``, the in-place single-state store that the curve drivers keep
-per config.
+stack path with one config and one row.
+
+Every stored state is written by one class, ``_Store``: a storage group of
+a stack is one store of shape ``(members, rows, dim)``, and ``ema_step``
+and the curve drivers write a single state through a ``(dim,)`` store, which
+the curve drivers keep per config across steps.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
-import numbers
 from enum import Enum
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -38,18 +41,13 @@ from .formats import FpFormat, RoundingMode, _normalized_grid
 from .quantize import (
     QuantizedBlock,
     ScalingScheme,
-    _block_absmax,
+    _is_integer,
     _layout,
-    _scaled,
     dequantize,
     quantize,
     quantize_with_scales,
 )
 from .theory import excess_staleness, remaining_error_table
-
-
-def _is_integer(x) -> bool:
-    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -72,6 +70,14 @@ class EmaConfig:
     def __post_init__(self) -> None:
         if not 0.0 < self.beta < 1.0:
             raise ValueError("beta must be in (0, 1)")
+        # a string here would round stochastically (the store tests the
+        # mode by identity) or fail at the first write
+        if self.format is not None and not isinstance(self.format, FpFormat):
+            raise ValueError(f"format must be an FpFormat or None, got {self.format!r}")
+        if not isinstance(self.scheme, ScalingScheme):
+            raise ValueError(f"scheme must be a ScalingScheme, got {self.scheme!r}")
+        if not isinstance(self.rounding, RoundingMode):
+            raise ValueError(f"rounding must be a RoundingMode, got {self.rounding!r}")
         if self.freeze_scale and self.format is not None and self.init_scale is None:
             raise ValueError("freeze_scale needs an init_scale anchor")
         if self.init_scale is not None:
@@ -173,40 +179,52 @@ def _require_single(*states: EmaState) -> None:
         raise ValueError("a batch of states steps through adam_lockstep and reset_rows")
 
 
-class _Stepper:
-    """One EMA state stepped in place: the single-state store path.
+class _Store:
+    """Stored states of one storage layout, written in place: the one store
+    path of the engine.
 
-    Built from a copy of a single state, it holds the stored codes and
-    scales (the values themselves at full precision), the decoded values
-    and its work buffers; the config's rounding grid and block layout are
-    looked up once, and a frozen scale is broadcast once. ``step`` writes
-    one validated ``(dim,)`` signal through those buffers and returns the
-    stalled count: stored codes unchanged by the write (the
-    stored-bit-pattern convention), or values unchanged at full precision.
-    Callers step under ``_QUIET``. Stochastic rounding draws one uniform
-    per element per step from rng.
+    Built from copies of ``states``, whose configs share format, scheme,
+    freeze_scale and init_scale, nearest-rounding ones listed first, it
+    holds ``values``, the states as stored (their exact decoded values), the
+    codes and scales behind them (None at full precision). A single state
+    keeps its ``(dim,)`` shape; batches stack to ``(members, rows, dim)``.
+    The rounding grid and block layout are looked up once, a frozen scale
+    is broadcast once, and the work buffers are reused. The stochastic
+    members draw from their ``streams`` entries (a Generator or a
+    ``RowStreams`` each), merged in member order.
     """
 
-    def __init__(self, state: EmaState, rng):
-        cfg = self.config = state.config
-        self.rng, self.k, self.excess = rng, state.k, state.excess
-        self.values = state.values()
-        dim = self.values.shape[-1]
-        self.proposal = np.empty(dim)
-        self.flags = np.empty(dim, dtype=bool)
+    def __init__(self, states: list, streams: list):
+        cfg = self.config = states[0].config
+        nearest = [s.config.rounding is RoundingMode.NEAREST_EVEN for s in states]
+        # both joins copy; concatenating one array keeps its shape
+        single = np.ndim(states[0].k) == 0
+        join = np.concatenate if single else np.stack
+        self.values = join([s.values() for s in states])
+        self.flags = np.empty(self.values.shape, dtype=bool)
+        # the leading entries that round to nearest: members, or all or none
+        # of a single state's elements
+        self.n_nearest = len(self.values) * nearest[0] if single else sum(nearest)
+        self.codes = self.scales = None
         if cfg.format is None:
             return
+        drawn = [st for st, n in zip(streams, nearest) if not n]
+        self.stream = drawn[0] if len(drawn) == 1 else None
+        if len(drawn) > 1 and None not in drawn:
+            # one stream whose generators are every member's, in member order
+            self.stream = RowStreams([g for st in drawn for g in st.generators],
+                                     drawn[0].rows_per_stream)
         self.grid = _normalized_grid(cfg.format)
-        self.codes = state.stored.codes.copy()
-        self.starts, lengths = _layout(cfg.scheme, dim)
-        self.w, self.mag = np.empty(dim), np.empty(dim)
+        self.codes = join([s.stored.codes for s in states])
+        self.starts, lengths = _layout(cfg.scheme, self.values.shape[-1])
+        self.w, self.mag = np.empty_like(self.values), np.empty_like(self.values)
         # the scales broadcast against the values: a single block's scale
         # broadcasts as it is, several are gathered per element
         self.block_of = self.rep = None
         if len(self.starts) > 1:
             self.block_of = np.repeat(np.arange(len(self.starts)), lengths)
-            self.rep = np.empty(dim)
-        self._set_scales(state.stored.scales.copy())
+            self.rep = np.empty_like(self.values)
+        self._set_scales(join([s.stored.scales for s in states]))
 
     def _set_scales(self, scales: np.ndarray) -> None:
         self.scales = scales
@@ -215,49 +233,73 @@ class _Stepper:
         else:
             # a take into out buffers it unless the mode skips the bounds
             # check; the indices are valid by construction
-            scales.take(self.block_of, out=self.rep, mode="clip")
+            scales.take(self.block_of, axis=-1, out=self.rep, mode="clip")
         self.positive = scales.min() > 0
 
-    def step(self, signal: np.ndarray) -> int:
-        cfg, x = self.config, self.values
-        p = _proposal(x, signal, cfg.beta, self.proposal)
-        self.k += 1
-        if cfg.format is None:
-            stalled = np.count_nonzero(np.equal(p, x, out=self.flags))
-            self.values, self.proposal = p, x
-            return stalled
-        if not cfg.freeze_scale:
+    def store(self, proposal: np.ndarray) -> np.ndarray:
+        """Write a validated proposal of the store's shape; returns the
+        stall flags, a buffer the next write reuses: stored codes unchanged
+        by the write (the stored-bit-pattern convention), or values
+        unchanged at full precision. Callers write under ``_QUIET``."""
+        x, flags = self.values, self.flags
+        if self.codes is None:
+            np.equal(proposal, x, out=flags)
+            np.copyto(x, proposal)
+            return flags
+        if not self.config.freeze_scale:
             # _block_absmax over the fixed layout
-            self._set_scales(np.maximum.reduceat(np.abs(p, out=self.mag), self.starts))
+            self._set_scales(np.maximum.reduceat(
+                np.abs(proposal, out=self.mag), self.starts, axis=-1))
         # _scaled: a zero-scale block maps to zeros
         w = self.w
         if self.positive:
-            np.divide(p, self.rep, out=w)
+            np.divide(proposal, self.rep, out=w)
         else:
             w.fill(0.0)
-            np.divide(p, self.rep, out=w, where=self.rep > 0)
-        grid = self.grid
+            np.divide(proposal, self.rep, out=w, where=self.rep > 0)
+        grid, n = self.grid, self.n_nearest
         mag = grid.magnitude(w, out=self.mag)
-        if cfg.rounding is RoundingMode.NEAREST_EVEN:
+        if n == len(mag):
             idx = grid.nearest_idx(mag)
-        elif self.rng is None:
+        elif self.stream is None:
             raise ValueError("stochastic rounding requires an rng stream")
+        elif n == 0:
+            idx = grid.stochastic_idx(mag, self.stream)
         else:
-            idx = grid.stochastic_idx(mag, self.rng)
+            idx = np.concatenate((grid.nearest_idx(mag[:n]),
+                                  grid.stochastic_idx(mag[n:], self.stream)))
         codes = grid.signed(w, idx)
-        stalled = np.count_nonzero(np.equal(codes, self.codes, out=self.flags))
+        np.equal(codes, self.codes, out=flags)
         self.codes = codes
         # the exact decoded values, as dequantize reads them
         grid.decoded.take(codes, out=x, mode="clip")
         x *= self.rep
-        return stalled
+        return flags
 
-    def state(self) -> EmaState:
-        """The stepped state; it shares the stepper's arrays."""
+    @cached_property
+    def _fresh(self) -> EmaState:
+        return EmaState.initialize(self.config, self.values.shape[-1])
+
+    def clear(self, rows: np.ndarray) -> None:
+        """Reset the flagged rows, a mask over the leading axes, to the zero
+        state."""
+        fresh = self._fresh
+        self.values[rows] = fresh.values()
+        if self.codes is not None:
+            self.codes[rows] = fresh.stored.codes
+            # frozen anchors survive resets; a zero row encodes the same
+            # under any scale
+            if not self.config.freeze_scale:
+                self.scales[rows] = 0.0
+
+    def stored(self, *member: int) -> QuantizedBlock | np.ndarray:
+        """The stored state of one member, or of the whole store without
+        one; it shares the store's arrays."""
+        if self.codes is None:
+            return self.values[member]
         cfg = self.config
-        stored = self.values if cfg.format is None else QuantizedBlock(
-            self.codes, self.scales, cfg.format, cfg.scheme)
-        return EmaState(stored, self.k, cfg, self.excess)
+        return QuantizedBlock(self.codes[member], self.scales[member], cfg.format,
+                              cfg.scheme)
 
 
 def ema_step(
@@ -275,11 +317,12 @@ def ema_step(
     signal = np.asarray(signal, dtype=np.float64)
     if signal.shape != state.stored.shape:
         raise ValueError("signal shape does not match state")
-    stepper = _Stepper(state, rng)
+    store = _Store([state], [rng])
     with np.errstate(**_QUIET):
-        stalled = stepper.step(signal)
+        flags = store.store(_proposal(store.values, signal, state.config.beta))
+    new = EmaState(store.stored(), state.k + 1, state.config, state.excess)
     # an exact count over dim, the same bits as the mean of the flags
-    return stepper.state(), stalled / len(signal)
+    return new, np.count_nonzero(flags) / len(signal)
 
 
 def skip_intervention_step(
@@ -293,69 +336,12 @@ def skip_intervention_step(
     if not 0.0 <= p_skip <= 1.0:
         raise ValueError("p_skip must be in [0, 1]")
     _require_single(state)
+    if p_skip > 0.0 and rng is None:
+        raise ValueError("p_skip > 0 needs an rng to draw the skips")
     if p_skip > 0.0 and rng.random() < p_skip:
         return EmaState(state.stored, state.k + 1, state.config, state.excess)
     new, _ = ema_step(state, signal, rng)
     return new
-
-
-class _Group:
-    """The configs of a stack that share format, scheme, freeze_scale and
-    init_scale: one quantizer pass stores all their rows. members lists
-    their places in the stack, nearest-rounding ones first; codes and
-    scales are ``(members, rows, ...)`` (None at full precision)."""
-
-    def __init__(self, members: list, states: list, streams: list):
-        nearest = [c for c in members
-                   if states[c].config.rounding is RoundingMode.NEAREST_EVEN]
-        self.members = nearest + [c for c in members if c not in nearest]
-        first, last = min(members), max(members)
-        contiguous = self.members == list(range(first, last + 1))
-        self.sel = slice(first, last + 1) if contiguous else np.array(self.members)
-        self.config = cfg = states[members[0]].config
-        self.n_nearest = len(nearest)
-        self.codes = self.scales = self.fresh = self.streams = None
-        if cfg.format is None:
-            return
-        self.codes = np.stack([states[c].stored.codes for c in self.members])
-        self.scales = np.stack([states[c].stored.scales for c in self.members])
-        self.fresh = EmaState.initialize(cfg, self.codes.shape[-1]).stored.codes
-        drawn = [streams[c] for c in self.members[self.n_nearest:]]
-        if len(drawn) == 1:
-            self.streams = drawn[0]
-        elif drawn and None not in drawn:
-            # one stream whose generators are every member's, in member order
-            self.streams = RowStreams([g for st in drawn for g in st.generators],
-                                      drawn[0].rows_per_stream)
-
-    def store(self, proposal: np.ndarray) -> tuple:
-        """(stored values, stalled flags) of a quantized group's proposal
-        rows."""
-        cfg = self.config
-        if cfg.freeze_scale:
-            scales = self.scales
-        else:
-            scales = _block_absmax(proposal, cfg.scheme)
-        w, rep = _scaled(proposal, cfg.scheme, scales)
-        grid = _normalized_grid(cfg.format)
-        mag = grid.magnitude(w)
-        n = self.n_nearest
-        if n == len(mag):
-            idx = grid.nearest_idx(mag)
-        elif self.streams is None:
-            raise ValueError("stochastic rounding requires an rng stream")
-        elif n == 0:
-            idx = grid.stochastic_idx(mag, self.streams)
-        else:
-            idx = np.concatenate((grid.nearest_idx(mag[:n]),
-                                  grid.stochastic_idx(mag[n:], self.streams)))
-        codes = grid.signed(w, idx)
-        # code-only comparison: the stored-bit-pattern convention
-        stalled = codes == self.codes
-        self.codes, self.scales = codes, scales
-        values = grid.decoded.take(codes)
-        values *= rep
-        return values, stalled
 
 
 class StateStack:
@@ -366,8 +352,8 @@ class StateStack:
     Built from one ``(rows, dim)`` ``EmaState`` batch per config; config
     c's stochastic rounding draws from ``streams[c]``, a Generator or a
     ``RowStreams``. Configs that share format, scheme, freeze_scale and
-    init_scale form a storage group, which stores its rows in one
-    quantizer pass; only the rank kernel runs once per rounding mode in
+    init_scale form a storage group, whose rows one ``_Store`` writes in
+    one quantizer pass; only the rank kernel runs once per rounding mode in
     it, and the stochastic members draw from their own streams in stack
     order. ``adam_lockstep`` and ``reset_rows`` step a stack in place.
     """
@@ -377,30 +363,32 @@ class StateStack:
         self.values = np.stack([state.values() for state in states])
         self.k = np.stack([state.k for state in states])
         self.excess = np.stack([state.excess for state in states])
-        dim = self.values.shape[-1]
-        # the values of a zero row, per config
-        self.fresh = np.stack([EmaState.initialize(cfg, dim).values()
-                               for cfg in self.configs])
         keys: dict = {}
         for c, cfg in enumerate(self.configs):
             key = None if cfg.format is None else (
                 cfg.format, cfg.scheme, cfg.freeze_scale, cfg.init_scale)
             keys.setdefault(key, []).append(c)
-        self.groups = [_Group(members, states, streams) for members in keys.values()]
+        # (places in the stack, members, store) per storage group, its
+        # members nearest-rounding first
+        self.groups = []
+        for members in keys.values():
+            members.sort(
+                key=lambda c: self.configs[c].rounding is not RoundingMode.NEAREST_EVEN)
+            first, last = min(members), max(members)
+            contiguous = members == list(range(first, last + 1))
+            sel = slice(first, last + 1) if contiguous else np.array(members)
+            store = _Store([states[c] for c in members], [streams[c] for c in members])
+            self.groups.append((sel, members, store))
 
     def store(self, proposal: np.ndarray) -> np.ndarray:
         """Write a validated ``(configs, rows, dim)`` proposal; returns the
         stalled fraction of each row."""
         frac = np.empty(self.k.shape)
-        for group in self.groups:
-            new = proposal[group.sel]
-            if group.codes is None:
-                values, stalled = new, new == self.values[group.sel]
-            else:
-                values, stalled = group.store(new)
+        for sel, _, store in self.groups:
+            flags = store.store(proposal[sel])
             # an exact count over dim, the same bits as the mean of the flags
-            frac[group.sel] = stalled.sum(axis=-1) / stalled.shape[-1]
-            self.values[group.sel] = values
+            frac[sel] = flags.sum(axis=-1) / flags.shape[-1]
+            self.values[sel] = store.values
         self.k += 1
         return frac
 
@@ -408,27 +396,15 @@ class StateStack:
         """Reset the ``(configs, rows)`` flagged rows to the zero state."""
         self.k[flags] = 0
         self.excess[flags] = 0.0
-        np.copyto(self.values, self.fresh[:, None], where=flags[..., None])
-        for group in self.groups:
-            if group.codes is not None:
-                rows = flags[group.sel]
-                group.codes[rows] = group.fresh
-                # frozen anchors survive resets; a zero row encodes the same
-                # under any scale
-                if not group.config.freeze_scale:
-                    group.scales[rows] = 0.0
+        for sel, _, store in self.groups:
+            store.clear(flags[sel])
+            self.values[sel] = store.values
 
     def state(self, c: int) -> EmaState:
         """Config c's rows as an ``EmaState`` batch (copies)."""
-        cfg = self.configs[c]
-        group = next(g for g in self.groups if c in g.members)
-        if group.codes is None:
-            stored = self.values[c].copy()
-        else:
-            j = group.members.index(c)
-            stored = QuantizedBlock(group.codes[j].copy(), group.scales[j].copy(),
-                                    cfg.format, cfg.scheme)
-        return EmaState(stored, self.k[c].copy(), cfg, self.excess[c].copy())
+        _, members, store = next(g for g in self.groups if c in g[1])
+        stored = _map_stored(store.stored(members.index(c)), np.copy)
+        return EmaState(stored, self.k[c].copy(), self.configs[c], self.excess[c].copy())
 
 
 class ResetKind(Enum):
@@ -541,8 +517,7 @@ def reset_rows(
     return reset
 
 
-def _map_stored(state: EmaState, f):
-    stored = state.stored
+def _map_stored(stored: QuantizedBlock | np.ndarray, f):
     if isinstance(stored, QuantizedBlock):
         return QuantizedBlock(f(stored.codes), f(stored.scales), stored.format,
                               stored.scheme)
@@ -551,12 +526,12 @@ def _map_stored(state: EmaState, f):
 
 def _one_row(state: EmaState) -> EmaState:
     # a single state as a batch of one row
-    return EmaState(_map_stored(state, lambda a: a[None]), np.array([state.k]),
+    return EmaState(_map_stored(state.stored, lambda a: a[None]), np.array([state.k]),
                     state.config, np.array([float(state.excess)]))
 
 
 def _row_zero(batch: EmaState) -> EmaState:
-    return EmaState(_map_stored(batch, lambda a: a[0]), int(batch.k[0]),
+    return EmaState(_map_stored(batch.stored, lambda a: a[0]), int(batch.k[0]),
                     batch.config, float(batch.excess[0]))
 
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import numbers
 from enum import Enum
 from functools import lru_cache
 from pathlib import Path
@@ -33,6 +34,10 @@ from .formats import (
 )
 
 
+def _is_integer(x) -> bool:
+    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
+
+
 class ScalingMode(Enum):
     PER_TENSOR = "per_tensor"
     BLOCKWISE = "blockwise"
@@ -44,8 +49,11 @@ class ScalingScheme:
     block_size: int = 128
 
     def __post_init__(self) -> None:
-        if self.block_size < 1:
-            raise ValueError("block_size must be >= 1")
+        if not isinstance(self.mode, ScalingMode):
+            raise ValueError(f"mode must be a ScalingMode, got {self.mode!r}")
+        if not (_is_integer(self.block_size) and self.block_size >= 1):
+            raise ValueError(
+                f"block_size must be an integer >= 1, got {self.block_size!r}")
 
     def block_starts(self, n: int) -> np.ndarray:
         if self.mode is ScalingMode.PER_TENSOR:

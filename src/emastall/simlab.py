@@ -20,7 +20,9 @@ moment's reset rule and the tail loss each run once over the whole
 ``(configs, rows, dim)`` stack. The curve drivers take each step's signal
 from the generator ``_signal_rows``, whose producer thread draws up to a
 ring of chunks ahead while the caller rounds; its rows are the bits a
-step-by-step draw gives, so the curves are unchanged.
+step-by-step draw gives, so the curves are unchanged. The caller writes
+each config through its own ``(dim,)`` ``engine._Store``, kept across a
+trial's steps; the same class writes a study's storage groups.
 
 A problem's ``make_instance(seed)`` returns an instance with
 ``init_params()``, ``step_begin()``, ``grad_sample(params, rng)`` and
@@ -41,7 +43,6 @@ import contextlib
 import dataclasses
 import json
 import math
-import numbers
 import os
 import queue
 import threading
@@ -62,13 +63,13 @@ from .engine import (
     StallTrace,
     StateStack,
     _QUIET,
-    _Stepper,
-    _is_integer,
+    _proposal,
+    _Store,
     adam_lockstep,
     reset_rows,
 )
 from .formats import RoundingMode, get_format
-from .quantize import ScalingMode, ScalingScheme
+from .quantize import ScalingMode, ScalingScheme, _is_integer
 from .theory import (
     TheoryInputs,
     p_stall_nr_ss,
@@ -126,7 +127,7 @@ class GradientStreamSpec:
         if self.kind == "piecewise" and not self.schedule:
             raise ValueError("piecewise stream needs a schedule")
         for steps, factor in self.schedule:
-            if not (isinstance(steps, numbers.Integral) and steps >= 1):
+            if not (_is_integer(steps) and steps >= 1):
                 raise ValueError(f"schedule steps must be integers >= 1, got {steps!r}")
             if not (math.isfinite(factor) and factor > 0):
                 raise ValueError(
@@ -551,29 +552,32 @@ def _curve_results(
     # stream (of its square for a second moment) under each config, with
     # the measured floor (step 1) and the last-decile mean under
     # steady_key. The configs step in lockstep over one draw per step, each
-    # in its own in-place stepper; each rounds with its own stream, seeded
-    # as a config run alone seeds it
-    if steps < 1 or trials < 1:
-        raise ValueError("steps and trials must be >= 1")
+    # in its own in-place store; each rounds with its own stream, seeded as
+    # a config run alone seeds it
+    for name, value in (("steps", steps), ("trials", trials)):
+        if not (_is_integer(value) and value >= 1):
+            raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
     if not emas:
         raise ValueError("at least one EMA config is required")
     t0 = time.perf_counter()
     dim = stream.dimension
     acc = np.zeros((len(emas), steps))
     counts = np.empty((len(emas), steps), dtype=np.int64)
+    proposal = np.empty(dim)
     with contextlib.closing(
         _signal_rows(stream, steps, trials, second_moment)
     ) as signals, np.errstate(**_QUIET):
         for trial in range(trials):
-            steppers = [
-                _Stepper(EmaState.initialize(ema, dim),
-                         np.random.default_rng([stream.seed, trial, _KEY_ROUND]))
+            stores = [
+                _Store([EmaState.initialize(ema, dim)],
+                       [np.random.default_rng([stream.seed, trial, _KEY_ROUND])])
                 for ema in emas
             ]
             for t in range(steps):
                 signal = next(signals)
-                for c, stepper in enumerate(steppers):
-                    counts[c, t] = stepper.step(signal)
+                for c, (ema, store) in enumerate(zip(emas, stores)):
+                    p = _proposal(store.values, signal, ema.beta, proposal)
+                    counts[c, t] = np.count_nonzero(store.store(p))
             # an exact count over dim, the same bits as the mean of the flags
             acc += counts / dim
     mean_frac = acc / trials

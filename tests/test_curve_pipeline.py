@@ -4,7 +4,7 @@
 step, squared for a second moment, and one reference-engine ``ema_step``
 per config. The drivers now take each step's signal from the generator
 ``simlab._signal_rows``, whose producer thread fills a ring of chunks ahead
-of the caller, and step each config in its own in-place stepper; the
+of the caller, and step each config in its own in-place store; the
 signal rows and every curve must equal the oracle's bit for bit (``==`` on
 floats), for every preset and rounding mode, custom formats and one to
 three trials, over chunk layouts that put schedule boundaries inside chunks
@@ -213,7 +213,7 @@ SHORT = [(layout, i) for layout, i in zip(LAYOUTS, LAYOUT_IDS) if layout[2] < 10
                          ids=[i for _, i in SHORT])
 def test_curves_equal_oracle_over_trials(dim, ring, steps, stream, driver,
                                          second_moment, trials, monkeypatch):
-    # a trial's steppers start from fresh states and rounding streams
+    # a trial's stores start from fresh states and rounding streams
     _check_curves(dim, ring, steps, stream, driver, second_moment, trials,
                   monkeypatch)
 
@@ -247,7 +247,7 @@ class TestLifecycle:
         # 7, holding chunk 1, the producer has filled chunk 4 and has no
         # free buffer left to wait for
         monkeypatch.setattr(simlab, "_RING_BYTES", 1280)
-        fill, step = GradientStream.fill, engine._Stepper.step
+        fill, store = GradientStream.fill, engine._Store.store
         fills, steps, ring_full = [], [], threading.Event()
 
         def counted_fill(self, out):
@@ -256,15 +256,15 @@ class TestLifecycle:
                 ring_full.set()
             return fill(self, out)
 
-        def failing_step(self, signal):
+        def failing_store(self, proposal):
             steps.append(1)
             if len(steps) == 7:
                 assert ring_full.wait(JOIN_S)
                 raise ValueError("caller failed")
-            return step(self, signal)
+            return store(self, proposal)
 
         monkeypatch.setattr(GradientStream, "fill", counted_fill)
-        monkeypatch.setattr(engine._Stepper, "step", failing_step)
+        monkeypatch.setattr(engine._Store, "store", failing_store)
         baseline = threading.active_count()
         with pytest.raises(ValueError, match="caller failed"):
             _bounded(run_stall_curve, _spec(8, "iid"), default_ema_config("bf16", 0.99),

@@ -15,8 +15,11 @@ from emastall.engine import (
     ResetKind,
     ResetPolicy,
     StallTrace,
+    RowStreams,
+    StateStack,
     _QUIET,
-    _Stepper,
+    _Store,
+    _proposal,
     adam_step,
     apply_adam_update,
     apply_reset_policy,
@@ -44,7 +47,7 @@ BLOCK128 = ScalingScheme(ScalingMode.BLOCKWISE, 128)
 BLOCK16 = ScalingScheme(ScalingMode.BLOCKWISE, 16)
 NR, SR = RoundingMode.NEAREST_EVEN, RoundingMode.STOCHASTIC
 
-# one config per store path of the stepper: full precision, a frozen single
+# one config per store path of the engine: full precision, a frozen single
 # anchor, a recomputed single scale, recomputed block scales and frozen
 # block anchors (an unsigned grid without zero)
 STEP_CONFIGS = {
@@ -75,6 +78,20 @@ def test_config_rejects_an_unusable_init_scale(fmt, init_scale, freeze):
     # without freeze_scale was silently ignored
     with pytest.raises(ValueError, match="init_scale"):
         EmaConfig(beta=0.9, format=fmt, freeze_scale=freeze, init_scale=init_scale)
+
+
+@pytest.mark.parametrize("field,value", [
+    ("format", "bf16"),
+    ("scheme", "per_tensor"),
+    ("rounding", "nr"),
+    ("rounding", "stochastic"),
+])
+def test_config_rejects_fields_of_the_wrong_type(field, value):
+    # rounding="nr" once rounded stochastically, and format="bf16" failed
+    # at the first write with an AttributeError
+    kwargs = {"beta": 0.9, "format": BF16, field: value}
+    with pytest.raises(ValueError, match=f"^{field} must be an? [A-Za-z ]+, got '{value}'$"):
+        EmaConfig(**kwargs)
 
 
 class TestEmaStep:
@@ -216,7 +233,7 @@ def _arrays(state):
     return [stored] if state.config.format is None else [stored.codes, stored.scales]
 
 
-class TestStepper:
+class TestStore:
     @pytest.mark.parametrize("rounding", [NR, SR], ids=["nr", "sr"])
     @pytest.mark.parametrize("name", list(STEP_CONFIGS))
     def test_ema_step_leaves_the_input_state_untouched(self, name, rounding):
@@ -246,27 +263,34 @@ class TestStepper:
             signals.append(g)
         return signals + [np.zeros(64)] * 3
 
-    @pytest.mark.parametrize("kept", [False, True], ids=["ema_step", "kept-stepper"])
+    @staticmethod
+    def _poison(store):
+        # no write may read what an earlier one left in a work buffer
+        store.flags.fill(True)
+        for name in ("w", "mag"):
+            if hasattr(store, name):
+                getattr(store, name).fill(np.nan)
+
+    @pytest.mark.parametrize("kept", [False, True], ids=["ema_step", "kept-store"])
     @pytest.mark.parametrize("rounding", [NR, SR], ids=["nr", "sr"])
     @pytest.mark.parametrize("name", list(STEP_CONFIGS))
-    def test_steps_equal_the_reference_engine(self, name, rounding, kept):
-        # ema_step, or one stepper kept across steps as the curve drivers
-        # keep it, with its work buffers poisoned first: no step may read
-        # what an earlier one left there
+    def test_single_state_writes_equal_the_reference_engine(self, name, rounding, kept):
+        # ema_step, or one (dim,) store kept across steps as the curve
+        # drivers keep it, its buffers and the proposal's poisoned first
         config = STEP_CONFIGS[name](rounding)
         rng, ref_rng = np.random.default_rng(9), np.random.default_rng(9)
         state = EmaState.initialize(config, 64)
         ref = oracle.OracleState.initialize(config, 64)
-        stepper = _Stepper(state, rng)
-        for buf in (stepper.proposal, getattr(stepper, "w", None)):
-            if buf is not None:
-                buf.fill(np.nan)
+        store = _Store([state], [rng])
+        self._poison(store)
+        proposal = np.full(64, np.nan)
         zero_scales = 0
         for signal in self._signals():
             if kept:
                 with np.errstate(**_QUIET):
-                    frac = stepper.step(signal) / 64
-                state = stepper.state()
+                    p = _proposal(store.values, signal, config.beta, proposal)
+                    frac = np.count_nonzero(store.store(p)) / 64
+                state = EmaState(store.stored(), state.k + 1, config)
             else:
                 state, frac = ema_step(state, signal, rng)
             ref, ref_frac = oracle.ema_step(ref, signal, ref_rng)
@@ -277,6 +301,49 @@ class TestStepper:
             if config.format is not None:
                 zero_scales += int((state.stored.scales == 0).sum())
         if config.format is not None and not config.freeze_scale:
+            assert zero_scales > 0
+
+    @pytest.mark.parametrize("rounding", [NR, SR], ids=["nr-sr-nr", "sr-nr-sr"])
+    @pytest.mark.parametrize("name", list(STEP_CONFIGS))
+    def test_stack_group_writes_equal_the_reference_engine(self, name, rounding):
+        # one storage group of three configs whose nearest and stochastic
+        # members alternate, so the (members, rows, dim) store holds them
+        # out of stack order; each row steps as the reference engine steps
+        # it alone, on its own signal and its own stream
+        other = SR if rounding is NR else NR
+        configs = [STEP_CONFIGS[name](r) for r in (rounding, other, rounding)]
+        rows, dim = 2, 64
+        seeds = [[100 + 10 * c + r for r in range(rows)] for c in range(3)]
+        streams = [RowStreams([np.random.default_rng(s) for s in row], 1)
+                   for row in seeds]
+        stack = StateStack([EmaState.initialize(cfg, dim, rows) for cfg in configs],
+                           streams)
+        ((sel, members, store),) = stack.groups
+        if configs[0].format is not None:
+            assert isinstance(sel, np.ndarray) and store.codes.shape == (3, rows, dim)
+        self._poison(store)
+        refs = [[oracle.OracleState.initialize(cfg, dim) for _ in range(rows)]
+                for cfg in configs]
+        ref_rngs = [[np.random.default_rng(s) for s in row] for row in seeds]
+        factors = np.array([[1.0, 3.0], [0.5, 2.0], [1.5, 0.25]])[..., None]
+        zero_scales = 0
+        for signal in self._signals():
+            signals = factors * signal
+            with np.errstate(**_QUIET):
+                frac = stack.store(_proposal(stack.values, signals, 0.9))
+            for c, cfg in enumerate(configs):
+                state = stack.state(c)
+                for r in range(rows):
+                    refs[c][r], ref_frac = oracle.ema_step(
+                        refs[c][r], signals[c, r], ref_rngs[c][r])
+                    assert frac[c, r] == ref_frac
+                    assert state.k[r] == refs[c][r].k
+                    for got, want in zip(_arrays(state), _arrays(refs[c][r])):
+                        assert np.array_equal(got[r], want)
+                    assert np.array_equal(stack.values[c, r], refs[c][r].values())
+                if cfg.format is not None:
+                    zero_scales += int((state.stored.scales == 0).sum())
+        if configs[0].format is not None and not configs[0].freeze_scale:
             assert zero_scales > 0
 
 
@@ -640,6 +707,14 @@ class TestSkipIntervention:
                 skipped += 1
         sigma = math.sqrt(0.25 / n)
         assert abs(skipped / n - 0.5) < 3 * sigma
+
+    def test_p_skip_needs_an_rng(self):
+        # it once failed as "'NoneType' object has no attribute 'random'"
+        state = EmaState.initialize(EmaConfig(beta=0.99, format=None), 4)
+        with pytest.raises(ValueError, match="^p_skip > 0 needs an rng"):
+            skip_intervention_step(state, np.ones(4), 0.5, None)
+        new = skip_intervention_step(state, np.ones(4), 0.0, None)
+        assert new.k == 1
 
     def test_p_out_of_range(self):
         config = EmaConfig(beta=0.99, format=None)

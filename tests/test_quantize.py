@@ -328,3 +328,21 @@ class TestRows:
         q3 = quantize(np.ones((3, 4)), FP4_E2M1, PER_TENSOR)
         with pytest.raises(ValueError):
             stalled_mask(q2, q3)
+
+
+@pytest.mark.parametrize("mode,block_size,message", [
+    ("per_tensor", 128, "mode must be a ScalingMode, got 'per_tensor'"),
+    (ScalingMode.BLOCKWISE, 2.5, "block_size must be an integer >= 1, got 2.5"),
+    (ScalingMode.BLOCKWISE, True, "block_size must be an integer >= 1, got True"),
+    (ScalingMode.BLOCKWISE, 0, "block_size must be an integer >= 1, got 0"),
+], ids=["string-mode", "float-block", "bool-block", "zero-block"])
+def test_scheme_rejects_unusable_fields(mode, block_size, message):
+    # a string mode once quantized blockwise, a float block size failed as
+    # numpy's cast error, and True was taken as a block of one
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        ScalingScheme(mode, block_size)
+
+
+def test_scheme_takes_numpy_integer_block_sizes():
+    scheme = ScalingScheme(ScalingMode.BLOCKWISE, np.int64(128))
+    assert scheme.n_blocks(300) == 3

@@ -15,11 +15,13 @@ from emastall.simlab import (
     default_ema_config,
     moment_configs,
     run_first_moment_curve,
+    run_first_moment_curves,
     run_reset_cells,
     run_reset_study,
     run_reset_training,
     run_skip_study,
     run_stall_curve,
+    run_stall_curves,
 )
 
 HYPER = AdamHyper(lr=0.01)
@@ -38,6 +40,7 @@ BAD_STREAM_FIELDS = [
     {"kind": "piecewise", "schedule": ((0, 1.0),)},
     {"kind": "piecewise", "schedule": ((-2, 1.0), (5, 2.0))},
     {"kind": "piecewise", "schedule": ((2.5, 1.0),)},
+    {"kind": "piecewise", "schedule": ((True, 1.0),)},
     {"dimension": True},
     {"dimension": 2.0},
     {"dimension": 0},
@@ -352,3 +355,24 @@ class TestProblems:
         summary = json.loads((tmp_path / "r.json").read_text())
         assert summary["schema_version"] == 1
         assert summary["config"]["experiment"] == "stall_curve"
+
+
+@pytest.mark.parametrize("steps,trials,message", [
+    (2.5, 1, "steps must be an integer >= 1, got 2.5"),
+    (True, 1, "steps must be an integer >= 1, got True"),
+    (0, 1, "steps must be an integer >= 1, got 0"),
+    (5, 2.0, "trials must be an integer >= 1, got 2.0"),
+    (5, False, "trials must be an integer >= 1, got False"),
+    (5, 0, "trials must be an integer >= 1, got 0"),
+], ids=["float-steps", "bool-steps", "zero-steps", "float-trials", "bool-trials",
+        "zero-trials"])
+def test_bad_curve_inputs_name_the_field(steps, trials, message):
+    # a float or bool count once failed as numpy's TypeError
+    spec = GradientStreamSpec(dimension=8, seed=0)
+    cfg = default_ema_config("bf16", 0.99)
+    for run in (run_stall_curves, run_first_moment_curves):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            run(spec, [cfg], steps, trials)
+    for run in (run_stall_curve, run_first_moment_curve):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            run(spec, cfg, steps, trials)
