@@ -6,24 +6,24 @@ form makes the no-op case exact: a signal equal to the stored state leaves
 every code untouched. A config with ``format=None`` keeps the state at
 working precision and is the full-precision control used by experiments.
 
-A state may also be a batch: a ``(rows, dim)`` stack of independent states
-of one config, with a per-row cycle counter and excess. A ``StateStack``
-holds one moment's batches under several storage configs as one
-``(configs, rows, dim)`` stack of stored values, and ``adam_lockstep`` and
-``reset_rows`` step it in place, each operation once per step over the
-whole stack: one proposal expression, one quantizer pass per storage group
-(the configs that share format, scheme and scale anchor), one Adam update
-and one array form of every row's reset rule. Every operation is
-elementwise or a reduction along the last axis, so each row comes out
-bit-identical to the same state stepped on its own. ``ema_step``,
-``adam_step``, ``apply_reset_policy`` and ``skip_intervention_step`` are
-the single-state forms; ``adam_step`` and ``apply_reset_policy`` run the
-stack path with one config and one row.
+An ``EmaState`` is one ``(dim,)`` tensor. A ``StateStack`` holds one
+moment's states under several storage configs, several rows each, as one
+``(configs, rows, dim)`` stack with a cycle counter and excess per row,
+and ``adam_lockstep`` and ``reset_rows`` step it in place, each operation
+once per step over the whole stack: one proposal expression, one quantizer
+pass per storage group (the configs that share format, scheme and scale
+anchor), one Adam update and one array form of every row's reset rule.
+Every operation is elementwise or a reduction along the last axis, so each
+row comes out bit-identical to the same state stepped on its own.
+``ema_step``, ``adam_step``, ``apply_reset_policy`` and
+``skip_intervention_step`` are the single-state forms; ``adam_step`` and
+``apply_reset_policy`` run the stack path with one config and one row.
 
-Every stored state is written by one class, ``_Store``: a storage group of
-a stack is one store of shape ``(members, rows, dim)``, and ``ema_step``
-and the curve drivers write a single state through a ``(dim,)`` store, which
-the curve drivers keep per config across steps.
+Every stored state is written by one class, ``_Store``, always of shape
+``(members, rows, dim)``: a storage group of a stack is one store, and
+``ema_step`` and the curve drivers write a single state through a
+``(1, 1, dim)`` store, which the curve drivers keep per config across
+steps. Every rounding stream is a ``RowStreams``.
 """
 
 from __future__ import annotations
@@ -89,38 +89,32 @@ class EmaConfig:
 
 @dataclasses.dataclass
 class EmaState:
-    """Stored (quantized) state plus its position in the reset cycle.
+    """Stored (quantized) state of one ``(dim,)`` tensor plus its position
+    in the reset cycle.
 
     excess is the staleness in excess of the tolerance accumulated over the
     current cycle; only the adaptive reset policy reads and advances it.
-    A batch stores ``(rows, dim)`` and holds k and excess as ``(rows,)``
-    arrays.
     """
 
     stored: QuantizedBlock | np.ndarray
-    k: int | np.ndarray
+    k: int
     config: EmaConfig
-    excess: float | np.ndarray = 0.0
+    excess: float = 0.0
 
     @classmethod
-    def initialize(
-        cls, config: EmaConfig, dim: int, rows: int | None = None
-    ) -> "EmaState":
-        """Zero state of one tensor, or of a batch of ``rows`` tensors."""
-        if rows is None:
-            shape, k, excess = (dim,), 0, 0.0
-        else:
-            shape, k, excess = (rows, dim), np.zeros(rows, np.int64), np.zeros(rows)
-        zeros = np.zeros(shape)
+    def initialize(cls, config: EmaConfig, dim: int) -> "EmaState":
+        """Zero state of one tensor."""
+        if not (_is_integer(dim) and dim >= 1):
+            raise ValueError(f"dim must be an integer >= 1, got {dim!r}")
+        zeros = np.zeros(dim)
         if config.format is None:
-            return cls(zeros, k, config, excess)
+            return cls(zeros, 0, config)
         if config.init_scale is not None:
-            scales = np.full(shape[:-1] + (config.scheme.n_blocks(dim),),
-                             float(config.init_scale))
+            scales = np.full(config.scheme.n_blocks(dim), float(config.init_scale))
             stored = quantize_with_scales(zeros, config.format, config.scheme, scales)
         else:
             stored = quantize(zeros, config.format, config.scheme)
-        return cls(stored, k, config, excess)
+        return cls(stored, 0, config)
 
     def values(self) -> np.ndarray:
         if self.config.format is None:
@@ -138,7 +132,7 @@ class RowStreams:
     every axis but the last. ``random`` draws one ``(dim,)`` vector from
     each generator in turn and hands it to all of that generator's rows, so
     each generator advances exactly as it does for one of its rows stepped
-    alone.
+    alone. ``RowStreams([rng], 1)`` draws what ``rng.random((dim,))`` draws.
     """
 
     def __init__(self, generators: list, rows_per_stream: int):
@@ -152,6 +146,8 @@ class RowStreams:
         draws = np.empty((len(self.generators), dim))
         for g, row in zip(self.generators, draws):
             g.random(out=row)
+        if self.rows_per_stream == 1:
+            return draws.reshape(shape)
         return np.repeat(draws, self.rows_per_stream, axis=0).reshape(shape)
 
 
@@ -175,47 +171,48 @@ def _proposal(
 
 
 def _require_single(*states: EmaState) -> None:
-    if any(np.ndim(state.k) for state in states):
-        raise ValueError("a batch of states steps through adam_lockstep and reset_rows")
+    if any(len(state.stored.shape) != 1 for state in states):
+        raise ValueError("a state is one (dim,) tensor; rows step through a StateStack")
 
 
 class _Store:
     """Stored states of one storage layout, written in place: the one store
     path of the engine.
 
-    Built from copies of ``states``, whose configs share format, scheme,
-    freeze_scale and init_scale, nearest-rounding ones listed first, it
-    holds ``values``, the states as stored (their exact decoded values), the
-    codes and scales behind them (None at full precision). A single state
-    keeps its ``(dim,)`` shape; batches stack to ``(members, rows, dim)``.
-    The rounding grid and block layout are looked up once, a frozen scale
-    is broadcast once, and the work buffers are reused. The stochastic
-    members draw from their ``streams`` entries (a Generator or a
-    ``RowStreams`` each), merged in member order.
+    Built from copies of ``states``, one list of rows per member, whose
+    configs share format, scheme, freeze_scale and init_scale, members
+    rounding to nearest first, it holds ``values``, the states as stored
+    (their exact decoded values), the codes and scales behind them (None at
+    full precision), all ``(members, rows, dim)``. The rounding grid and
+    block layout are looked up once, a frozen scale is broadcast once, and
+    the work buffers are reused. The stochastic members draw from their
+    ``streams`` entries, RowStreams merged in member order.
     """
 
     def __init__(self, states: list, streams: list):
-        cfg = self.config = states[0].config
-        nearest = [s.config.rounding is RoundingMode.NEAREST_EVEN for s in states]
-        # both joins copy; concatenating one array keeps its shape
-        single = np.ndim(states[0].k) == 0
-        join = np.concatenate if single else np.stack
-        self.values = join([s.values() for s in states])
+        for st in streams:
+            if st is not None and not isinstance(st, RowStreams):
+                raise ValueError(f"a rounding stream must be a RowStreams or None, "
+                                 f"got {type(st).__name__}")
+        cfg = self.config = states[0][0].config
+        nearest = [rows[0].config.rounding is RoundingMode.NEAREST_EVEN
+                   for rows in states]
+        self.values = np.array([[s.values() for s in rows] for rows in states])
         self.flags = np.empty(self.values.shape, dtype=bool)
-        # the leading entries that round to nearest: members, or all or none
-        # of a single state's elements
-        self.n_nearest = len(self.values) * nearest[0] if single else sum(nearest)
+        self.n_nearest = sum(nearest)
         self.codes = self.scales = None
         if cfg.format is None:
             return
         drawn = [st for st, n in zip(streams, nearest) if not n]
-        self.stream = drawn[0] if len(drawn) == 1 else None
-        if len(drawn) > 1 and None not in drawn:
+        self.stream = None
+        if drawn and None not in drawn:
+            if len({st.rows_per_stream for st in drawn}) > 1:
+                raise ValueError("merged RowStreams must share rows_per_stream")
             # one stream whose generators are every member's, in member order
             self.stream = RowStreams([g for st in drawn for g in st.generators],
                                      drawn[0].rows_per_stream)
         self.grid = _normalized_grid(cfg.format)
-        self.codes = join([s.stored.codes for s in states])
+        self.codes = np.array([[s.stored.codes for s in rows] for rows in states])
         self.starts, lengths = _layout(cfg.scheme, self.values.shape[-1])
         self.w, self.mag = np.empty_like(self.values), np.empty_like(self.values)
         # the scales broadcast against the values: a single block's scale
@@ -224,7 +221,7 @@ class _Store:
         if len(self.starts) > 1:
             self.block_of = np.repeat(np.arange(len(self.starts)), lengths)
             self.rep = np.empty_like(self.values)
-        self._set_scales(join([s.stored.scales for s in states]))
+        self._set_scales(np.array([[s.stored.scales for s in rows] for rows in states]))
 
     def _set_scales(self, scales: np.ndarray) -> None:
         self.scales = scales
@@ -237,7 +234,7 @@ class _Store:
         self.positive = scales.min() > 0
 
     def store(self, proposal: np.ndarray) -> np.ndarray:
-        """Write a validated proposal of the store's shape; returns the
+        """Write a validated ``(members, rows, dim)`` proposal; returns the
         stall flags, a buffer the next write reuses: stored codes unchanged
         by the write (the stored-bit-pattern convention), or values
         unchanged at full precision. Callers write under ``_QUIET``."""
@@ -281,7 +278,7 @@ class _Store:
         return EmaState.initialize(self.config, self.values.shape[-1])
 
     def clear(self, rows: np.ndarray) -> None:
-        """Reset the flagged rows, a mask over the leading axes, to the zero
+        """Reset the flagged rows, a ``(members, rows)`` mask, to the zero
         state."""
         fresh = self._fresh
         self.values[rows] = fresh.values()
@@ -292,14 +289,13 @@ class _Store:
             if not self.config.freeze_scale:
                 self.scales[rows] = 0.0
 
-    def stored(self, *member: int) -> QuantizedBlock | np.ndarray:
-        """The stored state of one member, or of the whole store without
-        one; it shares the store's arrays."""
+    def stored(self, member: int, row: int) -> QuantizedBlock | np.ndarray:
+        """A copy of one row of one member's stored state."""
         if self.codes is None:
-            return self.values[member]
+            return self.values[member, row].copy()
         cfg = self.config
-        return QuantizedBlock(self.codes[member], self.scales[member], cfg.format,
-                              cfg.scheme)
+        return QuantizedBlock(self.codes[member, row].copy(),
+                              self.scales[member, row].copy(), cfg.format, cfg.scheme)
 
 
 def ema_step(
@@ -317,10 +313,10 @@ def ema_step(
     signal = np.asarray(signal, dtype=np.float64)
     if signal.shape != state.stored.shape:
         raise ValueError("signal shape does not match state")
-    store = _Store([state], [rng])
+    store = _Store([[state]], [None if rng is None else RowStreams([rng], 1)])
     with np.errstate(**_QUIET):
         flags = store.store(_proposal(store.values, signal, state.config.beta))
-    new = EmaState(store.stored(), state.k + 1, state.config, state.excess)
+    new = EmaState(store.stored(0, 0), state.k + 1, state.config, state.excess)
     # an exact count over dim, the same bits as the mean of the flags
     return new, np.count_nonzero(flags) / len(signal)
 
@@ -347,22 +343,25 @@ def skip_intervention_step(
 class StateStack:
     """One moment's states under several storage configs, stacked.
 
-    ``values[c, r]`` is row r of config c as stored (its exact decoded
-    value), with cycle counter ``k[c, r]`` and excess ``excess[c, r]``.
-    Built from one ``(rows, dim)`` ``EmaState`` batch per config; config
-    c's stochastic rounding draws from ``streams[c]``, a Generator or a
-    ``RowStreams``. Configs that share format, scheme, freeze_scale and
-    init_scale form a storage group, whose rows one ``_Store`` writes in
-    one quantizer pass; only the rank kernel runs once per rounding mode in
-    it, and the stochastic members draw from their own streams in stack
-    order. ``adam_lockstep`` and ``reset_rows`` step a stack in place.
+    Built from one list of single states per config: ``states[c][r]`` is
+    row r of config c, which ``values[c, r]`` holds as stored (its exact
+    decoded value), with cycle counter ``k[c, r]`` and excess
+    ``excess[c, r]``. Config c's stochastic rounding draws from
+    ``streams[c]``, a ``RowStreams`` over its rows or None. Configs that
+    share format, scheme, freeze_scale and init_scale form a storage group,
+    whose rows one ``_Store`` writes in one quantizer pass; only the rank
+    kernel runs once per rounding mode in it, and the stochastic members
+    draw from their own streams in stack order. ``adam_lockstep`` and
+    ``reset_rows`` step a stack in place.
     """
 
     def __init__(self, states: list, streams: list):
-        self.configs = [state.config for state in states]
-        self.values = np.stack([state.values() for state in states])
-        self.k = np.stack([state.k for state in states])
-        self.excess = np.stack([state.excess for state in states])
+        self.configs = [rows[0].config for rows in states]
+        if any(s.config != cfg for cfg, rows in zip(self.configs, states) for s in rows):
+            raise ValueError("the rows of a config must share its EmaConfig")
+        self.values = np.array([[s.values() for s in rows] for rows in states])
+        self.k = np.array([[s.k for s in rows] for rows in states], np.int64)
+        self.excess = np.array([[s.excess for s in rows] for rows in states], float)
         keys: dict = {}
         for c, cfg in enumerate(self.configs):
             key = None if cfg.format is None else (
@@ -400,11 +399,11 @@ class StateStack:
             store.clear(flags[sel])
             self.values[sel] = store.values
 
-    def state(self, c: int) -> EmaState:
-        """Config c's rows as an ``EmaState`` batch (copies)."""
+    def state(self, c: int, r: int) -> EmaState:
+        """Row r of config c as a single ``EmaState`` (copies)."""
         _, members, store = next(g for g in self.groups if c in g[1])
-        stored = _map_stored(store.stored(members.index(c)), np.copy)
-        return EmaState(stored, self.k[c].copy(), self.configs[c], self.excess[c].copy())
+        return EmaState(store.stored(members.index(c), r), int(self.k[c, r]),
+                        self.configs[c], float(self.excess[c, r]))
 
 
 class ResetKind(Enum):
@@ -517,37 +516,21 @@ def reset_rows(
     return reset
 
 
-def _map_stored(stored: QuantizedBlock | np.ndarray, f):
-    if isinstance(stored, QuantizedBlock):
-        return QuantizedBlock(f(stored.codes), f(stored.scales), stored.format,
-                              stored.scheme)
-    return f(stored)
-
-
-def _one_row(state: EmaState) -> EmaState:
-    # a single state as a batch of one row
-    return EmaState(_map_stored(state.stored, lambda a: a[None]), np.array([state.k]),
-                    state.config, np.array([float(state.excess)]))
-
-
-def _row_zero(batch: EmaState) -> EmaState:
-    return EmaState(_map_stored(batch.stored, lambda a: a[0]), int(batch.k[0]),
-                    batch.config, float(batch.excess[0]))
-
-
 def apply_reset_policy(
     state: EmaState, policy: ResetPolicy, last_fraction: float = 0.0
 ) -> tuple[EmaState, bool]:
     """Apply the reset rule after a step; returns (state, did_reset).
 
     For ADAPTIVE, last_fraction is the empirical stalled fraction of the
-    step just taken.
+    step just taken, in [0, 1].
     """
     _require_single(state)
-    stack = StateStack([_one_row(state)], [None])
+    if not 0.0 <= last_fraction <= 1.0:
+        raise ValueError(f"last_fraction must be in [0, 1], got {last_fraction!r}")
+    stack = StateStack([[state]], [None])
     rules = ResetRows([policy], None, max(1, state.k))
     reset = reset_rows(stack, rules, np.array([[last_fraction]]))
-    return _row_zero(stack.state(0)), bool(reset[0, 0])
+    return stack.state(0, 0), bool(reset[0, 0])
 
 
 @dataclasses.dataclass(frozen=True)
@@ -578,7 +561,7 @@ def _adam_update(
     k_v: int | np.ndarray,
     hyper: AdamHyper,
 ) -> np.ndarray:
-    # k_m and k_v are ints, or (rows,) arrays for a batch
+    # k_m and k_v are ints, or (configs, rows) arrays for a stack
     k_m, k_v = np.asarray(k_m), np.asarray(k_v)
     if k_m.min() < 1 or k_v.min() < 1:
         raise ValueError("bias correction needs at least one accumulated step")
@@ -673,13 +656,14 @@ def adam_step(
     """
     _require_single(m_state, v_state)
     grad = np.asarray(grad, dtype=np.float64)
-    m = StateStack([_one_row(m_state)], [rng])
-    v = StateStack([_one_row(v_state)], [rng])
+    params = np.asarray(params, dtype=np.float64)
+    stream = None if rng is None else RowStreams([rng], 1)
+    m, v = StateStack([[m_state]], [stream]), StateStack([[v_state]], [stream])
     new_params, frac_m, frac_v = adam_lockstep(
         m, v, grad[None, None], hyper, params[None, None], t_global
     )
     stalled = {"stalled_m": float(frac_m[0, 0]), "stalled_v": float(frac_v[0, 0])}
-    return new_params[0, 0], _row_zero(m.state(0)), _row_zero(v.state(0)), stalled
+    return new_params[0, 0], m.state(0, 0), v.state(0, 0), stalled
 
 
 @dataclasses.dataclass

@@ -15,12 +15,17 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import numbers
 from bisect import bisect_right
 from enum import Enum
 from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 import numpy as np
+
+
+def _is_integer(x) -> bool:
+    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
 
 
 class RoundingMode(Enum):

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import numbers
 from enum import Enum
 from functools import lru_cache
 from pathlib import Path
@@ -29,13 +28,10 @@ from .formats import (
     FpFormat,
     PRESETS,
     RoundingMode,
+    _is_integer,
     _normalized_grid,
     get_format,
 )
-
-
-def _is_integer(x) -> bool:
-    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
 
 
 class ScalingMode(Enum):
@@ -203,6 +199,10 @@ def quantize_with_scales(
     Stochastic rounding draws ``rng.random(values.shape)``; any object with
     that method serves as the stream.
     """
+    # a string here would round stochastically: the kernel tests the mode
+    # by identity
+    if not isinstance(mode, RoundingMode):
+        raise ValueError(f"mode must be a RoundingMode, got {mode!r}")
     values = _check_values(values)
     scales = _check_scales(scales, scheme, values.shape)
     if not np.isfinite(values).all():

@@ -21,8 +21,9 @@ moment's reset rule and the tail loss each run once over the whole
 from the generator ``_signal_rows``, whose producer thread draws up to a
 ring of chunks ahead while the caller rounds; its rows are the bits a
 step-by-step draw gives, so the curves are unchanged. The caller writes
-each config through its own ``(dim,)`` ``engine._Store``, kept across a
-trial's steps; the same class writes a study's storage groups.
+each config through its own ``(1, 1, dim)`` ``engine._Store``, one member
+of one row, kept across a trial's steps; the same class writes a study's
+storage groups.
 
 A problem's ``make_instance(seed)`` returns an instance with
 ``init_params()``, ``step_begin()``, ``grad_sample(params, rng)`` and
@@ -563,14 +564,14 @@ def _curve_results(
     dim = stream.dimension
     acc = np.zeros((len(emas), steps))
     counts = np.empty((len(emas), steps), dtype=np.int64)
-    proposal = np.empty(dim)
+    proposal = np.empty((1, 1, dim))
     with contextlib.closing(
         _signal_rows(stream, steps, trials, second_moment)
     ) as signals, np.errstate(**_QUIET):
         for trial in range(trials):
             stores = [
-                _Store([EmaState.initialize(ema, dim)],
-                       [np.random.default_rng([stream.seed, trial, _KEY_ROUND])])
+                _Store([[EmaState.initialize(ema, dim)]], [RowStreams(
+                    [np.random.default_rng([stream.seed, trial, _KEY_ROUND])], 1)])
                 for ema in emas
             ]
             for t in range(steps):
@@ -766,7 +767,7 @@ def _train_rows(
         for _ in configs
     ]
     m, v = (
-        StateStack([EmaState.initialize(pair[i], dim, rows) for pair in configs],
+        StateStack([[EmaState.initialize(pair[i], dim)] * rows for pair in configs],
                    streams)
         for i in (0, 1)
     )

@@ -23,7 +23,7 @@ from collections.abc import Iterable
 
 import numpy as np
 
-from .formats import FpFormat
+from .formats import FpFormat, _is_integer
 
 # mean normalized mantissa under the log-uniform mantissa model
 MBAR = 1.0 / math.log(2.0)
@@ -121,14 +121,17 @@ class TheoryInputs:
     def __post_init__(self) -> None:
         if not 0.0 < self.beta2 < 1.0:
             raise ValueError("beta2 must be in (0, 1)")
+        if not isinstance(self.format, FpFormat):
+            raise ValueError(f"format must be an FpFormat, got {self.format!r}")
         if not 0.0 <= self.p_init < 1.0:
             raise ValueError("p_init must be in [0, 1)")
         if not 0.0 <= self.s0 < 1.0:
             raise ValueError("s0 must be in [0, 1)")
         if not 0.0 <= self.p_zero <= 1.0:
             raise ValueError("p_zero must be in [0, 1]")
-        if self.block_size_B < 1:
-            raise ValueError("block_size_B must be >= 1")
+        if not (_is_integer(self.block_size_B) and self.block_size_B >= 1):
+            raise ValueError(
+                f"block_size_B must be an integer >= 1, got {self.block_size_B!r}")
 
     @property
     def rhohat(self) -> float:

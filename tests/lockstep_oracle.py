@@ -5,11 +5,14 @@ This is the study loop the fused step replaced: ``train_rows`` is the old
 batch through its own proposal, store and reset calls, drew each seed's
 gradient with one ``step_begin``/``grad_sample`` pair, walked the adaptive
 rows in a Python loop and took the tail loss one row at a time.
-``adam_lockstep``, ``ResetRows``, ``reset_rows``, ``RowStreams`` and the
-batch ``_proposal``/``_store`` are the old engine's. The arithmetic and the
-order of every draw are kept as they were; docstrings and type hints are
-dropped. Only the batch ``EmaState``, the quantizer, the rounding kernel,
-the theory terms, the skip draws and the problem instances come from the
+``adam_lockstep``, ``ResetRows``, ``reset_rows``, ``RowStreams``, the
+batch ``_proposal``/``_store`` and ``initialize``, the batch branch of the
+old ``EmaState.initialize``, are the old engine's. A batch is an
+``EmaState`` container holding a ``(rows, dim)`` stored state and
+``(rows,)`` arrays ``k`` and ``excess``. The arithmetic and the order of
+every draw are kept as they were; docstrings and type hints are dropped.
+Only the ``EmaState`` container, the quantizer, the rounding kernel, the
+theory terms, the skip draws and the problem instances come from the
 package. The fused study loop must reproduce its losses and traces bit for
 bit.
 """
@@ -31,9 +34,25 @@ from emastall.quantize import (
     _block_absmax,
     _quantize_unchecked,
     dequantize,
+    quantize,
+    quantize_with_scales,
 )
 from emastall.simlab import _KEY_GRAD, _KEY_ROUND, _trailing_window
 from emastall.theory import excess_staleness, remaining_error_E
+
+
+def initialize(config, dim, rows):
+    shape, k, excess = (rows, dim), np.zeros(rows, np.int64), np.zeros(rows)
+    zeros = np.zeros(shape)
+    if config.format is None:
+        return EmaState(zeros, k, config, excess)
+    if config.init_scale is not None:
+        scales = np.full(shape[:-1] + (config.scheme.n_blocks(dim),),
+                         float(config.init_scale))
+        stored = quantize_with_scales(zeros, config.format, config.scheme, scales)
+    else:
+        stored = quantize(zeros, config.format, config.scheme)
+    return EmaState(stored, k, config, excess)
 
 
 class RowStreams:
@@ -114,7 +133,7 @@ def reset_rows(state, rules, fractions):
     if not reset.any():
         return EmaState(state.stored, k, state.config, excess), reset
     cfg = state.config
-    fresh = EmaState.initialize(cfg, state.stored.shape[-1], len(reset))
+    fresh = initialize(cfg, state.stored.shape[-1], len(reset))
     keep = ~reset[:, None]
     if cfg.format is None:
         stored = np.where(keep, state.stored, fresh.stored)
@@ -164,7 +183,7 @@ def train_rows(problem, configs, policies, steps, seeds, hyper, skips=None,
     rows, dim = start.shape
     params = np.repeat(start[None], len(configs), axis=0)
     moments = [
-        (EmaState.initialize(cfg_m, dim, rows), EmaState.initialize(cfg_v, dim, rows))
+        (initialize(cfg_m, dim, rows), initialize(cfg_v, dim, rows))
         for cfg_m, cfg_v in configs
     ]
     grad_rngs = [np.random.default_rng([seed, _KEY_GRAD]) for seed in seeds]

@@ -275,22 +275,22 @@ class TestStore:
     @pytest.mark.parametrize("rounding", [NR, SR], ids=["nr", "sr"])
     @pytest.mark.parametrize("name", list(STEP_CONFIGS))
     def test_single_state_writes_equal_the_reference_engine(self, name, rounding, kept):
-        # ema_step, or one (dim,) store kept across steps as the curve
+        # ema_step, or one (1, 1, dim) store kept across steps as the curve
         # drivers keep it, its buffers and the proposal's poisoned first
         config = STEP_CONFIGS[name](rounding)
         rng, ref_rng = np.random.default_rng(9), np.random.default_rng(9)
         state = EmaState.initialize(config, 64)
         ref = oracle.OracleState.initialize(config, 64)
-        store = _Store([state], [rng])
+        store = _Store([[state]], [RowStreams([rng], 1)])
         self._poison(store)
-        proposal = np.full(64, np.nan)
+        proposal = np.full((1, 1, 64), np.nan)
         zero_scales = 0
         for signal in self._signals():
             if kept:
                 with np.errstate(**_QUIET):
                     p = _proposal(store.values, signal, config.beta, proposal)
                     frac = np.count_nonzero(store.store(p)) / 64
-                state = EmaState(store.stored(), state.k + 1, config)
+                state = EmaState(store.stored(0, 0), state.k + 1, config)
             else:
                 state, frac = ema_step(state, signal, rng)
             ref, ref_frac = oracle.ema_step(ref, signal, ref_rng)
@@ -316,7 +316,7 @@ class TestStore:
         seeds = [[100 + 10 * c + r for r in range(rows)] for c in range(3)]
         streams = [RowStreams([np.random.default_rng(s) for s in row], 1)
                    for row in seeds]
-        stack = StateStack([EmaState.initialize(cfg, dim, rows) for cfg in configs],
+        stack = StateStack([[EmaState.initialize(cfg, dim)] * rows for cfg in configs],
                            streams)
         ((sel, members, store),) = stack.groups
         if configs[0].format is not None:
@@ -332,17 +332,17 @@ class TestStore:
             with np.errstate(**_QUIET):
                 frac = stack.store(_proposal(stack.values, signals, 0.9))
             for c, cfg in enumerate(configs):
-                state = stack.state(c)
                 for r in range(rows):
+                    state = stack.state(c, r)
                     refs[c][r], ref_frac = oracle.ema_step(
                         refs[c][r], signals[c, r], ref_rngs[c][r])
                     assert frac[c, r] == ref_frac
-                    assert state.k[r] == refs[c][r].k
+                    assert state.k == refs[c][r].k
                     for got, want in zip(_arrays(state), _arrays(refs[c][r])):
-                        assert np.array_equal(got[r], want)
+                        assert np.array_equal(got, want)
                     assert np.array_equal(stack.values[c, r], refs[c][r].values())
-                if cfg.format is not None:
-                    zero_scales += int((state.stored.scales == 0).sum())
+                    if cfg.format is not None:
+                        zero_scales += int((state.stored.scales == 0).sum())
         if configs[0].format is not None and not configs[0].freeze_scale:
             assert zero_scales > 0
 
@@ -510,6 +510,18 @@ class TestResetPolicies:
     def test_periodic_takes_numpy_integers(self):
         assert ResetPolicy.periodic(np.int64(7)).K == 7
 
+    @pytest.mark.parametrize("fraction", [math.nan, math.inf, 2.0, -0.25])
+    def test_last_fraction_must_be_in_unit_interval(self, fraction):
+        # nan once set the excess to nan, after which the rule never fired
+        config = EmaConfig(beta=0.99, format=None)
+        state = EmaState(np.zeros(4), 3, config, 0.5)
+        for policy in (ResetPolicy.adaptive(beta2=0.99), ResetPolicy.none()):
+            with pytest.raises(ValueError, match="^last_fraction must be in") as exc:
+                apply_reset_policy(state, policy, fraction)
+            assert "\n" not in str(exc.value)
+        for edge in (0.0, 1.0):
+            apply_reset_policy(state, ResetPolicy.adaptive(beta2=0.99), edge)
+
     @pytest.mark.parametrize("p_ss", [math.nan, math.inf, 0.0, -0.5])
     def test_adaptive_needs_a_positive_finite_p_ss(self, p_ss):
         with pytest.raises(ValueError, match="^ADAPTIVE needs a positive, finite p_ss"):
@@ -620,6 +632,34 @@ class TestAdam:
         p_global = apply_adam_update(np.zeros(4), m, v, hyper, t_global=50)
         assert not np.allclose(p_cycle, p_global)
 
+    def test_adam_step_global_bias_clock(self):
+        # t_global replaces both moments' own cycle counts in the correction
+        hyper = AdamHyper(lr=0.01)
+        cfg_m, cfg_v = self._configs(hyper)
+        m = EmaState(EmaState.initialize(cfg_m, 4).stored, 2, cfg_m)
+        v = EmaState.initialize(cfg_v, 4)
+        grad, params = np.array([0.5, -1.0, 2.0, 0.25]), np.ones(4)
+        p_global, m2, v2, _ = adam_step(m, v, grad, hyper, params, t_global=50)
+        assert (m2.k, v2.k) == (3, 1)
+        assert np.array_equal(
+            p_global, apply_adam_update(params, m2, v2, hyper, t_global=50))
+        p_cycle, *_ = adam_step(m, v, grad, hyper, params)
+        assert np.array_equal(p_cycle, apply_adam_update(params, m2, v2, hyper))
+        assert not np.allclose(p_cycle, p_global)
+
+    def test_adam_step_takes_array_like_params(self):
+        # a list once failed with "list indices must be integers or slices"
+        hyper = AdamHyper(lr=0.01)
+        cfg_m, cfg_v = self._configs(hyper, FP4_E2M1)
+        m, v = EmaState.initialize(cfg_m, 3), EmaState.initialize(cfg_v, 3)
+        rng = np.random.default_rng(2)
+        got = adam_step(m, v, [0.5, -1.0, 2.0], hyper, [1.0, 2.0, 3.0], rng)
+        want = adam_step(m, v, np.array([0.5, -1.0, 2.0]), hyper,
+                         np.array([1.0, 2.0, 3.0]), np.random.default_rng(2))
+        assert np.array_equal(got[0], want[0])
+        for a, b in zip(got[1:3], want[1:3]):
+            assert np.array_equal(a.stored.codes, b.stored.codes)
+
     def test_beta_mismatch_rejected(self):
         hyper = AdamHyper(lr=0.01, beta1=0.9, beta2=0.999)
         cfg_m = EmaConfig(beta=0.8, format=None)
@@ -639,32 +679,83 @@ class TestAdam:
 
 
 class TestBatchState:
-    def test_initialize_rows(self):
-        for config in (EmaConfig(beta=0.9, format=None),
-                       EmaConfig(beta=0.9, format=FP4_E2M1, scheme=BLOCK128),
-                       EmaConfig(beta=0.9, format=BF16, freeze_scale=True,
-                                 init_scale=BF16.x_max)):
-            state = EmaState.initialize(config, 200, rows=3)
-            one = EmaState.initialize(config, 200)
-            assert state.values().shape == (3, 200)
-            assert np.array_equal(state.values(), np.stack([one.values()] * 3))
-            assert state.k.tolist() == [0, 0, 0]
-            assert state.excess.tolist() == [0.0, 0.0, 0.0]
-
     def test_single_state_forms_reject_a_batch(self):
+        # hand-built (rows, dim) states: rows step through a StateStack
         hyper = AdamHyper(lr=0.01)
-        m = EmaState.initialize(EmaConfig(beta=hyper.beta1, format=None), 4, rows=2)
-        v = EmaState.initialize(EmaConfig(beta=hyper.beta2, format=None), 4, rows=2)
+        m = EmaState(np.zeros((2, 4)), 0, EmaConfig(beta=hyper.beta1, format=None))
+        v = EmaState(np.zeros((2, 4)), 0, EmaConfig(beta=hyper.beta2, format=None))
+        q = EmaState(quantize(np.zeros((2, 4)), BF16, PER_TENSOR), 0,
+                     EmaConfig(beta=hyper.beta2, format=BF16, scheme=PER_TENSOR))
         g = np.ones((2, 4))
         rng = np.random.default_rng(0)
-        with pytest.raises(ValueError):
-            ema_step(m, g)
-        with pytest.raises(ValueError):
-            skip_intervention_step(m, g, 0.5, rng)
-        with pytest.raises(ValueError):
-            apply_reset_policy(m, ResetPolicy.periodic(1))
-        with pytest.raises(ValueError):
+        for state in (m, q):
+            with pytest.raises(ValueError, match="StateStack"):
+                ema_step(state, g)
+            # p_skip = 1 takes the skip branch, which writes nothing
+            for p_skip in (0.5, 1.0):
+                with pytest.raises(ValueError, match="StateStack"):
+                    skip_intervention_step(state, g, p_skip, rng)
+            with pytest.raises(ValueError, match="StateStack"):
+                apply_reset_policy(state, ResetPolicy.periodic(1))
+        with pytest.raises(ValueError, match="StateStack"):
             adam_step(m, v, g, hyper, np.zeros((2, 4)))
+        with pytest.raises(ValueError, match="StateStack"):
+            adam_step(m, q, g, hyper, np.zeros((2, 4)))
+
+    @pytest.mark.parametrize("fmt", [None, BF16], ids=["fp32", "bf16"])
+    def test_generator_streams_are_rejected(self, fmt):
+        # a group of two stochastic members once failed with
+        # "'Generator' object has no attribute 'generators'"
+        config = EmaConfig(beta=0.9, format=fmt, rounding=SR)
+        rows = [[EmaState.initialize(config, 2)] * 4] * 2
+        gens = [np.random.default_rng(0), np.random.default_rng(1)]
+        with pytest.raises(ValueError, match="^a rounding stream must be a RowStreams"):
+            StateStack(rows, gens)
+        with pytest.raises(ValueError, match="^a rounding stream must be a RowStreams"):
+            _Store(rows[:1], gens[:1])
+
+    def test_merged_streams_share_rows_per_stream(self):
+        config = EmaConfig(beta=0.9, format=BF16, rounding=SR)
+        gens = [np.random.default_rng(s) for s in range(3)]
+        streams = [RowStreams(gens[:1], 2), RowStreams(gens[1:], 1)]
+        with pytest.raises(ValueError, match="rows_per_stream"):
+            StateStack([[EmaState.initialize(config, 3)] * 2] * 2, streams)
+
+    def test_one_row_stream_draws_as_its_generator(self):
+        stream, rng = RowStreams([np.random.default_rng(4)], 1), np.random.default_rng(4)
+        for shape in ((5,), (1, 1, 5)):
+            assert np.array_equal(stream.random(shape), rng.random((5,)).reshape(shape))
+        with pytest.raises(ValueError, match="^draw shape does not match"):
+            stream.random((2, 5))
+
+    def test_stack_rows_are_single_states(self):
+        config = EmaConfig(beta=0.9, format=FP4_E2M1, scheme=BLOCK16)
+        rows = [EmaState(EmaState.initialize(config, 40).stored, k, config, 0.5 * k)
+                for k in range(3)]
+        stack = StateStack([rows], [None])
+        assert stack.values.shape == (1, 3, 40)
+        assert stack.k.tolist() == [[0, 1, 2]] and stack.excess.tolist() == [[0, 0.5, 1]]
+        got = stack.state(0, 2)
+        assert (got.k, got.excess, got.config) == (2, 1.0, config)
+        assert type(got.k) is int and type(got.excess) is float
+        assert got.stored.codes.shape == (40,) and got.stored.scales.shape == (3,)
+        for name in ("codes", "scales"):
+            ours = getattr(got.stored, name)
+            for _, _, store in stack.groups:
+                assert not np.shares_memory(ours, getattr(store, name))
+        other = EmaConfig(beta=0.8, format=FP4_E2M1, scheme=BLOCK16)
+        with pytest.raises(ValueError, match="share its EmaConfig"):
+            StateStack([rows + [EmaState.initialize(other, 40)]], [None])
+
+    @pytest.mark.parametrize("dim", [2.5, 0, -1, True, "4"])
+    @pytest.mark.parametrize("fmt", [None, BF16], ids=["fp32", "bf16"])
+    def test_initialize_needs_an_integer_dim(self, dim, fmt):
+        with pytest.raises(ValueError, match="^dim must be an integer >= 1") as exc:
+            EmaState.initialize(EmaConfig(beta=0.9, format=fmt), dim)
+        assert "\n" not in str(exc.value)
+
+    def test_initialize_takes_numpy_integers(self):
+        assert len(EmaState.initialize(EmaConfig(beta=0.9, format=BF16), np.int64(3))) == 3
 
 
 class TestSkipIntervention:

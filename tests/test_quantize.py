@@ -343,6 +343,21 @@ def test_scheme_rejects_unusable_fields(mode, block_size, message):
         ScalingScheme(mode, block_size)
 
 
+@pytest.mark.parametrize("mode", ["nr", "sr", None, 0])
+def test_quantizers_reject_a_mode_that_is_not_a_rounding_mode(mode):
+    # "nr" once rounded stochastically (codes [3 4 7 7] against nearest's
+    # [4 4 6 7]) and, without an rng, failed as a missing rng stream
+    x = np.array([0.3, 0.31, 0.7, 1.0])
+    message = f"^mode must be a RoundingMode, got {mode!r}$"
+    with pytest.raises(ValueError, match=message):
+        quantize(x, FP4_E2M1, PER_TENSOR, mode=mode, rng=np.random.default_rng(0))
+    with pytest.raises(ValueError, match=message):
+        quantize(x, FP4_E2M1, PER_TENSOR, mode=mode)
+    with pytest.raises(ValueError, match=message):
+        quantize_with_scales(x, FP4_E2M1, PER_TENSOR, np.ones(1), mode=mode)
+    assert quantize(x, FP4_E2M1, PER_TENSOR).codes.tolist() == [4, 4, 6, 7]
+
+
 def test_scheme_takes_numpy_integer_block_sizes():
     scheme = ScalingScheme(ScalingMode.BLOCKWISE, np.int64(128))
     assert scheme.n_blocks(300) == 3

@@ -184,25 +184,26 @@ def test_reset_rows_equal_the_per_state_rule():
         k = rng.integers(0, 6, rows)
         k[::7] = 0
         excess = np.where(k > 0, rng.uniform(0.0, 3.0, rows), 0.0)
-        batches.append(engine.EmaState(rng.standard_normal((rows, dim)), k, config,
-                                       excess))
+        stored = rng.standard_normal((rows, dim))
+        batches.append([engine.EmaState(stored[r], int(k[r]), config, float(excess[r]))
+                        for r in range(rows)])
     fractions = rng.uniform(0.0, 1.0, (2, rows))
     for moment in ("first", "second"):
         stack = engine.StateStack(batches, [None, None])
         reset = engine.reset_rows(stack, engine.ResetRows(policies, moment, 5),
                                   fractions)
         for c, batch in enumerate(batches):
-            got = stack.state(c)
             for r, policy in enumerate(policies):
+                got = stack.state(c, r)
                 if policy.applies_to not in (moment, "both"):
                     policy = ResetPolicy.none()
-                state = oracle.OracleState(batch.stored[r], int(batch.k[r]), config,
-                                           float(batch.excess[r]))
+                state = oracle.OracleState(batch[r].stored, batch[r].k, config,
+                                           batch[r].excess)
                 want, did = oracle.apply_reset_policy(state, policy,
                                                       float(fractions[c, r]))
-                assert (bool(reset[c, r]), int(got.k[r])) == (did, want.k), (c, r)
-                assert float(got.excess[r]) == want.excess, (c, r)
-                assert got.stored[r].tolist() == want.values().tolist(), (c, r)
+                assert (bool(reset[c, r]), got.k) == (did, want.k), (c, r)
+                assert got.excess == want.excess, (c, r)
+                assert got.stored.tolist() == want.values().tolist(), (c, r)
         assert reset.any() and not reset.all()
 
 

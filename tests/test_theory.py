@@ -186,6 +186,24 @@ class TestRhohat:
             rhohat_value(0.125, 1.0)
 
 
+@pytest.mark.parametrize("field,value,message", [
+    ("format", "bf16", "format must be an FpFormat, got 'bf16'"),
+    ("format", None, "format must be an FpFormat, got None"),
+    ("block_size_B", 2.5, "block_size_B must be an integer >= 1, got 2.5"),
+    ("block_size_B", True, "block_size_B must be an integer >= 1, got True"),
+    ("block_size_B", 0, "block_size_B must be an integer >= 1, got 0"),
+])
+def test_theory_inputs_reject_unusable_fields(field, value, message):
+    # a string format once failed later as an AttributeError in rhohat, and
+    # a block size of 2.5 was accepted
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        TheoryInputs(**{"beta2": B2, "format": BF16, field: value})
+
+
+def test_theory_inputs_take_numpy_integer_block_sizes():
+    assert TheoryInputs(beta2=B2, format=BF16, block_size_B=np.int64(16)).block_size_B == 16
+
+
 class TestNrSteadyState:
     def test_table_values(self):
         assert abs(p_stall_nr_ss(RHO_BF16) - 0.946) < 0.001
