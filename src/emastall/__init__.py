@@ -32,8 +32,6 @@ from .quantize import (
     ScalingScheme,
     dequantize,
     quantize,
-    stalled_fraction,
-    stalled_mask,
 )
 from .theory import (
     TheoryInputs,
@@ -58,10 +56,7 @@ _ENGINE_NAMES = (
     "ResetKind",
     "ResetPolicy",
     "StallTrace",
-    "adam_step",
-    "apply_reset_policy",
     "ema_step",
-    "skip_intervention_step",
 )
 
 

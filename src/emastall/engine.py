@@ -14,10 +14,9 @@ once per step over the whole stack: one proposal expression, one quantizer
 pass per storage group (the configs that share format, scheme and scale
 anchor), one Adam update and one array form of every row's reset rule.
 Every operation is elementwise or a reduction along the last axis, so each
-row comes out bit-identical to the same state stepped on its own.
-``ema_step``, ``adam_step``, ``apply_reset_policy`` and
-``skip_intervention_step`` are the single-state forms; ``adam_step`` and
-``apply_reset_policy`` run the stack path with one config and one row.
+row comes out bit-identical to the same state stepped alone in a one-row
+stack. ``ema_step`` is the one single-state form: one EMA write of one
+state, with its stalled fraction.
 
 Every stored state is written by one class, ``_Store``, always of shape
 ``(members, rows, dim)``: a storage group of a stack is one store, and
@@ -170,11 +169,6 @@ def _proposal(
     return proposal
 
 
-def _require_single(*states: EmaState) -> None:
-    if any(len(state.stored.shape) != 1 for state in states):
-        raise ValueError("a state is one (dim,) tensor; rows step through a StateStack")
-
-
 class _Store:
     """Stored states of one storage layout, written in place: the one store
     path of the engine.
@@ -309,7 +303,8 @@ def ema_step(
     stored-bit-pattern convention); per-step scale recomputation does not
     count as movement on its own. The input state is left untouched.
     """
-    _require_single(state)
+    if len(state.stored.shape) != 1:
+        raise ValueError("a state is one (dim,) tensor; rows step through a StateStack")
     signal = np.asarray(signal, dtype=np.float64)
     if signal.shape != state.stored.shape:
         raise ValueError("signal shape does not match state")
@@ -319,25 +314,6 @@ def ema_step(
     new = EmaState(store.stored(0, 0), state.k + 1, state.config, state.excess)
     # an exact count over dim, the same bits as the mean of the flags
     return new, np.count_nonzero(flags) / len(signal)
-
-
-def skip_intervention_step(
-    state: EmaState,
-    signal: np.ndarray,
-    p_skip: float,
-    rng: np.random.Generator,
-) -> EmaState:
-    """Run ema_step, except the whole update is skipped with probability
-    p_skip (a forced stall; the cycle counter still advances)."""
-    if not 0.0 <= p_skip <= 1.0:
-        raise ValueError("p_skip must be in [0, 1]")
-    _require_single(state)
-    if p_skip > 0.0 and rng is None:
-        raise ValueError("p_skip > 0 needs an rng to draw the skips")
-    if p_skip > 0.0 and rng.random() < p_skip:
-        return EmaState(state.stored, state.k + 1, state.config, state.excess)
-    new, _ = ema_step(state, signal, rng)
-    return new
 
 
 class StateStack:
@@ -516,23 +492,6 @@ def reset_rows(
     return reset
 
 
-def apply_reset_policy(
-    state: EmaState, policy: ResetPolicy, last_fraction: float = 0.0
-) -> tuple[EmaState, bool]:
-    """Apply the reset rule after a step; returns (state, did_reset).
-
-    For ADAPTIVE, last_fraction is the empirical stalled fraction of the
-    step just taken, in [0, 1].
-    """
-    _require_single(state)
-    if not 0.0 <= last_fraction <= 1.0:
-        raise ValueError(f"last_fraction must be in [0, 1], got {last_fraction!r}")
-    stack = StateStack([[state]], [None])
-    rules = ResetRows([policy], None, max(1, state.k))
-    reset = reset_rows(stack, rules, np.array([[last_fraction]]))
-    return stack.state(0, 0), bool(reset[0, 0])
-
-
 @dataclasses.dataclass(frozen=True)
 class AdamHyper:
     lr: float
@@ -557,12 +516,11 @@ def _adam_update(
     params: np.ndarray,
     m_vals: np.ndarray,
     v_vals: np.ndarray,
-    k_m: int | np.ndarray,
-    k_v: int | np.ndarray,
+    k_m: np.ndarray,
+    k_v: np.ndarray,
     hyper: AdamHyper,
 ) -> np.ndarray:
-    # k_m and k_v are ints, or (configs, rows) arrays for a stack
-    k_m, k_v = np.asarray(k_m), np.asarray(k_v)
+    # k_m and k_v are the (configs, rows) cycle counts
     if k_m.min() < 1 or k_v.min() < 1:
         raise ValueError("bias correction needs at least one accumulated step")
     # one correction per row, broadcast along the row; the temporaries are
@@ -580,41 +538,25 @@ def _adam_update(
     return new
 
 
-def apply_adam_update(
-    params: np.ndarray,
-    m_state: EmaState,
-    v_state: EmaState,
-    hyper: AdamHyper,
-    t_global: int | None = None,
-) -> np.ndarray:
-    """Parameter update from the stored moments.
-
-    Bias correction uses each moment's own cycle step, so the correction
-    clock resets together with the state; pass t_global to use a global
-    clock instead. Epsilon is added outside the square root, and weight
-    decay is decoupled.
-    """
-    k_m = t_global if t_global is not None else m_state.k
-    k_v = t_global if t_global is not None else v_state.k
-    return _adam_update(params, m_state.values(), v_state.values(), k_m, k_v, hyper)
-
-
 def adam_lockstep(
     m: StateStack,
     v: StateStack,
     grad: np.ndarray,
     hyper: AdamHyper,
     params: np.ndarray,
-    t_global: int | None = None,
     hold_m: np.ndarray | None = None,
     hold_v: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``adam_step`` for the stacked states of several storage configs.
+    """One Adam step of the stacked states of several storage configs.
 
     m and v are ``StateStack``s of shape ``(configs, rows, dim)``, stepped
     in place on grad and params of that shape. One proposal expression per
     moment covers every config, each storage group stores in one pass, and
-    one update moves the whole parameter stack. Rows flagged in hold_m
+    one update moves the whole parameter stack. The update reads the
+    high-precision proposals, so quantization error enters later steps
+    through storage only; bias correction uses each row's own cycle count,
+    so the correction clock resets with the state; epsilon is added outside
+    the square root, and weight decay is decoupled. Rows flagged in hold_m
     (hold_v), a ``(rows,)`` mask, skip that moment's update in every
     config: the stored value stays, the cycle counter still advances, and
     the parameter update reads the stored value. Returns (params,
@@ -636,34 +578,7 @@ def adam_lockstep(
     if hold_v is not None:
         np.copyto(pv, v.values, where=hold_v[:, None])
     frac_m, frac_v = m.store(pm), v.store(pv)
-    k_m, k_v = (m.k, v.k) if t_global is None else (t_global, t_global)
-    return _adam_update(params, pm, pv, k_m, k_v, hyper), frac_m, frac_v
-
-
-def adam_step(
-    m_state: EmaState,
-    v_state: EmaState,
-    grad: np.ndarray,
-    hyper: AdamHyper,
-    params: np.ndarray,
-    rng: np.random.Generator | None = None,
-    t_global: int | None = None,
-) -> tuple[np.ndarray, EmaState, EmaState, dict]:
-    """One Adam step with both moments stored through their EMA configs.
-
-    The parameter update is computed from the high-precision moment
-    proposals; quantization error enters future steps through storage only.
-    """
-    _require_single(m_state, v_state)
-    grad = np.asarray(grad, dtype=np.float64)
-    params = np.asarray(params, dtype=np.float64)
-    stream = None if rng is None else RowStreams([rng], 1)
-    m, v = StateStack([[m_state]], [stream]), StateStack([[v_state]], [stream])
-    new_params, frac_m, frac_v = adam_lockstep(
-        m, v, grad[None, None], hyper, params[None, None], t_global
-    )
-    stalled = {"stalled_m": float(frac_m[0, 0]), "stalled_v": float(frac_v[0, 0])}
-    return new_params[0, 0], m.state(0, 0), v.state(0, 0), stalled
+    return _adam_update(params, pm, pv, m.k, v.k, hyper), frac_m, frac_v
 
 
 @dataclasses.dataclass

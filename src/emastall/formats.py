@@ -14,11 +14,9 @@ Codes are plain unsigned bit patterns laid out as [sign | exponent | mantissa].
 from __future__ import annotations
 
 import dataclasses
-import math
 import numbers
-from bisect import bisect_right
 from enum import Enum
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -269,47 +267,6 @@ class RoundingGrid:
             idx = self.stochastic_idx(mag, rng)
         return self.signed(x, idx)
 
-    @cached_property
-    def _scalar_tables(self) -> tuple:
-        # the rank tables' bounds, NaN pad included, the points, full codes
-        # by index and decoded values by code, as Python lists
-        codes = self.signed_codes if self.fmt.sign_bits else self.codes
-        return (self._nearest.table.tolist(), self._lower.table.tolist(),
-                self.values.tolist(), codes.tolist(), self.decoded.tolist())
-
-    def encode_scalar(
-        self, x: float, mode: RoundingMode, rng: np.random.Generator | None
-    ) -> GridValue:
-        """``encode`` of one Python float, with the decoded value.
-
-        The ranks come from ``bisect`` over the same boundary tables and the
-        float operations are the same, so the code is the one ``encode``
-        returns. Stochastic rounding draws ``rng.random()``, which advances
-        the stream exactly as ``rng.random((1,))`` does.
-        """
-        if not math.isfinite(x):
-            raise ValueError("cannot round non-finite values")
-        nearest, upper, values, codes, decoded = self._scalar_tables
-        mag = abs(x) if self.fmt.sign_bits else max(x, 0.0)
-        if not self.saturate and mag > values[-1]:
-            raise OverflowError(
-                f"magnitude exceeds {self.fmt.name} x_max with saturation disabled"
-            )
-        # a rank is the count of bounds at or below mag, the pad excluded
-        if mode is RoundingMode.NEAREST_EVEN:
-            idx = bisect_right(nearest, mag, 0, len(nearest) - 1)
-        elif rng is None:
-            raise ValueError("stochastic rounding requires an rng stream")
-        else:
-            # upper[idx] is the point above values[idx]; NaN at the top
-            idx = bisect_right(upper, mag, 0, len(upper) - 1)
-            v_lo = values[idx]
-            idx += rng.random() < (mag - v_lo) / (upper[idx] - v_lo)
-        if x < 0 and self.fmt.sign_bits:
-            idx += len(values)
-        code = codes[idx]
-        return GridValue(code, decoded[code])
-
 
 @lru_cache(maxsize=None)
 def _raw_grid(fmt: FpFormat) -> RoundingGrid:
@@ -359,6 +316,14 @@ def _round_array(
     return _raw_grid(fmt).encode(x, mode, rng)
 
 
+def _round_scalar(
+    fmt: FpFormat, x: float, mode: RoundingMode, rng: np.random.Generator | None
+) -> GridValue:
+    # the array kernel on a one-element array
+    code = int(_round_array(fmt, np.array([x], dtype=np.float64), mode, rng)[0])
+    return GridValue(code, float(_raw_grid(fmt).decoded[code]))
+
+
 def round_nearest(fmt: FpFormat, x: float) -> GridValue:
     """Round to the nearest grid point, ties to even mantissa.
 
@@ -367,7 +332,7 @@ def round_nearest(fmt: FpFormat, x: float) -> GridValue:
     or to s_min when the format excludes zero. Zero results keep the
     canonical positive code.
     """
-    return _raw_grid(fmt).encode_scalar(float(x), RoundingMode.NEAREST_EVEN, None)
+    return _round_scalar(fmt, x, RoundingMode.NEAREST_EVEN, None)
 
 
 def round_stochastic(
@@ -376,9 +341,10 @@ def round_stochastic(
     """Round to a bracketing neighbor with distance-proportional probability.
 
     Exact grid points are returned unchanged with probability 1. Values
-    beyond x_max saturate deterministically.
+    beyond x_max saturate deterministically. Each call draws
+    ``rng.random((1,))``.
     """
-    return _raw_grid(fmt).encode_scalar(float(x), RoundingMode.STOCHASTIC, rng)
+    return _round_scalar(fmt, x, RoundingMode.STOCHASTIC, rng)
 
 
 def round_nearest_array(fmt: FpFormat, x: np.ndarray) -> np.ndarray:

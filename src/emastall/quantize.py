@@ -242,31 +242,3 @@ def dequantize(q: QuantizedBlock) -> np.ndarray:
     vals = _normalized_grid(q.format).decoded.take(q.codes)
     vals *= _broadcast_scales(q.scales, q.scheme, q.codes.shape[-1])
     return vals
-
-
-def stalled_mask(
-    prev: QuantizedBlock, next: QuantizedBlock, include_scale: bool = True
-) -> np.ndarray:
-    """Per-element flags: stored state unchanged between two snapshots.
-
-    With include_scale, an element counts as stalled only if its code and
-    its block's scale are both unchanged (the decoded value moved whenever
-    either changed). Code-only comparison (include_scale=False) matches the
-    stored-bit-pattern convention used by the stall statistics.
-    """
-    if prev.codes.shape != next.codes.shape:
-        raise ValueError("shape mismatch")
-    if prev.format != next.format or prev.scheme != next.scheme:
-        raise ValueError("format/scheme mismatch")
-    mask = prev.codes == next.codes
-    if include_scale:
-        dim = prev.codes.shape[-1]
-        same = prev.scales == next.scales
-        mask = mask & _broadcast_scales(same, prev.scheme, dim)
-    return mask
-
-
-def stalled_fraction(
-    prev: QuantizedBlock, next: QuantizedBlock, include_scale: bool = True
-) -> float:
-    return float(np.mean(stalled_mask(prev, next, include_scale)))

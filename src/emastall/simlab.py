@@ -481,8 +481,9 @@ def _worker_cpus() -> set | None:
 
 
 def _signal_rows(spec: GradientStreamSpec, steps: int, trials: int, square: bool):
-    """Yield each step's signal row of a curve run, trial after trial; a row
-    is valid until the next one is asked for.
+    """Yield each step's signal row of a curve run, trial after trial, as a
+    ``(1, 1, dim)`` view, the shape of a curve store; a row is valid until
+    the next one is asked for.
 
     A producer thread fills a ring of chunk buffers with each trial's stream
     (squared for a second moment) while the caller rounds the current row;
@@ -533,7 +534,7 @@ def _signal_rows(spec: GradientStreamSpec, steps: int, trials: int, square: bool
             block = full.get()
             if isinstance(block, BaseException):
                 raise block
-            yield from block
+            yield from block[:, None, None]
             free.put(True)
     finally:
         free.put(False)
@@ -619,7 +620,7 @@ def run_stall_curves(
     measured floor (step 1) and plateau (last decile), and overlays the
     transient and steady-state theory values for each config's format.
     The configs share each step's draw, so each result equals the one
-    ``run_stall_curve`` gives for its config alone.
+    its config gives run alone.
     """
     results = _curve_results(
         "stall_curve", stream, emas, steps, trials, True, "measured_plateau"
@@ -643,16 +644,6 @@ def run_stall_curves(
     return results
 
 
-def run_stall_curve(
-    stream: GradientStreamSpec,
-    ema: EmaConfig,
-    steps: int,
-    trials: int = 1,
-) -> ExperimentResult:
-    """``run_stall_curves`` for one config."""
-    return run_stall_curves(stream, [ema], steps, trials)[0]
-
-
 def run_first_moment_curves(
     stream: GradientStreamSpec,
     emas: list,
@@ -665,16 +656,6 @@ def run_first_moment_curves(
     return _curve_results(
         "first_moment_curve", stream, emas, steps, trials, False, "measured_steady"
     )
-
-
-def run_first_moment_curve(
-    stream: GradientStreamSpec,
-    ema: EmaConfig,
-    steps: int,
-    trials: int = 1,
-) -> ExperimentResult:
-    """``run_first_moment_curves`` for one config."""
-    return run_first_moment_curves(stream, [ema], steps, trials)[0]
 
 
 def _trailing_window(steps: int) -> int:

@@ -7,7 +7,8 @@ gradient with one ``step_begin``/``grad_sample`` pair, walked the adaptive
 rows in a Python loop and took the tail loss one row at a time.
 ``adam_lockstep``, ``ResetRows``, ``reset_rows``, ``RowStreams``, the
 batch ``_proposal``/``_store`` and ``initialize``, the batch branch of the
-old ``EmaState.initialize``, are the old engine's. A batch is an
+old ``EmaState.initialize``, are the old engine's (``adam_lockstep``
+without its unused ``t_global`` clock). A batch is an
 ``EmaState`` container holding a ``(rows, dim)`` stored state and
 ``(rows,)`` arrays ``k`` and ``excess``. The arithmetic and the order of
 every draw are kept as they were; docstrings and type hints are dropped.
@@ -146,8 +147,7 @@ def reset_rows(state, rules, fractions):
     return EmaState(stored, k, cfg, excess), reset
 
 
-def adam_lockstep(moments, grad, hyper, params, rngs, t_global=None, hold_m=None,
-                  hold_v=None):
+def adam_lockstep(moments, grad, hyper, params, rngs, hold_m=None, hold_v=None):
     shape = (len(moments),) + params.shape[1:]
     if grad.shape != params.shape or params.shape != shape:
         raise ValueError("gradient/parameter shape mismatch")
@@ -166,11 +166,8 @@ def adam_lockstep(moments, grad, hyper, params, rngs, t_global=None, hold_m=None
         stepped.append((m2, v2))
         frac_m.append(fm)
         frac_v.append(fv)
-    if t_global is not None:
-        k_m = k_v = t_global
-    else:
-        k_m = np.array([m.k for m, _ in stepped])
-        k_v = np.array([v.k for _, v in stepped])
+    k_m = np.array([m.k for m, _ in stepped])
+    k_v = np.array([v.k for _, v in stepped])
     new_params = _adam_update(params, pm, pv, k_m, k_v, hyper)
     return new_params, stepped, np.array(frac_m), np.array(frac_v)
 

@@ -31,7 +31,6 @@ from emastall.simlab import (
     GradientStreamSpec,
     default_ema_config,
     run_first_moment_curves,
-    run_stall_curve,
     run_stall_curves,
 )
 
@@ -171,7 +170,7 @@ def test_ring_rows_equal_step_by_step_draws(dim, ring, steps, stream, second_mom
         with contextlib.closing(
             simlab._signal_rows(spec, steps, trials, second_moment)
         ) as signals:
-            return [_bits(row) for row in signals]
+            return [_bits(row[0, 0]) for row in signals]
 
     assert _bounded(rows) == want
 
@@ -228,7 +227,8 @@ def test_draw_equals_oracle_draw():
 class TestLifecycle:
     def test_no_thread_outlives_a_call(self):
         baseline = threading.active_count()
-        _bounded(run_stall_curve, _spec(64, "iid"), default_ema_config("bf16", 0.99), 5)
+        _bounded(run_stall_curves, _spec(64, "iid"), [default_ema_config("bf16", 0.99)],
+                 5)
         assert threading.active_count() == baseline
 
     def test_overflowing_stream_raises_only_the_value_error(self):
@@ -239,7 +239,7 @@ class TestLifecycle:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="non-finite or overflowing signal"):
-                _bounded(run_stall_curve, spec, default_ema_config("bf16", 0.999), 10)
+                _bounded(run_stall_curves, spec, [default_ema_config("bf16", 0.999)], 10)
         assert threading.active_count() == baseline
 
     def test_caller_error_mid_run_stops_the_producer(self, monkeypatch):
@@ -267,8 +267,8 @@ class TestLifecycle:
         monkeypatch.setattr(engine._Store, "store", failing_store)
         baseline = threading.active_count()
         with pytest.raises(ValueError, match="caller failed"):
-            _bounded(run_stall_curve, _spec(8, "iid"), default_ema_config("bf16", 0.99),
-                     200)
+            _bounded(run_stall_curves, _spec(8, "iid"),
+                     [default_ema_config("bf16", 0.99)], 200)
         assert threading.active_count() == baseline
         assert len(fills) == 5
 
@@ -286,14 +286,15 @@ class TestLifecycle:
         monkeypatch.setattr(GradientStream, "fill", failing_fill)
         baseline = threading.active_count()
         with pytest.raises(RuntimeError, match="producer failed"):
-            _bounded(run_stall_curve, _spec(8, "iid"), default_ema_config("bf16", 0.99),
-                     200)
+            _bounded(run_stall_curves, _spec(8, "iid"),
+                     [default_ema_config("bf16", 0.99)], 200)
         assert threading.active_count() == baseline
 
     @pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="no affinity API")
     def test_caller_affinity_is_untouched(self):
         before = os.sched_getaffinity(0)
-        _bounded(run_stall_curve, _spec(64, "iid"), default_ema_config("bf16", 0.99), 5)
+        _bounded(run_stall_curves, _spec(64, "iid"), [default_ema_config("bf16", 0.99)],
+                 5)
         assert os.sched_getaffinity(0) == before
 
     def test_worker_cpus_leave_out_one_allowed_cpu(self):
@@ -304,10 +305,10 @@ class TestLifecycle:
 
     def test_unplaceable_producer_gives_the_same_curve(self, monkeypatch):
         spec, ema = _spec(64, "mu"), default_ema_config("fp8_e4m3", 0.99, SR)
-        placed = _bounded(run_stall_curve, spec, ema, 9, trials=2)
+        placed = _bounded(run_stall_curves, spec, [ema], 9, trials=2)[0]
         monkeypatch.delattr(os, "sched_setaffinity", raising=False)
         assert simlab._worker_cpus() is None
-        unplaced = _bounded(run_stall_curve, spec, ema, 9, trials=2)
+        unplaced = _bounded(run_stall_curves, spec, [ema], 9, trials=2)[0]
         assert unplaced.series == placed.series
 
 

@@ -15,16 +15,16 @@ from emastall.engine import (
     ResetKind,
     ResetPolicy,
     StallTrace,
+    ResetRows,
     RowStreams,
     StateStack,
     _QUIET,
     _Store,
+    _adam_update,
     _proposal,
-    adam_step,
-    apply_adam_update,
-    apply_reset_policy,
+    adam_lockstep,
     ema_step,
-    skip_intervention_step,
+    reset_rows,
 )
 from emastall.formats import (
     BF16,
@@ -40,6 +40,7 @@ from emastall.quantize import (
     dequantize,
     quantize,
 )
+from emastall.simlab import _Skips
 from emastall.theory import p_stall_nr_ss, remaining_error_E
 
 PER_TENSOR = ScalingScheme(ScalingMode.PER_TENSOR)
@@ -65,6 +66,35 @@ def warm_state(config, dim, seed=0, steps=10):
     for _ in range(steps):
         state, _ = ema_step(state, rng.standard_normal(dim) ** 2, rng)
     return state
+
+
+def one_row(state):
+    """state as a one-config, one-row StateStack."""
+    return StateStack([[state]], [None])
+
+
+def moment_stacks(hyper, dim):
+    """Zero full-precision one-row m and v stacks for hyper."""
+    return tuple(one_row(EmaState.initialize(EmaConfig(beta, None), dim))
+                 for beta in (hyper.beta1, hyper.beta2))
+
+
+def adam_one_row(m_state, v_state, grad, hyper, params):
+    """adam_lockstep on one-row stacks of the two moments: (params, m, v,
+    (stalled_m, stalled_v))."""
+    m, v = one_row(m_state), one_row(v_state)
+    new, frac_m, frac_v = adam_lockstep(m, v, grad[None, None], hyper,
+                                        params[None, None])
+    return new[0, 0], m.state(0, 0), v.state(0, 0), (frac_m[0, 0], frac_v[0, 0])
+
+
+def reset_one_row(state, policy, fraction=0.0):
+    """reset_rows on a one-row stack of state, after a step whose stalled
+    fraction was fraction: (state, did_reset)."""
+    stack = one_row(state)
+    reset = reset_rows(stack, ResetRows([policy], None, max(1, state.k)),
+                       np.array([[fraction]]))
+    return stack.state(0, 0), bool(reset[0, 0])
 
 
 @pytest.mark.parametrize("fmt,init_scale,freeze", [
@@ -178,7 +208,7 @@ class TestEmaStep:
         m = EmaState.initialize(EmaConfig(beta=hyper.beta1, format=fmt), 2)
         v = EmaState.initialize(EmaConfig(beta=hyper.beta2, format=fmt), 2)
         with pytest.raises(ValueError):
-            adam_step(m, v, np.full(2, 1e200), hyper, np.zeros(2))
+            adam_one_row(m, v, np.full(2, 1e200), hyper, np.zeros(2))
 
     def test_power_of_two_signal_equivariance(self):
         config = EmaConfig(beta=0.999, format=FP4_E2M2U, scheme=PER_TENSOR)
@@ -359,27 +389,33 @@ class TestEffectiveDecayConsistency:
         # the effective-decay equation models stalling as independent
         # thinning of update steps; forced skips realize exactly that, so
         # the fitted contraction toward a shifted signal mean must match
-        # (1 - beta2) * (1 - measured stall fraction) within 10 percent
+        # (1 - beta2) * (1 - measured stall fraction) within 10 percent.
+        # The EMA under test is the first moment, whose update a hold mask
+        # skips with probability p
         beta = 0.999
         dim = 64
         p = 0.95
-        config = EmaConfig(beta=beta, format=None)
+        hyper = AdamHyper(lr=0.01, beta1=beta)
         rng = np.random.default_rng(77)
-        state = EmaState.initialize(config, dim)
+        m, v = moment_stacks(hyper, dim)
+        params = np.zeros((1, 1, dim))
+
+        def step(signal, hold):
+            adam_lockstep(m, v, signal[None, None], hyper, params,
+                          hold_m=np.array([hold]))
+
         for _ in range(500):
-            state, _ = ema_step(state, rng.standard_normal(dim) ** 2)
+            step(rng.standard_normal(dim) ** 2, False)
         target = 4.0
         num = den = 0.0
         stalled = 0
         steps = 4000
         for _ in range(steps):
-            v_before = state.values()
-            state = skip_intervention_step(
-                state, target * rng.standard_normal(dim) ** 2, p, rng
-            )
-            if np.array_equal(state.stored, v_before):
+            v_before = m.values[0, 0].copy()
+            step(target * rng.standard_normal(dim) ** 2, rng.random() < p)
+            if np.array_equal(m.values[0, 0], v_before):
                 stalled += 1
-            num += float(np.sum(state.values() - v_before))
+            num += float(np.sum(m.values[0, 0] - v_before))
             den += float(np.sum(target - v_before))
         lam_fit = num / den
         lam_pred = (1 - beta) * (1 - stalled / steps)
@@ -395,7 +431,7 @@ class TestResetPolicies:
         resets = []
         for _ in range(6):
             state, frac = ema_step(state, rng.standard_normal(32) ** 2)
-            state, did = apply_reset_policy(state, policy, frac)
+            state, did = reset_one_row(state, policy, frac)
             resets.append(did)
         assert resets == [False, False, False, False, True, False]
         assert state.k == 1
@@ -404,7 +440,7 @@ class TestResetPolicies:
         config = EmaConfig(beta=0.999, format=FP4_E2M2U, scheme=PER_TENSOR)
         state = warm_state(config, 16)
         state = EmaState(state.stored, 5, config)
-        reset, did = apply_reset_policy(state, ResetPolicy.periodic(5), 1.0)
+        reset, did = reset_one_row(state, ResetPolicy.periodic(5), 1.0)
         assert did
         assert reset.k == 0
         # exclude_zero grids park the reset at the s_min code, decoding to 0
@@ -417,7 +453,7 @@ class TestResetPolicies:
         policy = ResetPolicy.adaptive(beta2=0.999, s0=0.6, p_ss=1.0)
         for _ in range(500):
             state, _ = ema_step(state, np.ones(8))
-            state, did = apply_reset_policy(state, policy, 0.0)
+            state, did = reset_one_row(state, policy, 0.0)
             assert not did
         assert state.excess == 0.0
 
@@ -429,7 +465,7 @@ class TestResetPolicies:
         state = EmaState.initialize(config, 8)
         policy = ResetPolicy.adaptive(beta2=0.999, s0=0.6, p_ss=1.0)
         state, _ = ema_step(state, np.ones(8))
-        state, did = apply_reset_policy(state, policy, 1.0)
+        state, did = reset_one_row(state, policy, 1.0)
         assert did
         assert state.k == 0 and state.excess == 0.0
 
@@ -449,7 +485,7 @@ class TestResetPolicies:
         fired_at = None
         for k, f in enumerate(fractions, start=1):
             state, _ = ema_step(state, np.ones(4))
-            state, did = apply_reset_policy(state, policy, float(f))
+            state, did = reset_one_row(state, policy, float(f))
             if did:
                 fired_at = k
                 break
@@ -469,7 +505,7 @@ class TestResetPolicies:
             for t, step_fractions in enumerate(fractions, start=1):
                 for i, policy in enumerate(pair):
                     states[i], _ = ema_step(states[i], np.ones(4))
-                    states[i], did = apply_reset_policy(
+                    states[i], did = reset_one_row(
                         states[i], policy, float(step_fractions[i])
                     )
                     if did:
@@ -478,13 +514,18 @@ class TestResetPolicies:
         assert all(len(r) >= 2 for r in resets["separate"])
 
     def test_state_carries_excess_through_writes_and_skips(self):
+        hyper = AdamHyper(lr=0.01, beta1=0.99)
         config = EmaConfig(beta=0.99, format=FP8_E4M3, scheme=PER_TENSOR)
         state = EmaState(EmaState.initialize(config, 8).stored, 3, config, 0.75)
         state, _ = ema_step(state, np.ones(8))
         assert (state.k, state.excess) == (4, 0.75)
-        state = skip_intervention_step(state, np.ones(8), 1.0, np.random.default_rng(0))
+        # a held update, a forced skip, still advances the cycle counter
+        m, v = one_row(state), moment_stacks(hyper, 8)[1]
+        adam_lockstep(m, v, np.ones((1, 1, 8)), hyper, np.zeros((1, 1, 8)),
+                      hold_m=np.array([True]))
+        state = m.state(0, 0)
         assert (state.k, state.excess) == (5, 0.75)
-        state, did = apply_reset_policy(state, ResetPolicy.periodic(5))
+        state, did = reset_one_row(state, ResetPolicy.periodic(5))
         assert did and (state.k, state.excess) == (0, 0.0)
 
     def test_policy_is_immutable(self):
@@ -509,18 +550,6 @@ class TestResetPolicies:
 
     def test_periodic_takes_numpy_integers(self):
         assert ResetPolicy.periodic(np.int64(7)).K == 7
-
-    @pytest.mark.parametrize("fraction", [math.nan, math.inf, 2.0, -0.25])
-    def test_last_fraction_must_be_in_unit_interval(self, fraction):
-        # nan once set the excess to nan, after which the rule never fired
-        config = EmaConfig(beta=0.99, format=None)
-        state = EmaState(np.zeros(4), 3, config, 0.5)
-        for policy in (ResetPolicy.adaptive(beta2=0.99), ResetPolicy.none()):
-            with pytest.raises(ValueError, match="^last_fraction must be in") as exc:
-                apply_reset_policy(state, policy, fraction)
-            assert "\n" not in str(exc.value)
-        for edge in (0.0, 1.0):
-            apply_reset_policy(state, ResetPolicy.adaptive(beta2=0.99), edge)
 
     @pytest.mark.parametrize("p_ss", [math.nan, math.inf, 0.0, -0.5])
     def test_adaptive_needs_a_positive_finite_p_ss(self, p_ss):
@@ -561,8 +590,8 @@ class TestAdam:
         v = EmaState.initialize(cfg_v, 8)
         params = np.full(8, 2.0)
         for t in range(5):
-            params, m, v, stats = adam_step(m, v, np.zeros(8), hyper, params)
-            assert stats["stalled_m"] == 1.0 and stats["stalled_v"] == 1.0
+            params, m, v, stalled = adam_one_row(m, v, np.zeros(8), hyper, params)
+            assert stalled == (1.0, 1.0)
         assert np.allclose(params, 2.0 * (1 - 0.1 * 0.01) ** 5)
         assert np.array_equal(m.values(), np.zeros(8))
         assert np.array_equal(v.values(), np.zeros(8))
@@ -575,7 +604,7 @@ class TestAdam:
         m = EmaState.initialize(cfg_m, 256)
         v = EmaState.initialize(cfg_v, 256)
         params = np.zeros(256)
-        params, m, v, _ = adam_step(m, v, g, hyper, params)
+        params, m, v, _ = adam_one_row(m, v, g, hyper, params)
         # quantization error per element is at most half the local cell;
         # below the exclude_zero clamp floor the error is s_min-bounded
         from emastall.formats import ulp_at
@@ -617,48 +646,8 @@ class TestAdam:
                 - hyper.lr * hyper.weight_decay * theta_ref
             )
             g2 = h * theta
-            theta, m, v, _ = adam_step(m, v, g2, hyper, theta)
+            theta, m, v, _ = adam_one_row(m, v, g2, hyper, theta)
             assert np.max(np.abs(theta - theta_ref)) < 1e-6, t
-
-    def test_global_bias_clock_flag(self):
-        hyper = AdamHyper(lr=0.01)
-        cfg_m, cfg_v = self._configs(hyper)
-        m = EmaState.initialize(cfg_m, 4)
-        v = EmaState.initialize(cfg_v, 4)
-        m, _ = ema_step(m, np.ones(4))
-        v, _ = ema_step(v, np.ones(4))
-        m = EmaState(m.stored, 1, cfg_m)  # pretend the cycle was reset
-        p_cycle = apply_adam_update(np.zeros(4), m, v, hyper)
-        p_global = apply_adam_update(np.zeros(4), m, v, hyper, t_global=50)
-        assert not np.allclose(p_cycle, p_global)
-
-    def test_adam_step_global_bias_clock(self):
-        # t_global replaces both moments' own cycle counts in the correction
-        hyper = AdamHyper(lr=0.01)
-        cfg_m, cfg_v = self._configs(hyper)
-        m = EmaState(EmaState.initialize(cfg_m, 4).stored, 2, cfg_m)
-        v = EmaState.initialize(cfg_v, 4)
-        grad, params = np.array([0.5, -1.0, 2.0, 0.25]), np.ones(4)
-        p_global, m2, v2, _ = adam_step(m, v, grad, hyper, params, t_global=50)
-        assert (m2.k, v2.k) == (3, 1)
-        assert np.array_equal(
-            p_global, apply_adam_update(params, m2, v2, hyper, t_global=50))
-        p_cycle, *_ = adam_step(m, v, grad, hyper, params)
-        assert np.array_equal(p_cycle, apply_adam_update(params, m2, v2, hyper))
-        assert not np.allclose(p_cycle, p_global)
-
-    def test_adam_step_takes_array_like_params(self):
-        # a list once failed with "list indices must be integers or slices"
-        hyper = AdamHyper(lr=0.01)
-        cfg_m, cfg_v = self._configs(hyper, FP4_E2M1)
-        m, v = EmaState.initialize(cfg_m, 3), EmaState.initialize(cfg_v, 3)
-        rng = np.random.default_rng(2)
-        got = adam_step(m, v, [0.5, -1.0, 2.0], hyper, [1.0, 2.0, 3.0], rng)
-        want = adam_step(m, v, np.array([0.5, -1.0, 2.0]), hyper,
-                         np.array([1.0, 2.0, 3.0]), np.random.default_rng(2))
-        assert np.array_equal(got[0], want[0])
-        for a, b in zip(got[1:3], want[1:3]):
-            assert np.array_equal(a.stored.codes, b.stored.codes)
 
     def test_beta_mismatch_rejected(self):
         hyper = AdamHyper(lr=0.01, beta1=0.9, beta2=0.999)
@@ -667,40 +656,27 @@ class TestAdam:
         m = EmaState.initialize(cfg_m, 4)
         v = EmaState.initialize(cfg_v, 4)
         with pytest.raises(ValueError):
-            adam_step(m, v, np.ones(4), hyper, np.zeros(4))
+            adam_one_row(m, v, np.ones(4), hyper, np.zeros(4))
 
     def test_bias_correction_requires_steps(self):
+        # the update of zero states that have accumulated no step
         hyper = AdamHyper(lr=0.01)
-        cfg_m, cfg_v = self._configs(hyper)
-        m = EmaState.initialize(cfg_m, 4)
-        v = EmaState.initialize(cfg_v, 4)
+        zeros, k = np.zeros((1, 1, 4)), np.zeros((1, 1), np.int64)
         with pytest.raises(ValueError):
-            apply_adam_update(np.zeros(4), m, v, hyper)
+            _adam_update(zeros, zeros, zeros, k, k, hyper)
 
 
 class TestBatchState:
-    def test_single_state_forms_reject_a_batch(self):
+    def test_ema_step_rejects_a_batch(self):
         # hand-built (rows, dim) states: rows step through a StateStack
         hyper = AdamHyper(lr=0.01)
         m = EmaState(np.zeros((2, 4)), 0, EmaConfig(beta=hyper.beta1, format=None))
-        v = EmaState(np.zeros((2, 4)), 0, EmaConfig(beta=hyper.beta2, format=None))
         q = EmaState(quantize(np.zeros((2, 4)), BF16, PER_TENSOR), 0,
                      EmaConfig(beta=hyper.beta2, format=BF16, scheme=PER_TENSOR))
         g = np.ones((2, 4))
-        rng = np.random.default_rng(0)
         for state in (m, q):
             with pytest.raises(ValueError, match="StateStack"):
                 ema_step(state, g)
-            # p_skip = 1 takes the skip branch, which writes nothing
-            for p_skip in (0.5, 1.0):
-                with pytest.raises(ValueError, match="StateStack"):
-                    skip_intervention_step(state, g, p_skip, rng)
-            with pytest.raises(ValueError, match="StateStack"):
-                apply_reset_policy(state, ResetPolicy.periodic(1))
-        with pytest.raises(ValueError, match="StateStack"):
-            adam_step(m, v, g, hyper, np.zeros((2, 4)))
-        with pytest.raises(ValueError, match="StateStack"):
-            adam_step(m, q, g, hyper, np.zeros((2, 4)))
 
     @pytest.mark.parametrize("fmt", [None, BF16], ids=["fp32", "bf16"])
     def test_generator_streams_are_rejected(self, fmt):
@@ -758,60 +734,48 @@ class TestBatchState:
         assert len(EmaState.initialize(EmaConfig(beta=0.9, format=BF16), np.int64(3))) == 3
 
 
-class TestSkipIntervention:
+class TestSkips:
+    """Forced skips: ``simlab._Skips`` draws each row's holds after warmup,
+    and ``adam_lockstep`` keeps a held moment's stored value while its
+    cycle counter still advances."""
+
     def test_p_zero_identical_to_ema_step(self):
-        config = EmaConfig(beta=0.99, format=None)
+        hyper = AdamHyper(lr=0.01, beta1=0.99)
         rng = np.random.default_rng(17)
-        s1 = EmaState.initialize(config, 16)
-        s2 = EmaState.initialize(config, 16)
-        for _ in range(50):
+        skips = _Skips("first", [0.0], [17], 0)
+        s1 = EmaState.initialize(EmaConfig(beta=0.99, format=None), 16)
+        m, v = moment_stacks(hyper, 16)
+        for t in range(1, 51):
             sig = rng.standard_normal(16)
             s1, _ = ema_step(s1, sig)
-            s2 = skip_intervention_step(s2, sig, 0.0, rng)
-            assert np.array_equal(s1.stored, s2.stored)
+            hold_m, hold_v = skips.draw(t)
+            assert hold_m is None and hold_v is None
+            adam_lockstep(m, v, sig[None, None], hyper, np.zeros((1, 1, 16)),
+                          hold_m=hold_m, hold_v=hold_v)
+            assert np.array_equal(s1.stored, m.values[0, 0])
 
     def test_p_one_freezes_forever(self):
-        config = EmaConfig(beta=0.99, format=None)
+        hyper = AdamHyper(lr=0.01, beta1=0.99)
         rng = np.random.default_rng(19)
-        state = EmaState.initialize(config, 16)
-        state, _ = ema_step(state, np.ones(16))
-        frozen = state.stored.copy()
-        for _ in range(100):
-            state = skip_intervention_step(
-                state, rng.standard_normal(16), 1.0, rng
-            )
-        assert np.array_equal(state.stored, frozen)
-        assert state.k == 101
+        skips = _Skips("first", [1.0], [19], 0)
+        m, v = moment_stacks(hyper, 16)
+        params = np.zeros((1, 1, 16))
+        adam_lockstep(m, v, np.ones((1, 1, 16)), hyper, params)
+        frozen = m.values.copy()
+        for t in range(1, 101):
+            hold_m, hold_v = skips.draw(t)
+            assert hold_m.tolist() == [True] and hold_v is None
+            adam_lockstep(m, v, rng.standard_normal((1, 1, 16)), hyper, params,
+                          hold_m=hold_m)
+        assert np.array_equal(m.values, frozen)
+        assert m.state(0, 0).k == 101
 
     def test_skip_rate_binomial(self):
-        config = EmaConfig(beta=0.99, format=None)
-        rng = np.random.default_rng(23)
-        state = EmaState.initialize(config, 4)
-        state, _ = ema_step(state, np.ones(4))
-        n, skipped = 10_000, 0
-        for _ in range(n):
-            before = state.stored
-            state = skip_intervention_step(
-                state, rng.standard_normal(4), 0.5, rng
-            )
-            if np.array_equal(state.stored, before):
-                skipped += 1
+        skips = _Skips("second", [0.5], [23], 0)
+        n = 10_000
+        skipped = sum(int(skips.draw(t)[1][0]) for t in range(1, n + 1))
         sigma = math.sqrt(0.25 / n)
         assert abs(skipped / n - 0.5) < 3 * sigma
-
-    def test_p_skip_needs_an_rng(self):
-        # it once failed as "'NoneType' object has no attribute 'random'"
-        state = EmaState.initialize(EmaConfig(beta=0.99, format=None), 4)
-        with pytest.raises(ValueError, match="^p_skip > 0 needs an rng"):
-            skip_intervention_step(state, np.ones(4), 0.5, None)
-        new = skip_intervention_step(state, np.ones(4), 0.0, None)
-        assert new.k == 1
-
-    def test_p_out_of_range(self):
-        config = EmaConfig(beta=0.99, format=None)
-        state = EmaState.initialize(config, 4)
-        with pytest.raises(ValueError):
-            skip_intervention_step(state, np.ones(4), 1.5, np.random.default_rng(0))
 
 
 class TestStallTrace:

@@ -14,6 +14,7 @@ from emastall.formats import (
     FpFormat,
     PRESETS,
     decode,
+    decode_array,
     get_format,
     grid_codes,
     grid_values,
@@ -25,6 +26,8 @@ from emastall.formats import (
 )
 
 ALL_FORMATS = list(PRESETS.values())
+NOSAT = FpFormat("e2m2u_nosat", 0, 2, 2, 1, saturate_on_overflow=False,
+                 exclude_zero=True)
 
 
 def oracle_decode(fmt: FpFormat, code: int) -> Fraction | None:
@@ -99,10 +102,10 @@ class TestDecode:
 class TestRoundNearest:
     @pytest.mark.parametrize("fmt", ALL_FORMATS, ids=lambda f: f.name)
     def test_grid_points_are_fixed_points(self, fmt):
-        for code, value in zip(grid_codes(fmt), grid_values(fmt)):
-            gv = round_nearest(fmt, float(value))
-            assert gv.code == code
-            assert gv.value == value
+        values = grid_values(fmt)
+        codes = round_nearest_array(fmt, values)
+        assert codes.tolist() == grid_codes(fmt).tolist()
+        assert decode_array(fmt, codes).tolist() == values.tolist()
 
     @pytest.mark.parametrize(
         "fmt", [FP4_E2M1, FP4_E2M2U, FP8_E4M3], ids=lambda f: f.name
@@ -110,13 +113,11 @@ class TestRoundNearest:
     def test_exhaustive_midpoints_round_to_even(self, fmt):
         values = grid_values(fmt)
         codes = grid_codes(fmt)
-        for i in range(len(values) - 1):
-            mid = (values[i] + values[i + 1]) / 2.0
-            # midpoints of adjacent dyadic grid points are exact in float64
-            assert mid - values[i] == values[i + 1] - mid
-            got = round_nearest(fmt, float(mid))
-            even = codes[i] if codes[i] % 2 == 0 else codes[i + 1]
-            assert got.code == even, (fmt.name, i)
+        mids = (values[:-1] + values[1:]) / 2.0
+        # midpoints of adjacent dyadic grid points are exact in float64
+        assert np.array_equal(mids - values[:-1], values[1:] - mids)
+        even = np.where(codes[:-1] % 2 == 0, codes[:-1], codes[1:])
+        assert round_nearest_array(fmt, mids).tolist() == even.tolist()
 
     @pytest.mark.parametrize(
         "fmt", [FP4_E2M1, FP4_E2M2U, FP8_E4M3], ids=lambda f: f.name
@@ -124,10 +125,11 @@ class TestRoundNearest:
     def test_exhaustive_just_off_midpoints(self, fmt):
         values = grid_values(fmt)
         codes = grid_codes(fmt)
-        for i in range(len(values) - 1):
-            mid = (values[i] + values[i + 1]) / 2.0
-            assert round_nearest(fmt, math.nextafter(mid, math.inf)).code == codes[i + 1]
-            assert round_nearest(fmt, math.nextafter(mid, -math.inf)).code == codes[i]
+        mids = (values[:-1] + values[1:]) / 2.0
+        above = round_nearest_array(fmt, np.nextafter(mids, np.inf))
+        below = round_nearest_array(fmt, np.nextafter(mids, -np.inf))
+        assert above.tolist() == codes[1:].tolist()
+        assert below.tolist() == codes[:-1].tolist()
 
     @pytest.mark.parametrize("fmt", ALL_FORMATS, ids=lambda f: f.name)
     def test_halfulp_error_bound(self, fmt):
@@ -145,10 +147,8 @@ class TestRoundNearest:
     def test_saturation_and_overflow(self):
         assert round_nearest(FP4_E2M2U, 1e9).value == 7.0
         assert round_nearest(FP4_E2M1, -1e9).value == -6.0
-        nosat = FpFormat("e2m2u_nosat", 0, 2, 2, 1, saturate_on_overflow=False,
-                         exclude_zero=True)
         with pytest.raises(OverflowError):
-            round_nearest(nosat, 100.0)
+            round_nearest(NOSAT, 100.0)
 
     def test_below_grid_maps_to_zero_or_smin(self):
         assert round_nearest(FP4_E2M1, 1e-9).value == 0.0
@@ -177,11 +177,12 @@ class TestRoundNearest:
 
 class TestRoundStochastic:
     def test_grid_points_returned_with_probability_one(self):
+        # 20 draws per point, in the order 20 scalar calls per point draw
         rng = np.random.default_rng(3)
         for fmt in ALL_FORMATS:
-            for value in grid_values(fmt)[::3]:
-                for _ in range(20):
-                    assert round_stochastic(fmt, float(value), rng).value == value
+            values = np.repeat(grid_values(fmt)[::3], 20)
+            codes = round_stochastic_array(fmt, values, rng)
+            assert decode_array(fmt, codes).tolist() == values.tolist()
 
     def test_midpoint_splits_half_half(self):
         rng = np.random.default_rng(5)
@@ -226,6 +227,49 @@ class TestRoundStochastic:
         rng = np.random.default_rng(0)
         gv = round_stochastic(FP4_E2M1, 0.7, rng)
         assert gv.value in (0.5, 1.0)
+
+    @pytest.mark.parametrize("fmt", ALL_FORMATS, ids=lambda f: f.name)
+    def test_each_call_draws_what_one_element_array_draws(self, fmt):
+        # a grid point, points between neighbours of both signs and a
+        # saturating magnitude; each call advances the stream by
+        # rng.random((1,)) and rounds as the array kernel does
+        rng, ref = np.random.default_rng(17), np.random.default_rng(17)
+        for x in (1.0, 0.7, -1.3, 1e9):
+            gv = round_stochastic(fmt, x, rng)
+            code = round_stochastic_array(fmt, np.array([x]), ref)[0]
+            assert rng.bit_generator.state == ref.bit_generator.state
+            assert gv == (code, decode(fmt, int(code)))
+
+
+@pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
+def test_scalar_rejects_non_finite(x):
+    rng = np.random.default_rng(0)
+    with pytest.raises(ValueError):
+        round_nearest(PRESETS["bf16"], x)
+    with pytest.raises(ValueError):
+        round_stochastic(PRESETS["bf16"], x, rng)
+
+
+def test_scalar_overflow_without_saturation_raises():
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    top = NOSAT.x_max
+    assert round_nearest(NOSAT, top).value == top
+    with pytest.raises(OverflowError):
+        round_nearest(NOSAT, math.nextafter(top, math.inf))
+    with pytest.raises(OverflowError):
+        round_stochastic(NOSAT, 100.0, rng)
+    assert rng.bit_generator.state == state  # raised before drawing
+
+
+def test_scalar_clamps_unsigned_and_keeps_positive_zero():
+    u = PRESETS["fp4_e2m2u"]
+    assert round_nearest(u, -3.0) == round_nearest(u, 0.0)
+    assert round_nearest(u, -3.0).value == u.s_min
+    zero = round_nearest(PRESETS["bf16"], -1e-300)
+    assert zero.code == 0 and math.copysign(1.0, zero.value) == 1.0
+    rng = np.random.default_rng(2)
+    assert round_stochastic(PRESETS["fp4_e2m1"], -0.0, rng).code == 0
 
 
 class TestUlp:

@@ -14,13 +14,11 @@ from emastall.simlab import (
     SynthLogistic,
     default_ema_config,
     moment_configs,
-    run_first_moment_curve,
     run_first_moment_curves,
     run_reset_cells,
     run_reset_study,
     run_reset_training,
     run_skip_study,
-    run_stall_curve,
     run_stall_curves,
 )
 
@@ -102,20 +100,20 @@ class TestStallCurve:
     def test_full_precision_config_never_stalls(self):
         spec = GradientStreamSpec(dimension=500, seed=2)
         cfg = EmaConfig(beta=0.999, format=None)
-        res = run_stall_curve(spec, cfg, steps=200)
+        res = run_stall_curves(spec, [cfg], steps=200)[0]
         assert res.metrics["measured_plateau"] == 0.0
         assert res.metrics["measured_floor"] == 0.0
 
     def test_bf16_quick_plateau_near_theory(self):
         spec = GradientStreamSpec(dimension=2000, seed=2)
         cfg = default_ema_config("bf16", 0.999)
-        res = run_stall_curve(spec, cfg, steps=3000)
+        res = run_stall_curves(spec, [cfg], steps=3000)[0]
         assert abs(res.metrics["measured_plateau"] - res.metrics["theory_ss"]) < 0.05
 
     def test_monotone_envelope(self):
         spec = GradientStreamSpec(dimension=3000, seed=4)
         cfg = default_ema_config("fp8_e4m3", 0.999)
-        res = run_stall_curve(spec, cfg, steps=1500)
+        res = run_stall_curves(spec, [cfg], steps=1500)[0]
         f = np.asarray(res.series["stalled_fraction"])
         windows = f[: len(f) // 50 * 50].reshape(-1, 50).mean(axis=1)
         assert np.all(np.diff(windows) >= -0.02)
@@ -126,14 +124,14 @@ class TestStallCurve:
         cfg = default_ema_config("fp4_e2m2u", 0.999)
         spec1 = GradientStreamSpec(dimension=400, seed=9, sigma=1.0)
         spec2 = GradientStreamSpec(dimension=400, seed=9, sigma=1024.0)
-        r1 = run_stall_curve(spec1, cfg, steps=300)
-        r2 = run_stall_curve(spec2, cfg, steps=300)
+        r1 = run_stall_curves(spec1, [cfg], steps=300)[0]
+        r2 = run_stall_curves(spec2, [cfg], steps=300)[0]
         assert r1.series["stalled_fraction"] == r2.series["stalled_fraction"]
 
     def test_theory_overlay_present(self):
         spec = GradientStreamSpec(dimension=100, seed=0)
         cfg = default_ema_config("fp4_e2m2u", 0.999)
-        res = run_stall_curve(spec, cfg, steps=50)
+        res = run_stall_curves(spec, [cfg], steps=50)[0]
         assert len(res.series["theory_nr_transient"]) == 50
         assert 0 < res.metrics["theory_ss_sr"] <= res.metrics["theory_ss_nr"]
 
@@ -143,20 +141,20 @@ class TestStallCurve:
             "fp4_e2m2u", 0.999, RoundingMode.STOCHASTIC
         )
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
-        run_stall_curve(spec, cfg, steps=100).save_csv(p1)
-        run_stall_curve(spec, cfg, steps=100).save_csv(p2)
+        run_stall_curves(spec, [cfg], steps=100)[0].save_csv(p1)
+        run_stall_curves(spec, [cfg], steps=100)[0].save_csv(p2)
         assert p1.read_bytes() == p2.read_bytes()
 
 
 class TestFirstMomentCurve:
     def test_low_precision_stalls_more_than_bf16(self):
         spec = GradientStreamSpec(dimension=3000, seed=5, mu=1.0)
-        r_fp4 = run_first_moment_curve(
-            spec, default_ema_config("fp4_e2m1", 0.9), steps=1500
-        )
-        r_bf16 = run_first_moment_curve(
-            spec, default_ema_config("bf16", 0.9), steps=1500
-        )
+        r_fp4 = run_first_moment_curves(
+            spec, [default_ema_config("fp4_e2m1", 0.9)], steps=1500
+        )[0]
+        r_bf16 = run_first_moment_curves(
+            spec, [default_ema_config("bf16", 0.9)], steps=1500
+        )[0]
         assert (
             r_fp4.metrics["measured_steady"]
             > r_bf16.metrics["measured_steady"] + 0.3
@@ -164,20 +162,20 @@ class TestFirstMomentCurve:
 
     def test_sr_lowers_steady_fraction(self):
         spec = GradientStreamSpec(dimension=3000, seed=5, mu=1.0)
-        nr = run_first_moment_curve(
-            spec, default_ema_config("fp4_e2m1", 0.9), steps=1500
-        )
-        sr = run_first_moment_curve(
+        nr = run_first_moment_curves(
+            spec, [default_ema_config("fp4_e2m1", 0.9)], steps=1500
+        )[0]
+        sr = run_first_moment_curves(
             spec,
-            default_ema_config("fp4_e2m1", 0.9, RoundingMode.STOCHASTIC),
+            [default_ema_config("fp4_e2m1", 0.9, RoundingMode.STOCHASTIC)],
             steps=1500,
-        )
+        )[0]
         assert sr.metrics["measured_steady"] < nr.metrics["measured_steady"] - 0.02
 
     def test_zero_mean_full_precision_near_zero(self):
         spec = GradientStreamSpec(dimension=500, seed=6, mu=0.0)
         cfg = EmaConfig(beta=0.9, format=None)
-        res = run_first_moment_curve(spec, cfg, steps=300)
+        res = run_first_moment_curves(spec, [cfg], steps=300)[0]
         assert res.metrics["measured_steady"] == 0.0
 
 
@@ -345,7 +343,7 @@ class TestProblems:
     def test_experiment_result_files(self, tmp_path):
         spec = GradientStreamSpec(dimension=50, seed=0)
         cfg = default_ema_config("fp4_e2m2u", 0.999)
-        res = run_stall_curve(spec, cfg, steps=20)
+        res = run_stall_curves(spec, [cfg], steps=20)[0]
         res.save_csv(tmp_path / "r.csv")
         res.save_json(tmp_path / "r.json")
         header = (tmp_path / "r.csv").read_text().splitlines()[0]
@@ -373,6 +371,3 @@ def test_bad_curve_inputs_name_the_field(steps, trials, message):
     for run in (run_stall_curves, run_first_moment_curves):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             run(spec, [cfg], steps, trials)
-    for run in (run_stall_curve, run_first_moment_curve):
-        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            run(spec, cfg, steps, trials)

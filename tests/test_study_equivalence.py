@@ -23,13 +23,11 @@ from emastall.simlab import (
     _train_rows,
     default_ema_config,
     moment_configs,
-    run_first_moment_curve,
     run_first_moment_curves,
     run_reset_cells,
     run_reset_study,
     run_reset_training,
     run_skip_study,
-    run_stall_curve,
     run_stall_curves,
 )
 
@@ -356,7 +354,7 @@ def test_multi_config_stall_curves_equal_one_config_runs():
     results = run_stall_curves(CURVE_STREAM, emas, 80, trials=2)
     assert len(results) == len(emas)
     for ema, result in zip(emas, results):
-        _same_result(result, run_stall_curve(CURVE_STREAM, ema, 80, trials=2))
+        _same_result(result, run_stall_curves(CURVE_STREAM, [ema], 80, trials=2)[0])
 
 
 def test_multi_config_first_moment_curves_equal_one_config_runs():
@@ -364,7 +362,8 @@ def test_multi_config_first_moment_curves_equal_one_config_runs():
             for name in ("fp4_e2m1", "fp8_e4m3", "bf16") for r in (NR, SR)]
     results = run_first_moment_curves(CURVE_STREAM, emas, 80, trials=2)
     for ema, result in zip(emas, results):
-        _same_result(result, run_first_moment_curve(CURVE_STREAM, ema, 80, trials=2))
+        _same_result(result,
+                     run_first_moment_curves(CURVE_STREAM, [ema], 80, trials=2)[0])
 
 
 @pytest.mark.parametrize("applies_to", APPLIES)
