@@ -376,6 +376,69 @@ class TestStore:
         if configs[0].format is not None and not configs[0].freeze_scale:
             assert zero_scales > 0
 
+    @staticmethod
+    def _write_twice(v1, v2, fmt=FP4_E2M1):
+        # one per-tensor (1, 1, dim) store written v1 then v2: the second
+        # write's stall flags, and the scales after each write
+        config = EmaConfig(0.9, fmt, PER_TENSOR)
+        store = _Store([[EmaState.initialize(config, len(v1))]], [None])
+        with np.errstate(**_QUIET):
+            store.store(np.array(v1, dtype=np.float64)[None, None])
+            scales = store.scales.copy()
+            flags = store.store(np.array(v2, dtype=np.float64)[None, None])
+        return flags[0, 0].copy(), scales[0, 0], store.scales[0, 0]
+
+    def test_identical_writes_fully_stalled(self):
+        v = np.random.default_rng(53).standard_normal(64)
+        flags, _, _ = self._write_twice(v, v.copy())
+        assert flags.all()
+
+    def test_every_code_changed(self):
+        flags, _, _ = self._write_twice([1.0, 2.0, 3.0, 4.0], [-1.0, -2.0, -3.0, -4.0])
+        assert not flags.any()
+
+    def test_constructed_fixture_exact_flags(self):
+        # indices 1 and 2 move
+        flags, s1, s2 = self._write_twice([0.6, 1.0, 2.0, 4.0], [0.6, 1.5, 2.5, 4.0])
+        assert s1[0] == s2[0] == 4.0
+        assert flags.tolist() == [True, False, False, True]
+
+    def test_scale_change_alone_stalls(self):
+        # same shape, larger absmax: the codes stay, and a recomputed scale
+        # does not count as movement on its own
+        flags, s1, s2 = self._write_twice([1.0, 2.0, 4.0], [1.25, 2.5, 5.0])
+        assert (s1[0], s2[0]) == (4.0, 5.0)
+        assert flags.all()
+
+    @pytest.mark.parametrize("scheme", [PER_TENSOR, BLOCK128], ids=["tensor", "block"])
+    @pytest.mark.parametrize("fmt", [BF16, FP8_E4M3, FP4_E2M1, FP4_E2M2U],
+                             ids=lambda f: f.name)
+    def test_row_flags_equal_single_row_flags(self, fmt, scheme):
+        # a (1, rows, dim) store flags each row as a one-row store of that
+        # row alone flags it, in both modes; row 1 stays all zero
+        dim, seeds = 200, [31, 32, 33, 34]
+        rng = np.random.default_rng([dim, len(fmt.name)])
+        x = rng.standard_normal((4, dim)) * np.exp2(rng.integers(-6, 6, (4, dim)))
+        x[1] = 0.0
+        y = x * np.where(rng.random(x.shape) < 0.5, 1.0, 1.1)
+        for mode in (NR, SR):
+            config = EmaConfig(0.9, fmt, scheme, mode)
+            zero = EmaState.initialize(config, dim)
+
+            def streams(row_seeds):
+                return [RowStreams([np.random.default_rng(s) for s in row_seeds], 1)]
+
+            stack = _Store([[zero] * 4], streams(seeds))
+            singles = [_Store([[zero]], streams([s])) for s in seeds]
+            with np.errstate(**_QUIET):
+                for signal in (x, y):
+                    flags = stack.store(signal[None].copy())
+                    rows = [one.store(signal[None, r:r + 1].copy())[0, 0]
+                            for r, one in enumerate(singles)]
+                    assert np.array_equal(flags[0], np.stack(rows))
+                    assert np.array_equal(
+                        stack.codes[0], np.concatenate([one.codes[0] for one in singles]))
+
 
 class TestGateEquivalence:
     def test_exhaustive_fp4_sweep(self):
