@@ -89,10 +89,13 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--json", action="store_true",
                         help="print the JSON summary instead of the text table")
 
-    def add_common(sp, formats_default=",".join(DEFAULT_FORMATS)):
+    def add_formats(sp, formats_default):
         add_io(sp)
         sp.add_argument("--format", dest="formats", type=_str_list,
                         default=_str_list(formats_default))
+
+    def add_common(sp, formats_default=",".join(DEFAULT_FORMATS)):
+        add_formats(sp, formats_default)
         sp.add_argument("--beta2", type=float, default=0.999)
 
     sp = sub.add_parser("predict-stall", help="steady-state stall probabilities")
@@ -118,7 +121,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--preset", choices=["quick"], default=None)
 
     sp = sub.add_parser("first-moment", help="first-moment stall curve")
-    add_common(sp, formats_default="fp4_e2m1")
+    add_formats(sp, "fp4_e2m1")
     sp.add_argument("--rounding", choices=["nr", "sr"], default="nr")
     sp.add_argument("--beta1", type=float, default=0.9)
     sp.add_argument("--mu", type=float, default=1.0)

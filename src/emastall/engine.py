@@ -22,13 +22,16 @@ Every stored state is written by one class, ``_Store``, always of shape
 ``(members, rows, dim)``: a storage group of a stack is one store, and
 ``ema_step`` and the curve drivers write a single state through a
 ``(1, 1, dim)`` store, which the curve drivers keep per config across
-steps. Every rounding stream is a ``RowStreams``.
+steps. A write runs the steps of ``quantize_with_scales`` and
+``dequantize``, the helpers of ``quantize``, on the store's own buffers.
+Every rounding stream is a ``RowStreams``.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
+import numbers
 from enum import Enum
 from functools import cached_property
 from pathlib import Path
@@ -40,8 +43,12 @@ from .formats import FpFormat, RoundingMode, _normalized_grid
 from .quantize import (
     QuantizedBlock,
     ScalingScheme,
+    _block_absmax,
+    _broadcast_scales,
+    _decode,
     _is_integer,
     _layout,
+    _scaled,
     dequantize,
     quantize,
     quantize_with_scales,
@@ -99,6 +106,15 @@ class EmaState:
     k: int
     config: EmaConfig
     excess: float = 0.0
+
+    def __post_init__(self) -> None:
+        # a truncated k would shift bias correction and reset timing, and a
+        # NaN excess would keep the adaptive rule from ever firing
+        if not (_is_integer(self.k) and self.k >= 0):
+            raise ValueError(f"k must be an integer >= 0, got {self.k!r}")
+        if not (isinstance(self.excess, numbers.Real) and math.isfinite(self.excess)
+                and self.excess >= 0):
+            raise ValueError(f"excess must be finite and >= 0, got {self.excess!r}")
 
     @classmethod
     def initialize(cls, config: EmaConfig, dim: int) -> "EmaState":
@@ -207,24 +223,15 @@ class _Store:
                                      drawn[0].rows_per_stream)
         self.grid = _normalized_grid(cfg.format)
         self.codes = np.array([[s.stored.codes for s in rows] for rows in states])
-        self.starts, lengths = _layout(cfg.scheme, self.values.shape[-1])
+        self.starts, self.block_of = _layout(cfg.scheme, self.values.shape[-1])
         self.w, self.mag = np.empty_like(self.values), np.empty_like(self.values)
-        # the scales broadcast against the values: a single block's scale
-        # broadcasts as it is, several are gathered per element
-        self.block_of = self.rep = None
-        if len(self.starts) > 1:
-            self.block_of = np.repeat(np.arange(len(self.starts)), lengths)
-            self.rep = np.empty_like(self.values)
+        # several blocks' scales are gathered per element into this buffer
+        self.rep = None if self.block_of is None else np.empty_like(self.values)
         self._set_scales(np.array([[s.stored.scales for s in rows] for rows in states]))
 
     def _set_scales(self, scales: np.ndarray) -> None:
         self.scales = scales
-        if self.block_of is None:
-            self.rep = scales
-        else:
-            # a take into out buffers it unless the mode skips the bounds
-            # check; the indices are valid by construction
-            scales.take(self.block_of, axis=-1, out=self.rep, mode="clip")
+        self.rep = _broadcast_scales(scales, self.block_of, self.rep)
         self.positive = scales.min() > 0
 
     def store(self, proposal: np.ndarray) -> np.ndarray:
@@ -238,33 +245,12 @@ class _Store:
             np.copyto(x, proposal)
             return flags
         if not self.config.freeze_scale:
-            # _block_absmax over the fixed layout
-            self._set_scales(np.maximum.reduceat(
-                np.abs(proposal, out=self.mag), self.starts, axis=-1))
-        # _scaled: a zero-scale block maps to zeros
-        w = self.w
-        if self.positive:
-            np.divide(proposal, self.rep, out=w)
-        else:
-            w.fill(0.0)
-            np.divide(proposal, self.rep, out=w, where=self.rep > 0)
-        grid, n = self.grid, self.n_nearest
-        mag = grid.magnitude(w, out=self.mag)
-        if n == len(mag):
-            idx = grid.nearest_idx(mag)
-        elif self.stream is None:
-            raise ValueError("stochastic rounding requires an rng stream")
-        elif n == 0:
-            idx = grid.stochastic_idx(mag, self.stream)
-        else:
-            idx = np.concatenate((grid.nearest_idx(mag[:n]),
-                                  grid.stochastic_idx(mag[n:], self.stream)))
-        codes = grid.signed(w, idx)
+            self._set_scales(_block_absmax(proposal, self.starts, self.mag))
+        w = _scaled(proposal, self.rep, self.positive, self.w)
+        codes = self.grid.encode(w, self.n_nearest, self.stream, self.mag)
         np.equal(codes, self.codes, out=flags)
         self.codes = codes
-        # the exact decoded values, as dequantize reads them
-        grid.decoded.take(codes, out=x, mode="clip")
-        x *= self.rep
+        _decode(self.grid, codes, self.rep, x)
         return flags
 
     @cached_property

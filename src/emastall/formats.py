@@ -188,9 +188,9 @@ class RoundingGrid:
     be float64 and nonnegative; those above the top point round to it.
     """
 
-    def __init__(self, fmt: FpFormat, unit: float, saturate: bool):
+    def __init__(self, fmt: FpFormat, unit: float):
         t = _table(fmt)
-        self.fmt, self.saturate = fmt, saturate
+        self.fmt = fmt
         self.codes, self.even = t.mag_codes, t.even
         padded = np.append(t.mag_values / unit, np.nan)
         self.values = values = padded[:-1]
@@ -249,35 +249,33 @@ class RoundingGrid:
             idx += negative * len(self.values)
         return self.signed_codes.take(idx)
 
-    def encode(
-        self, x: np.ndarray, mode: RoundingMode, rng: np.random.Generator | None
-    ) -> np.ndarray:
-        """Full codes of x: magnitude, overflow policy, rounding, sign."""
-        x = np.asarray(x, dtype=np.float64)
-        mag = self.magnitude(x)
-        if not self.saturate and np.any(mag > self.values[-1]):
-            raise OverflowError(
-                f"magnitude exceeds {self.fmt.name} x_max with saturation disabled"
-            )
-        if mode is RoundingMode.NEAREST_EVEN:
+    def encode(self, w: np.ndarray, n_nearest: int, rng, out=None) -> np.ndarray:
+        """Full codes of w (its magnitudes go to out): the first n_nearest
+        members along the first axis round to nearest, the rest
+        stochastically on rng; magnitudes above the top point saturate."""
+        mag = self.magnitude(w, out=out)
+        if n_nearest == len(mag):
             idx = self.nearest_idx(mag)
         elif rng is None:
             raise ValueError("stochastic rounding requires an rng stream")
-        else:
+        elif n_nearest == 0:
             idx = self.stochastic_idx(mag, rng)
-        return self.signed(x, idx)
+        else:
+            idx = np.concatenate((self.nearest_idx(mag[:n_nearest]),
+                                  self.stochastic_idx(mag[n_nearest:], rng)))
+        return self.signed(w, idx)
 
 
 @lru_cache(maxsize=None)
 def _raw_grid(fmt: FpFormat) -> RoundingGrid:
-    return RoundingGrid(fmt, 1.0, fmt.saturate_on_overflow)
+    return RoundingGrid(fmt, 1.0)
 
 
 @lru_cache(maxsize=None)
 def _normalized_grid(fmt: FpFormat) -> RoundingGrid:
     """Grid divided by x_max; the top point is exactly 1.0. Scaled
     quantization always saturates: the block anchor maps to the top point."""
-    return RoundingGrid(fmt, fmt.x_max, True)
+    return RoundingGrid(fmt, fmt.x_max)
 
 
 def _grid_index(fmt: FpFormat, code: int) -> tuple[int, int]:
@@ -311,9 +309,17 @@ def decode_array(fmt: FpFormat, codes: np.ndarray) -> np.ndarray:
 def _round_array(
     fmt: FpFormat, x: np.ndarray, mode: RoundingMode, rng: np.random.Generator | None
 ) -> np.ndarray:
+    x = np.asarray(x, dtype=np.float64)
     if not np.all(np.isfinite(x)):
         raise ValueError("cannot round non-finite values")
-    return _raw_grid(fmt).encode(x, mode, rng)
+    grid = _raw_grid(fmt)
+    # the only grid that may not saturate
+    if not fmt.saturate_on_overflow and np.any(grid.magnitude(x) > grid.values[-1]):
+        raise OverflowError(
+            f"magnitude exceeds {fmt.name} x_max with saturation disabled")
+    # each element is one member; a 0-d x gives a scalar code
+    n_nearest = x.size if mode is RoundingMode.NEAREST_EVEN else 0
+    return grid.encode(x.reshape(-1), n_nearest, rng).reshape(x.shape)[()]
 
 
 def _round_scalar(

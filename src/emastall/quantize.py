@@ -12,6 +12,11 @@ round trip reproduces the scale bit for bit.
 A 2-d input is a stack of independent rows: blocks run along the last
 axis, every row has its own scales, and quantizing the stack equals
 quantizing each row in turn.
+
+Each step of a write (``_block_absmax``, ``_broadcast_scales``,
+``_scaled``, ``RoundingGrid.encode``, ``_decode``) is defined once:
+``quantize_with_scales`` and ``dequantize`` run them on fresh arrays, the
+engine's in-place store on its own buffers, passed as ``out``.
 """
 
 from __future__ import annotations
@@ -27,6 +32,7 @@ import numpy as np
 from .formats import (
     FpFormat,
     PRESETS,
+    RoundingGrid,
     RoundingMode,
     _is_integer,
     _normalized_grid,
@@ -84,8 +90,8 @@ class QuantizedBlock:
         return self.codes.shape
 
     def scales_per_element(self) -> np.ndarray:
-        dim = self.codes.shape[-1]
-        return np.repeat(self.scales, _layout(self.scheme, dim)[1], axis=-1)
+        rep = _broadcast_scales(self.scales, _layout(self.scheme, self.shape[-1])[1])
+        return np.broadcast_to(rep, self.shape).copy()
 
     def to_json_dict(self) -> dict:
         fmt = self.format
@@ -146,22 +152,54 @@ def _check_scales(scales, scheme: ScalingScheme, shape: tuple) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _layout(scheme: ScalingScheme, dim: int) -> tuple[np.ndarray, np.ndarray]:
-    """First index and length of each block of a length-dim last axis."""
+def _layout(scheme: ScalingScheme, dim: int) -> tuple[np.ndarray, np.ndarray | None]:
+    """First index of each block of a length-dim last axis, and each
+    element's block (None for one block, whose scale broadcasts as it is)."""
     starts = scheme.block_starts(dim)
-    lengths = np.diff(np.append(starts, dim))
-    starts.flags.writeable = lengths.flags.writeable = False
-    return starts, lengths
+    starts.flags.writeable = False
+    if len(starts) == 1:
+        return starts, None
+    block_of = np.repeat(np.arange(len(starts)), np.diff(np.append(starts, dim)))
+    block_of.flags.writeable = False
+    return starts, block_of
 
 
-def _broadcast_scales(
-    scales: np.ndarray, scheme: ScalingScheme, dim: int
-) -> np.ndarray:
-    # block scales that broadcast against (..., dim) values; a single block
-    # needs no copy
-    if scales.shape[-1] == 1:
+def _take(table: np.ndarray, idx: np.ndarray, out: np.ndarray | None, axis=None):
+    # a take into out buffers it unless the mode skips the bounds check;
+    # only the store passes out, and its indices are valid by construction
+    return table.take(idx, axis=axis, out=out, mode="raise" if out is None else "clip")
+
+
+def _block_absmax(values: np.ndarray, starts: np.ndarray, out=None) -> np.ndarray:
+    """The absmax of each block along the last axis (|values| go to out):
+    the scales quantize recomputes. An all-zero block keeps absmax 0, so it
+    dequantizes to exact zeros even on grids that exclude the zero point."""
+    return np.maximum.reduceat(np.abs(values, out=out), starts, axis=-1)
+
+
+def _broadcast_scales(scales: np.ndarray, block_of, out=None) -> np.ndarray:
+    """Block scales that broadcast against (..., dim) values: a single
+    block's as they are, several gathered per element."""
+    if block_of is None:
         return scales
-    return np.repeat(scales, _layout(scheme, dim)[1], axis=-1)
+    return _take(scales, block_of, out, axis=-1)
+
+
+def _scaled(values: np.ndarray, rep: np.ndarray, positive: bool, out=None) -> np.ndarray:
+    """values on the grid's unit under the broadcast scales rep; unless
+    every scale is positive, a zero-scale block maps to zeros."""
+    if positive:
+        return np.divide(values, rep, out=out)
+    out = np.empty_like(values) if out is None else out
+    out.fill(0.0)
+    return np.divide(values, rep, out=out, where=rep > 0)
+
+
+def _decode(grid: RoundingGrid, codes: np.ndarray, rep: np.ndarray, out=None):
+    """The exact values of codes under the broadcast scales rep."""
+    vals = _take(grid.decoded, codes, out)
+    vals *= rep
+    return vals
 
 
 def quantize(
@@ -174,16 +212,8 @@ def quantize(
     """Quantize a vector or each row of a (rows, dim) array, recomputing
     each block's scale from its absmax."""
     values = _check_values(values)
-    return quantize_with_scales(values, fmt, scheme, _block_absmax(values, scheme),
-                                mode, rng)
-
-
-def _block_absmax(values: np.ndarray, scheme: ScalingScheme) -> np.ndarray:
-    """The absmax of each block along the last axis: the scales quantize
-    recomputes. An all-zero block keeps absmax 0, so it dequantizes to
-    exact zeros even on grids that exclude the zero point."""
-    starts = _layout(scheme, values.shape[-1])[0]
-    return np.maximum.reduceat(np.abs(values), starts, axis=-1)
+    scales = _block_absmax(values, _layout(scheme, values.shape[-1])[0])
+    return quantize_with_scales(values, fmt, scheme, scales, mode, rng)
 
 
 def quantize_with_scales(
@@ -207,38 +237,16 @@ def quantize_with_scales(
     scales = _check_scales(scales, scheme, values.shape)
     if not np.isfinite(values).all():
         raise ValueError("cannot quantize non-finite values")
-    return _quantize_unchecked(values, fmt, scheme, scales, mode, rng)
-
-
-def _quantize_unchecked(
-    values: np.ndarray,
-    fmt: FpFormat,
-    scheme: ScalingScheme,
-    scales: np.ndarray,
-    mode: RoundingMode,
-    rng: np.random.Generator | None,
-) -> QuantizedBlock:
-    """``quantize_with_scales`` without its checks, for callers that have
-    validated once: values finite float64 of shape ``(dim,)`` or
-    ``(rows, dim)``, scales nonnegative float64 with one per block."""
-    w, _ = _scaled(values, scheme, scales)
-    codes = _normalized_grid(fmt).encode(w, mode, rng)
+    rep = _broadcast_scales(scales, _layout(scheme, values.shape[-1])[1])
+    w = _scaled(values, rep, scales.min() > 0)
+    n_nearest = len(w) if mode is RoundingMode.NEAREST_EVEN else 0
+    codes = _normalized_grid(fmt).encode(w, n_nearest, rng)
     return QuantizedBlock(codes=codes, scales=scales, format=fmt, scheme=scheme)
-
-
-def _scaled(
-    values: np.ndarray, scheme: ScalingScheme, scales: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """(values on the normalized grid's unit, the scales broadcast against
-    values); a zero-scale block maps to zeros."""
-    rep = _broadcast_scales(scales, scheme, values.shape[-1])
-    if scales.min() > 0:
-        return values / rep, rep
-    return np.divide(values, rep, out=np.zeros_like(values), where=rep > 0), rep
 
 
 def dequantize(q: QuantizedBlock) -> np.ndarray:
     """Exact read of the stored state; no new rounding on the grid."""
-    vals = _normalized_grid(q.format).decoded.take(q.codes)
-    vals *= _broadcast_scales(q.scales, q.scheme, q.codes.shape[-1])
-    return vals
+    # the gather would read a hand-built block's extra scales silently
+    scales = _check_scales(q.scales, q.scheme, q.codes.shape)
+    rep = _broadcast_scales(scales, _layout(q.scheme, q.codes.shape[-1])[1])
+    return _decode(_normalized_grid(q.format), q.codes, rep)

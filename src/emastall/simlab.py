@@ -47,7 +47,6 @@ import math
 import os
 import queue
 import threading
-import time
 from enum import Enum
 from pathlib import Path
 
@@ -382,12 +381,9 @@ class ExperimentResult:
     config: dict
     series: dict
     metrics: dict
-    wall_time: float
     schema_version: int = SCHEMA_VERSION
 
     def summary(self) -> dict:
-        # wall time stays off the serialized summary so identical configs
-        # reproduce their output files byte for byte
         return {
             "schema_version": self.schema_version,
             "config": self.config,
@@ -561,7 +557,6 @@ def _curve_results(
             raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
     if not emas:
         raise ValueError("at least one EMA config is required")
-    t0 = time.perf_counter()
     dim = stream.dimension
     acc = np.zeros((len(emas), steps))
     counts = np.empty((len(emas), steps), dtype=np.int64)
@@ -583,7 +578,6 @@ def _curve_results(
             # an exact count over dim, the same bits as the mean of the flags
             acc += counts / dim
     mean_frac = acc / trials
-    wall_time = time.perf_counter() - t0
     return [
         ExperimentResult(
             config={
@@ -601,7 +595,6 @@ def _curve_results(
                 "measured_floor": float(frac[0]),
                 steady_key: float(np.mean(frac[-_trailing_window(steps):])),
             },
-            wall_time=wall_time,
         )
         for ema, frac in zip(emas, mean_frac)
     ]
@@ -834,10 +827,12 @@ def run_skip_study(
         raise ValueError("target must be 'first' or 'second'")
     if not all(0.0 <= p <= 1.0 for p in p_skip_grid):
         raise ValueError("p_skip values must be in [0, 1]")
+    # a fraction of 1 or more would leave no step to skip
+    if not 0.0 <= warmup_fraction < 1.0:
+        raise ValueError(f"warmup_fraction must be in [0, 1), got {warmup_fraction!r}")
     labels = [f"p={p:g}" for p in p_skip_grid]
     _require_unique("p_skip values", labels)
     hyper = hyper or AdamHyper(lr=0.01)
-    t0 = time.perf_counter()
     cfg_m, cfg_v = moment_configs(None, hyper)
     n_p = len(p_skip_grid)
     skips = _Skips(
@@ -870,7 +865,6 @@ def run_skip_study(
         },
         series={"p_skip": rows_p, "seed": rows_seed, "final_loss": rows_loss},
         metrics=medians,
-        wall_time=time.perf_counter() - t0,
     )
 
 
@@ -916,7 +910,6 @@ def run_reset_study(
     _require_unique("configs", [c[0] for c in configs])
     _require_unique("policies", [p[0] for p in policies])
     hyper = hyper or AdamHyper(lr=0.01)
-    t0 = time.perf_counter()
     cols: dict = {"config": [], "policy": [], "seed": [], "final_loss": []}
     medians: dict = {}
     losses = run_reset_cells(
@@ -943,5 +936,4 @@ def run_reset_study(
         },
         series=cols,
         metrics=medians,
-        wall_time=time.perf_counter() - t0,
     )

@@ -6,8 +6,8 @@ arithmetic and the order of every draw are kept as they were; docstrings,
 type hints and the unused ``t_global`` clock are dropped, ``OracleState``
 is the old ``EmaState``, and ``skip_study_losses`` is the old
 ``run_skip_study`` inner loop. Only the
-rounding kernel (``RoundingGrid.encode``), the configs and the problem
-instances come from the package. Each (config, policy, seed) or
+rounding kernel (``RoundingGrid.encode``, every element in one mode), the
+configs and the problem instances come from the package. Each (config, policy, seed) or
 (p_skip, seed) cell runs alone here, with its own freshly seeded streams,
 so the batched studies must reproduce these losses bit for bit.
 """
@@ -62,7 +62,8 @@ def quantize_with_scales(values, fmt, scheme, scales, mode=RoundingMode.NEAREST_
         starts = scheme.block_starts(len(values))
         rep = np.repeat(scales, np.diff(np.append(starts, len(values))))
         w = np.divide(values, rep, out=np.zeros_like(values), where=rep > 0)
-    codes = _normalized_grid(fmt).encode(w, mode, rng)
+    n_nearest = len(w) if mode is RoundingMode.NEAREST_EVEN else 0
+    codes = _normalized_grid(fmt).encode(w, n_nearest, rng)
     return QuantizedBlock(codes=codes, scales=scales, format=fmt, scheme=scheme)
 
 

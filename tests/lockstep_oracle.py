@@ -8,22 +8,23 @@ rows in a Python loop and took the tail loss one row at a time.
 ``adam_lockstep``, ``ResetRows``, ``reset_rows``, ``RowStreams``, the
 batch ``_proposal``/``_store`` and ``initialize``, the batch branch of the
 old ``EmaState.initialize``, are the old engine's (``adam_lockstep``
-without its unused ``t_global`` clock). A batch is an
-``EmaState`` container holding a ``(rows, dim)`` stored state and
-``(rows,)`` arrays ``k`` and ``excess``. The arithmetic and the order of
-every draw are kept as they were; docstrings and type hints are dropped.
-Only the ``EmaState`` container, the quantizer, the rounding kernel, the
-theory terms, the skip draws and the problem instances come from the
-package. The fused study loop must reproduce its losses and traces bit for
-bit.
+without its unused ``t_global`` clock). A ``Batch``, the old batch
+``EmaState``, holds a ``(rows, dim)`` stored state and ``(rows,)`` arrays
+``k`` and ``excess``. The arithmetic and the order of every draw are kept
+as they were; docstrings and type hints are dropped. Only the quantizer,
+the rounding kernel, the theory terms, the skip draws and the problem
+instances come from the package. The fused study loop must reproduce its
+losses and traces bit for bit.
 """
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 
 from emastall.engine import (
-    EmaState,
+    EmaConfig,
     ResetKind,
     ResetPolicy,
     StallTrace,
@@ -33,7 +34,7 @@ from emastall.engine import (
 from emastall.quantize import (
     QuantizedBlock,
     _block_absmax,
-    _quantize_unchecked,
+    _layout,
     dequantize,
     quantize,
     quantize_with_scales,
@@ -42,18 +43,26 @@ from emastall.simlab import _KEY_GRAD, _KEY_ROUND, _trailing_window
 from emastall.theory import excess_staleness, remaining_error_E
 
 
+@dataclasses.dataclass
+class Batch:
+    stored: QuantizedBlock | np.ndarray
+    k: np.ndarray
+    config: EmaConfig
+    excess: np.ndarray
+
+
 def initialize(config, dim, rows):
     shape, k, excess = (rows, dim), np.zeros(rows, np.int64), np.zeros(rows)
     zeros = np.zeros(shape)
     if config.format is None:
-        return EmaState(zeros, k, config, excess)
+        return Batch(zeros, k, config, excess)
     if config.init_scale is not None:
         scales = np.full(shape[:-1] + (config.scheme.n_blocks(dim),),
                          float(config.init_scale))
         stored = quantize_with_scales(zeros, config.format, config.scheme, scales)
     else:
         stored = quantize(zeros, config.format, config.scheme)
-    return EmaState(stored, k, config, excess)
+    return Batch(stored, k, config, excess)
 
 
 class RowStreams:
@@ -95,13 +104,13 @@ def _store(state, proposal, rng):
         if cfg.freeze_scale:
             scales = state.stored.scales
         else:
-            scales = _block_absmax(proposal, cfg.scheme)
-        new = _quantize_unchecked(
+            scales = _block_absmax(proposal, _layout(cfg.scheme, proposal.shape[-1])[0])
+        new = quantize_with_scales(
             proposal, cfg.format, cfg.scheme, scales, cfg.rounding, rng
         )
         stalled = state.stored.codes == new.codes
     frac = stalled.sum(axis=-1) / stalled.shape[-1]
-    return EmaState(new, state.k + 1, cfg, state.excess), frac
+    return Batch(new, state.k + 1, cfg, state.excess), frac
 
 
 class ResetRows:
@@ -132,7 +141,7 @@ def reset_rows(state, rules, fractions):
             excess[r] += excess_staleness(s, policy.s0)
             reset[r] = excess[r] / k[r] >= remaining_error_E(int(k[r]), policy.beta2)
     if not reset.any():
-        return EmaState(state.stored, k, state.config, excess), reset
+        return Batch(state.stored, k, state.config, excess), reset
     cfg = state.config
     fresh = initialize(cfg, state.stored.shape[-1], len(reset))
     keep = ~reset[:, None]
@@ -144,7 +153,7 @@ def reset_rows(state, rules, fractions):
         codes = np.where(keep, old.codes, fresh.stored.codes)
         stored = QuantizedBlock(codes, scales, old.format, old.scheme)
     k, excess = np.where(reset, 0, k), np.where(reset, 0.0, excess)
-    return EmaState(stored, k, cfg, excess), reset
+    return Batch(stored, k, cfg, excess), reset
 
 
 def adam_lockstep(moments, grad, hyper, params, rngs, hold_m=None, hold_v=None):

@@ -441,6 +441,18 @@ class TestExperimentCommands:
         assert capsys.readouterr().out == ""
         assert list(tmp_path.iterdir()) == []
 
+    def test_first_moment_has_no_beta2(self, capsys, tmp_path):
+        # it reads only --beta1; a --beta2 it ignored was once accepted
+        with pytest.raises(SystemExit) as exc:
+            main(["first-moment", "--beta2", "0.9", "--preset", "quick"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --beta2" in capsys.readouterr().err
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"beta2": 0.9}))
+        with pytest.raises(SystemExit, match="^unknown config key 'beta2'$"):
+            main(["first-moment", "--config", str(cfg), "--preset", "quick"])
+        assert capsys.readouterr().out == ""
+
     @pytest.mark.parametrize("command", ["stall-curve", "first-moment"])
     def test_multi_format_out_gets_one_file_per_format(self, command, capsys, tmp_path):
         code, _ = run_cli(

@@ -31,6 +31,7 @@ from emastall.formats import (
     FP4_E2M1,
     FP4_E2M2U,
     FP8_E4M3,
+    PRESETS,
     RoundingMode,
     round_nearest,
 )
@@ -39,6 +40,7 @@ from emastall.quantize import (
     ScalingScheme,
     dequantize,
     quantize,
+    quantize_with_scales,
 )
 from emastall.simlab import _Skips
 from emastall.theory import p_stall_nr_ss, remaining_error_E
@@ -439,6 +441,54 @@ class TestStore:
                     assert np.array_equal(
                         stack.codes[0], np.concatenate([one.codes[0] for one in singles]))
 
+    @pytest.mark.parametrize("freeze", [False, True], ids=["recomputed", "frozen"])
+    @pytest.mark.parametrize("modes", [(NR, NR), (SR, SR), (NR, SR)],
+                             ids=["nr", "sr", "nr+sr"])
+    @pytest.mark.parametrize("scheme", [PER_TENSOR, BLOCK128], ids=["tensor", "block"])
+    @pytest.mark.parametrize("fmt", list(PRESETS.values()), ids=lambda f: f.name)
+    def test_store_writes_equal_quantize_with_scales(self, fmt, scheme, modes, freeze):
+        # each row of a (2, 3, dim) store write equals quantize_with_scales
+        # (quantize when the scales are recomputed) plus dequantize of that
+        # row alone on a generator seeded as the row's: the codes, the
+        # scales, the bits of the decoded values and the generator state.
+        # Row (0, 1) has an all-zero block, row (1, 2) is all zero, and the
+        # frozen anchor is below some blocks' absmax, so they saturate
+        dim, anchor = 300, 1.5
+        configs = [EmaConfig(0.9, fmt, scheme, m, freeze, anchor if freeze else None)
+                   for m in modes]
+        seeds = [[200 + 10 * c + r for r in range(3)] for c in range(2)]
+        streams = [RowStreams([np.random.default_rng(s) for s in row], 1)
+                   if cfg.rounding is SR else None for cfg, row in zip(configs, seeds)]
+        store = _Store([[EmaState.initialize(cfg, dim)] * 3 for cfg in configs], streams)
+        self._poison(store)
+        ref_rngs = [[np.random.default_rng(s) for s in row] for row in seeds]
+        scales = np.full(scheme.n_blocks(dim), anchor)
+        sig_rng = np.random.default_rng([dim, len(fmt.name)])
+        for _ in range(2):
+            proposal = (sig_rng.standard_normal((2, 3, dim))
+                        * np.exp2(sig_rng.integers(-4, 4, (2, 3, dim))))
+            proposal[0, 1, :128] = 0.0
+            proposal[1, 2] = 0.0
+            with np.errstate(**_QUIET):
+                store.store(proposal)
+            for c, cfg in enumerate(configs):
+                for r in range(3):
+                    rng = ref_rngs[c][r] if cfg.rounding is SR else None
+                    if freeze:
+                        q = quantize_with_scales(proposal[c, r], fmt, scheme, scales,
+                                                 cfg.rounding, rng)
+                    else:
+                        q = quantize(proposal[c, r], fmt, scheme, cfg.rounding, rng)
+                    assert np.array_equal(store.codes[c, r], q.codes)
+                    assert np.array_equal(store.scales[c, r], q.scales)
+                    assert np.array_equal(store.values[c, r].view(np.int64),
+                                          dequantize(q).view(np.int64))
+                    if rng is not None:
+                        assert (streams[c].generators[r].bit_generator.state
+                                == rng.bit_generator.state)
+        if not freeze:
+            assert (store.scales == 0).any()
+
 
 class TestGateEquivalence:
     def test_exhaustive_fp4_sweep(self):
@@ -795,6 +845,25 @@ class TestBatchState:
 
     def test_initialize_takes_numpy_integers(self):
         assert len(EmaState.initialize(EmaConfig(beta=0.9, format=BF16), np.int64(3))) == 3
+
+    @pytest.mark.parametrize("k", [2.5, -4, True, 1.0, "3"])
+    def test_state_needs_an_integer_cycle_count(self, k):
+        # a stack once truncated k = 2.5 to 2 and kept k = -4
+        with pytest.raises(ValueError, match="^k must be an integer >= 0") as exc:
+            EmaState(np.zeros(3), k, EmaConfig(beta=0.9, format=None))
+        assert "\n" not in str(exc.value)
+
+    @pytest.mark.parametrize("excess", [math.nan, math.inf, -0.5, "0"])
+    def test_state_needs_a_finite_nonnegative_excess(self, excess):
+        # a NaN excess keeps the adaptive rule from ever firing
+        with pytest.raises(ValueError, match="^excess must be finite and >= 0") as exc:
+            EmaState(np.zeros(3), 0, EmaConfig(beta=0.9, format=None), excess)
+        assert "\n" not in str(exc.value)
+
+    def test_state_takes_numpy_scalars(self):
+        state = EmaState(np.zeros(3), np.int64(2), EmaConfig(beta=0.9, format=None),
+                         np.float64(0.5))
+        assert (state.k, state.excess) == (2, 0.5)
 
 
 class TestSkips:

@@ -304,3 +304,20 @@ def test_quantizers_reject_a_mode_that_is_not_a_rounding_mode(mode):
 def test_scheme_takes_numpy_integer_block_sizes():
     scheme = ScalingScheme(ScalingMode.BLOCKWISE, np.int64(128))
     assert scheme.n_blocks(300) == 3
+
+
+@pytest.mark.parametrize("scheme,edit,message", [
+    (BLOCK128, lambda s: s[:2], "one scale per block required"),
+    (BLOCK128, lambda s: np.append(s, 1.0), "one scale per block required"),
+    (PER_TENSOR, lambda s: np.append(s, 1.0), "one scale per block required"),
+    (BLOCK128, lambda s: s[:1], "one scale per block required"),
+    (BLOCK128, lambda s: -s, "scales must be nonnegative and finite"),
+], ids=["missing", "extra", "extra-tensor", "one-for-three", "negative"])
+def test_dequantize_rejects_unusable_scales(scheme, edit, message):
+    # the per-element gather of the scales would read such a block without
+    # an error: one scale for three blocks, or the first of two per-tensor
+    # scales, decoded silently, and negative scales flipped the signs
+    q = quantize(np.linspace(-1.0, 1.0, 300), BF16, scheme)
+    bad = QuantizedBlock(q.codes, edit(q.scales), BF16, scheme)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        dequantize(bad)

@@ -1,5 +1,6 @@
 """Experiment-driver tests: reproducibility, scale invariance, orderings."""
 
+import math
 import re
 
 import numpy as np
@@ -219,6 +220,15 @@ class TestSkipStudy:
             run_skip_study(NoisyQuadratic(), (0.5,), "third", 100, (0,))
         with pytest.raises(ValueError):
             run_skip_study(NoisyQuadratic(), (1.5,), "first", 100, (0,))
+
+    @pytest.mark.parametrize("fraction", [math.inf, math.nan, 2.0, 1.0, -0.1])
+    def test_warmup_fraction_outside_unit_interval_rejected(self, fraction):
+        # inf once overflowed, nan failed to convert, and 2.0 never skipped,
+        # so p=0.5 silently equalled p=0
+        with pytest.raises(ValueError, match="^warmup_fraction must be in") as exc:
+            run_skip_study(NoisyQuadratic(dimension=8), (0.0, 0.5), "first", 10, (0,),
+                           HYPER, warmup_fraction=fraction)
+        assert "\n" not in str(exc.value)
 
 
 class TestResetStudy:
