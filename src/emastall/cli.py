@@ -1,10 +1,12 @@
 """Command-line front end for the predictors and experiment drivers.
 
-Every command prints its fully resolved config (defaults expanded) before
-running, so outputs are self-describing, and writes CSV plus a JSON summary
-when given an output path. A JSON config file passed with --config
-overrides command-line flags. The default output directory comes from
-EMASTALL_OUTDIR (falling back to the working directory).
+Each command's subparser is the one description of its settings: the
+``config:`` line the command prints (every flag but --config, --out, --json
+and --preset, after defaults, --config and --preset, with the values the
+command resolves), the keys a --config JSON file may set, and the usage
+under which an unknown flag is reported. Commands write CSV plus a JSON
+summary when given an output path; the default output directory comes
+from EMASTALL_OUTDIR (falling back to the working directory).
 """
 
 from __future__ import annotations
@@ -211,8 +213,24 @@ def _resolve_out(args: argparse.Namespace, default_name: str) -> Path | None:
     return None
 
 
-def _print_config(name: str, resolved: dict) -> None:
-    print(f"config: {json.dumps({'command': name, **resolved}, sort_keys=True)}")
+# flags the printed config leaves out (--preset shows in the sizes it sets)
+_IO_DESTS = ("help", "config", "out", "json", "preset")
+
+
+def _print_config(args, **resolved) -> None:
+    """Print the command's settings: every flag of its parser but the I/O
+    ones, as ``args`` holds it after defaults, --config and --preset, with
+    the values the handler resolved in its place. A curve command prints one
+    line per format, with ``format`` in place of ``formats``."""
+    settings = {
+        a.dest: getattr(args, a.dest)
+        for a in _command_parser(args.command)._actions
+        if a.dest not in _IO_DESTS
+    }
+    if "format" in resolved:
+        del settings["formats"]
+    settings.update(resolved)
+    print(f"config: {json.dumps({'command': args.command, **settings}, sort_keys=True)}")
 
 
 def _format_cell(v) -> str:
@@ -280,8 +298,6 @@ _PREDICT_COLUMNS = {
 
 def cmd_predict(args) -> int:
     formats = _require_formats(args)
-    resolved = {"formats": formats, "beta2": args.beta2}
-    p_inits = [0.0] * len(formats)
     if args.command == "predict-window":
         if not args.p0:
             raise SystemExit("at least one --p0 value is required")
@@ -290,12 +306,12 @@ def cmd_predict(args) -> int:
             p_inits = [PAPER_P_INIT.get(name, 0.0) for name in formats]
         if len(p_inits) != len(formats):
             raise SystemExit("--p-init needs one value per format")
-        resolved.update(p0=args.p0, p_init=p_inits)
-    elif args.command == "predict-period":
-        if not args.s0:
+        _print_config(args, p_init=p_inits)
+    else:
+        if args.command == "predict-period" and not args.s0:
             raise SystemExit("at least one --s0 value is required")
-        resolved["s0"] = args.s0
-    _print_config(args.command, resolved)
+        p_inits = [0.0] * len(formats)
+        _print_config(args)
     columns = _PREDICT_COLUMNS[args.command]
     rows = []
     for name, p_init in zip(formats, p_inits):
@@ -339,18 +355,7 @@ def cmd_stall_curve(args) -> int:
         args.steps, args.trials,
     )
     for name, result in zip(formats, results):
-        _print_config(
-            "stall-curve",
-            {
-                "format": name,
-                "rounding": args.rounding,
-                "beta2": args.beta2,
-                "dim": args.dim,
-                "steps": args.steps,
-                "trials": args.trials,
-                "seed": args.seed,
-            },
-        )
+        _print_config(args, format=name)
         m = result.metrics
         print(
             f"{name}: floor={m['measured_floor']:.4f} "
@@ -376,19 +381,7 @@ def cmd_first_moment(args) -> int:
         args.steps, args.trials,
     )
     for name, result in zip(formats, results):
-        _print_config(
-            "first-moment",
-            {
-                "format": name,
-                "rounding": args.rounding,
-                "beta1": args.beta1,
-                "mu": args.mu,
-                "dim": args.dim,
-                "steps": args.steps,
-                "trials": args.trials,
-                "seed": args.seed,
-            },
-        )
+        _print_config(args, format=name)
         m = result.metrics
         print(
             f"{name}: floor={m['measured_floor']:.4f} "
@@ -413,17 +406,7 @@ def cmd_skip_study(args) -> int:
     _apply_preset(args)
     problem = _make_problem(args.problem)
     hyper = AdamHyper(lr=args.lr)
-    _print_config(
-        "skip-study",
-        {
-            "problem": args.problem,
-            "p_skip": args.p_skip,
-            "target": args.target,
-            "steps": args.steps,
-            "seeds": args.seeds,
-            "lr": args.lr,
-        },
-    )
+    _print_config(args)
     result = run_skip_study(
         problem,
         tuple(args.p_skip),
@@ -442,6 +425,9 @@ def cmd_reset_study(args) -> int:
     from .engine import AdamHyper, ResetPolicy
     from .simlab import NoisyQuadratic, moment_configs, run_reset_study
 
+    # its names are storage labels (fp32, none, fp4), which the study checks
+    if not args.formats:
+        raise SystemExit("at least one --format is required")
     _apply_preset(args)
     problem = NoisyQuadratic()
     hyper = AdamHyper(lr=args.lr, beta2=args.beta2)
@@ -477,19 +463,7 @@ def cmd_reset_study(args) -> int:
         policies.append(
             ("adaptive", ResetPolicy.adaptive(beta2=args.beta2, s0=args.s0))
         )
-    _print_config(
-        "reset-study",
-        {
-            "formats": args.formats,
-            "beta2": args.beta2,
-            "periods": periods,
-            "adaptive": args.adaptive,
-            "steps": args.steps,
-            "seeds": args.seeds,
-            "lr": args.lr,
-            "s0": args.s0,
-        },
-    )
+    _print_config(args, periods=periods)
     result = run_reset_study(
         problem, configs, policies, args.steps, tuple(args.seeds), hyper
     )
@@ -516,14 +490,22 @@ _HANDLERS = {
 _parser = functools.cache(build_parser)
 
 
+def _command_parser(command: str) -> argparse.ArgumentParser:
+    """The subparser of one command; argparse keeps them in a private action."""
+    commands = next(
+        a for a in _parser()._actions if isinstance(a, argparse._SubParsersAction)
+    )
+    return commands.choices[command]
+
+
 def _parse_args(argv) -> argparse.Namespace:
-    parser = _parser()
-    args = parser.parse_args(argv)
-    if getattr(args, "config", None):
-        commands = next(
-            a for a in parser._actions if isinstance(a, argparse._SubParsersAction)
-        )
-        _apply_config_file(args, args.config, commands.choices[args.command]._actions)
+    # parse_args would report a command's unknown flags under the root usage
+    args, extras = _parser().parse_known_args(argv)
+    parser = _command_parser(args.command)
+    if extras:
+        parser.error(f"unrecognized arguments: {' '.join(extras)}")
+    if args.config:
+        _apply_config_file(args, args.config, parser._actions)
     return args
 
 

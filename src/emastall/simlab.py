@@ -827,9 +827,14 @@ def run_skip_study(
         raise ValueError("target must be 'first' or 'second'")
     if not all(0.0 <= p <= 1.0 for p in p_skip_grid):
         raise ValueError("p_skip values must be in [0, 1]")
-    # a fraction of 1 or more would leave no step to skip
     if not 0.0 <= warmup_fraction < 1.0:
         raise ValueError(f"warmup_fraction must be in [0, 1), got {warmup_fraction!r}")
+    # a fraction near 1 can round up to every step, leaving none to skip
+    warmup = int(round(warmup_fraction * steps))
+    if warmup >= steps:
+        raise ValueError(
+            f"warmup_fraction {warmup_fraction!r} leaves no step to skip in {steps} steps"
+        )
     labels = [f"p={p:g}" for p in p_skip_grid]
     _require_unique("p_skip values", labels)
     hyper = hyper or AdamHyper(lr=0.01)
@@ -839,7 +844,7 @@ def run_skip_study(
         target,
         list(p_skip_grid) * len(seeds),
         [seed for seed in seeds for _ in range(n_p)],
-        int(round(warmup_fraction * steps)),
+        warmup,
     )
     losses = _train_rows(
         problem, [(cfg_m, cfg_v)], [ResetPolicy.none()] * n_p, steps, seeds, hyper,

@@ -193,14 +193,18 @@ class TestPredictTables:
         assert json_rows(twice) == json_rows(once)
 
 
+def _subparsers(parser) -> dict:
+    """The parser's subparsers, keyed by command name."""
+    return next(
+        a for a in parser._actions if isinstance(a, argparse._SubParsersAction)
+    ).choices
+
+
 def _defaults(parser):
     """Every subcommand's flag defaults, keyed by (command, dest)."""
-    commands = next(
-        a for a in parser._actions if isinstance(a, argparse._SubParsersAction)
-    )
     return {
         (name, a.dest): copy.deepcopy(a.default)
-        for name, sub in commands.choices.items()
+        for name, sub in _subparsers(parser).items()
         for a in sub._actions
     }
 
@@ -375,6 +379,105 @@ class TestParserReuse:
         assert reused.splitlines()[0] == fresh.splitlines()[0]
 
 
+# a short study run, for tests that expect it to stop before training or
+# read only its config line
+STUDY = ["--steps", "2", "--seeds", "0,1,2"]
+
+
+def config_lines(out) -> list:
+    return [line for line in out.splitlines() if line.startswith("config: ")]
+
+
+# each command's config line, pinned as it read when every handler wrote
+# its settings out by hand: a flag renamed, dropped or retyped shows here
+GOLDEN_CONFIGS = [
+    (["predict-stall"], [
+        '{"beta2": 0.999, "command": "predict-stall", '
+        '"formats": ["bf16", "fp8_e4m3", "fp4_e2m2u"]}',
+    ]),
+    (["predict-window"], [
+        '{"beta2": 0.999, "command": "predict-window", '
+        '"formats": ["bf16", "fp8_e4m3", "fp4_e2m2u"], "p0": [0.5, 0.8, 0.9, 0.95], '
+        '"p_init": [0.17, 0.53, 0.97]}',
+    ]),
+    (["predict-period"], [
+        '{"beta2": 0.999, "command": "predict-period", '
+        '"formats": ["bf16", "fp8_e4m3", "fp4_e2m2u"], "s0": [0.6]}',
+    ]),
+    (["stall-curve", "--preset", "quick"], [
+        '{"beta2": 0.999, "command": "stall-curve", "dim": 512, "format": "bf16", '
+        '"rounding": "nr", "seed": 0, "steps": 400, "trials": 1}',
+    ]),
+    (["first-moment", "--preset", "quick"], [
+        '{"beta1": 0.9, "command": "first-moment", "dim": 512, "format": "fp4_e2m1", '
+        '"mu": 1.0, "rounding": "nr", "seed": 0, "steps": 400, "trials": 1}',
+    ]),
+    (["skip-study", "--preset", "quick"], [
+        '{"command": "skip-study", "lr": 0.01, "p_skip": [0.0, 0.5, 0.9], '
+        '"problem": "quadratic", "seeds": [0, 1, 2], "steps": 400, "target": "second"}',
+    ]),
+    (["reset-study", "--preset", "quick"], [
+        '{"adaptive": false, "beta2": 0.999, "command": "reset-study", '
+        '"formats": ["fp32", "fp4"], "lr": 0.01, "periods": [224], "s0": 0.6, '
+        '"seeds": [0, 1, 2], "steps": 400}',
+    ]),
+    (["reset-study", "--format", "fp32,bf16", "--config",
+      {"seeds": 3, "adaptive": True, "steps": 40}], [
+        '{"adaptive": true, "beta2": 0.999, "command": "reset-study", '
+        '"formats": ["fp32", "bf16"], "lr": 0.01, "periods": [1116], "s0": 0.6, '
+        '"seeds": [0, 1, 2], "steps": 40}',
+    ]),
+    (["stall-curve", "--format", "bf16,fp4_e2m2u", "--rounding", "sr", "--preset",
+      "quick", "--seed", "3"], [
+        '{"beta2": 0.999, "command": "stall-curve", "dim": 512, "format": "bf16", '
+        '"rounding": "sr", "seed": 3, "steps": 400, "trials": 1}',
+        '{"beta2": 0.999, "command": "stall-curve", "dim": 512, "format": "fp4_e2m2u", '
+        '"rounding": "sr", "seed": 3, "steps": 400, "trials": 1}',
+    ]),
+]
+
+# flags that steer a run's files, output form or size preset; the printed
+# config leaves them out
+IO_DESTS = {"help", "config", "out", "json", "preset"}
+
+
+class TestPrintedConfig:
+    @pytest.mark.parametrize("argv,lines", GOLDEN_CONFIGS,
+                             ids=[" ".join(map(str, a[:2])) for a, _ in GOLDEN_CONFIGS])
+    def test_config_lines_are_unchanged(self, argv, lines, capsys, tmp_path):
+        # a dict argument stands for a --config file holding it
+        cfg = tmp_path / "cfg.json"
+        for a in argv:
+            if isinstance(a, dict):
+                cfg.write_text(json.dumps(a))
+        argv = [str(cfg) if isinstance(a, dict) else a for a in argv]
+        code, out = run_cli(argv + ["--out", str(tmp_path / "x")], capsys)
+        assert code == 0
+        assert config_lines(out) == [f"config: {line}" for line in lines]
+
+    @pytest.mark.parametrize("argv", [
+        ["predict-stall"],
+        ["predict-window"],
+        ["predict-period"],
+        ["stall-curve", "--format", "bf16,fp8_e4m3", "--steps", "2", "--dim", "8"],
+        ["first-moment", "--format", "bf16,fp8_e4m3", "--steps", "2", "--dim", "8"],
+        ["skip-study", *STUDY],
+        ["reset-study", *STUDY],
+    ], ids=lambda argv: argv[0])
+    def test_printed_keys_are_the_parsers_flags(self, argv, capsys):
+        command = argv[0]
+        dests = {a.dest for a in _subparsers(build_parser())[command]._actions}
+        expected = dests - IO_DESTS | {"command"}
+        if command in ("stall-curve", "first-moment"):
+            expected = expected - {"formats"} | {"format"}
+        code, out = run_cli(argv, capsys)
+        assert code == 0
+        lines = config_lines(out)
+        assert len(lines) == (2 if "--format" in argv else 1)
+        for line in lines:
+            assert set(json.loads(line[len("config: "):])) == expected
+
+
 class TestExperimentCommands:
     def test_stall_curve_quick_writes_files(self, capsys, tmp_path):
         out_base = tmp_path / "curve"
@@ -440,6 +543,24 @@ class TestExperimentCommands:
                   "--out", str(base)])
         assert capsys.readouterr().out == ""
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("command,unknown", [
+        ("first-moment", ["--beta2", "0.9"]),
+        ("predict-stall", ["--p0", "0.5"]),
+        ("skip-study", ["--format", "bf16"]),
+        ("reset-study", ["--bogus", "--target", "first"]),
+    ], ids=["first-moment", "predict-stall", "skip-study", "reset-study"])
+    def test_unknown_flag_is_reported_by_its_command(self, command, unknown, capsys):
+        # the root parser once reported it under its own usage line
+        with pytest.raises(SystemExit) as exc:
+            main([command, *unknown])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == (
+            _subparsers(build_parser())[command].format_usage()
+            + f"emastall {command}: error: unrecognized arguments: {' '.join(unknown)}\n"
+        )
 
     def test_first_moment_has_no_beta2(self, capsys, tmp_path):
         # it reads only --beta1; a --beta2 it ignored was once accepted
@@ -559,10 +680,6 @@ class TestExperimentCommands:
         assert "\n" not in message
 
 
-# a short study run, for tests that expect it to stop before training
-STUDY = ["--steps", "2", "--seeds", "0,1,2"]
-
-
 class TestStudyValidation:
     @pytest.mark.parametrize(
         "argv",
@@ -655,6 +772,18 @@ class TestStudyValidation:
         out, err = capsys.readouterr()
         assert err == f"error: {message}\n"
         assert "config:" not in out
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("command", ["predict-stall", "predict-window",
+                                         "predict-period", "stall-curve",
+                                         "first-moment", "reset-study"])
+    def test_empty_format_list_stops_before_the_config(self, command, capsys,
+                                                       tmp_path):
+        # reset-study once printed its config and then failed as "at least
+        # one storage config is required"
+        with pytest.raises(SystemExit, match="^at least one --format is required$"):
+            main([command, "--format", "", "--out", str(tmp_path / "x")])
+        assert capsys.readouterr().out == ""
         assert not list(tmp_path.iterdir())
 
     def test_unknown_format_message_has_no_repr_quotes(self, capsys):

@@ -230,6 +230,23 @@ class TestSkipStudy:
                            HYPER, warmup_fraction=fraction)
         assert "\n" not in str(exc.value)
 
+    @pytest.mark.parametrize("fraction", [0.95, 0.96, 0.999])
+    def test_warmup_rounding_to_every_step_rejected(self, fraction):
+        # 0.96 of 10 steps rounds to a warmup of 10: nothing was skipped, so
+        # p=0.5 silently equalled p=0
+        with pytest.raises(ValueError, match=(
+            rf"^warmup_fraction {fraction} leaves no step to skip in 10 steps$"
+        )):
+            run_skip_study(NoisyQuadratic(dimension=8), (0.0, 0.5), "first", 10, (0,),
+                           HYPER, warmup_fraction=fraction)
+
+    def test_warmup_leaving_one_step_skips_it(self):
+        # 0.94 of 10 steps rounds to 9, so step 10 may skip
+        res = run_skip_study(NoisyQuadratic(dimension=8), (0.0, 0.5), "first", 10,
+                             (0,), HYPER, warmup_fraction=0.94)
+        p0, p5 = res.series["final_loss"]
+        assert p0 != p5
+
 
 class TestResetStudy:
     def test_fp4_resets_beat_none_quick(self):
