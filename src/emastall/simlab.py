@@ -25,17 +25,17 @@ each config through its own ``(1, 1, dim)`` ``engine._Store``, one member
 of one row, kept across a trial's steps; the same class writes a study's
 storage groups.
 
-A problem's ``make_instance(seed)`` returns an instance with
-``init_params()``, ``step_begin()``, ``grad_sample(params, rng)`` and
-``loss(params)``; ``grad_sample`` takes params of any shape ``(..., dim)``
-and every row shares one draw. Its ``make_stack(seeds)`` returns the
-seeds' instances as one ``InstanceStack``, which the studies step: with
-params of shape ``(configs, seeds, cells, dim)``, ``grad`` starts every
-instance's step and returns every row's gradient, each seed's rows sharing
-that seed's draws, and ``losses`` returns every row's loss. The base class
-calls the instance methods seed by seed (``SynthLogistic`` keeps its
-per-row matrix-vector products); ``QuadraticStack`` draws every seed's
-vectors into one buffer and evaluates each step as array expressions.
+A problem is a frozen spec dataclass whose only method is
+``make_stack(seeds)``; it returns the seeds' instances as one stack, which
+the studies step. A stack has ``init_params()``, the ``(seeds, dim)``
+starting points, and, for params of shape ``(configs, seeds, cells, dim)``
+with block i belonging to seeds[i], ``grad(params)``, which advances every
+seed one step and returns every row's gradient, each seed's rows sharing
+that seed's draws, and ``losses(params)``, every row's loss. Seed s draws
+its instance from ``[s, _KEY_PROBLEM]`` and its gradient noise from
+``[s, _KEY_GRAD]``. ``QuadraticStack`` draws every seed's target and
+noise vectors into one buffer and evaluates each step as array
+expressions; ``LogisticStack`` keeps one matrix-vector product per row.
 """
 
 from __future__ import annotations
@@ -87,6 +87,11 @@ _KEY_TARGET = 14
 _KEY_PROBLEM = 15
 
 
+def _require_count(name: str, value) -> None:
+    if not (_is_integer(value) and value >= 1):
+        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+
+
 @dataclasses.dataclass(frozen=True)
 class GradientStreamSpec:
     """Synthetic per-coordinate gradient stream.
@@ -113,9 +118,7 @@ class GradientStreamSpec:
         # negative seed
         if not (_is_integer(self.seed) and self.seed >= 0):
             raise ValueError(f"seed must be an integer >= 0, got {self.seed!r}")
-        if not (_is_integer(self.dimension) and self.dimension >= 1):
-            raise ValueError(
-                f"dimension must be an integer >= 1, got {self.dimension!r}")
+        _require_count("dimension", self.dimension)
         if not math.isfinite(self.mu):
             raise ValueError("mu must be finite")
         if not (math.isfinite(self.sigma) and self.sigma > 0):
@@ -185,11 +188,11 @@ class GradientStream:
 class NoisyQuadratic:
     """Diagonal quadratic with multiplicative noise and a drifting optimum.
 
-    The curvature spectrum is drawn log-uniform per instance (per seed).
-    The optimum performs a random walk, so the gradient scale keeps
-    changing and a second moment that cannot track the change leaves the
-    optimizer stepping at the wrong size; a frozen quantized state pins the
-    tracking error near the scale at which it froze.
+    The curvature spectrum is drawn log-uniform per seed. The optimum
+    performs a random walk, so the gradient scale keeps changing and a
+    second moment that cannot track the change leaves the optimizer
+    stepping at the wrong size; a frozen quantized state pins the tracking
+    error near the scale at which it froze.
     """
 
     dimension: int = 256
@@ -199,157 +202,57 @@ class NoisyQuadratic:
     target_drift: float = 0.002
     init_offset: float = 3.0
 
-    def make_instance(self, seed: int) -> "QuadraticInstance":
-        rng = np.random.default_rng([seed, _KEY_PROBLEM])
-        log_h = rng.uniform(
-            math.log(self.curvature_min),
-            math.log(self.curvature_max),
-            self.dimension,
-        )
-        return QuadraticInstance(
-            curvatures=np.exp(log_h),
-            noise_mult=self.noise_mult,
-            drift=self.target_drift,
-            init_offset=self.init_offset,
-            target_rng=np.random.default_rng([seed, _KEY_TARGET]),
-        )
+    def __post_init__(self) -> None:
+        # a bad value would surface only when a stack is drawn, as numpy's
+        # TypeError, a math domain error or "high - low < 0"
+        _require_count("dimension", self.dimension)
+        if not 0 < self.curvature_min < math.inf:
+            raise ValueError(
+                f"curvature_min must be positive and finite, got {self.curvature_min!r}")
+        if not self.curvature_min <= self.curvature_max < math.inf:
+            raise ValueError("curvature_max must be finite and >= curvature_min, "
+                             f"got {self.curvature_max!r}")
+        for name in ("noise_mult", "target_drift"):
+            value = getattr(self, name)
+            if not 0 <= value < math.inf:
+                raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
+        if not math.isfinite(self.init_offset):
+            raise ValueError(f"init_offset must be finite, got {self.init_offset!r}")
 
     def make_stack(self, seeds: tuple) -> "QuadraticStack":
-        return QuadraticStack([self.make_instance(seed) for seed in seeds], seeds)
+        return QuadraticStack(self, seeds)
 
 
-class QuadraticInstance:
-    def __init__(self, curvatures, noise_mult, drift, init_offset, target_rng):
-        self.curvatures = curvatures
-        self.noise_mult = noise_mult
-        self.drift = drift
-        self.init_offset = init_offset
-        self.target = np.zeros(len(curvatures))
-        self._target_rng = target_rng
+class QuadraticStack:
+    """The quadratics of a study's seeds, stepped together.
 
-    @property
-    def dimension(self) -> int:
-        return len(self.curvatures)
-
-    def init_params(self) -> np.ndarray:
-        return np.full(self.dimension, self.init_offset)
-
-    def step_begin(self) -> None:
-        if self.drift:
-            self.target = self.target + self.drift * self._target_rng.standard_normal(
-                self.dimension
-            )
-
-    def grad_sample(self, params: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        g = self.curvatures * (params - self.target)
-        return g * (1.0 + self.noise_mult * rng.standard_normal(self.dimension))
-
-    def loss(self, params: np.ndarray) -> float:
-        return float(0.5 * np.sum(self.curvatures * (params - self.target) ** 2))
-
-
-@dataclasses.dataclass(frozen=True)
-class SynthLogistic:
-    """Logistic regression on synthetic data; dataset drawn per instance."""
-
-    n_samples: int = 2048
-    dimension: int = 64
-    label_noise: float = 0.05
-    batch_size: int = 64
-
-    def make_instance(self, seed: int) -> "LogisticInstance":
-        rng = np.random.default_rng([seed, _KEY_PROBLEM])
-        x = rng.standard_normal((self.n_samples, self.dimension))
-        w = rng.standard_normal(self.dimension) / np.sqrt(self.dimension)
-        y = np.sign(x @ w)
-        y[y == 0] = 1.0
-        flip = rng.random(self.n_samples) < self.label_noise
-        y[flip] *= -1
-        return LogisticInstance(x, y, self.batch_size)
-
-    def make_stack(self, seeds: tuple) -> "InstanceStack":
-        return InstanceStack([self.make_instance(seed) for seed in seeds], seeds)
-
-
-class LogisticInstance:
-    def __init__(self, x, y, batch_size):
-        self.x = x
-        self.y = y
-        self.batch_size = batch_size
-
-    @property
-    def dimension(self) -> int:
-        return self.x.shape[1]
-
-    def init_params(self) -> np.ndarray:
-        return np.zeros(self.dimension)
-
-    def step_begin(self) -> None:
-        pass
-
-    def grad_sample(self, params: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        idx = rng.integers(0, len(self.x), self.batch_size)
-        xb, yb = self.x[idx], self.y[idx]
-        # one matrix-vector product per row: a matrix product over all rows
-        # sums in another order
-        grads = []
-        for p in np.reshape(params, (-1, self.dimension)):
-            s = 1.0 / (1.0 + np.exp(yb * (xb @ p)))
-            grads.append(-(yb * s) @ xb / len(idx))
-        return np.reshape(grads, np.shape(params))
-
-    def loss(self, params: np.ndarray) -> float:
-        z = self.y * (self.x @ params)
-        return float(np.mean(np.logaddexp(0.0, -z)))
-
-
-class InstanceStack:
-    """The instances of a study's seeds, stepped together.
-
-    Parameters, gradients and losses are stacks of shape ``(configs, seeds,
-    cells, dim)`` (losses without dim), with block i belonging to seeds[i].
-    ``grad`` starts the step of every instance and draws each seed's
-    gradient from its own stream, one draw shared by all rows of the seed;
-    this form calls the per-instance methods seed by seed and row by row.
+    Parameters and gradients have shape ``(configs, seeds, cells, dim)``
+    and losses ``(configs, seeds, cells)``, block i belonging to seeds[i].
+    Seed s draws its curvatures from ``[s, _KEY_PROBLEM]``, its target walk
+    from ``[s, _KEY_TARGET]`` and its gradient noise from ``[s, _KEY_GRAD]``.
+    Each step draws every seed's target and noise vectors, in seed order,
+    into one ``(seeds, dim)`` buffer; every row of a seed shares them, and
+    every row's gradient and loss comes from one elementwise expression and
+    one row-wise sum.
     """
 
-    def __init__(self, insts: list, seeds: tuple):
-        self.insts = insts
+    def __init__(self, problem: NoisyQuadratic, seeds: tuple):
+        self.noise_mult, self.drift = problem.noise_mult, problem.target_drift
+        self.init_offset = problem.init_offset
+        log_range = math.log(problem.curvature_min), math.log(problem.curvature_max)
+        # (seeds, 1, dim): broadcast over each seed's cells
+        self.curvatures = np.stack([
+            np.exp(np.random.default_rng([seed, _KEY_PROBLEM]).uniform(
+                *log_range, problem.dimension))
+            for seed in seeds
+        ])[:, None]
+        self.target = np.zeros_like(self.curvatures)
+        self.target_rngs = [np.random.default_rng([seed, _KEY_TARGET]) for seed in seeds]
         self.grad_rngs = [np.random.default_rng([seed, _KEY_GRAD]) for seed in seeds]
+        self._draws = np.empty((len(seeds), problem.dimension))
 
     def init_params(self) -> np.ndarray:
-        return np.stack([inst.init_params() for inst in self.insts])
-
-    def grad(self, params: np.ndarray) -> np.ndarray:
-        g = np.empty_like(params)
-        for i, (inst, rng) in enumerate(zip(self.insts, self.grad_rngs)):
-            inst.step_begin()
-            g[:, i] = inst.grad_sample(params[:, i], rng)
-        return g
-
-    def losses(self, params: np.ndarray) -> np.ndarray:
-        out = np.empty(params.shape[:-1])
-        for c, i, j in np.ndindex(out.shape):
-            out[c, i, j] = self.insts[i].loss(params[c, i, j])
-        return out
-
-
-class QuadraticStack(InstanceStack):
-    """``InstanceStack`` of ``QuadraticInstance``s with the step as array
-    expressions: each seed's target and noise vectors are drawn in seed
-    order into one ``(seeds, dim)`` buffer, and every row's gradient and
-    loss comes from one elementwise expression and one row-wise sum, with
-    the bits of the per-instance methods."""
-
-    def __init__(self, insts: list, seeds: tuple):
-        super().__init__(insts, seeds)
-        first = insts[0]
-        self.noise_mult, self.drift = first.noise_mult, first.drift
-        # (seeds, 1, dim): broadcast over each seed's cells
-        self.curvatures = np.stack([inst.curvatures for inst in insts])[:, None]
-        self.target = np.stack([inst.target for inst in insts])[:, None]
-        self.target_rngs = [inst._target_rng for inst in insts]
-        self._draws = np.empty((len(insts), first.dimension))
+        return np.full(self._draws.shape, self.init_offset)
 
     def _draw(self, rngs: list) -> np.ndarray:
         for rng, row in zip(rngs, self._draws):
@@ -372,6 +275,75 @@ class QuadraticStack(InstanceStack):
 
     def losses(self, params: np.ndarray) -> np.ndarray:
         return 0.5 * np.sum(self.curvatures * (params - self.target) ** 2, axis=-1)
+
+
+@dataclasses.dataclass(frozen=True)
+class SynthLogistic:
+    """Logistic regression on synthetic data; dataset drawn per seed."""
+
+    n_samples: int = 2048
+    dimension: int = 64
+    label_noise: float = 0.05
+    batch_size: int = 64
+
+    def __post_init__(self) -> None:
+        # a bad count would surface as numpy's "high <= 0" or as a
+        # non-finite gradient, and a label noise above 1 would run
+        for name in ("n_samples", "dimension", "batch_size"):
+            _require_count(name, getattr(self, name))
+        if not 0 <= self.label_noise <= 1:
+            raise ValueError(f"label_noise must be in [0, 1], got {self.label_noise!r}")
+
+    def make_stack(self, seeds: tuple) -> "LogisticStack":
+        return LogisticStack(self, seeds)
+
+
+class LogisticStack:
+    """The logistic regressions of a study's seeds, stepped together, with
+    the shapes of ``QuadraticStack``.
+
+    Seed s draws its dataset from ``[s, _KEY_PROBLEM]`` and its minibatch
+    indices from ``[s, _KEY_GRAD]``, one minibatch per step shared by every
+    row of the seed. Each row's gradient is its own matrix-vector products
+    (a matrix product over all rows sums in another order) and each row's
+    loss its own mean over the dataset.
+    """
+
+    def __init__(self, problem: SynthLogistic, seeds: tuple):
+        self.batch_size = problem.batch_size
+        self.x, self.y = [], []
+        for seed in seeds:
+            rng = np.random.default_rng([seed, _KEY_PROBLEM])
+            x = rng.standard_normal((problem.n_samples, problem.dimension))
+            w = rng.standard_normal(problem.dimension) / np.sqrt(problem.dimension)
+            y = np.sign(x @ w)
+            y[y == 0] = 1.0
+            y[rng.random(problem.n_samples) < problem.label_noise] *= -1
+            self.x.append(x)
+            self.y.append(y)
+        self.grad_rngs = [np.random.default_rng([seed, _KEY_GRAD]) for seed in seeds]
+
+    def init_params(self) -> np.ndarray:
+        return np.zeros((len(self.x), self.x[0].shape[1]))
+
+    def grad(self, params: np.ndarray) -> np.ndarray:
+        g = np.empty_like(params)
+        for i, (x, y, rng) in enumerate(zip(self.x, self.y, self.grad_rngs)):
+            idx = rng.integers(0, len(x), self.batch_size)
+            xb, yb = x[idx], y[idx]
+            grads = []
+            for p in np.reshape(params[:, i], (-1, x.shape[1])):
+                s = 1.0 / (1.0 + np.exp(yb * (xb @ p)))
+                grads.append(-(yb * s) @ xb / len(idx))
+            g[:, i] = np.reshape(grads, g[:, i].shape)
+        return g
+
+    def losses(self, params: np.ndarray) -> np.ndarray:
+        out = np.empty(params.shape[:-1])
+        for c, i, j in np.ndindex(out.shape):
+            z = self.y[i] * (self.x[i] @ params[c, i, j])
+            out[c, i, j] = np.mean(np.logaddexp(0.0, -z))
+        return out
 
 
 @dataclasses.dataclass
@@ -552,9 +524,8 @@ def _curve_results(
     # steady_key. The configs step in lockstep over one draw per step, each
     # in its own in-place store; each rounds with its own stream, seeded as
     # a config run alone seeds it
-    for name, value in (("steps", steps), ("trials", trials)):
-        if not (_is_integer(value) and value >= 1):
-            raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+    _require_count("steps", steps)
+    _require_count("trials", trials)
     if not emas:
         raise ValueError("at least one EMA config is required")
     dim = stream.dimension
@@ -688,16 +659,18 @@ class _Skips:
         return (hold, None) if self.target == "first" else (None, hold)
 
 
-def _check_run(steps, seeds) -> None:
+def _check_run(steps, seeds, distinct: bool = True) -> None:
     # bad values would fail later as a TypeError or as numpy's error on a
-    # negative entropy
-    if not (_is_integer(steps) and steps >= 1):
-        raise ValueError(f"steps must be an integer >= 1, got {steps!r}")
+    # negative entropy. A study's table and medians would count a repeated
+    # seed twice; the cell drivers keep one row per entry (distinct=False)
+    _require_count("steps", steps)
     if not seeds:
         raise ValueError("at least one seed is required")
-    for seed in seeds:
+    for i, seed in enumerate(seeds):
         if not (_is_integer(seed) and seed >= 0):
             raise ValueError(f"seeds must be integers >= 0, got {seed!r}")
+        if distinct and seed in seeds[:i]:
+            raise ValueError(f"seeds must be distinct, got {seed!r} twice")
 
 
 def _train_rows(
@@ -725,7 +698,7 @@ def _train_rows(
     (config, seed, cell) array and, optionally, per-config lists of per-row
     (first, second) moment stall traces.
     """
-    _check_run(steps, seeds)
+    _check_run(steps, seeds, distinct=False)
     if not policies:
         raise ValueError("at least one reset policy or p_skip value is required")
     if not configs:
@@ -820,7 +793,7 @@ def run_skip_study(
     Skips start after warmup. The problem instance and its noise streams
     are shared across grid points at fixed seed, so final-loss differences
     are due to the intervention. final_loss is the mean loss over the
-    trailing decile of steps.
+    trailing decile of steps. seeds must be distinct.
     """
     _check_run(steps, seeds)
     if target not in ("first", "second"):
@@ -906,8 +879,8 @@ def run_reset_study(
     """Final-loss matrix over storage config x reset policy x seed.
 
     configs is a list of (label, cfg_m, cfg_v); policies a list of
-    (label, ResetPolicy). Every cell trains in one ``run_reset_cells``
-    call.
+    (label, ResetPolicy); seeds must be distinct. Every cell trains in one
+    ``run_reset_cells`` call.
     """
     _check_run(steps, seeds)
     if len(seeds) < 3:

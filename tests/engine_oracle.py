@@ -5,9 +5,10 @@ per-cell training loops that the batched study engine replaced. The
 arithmetic and the order of every draw are kept as they were; docstrings,
 type hints and the unused ``t_global`` clock are dropped, ``OracleState``
 is the old ``EmaState``, and ``skip_study_losses`` is the old
-``run_skip_study`` inner loop. Only the
-rounding kernel (``RoundingGrid.encode``, every element in one mode), the
-configs and the problem instances come from the package. Each (config, policy, seed) or
+``run_skip_study`` inner loop. Only the rounding kernel
+(``RoundingGrid.encode``, every element in one mode), the configs and the
+problems come from the package; a cell steps its seed's one-seed stack,
+``problem.make_stack((seed,))``. Each (config, policy, seed) or
 (p_skip, seed) cell runs alone here, with its own freshly seeded streams,
 so the batched studies must reproduce these losses bit for bit.
 """
@@ -27,7 +28,7 @@ from emastall.engine import (
 )
 from emastall.formats import RoundingMode, _normalized_grid
 from emastall.quantize import QuantizedBlock
-from emastall.simlab import _KEY_GRAD, _KEY_ROUND, _trailing_window
+from emastall.simlab import _KEY_ROUND, _trailing_window
 from emastall.theory import remaining_error_E
 
 # ---------------------------------------------------------------- quantizer
@@ -216,6 +217,15 @@ def adam_step(m_state, v_state, grad, hyper, params, rng=None):
 # ---------------------------------------------------------------- per cell
 
 
+# a cell's parameters are the one row of its seed's one-seed stack
+def _grad(stack, params):
+    return stack.grad(params[None, None, None])[0, 0, 0]
+
+
+def _loss(stack, params):
+    return float(stack.losses(params[None, None, None])[0, 0, 0])
+
+
 def run_reset_training(
     problem,
     cfg_m: EmaConfig,
@@ -226,19 +236,17 @@ def run_reset_training(
     hyper: AdamHyper,
     record_trace: bool = False,
 ) -> dict:
-    inst = problem.make_instance(seed)
-    params = inst.init_params()
+    stack = problem.make_stack((seed,))
+    params = stack.init_params()[0]
     m = OracleState.initialize(cfg_m, len(params))
     v = OracleState.initialize(cfg_v, len(params))
-    grad_rng = np.random.default_rng([seed, _KEY_GRAD])
     round_rng = np.random.default_rng([seed, _KEY_ROUND])
     trace_m = StallTrace("first_moment")
     trace_v = StallTrace("second_moment")
     window = _trailing_window(steps)
     tail = []
     for t in range(1, steps + 1):
-        inst.step_begin()
-        g = inst.grad_sample(params, grad_rng)
+        g = _grad(stack, params)
         params, m, v, stats = adam_step(m, v, g, hyper, params, round_rng)
         reset_m = reset_v = False
         if policy.kind is not ResetKind.NONE:
@@ -250,7 +258,7 @@ def run_reset_training(
             trace_m.append(stats["stalled_m"], m.k, reset_m)
             trace_v.append(stats["stalled_v"], v.k, reset_v)
         if t > steps - window:
-            tail.append(inst.loss(params))
+            tail.append(_loss(stack, params))
     out = {"final_loss": float(np.mean(tail))}
     if record_trace:
         out["trace_m"] = trace_m
@@ -266,18 +274,16 @@ def skip_study_losses(problem, p_skip_grid, target, steps, seeds, hyper,
     rows_loss = []
     for p in p_skip_grid:
         for seed in seeds:
-            inst = problem.make_instance(seed)
+            stack = problem.make_stack((seed,))
             cfg_m = EmaConfig(beta=hyper.beta1, format=None)
             cfg_v = EmaConfig(beta=hyper.beta2, format=None)
-            params = inst.init_params()
+            params = stack.init_params()[0]
             m = OracleState.initialize(cfg_m, len(params))
             v = OracleState.initialize(cfg_v, len(params))
-            grad_rng = np.random.default_rng([seed, _KEY_GRAD])
             skip_rng = np.random.default_rng([seed, _KEY_ROUND, int(p * 10**6)])
             tail = []
             for t in range(1, steps + 1):
-                inst.step_begin()
-                g = inst.grad_sample(params, grad_rng)
+                g = _grad(stack, params)
                 live = t > warmup and p > 0.0
                 if target == "first" and live:
                     m = skip_intervention_step(m, g, p, skip_rng)
@@ -289,6 +295,6 @@ def skip_study_losses(problem, p_skip_grid, target, steps, seeds, hyper,
                     v, _ = ema_step(v, g * g)
                 params = apply_adam_update(params, m, v, hyper)
                 if t > steps - window:
-                    tail.append(inst.loss(params))
+                    tail.append(_loss(stack, params))
             rows_loss.append(float(np.mean(tail)))
     return rows_loss

@@ -3,8 +3,8 @@
 This is the study loop the fused step replaced: ``train_rows`` is the old
 ``simlab._train_rows``, which stepped each storage config's ``(rows, dim)``
 batch through its own proposal, store and reset calls, drew each seed's
-gradient with one ``step_begin``/``grad_sample`` pair, walked the adaptive
-rows in a Python loop and took the tail loss one row at a time.
+gradient apart from the others, walked the adaptive rows in a Python loop
+and took the tail loss one row at a time.
 ``adam_lockstep``, ``ResetRows``, ``reset_rows``, ``RowStreams``, the
 batch ``_proposal``/``_store`` and ``initialize``, the batch branch of the
 old ``EmaState.initialize``, are the old engine's (``adam_lockstep``
@@ -12,8 +12,9 @@ without its unused ``t_global`` clock). A ``Batch``, the old batch
 ``EmaState``, holds a ``(rows, dim)`` stored state and ``(rows,)`` arrays
 ``k`` and ``excess``. The arithmetic and the order of every draw are kept
 as they were; docstrings and type hints are dropped. Only the quantizer,
-the rounding kernel, the theory terms, the skip draws and the problem
-instances come from the package. The fused study loop must reproduce its
+the rounding kernel, the theory terms, the skip draws and the problems
+come from the package; each seed steps its own one-seed stack,
+``problem.make_stack((seed,))``. The fused study loop must reproduce its
 losses and traces bit for bit.
 """
 
@@ -39,7 +40,7 @@ from emastall.quantize import (
     quantize,
     quantize_with_scales,
 )
-from emastall.simlab import _KEY_GRAD, _KEY_ROUND, _trailing_window
+from emastall.simlab import _KEY_ROUND, _trailing_window
 from emastall.theory import excess_staleness, remaining_error_E
 
 
@@ -184,15 +185,14 @@ def adam_lockstep(moments, grad, hyper, params, rngs, hold_m=None, hold_v=None):
 def train_rows(problem, configs, policies, steps, seeds, hyper, skips=None,
                record_trace=False):
     cells = len(policies)
-    insts = [problem.make_instance(seed) for seed in seeds]
-    start = np.repeat([inst.init_params() for inst in insts], cells, axis=0)
+    stacks = [problem.make_stack((seed,)) for seed in seeds]
+    start = np.repeat([stack.init_params()[0] for stack in stacks], cells, axis=0)
     rows, dim = start.shape
     params = np.repeat(start[None], len(configs), axis=0)
     moments = [
         (initialize(cfg_m, dim, rows), initialize(cfg_v, dim, rows))
         for cfg_m, cfg_v in configs
     ]
-    grad_rngs = [np.random.default_rng([seed, _KEY_GRAD]) for seed in seeds]
     round_rngs = [
         RowStreams([np.random.default_rng([seed, _KEY_ROUND]) for seed in seeds], cells)
         for _ in configs
@@ -210,9 +210,8 @@ def train_rows(problem, configs, policies, steps, seeds, hyper, skips=None,
     ]
     g = np.empty_like(params)
     for t in range(1, steps + 1):
-        for inst, rng, block in zip(insts, grad_rngs, blocks):
-            inst.step_begin()
-            g[:, block] = inst.grad_sample(params[:, block], rng)
+        for stack, block in zip(stacks, blocks):
+            g[:, block] = stack.grad(params[:, None, block])[:, 0]
         hold_m, hold_v = skips.draw(t) if skips is not None else (None, None)
         params, moments, frac_m, frac_v = adam_lockstep(
             moments, g, hyper, params, round_rngs, hold_m=hold_m, hold_v=hold_v
@@ -228,7 +227,8 @@ def train_rows(problem, configs, policies, steps, seeds, hyper, skips=None,
         if j >= 0:
             for c in range(len(configs)):
                 for r in range(rows):
-                    tail[c, r, j] = insts[r // cells].loss(params[c, r])
+                    tail[c, r, j] = stacks[r // cells].losses(
+                        params[c, r][None, None, None])[0, 0, 0]
     losses = [[float(np.mean(row)) for row in cfg_tail] for cfg_tail in tail]
     out = {"final_loss": np.reshape(losses, (len(configs), len(seeds), cells))}
     if record_trace:

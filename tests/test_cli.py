@@ -700,6 +700,19 @@ class TestStudyValidation:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert not (tmp_path / "x.csv").exists()
 
+    @pytest.mark.parametrize("argv,seed", [
+        (["reset-study", "--seeds", "0,0,1"], 0),
+        (["skip-study", "--seeds", "2,2"], 2),
+        (["skip-study", "--problem", "logistic", "--seeds", "1,3,1"], 1),
+    ], ids=["reset", "skip", "skip-logistic"])
+    def test_repeated_seed_is_one_line_error(self, argv, seed, capsys, tmp_path):
+        # 0,0,1 once passed the 3-seed minimum with two instances and
+        # counted seed 0 twice in every median
+        assert main(argv + ["--steps", "2", "--out", str(tmp_path / "x")]) == 1
+        assert capsys.readouterr().err == (
+            f"error: seeds must be distinct, got {seed} twice\n")
+        assert not list(tmp_path.iterdir())
+
     @pytest.mark.parametrize(
         "argv",
         [["skip-study", "--seeds", "-2"], ["reset-study", "--seeds", "2,-1,3"]],

@@ -9,6 +9,9 @@ import pytest
 from emastall.engine import AdamHyper, EmaConfig, ResetPolicy
 from emastall.formats import RoundingMode
 from emastall.simlab import (
+    _KEY_GRAD,
+    _KEY_PROBLEM,
+    _KEY_TARGET,
     GradientStream,
     GradientStreamSpec,
     NoisyQuadratic,
@@ -206,8 +209,8 @@ class TestSkipStudy:
             curvature_min=0.5, curvature_max=1.0, target_drift=0.0, init_offset=2.0
         )
         res = run_skip_study(prob, (1.0,), "second", 2000, (0,), HYPER)
-        inst = prob.make_instance(0)
-        assert res.series["final_loss"][0] < 0.01 * inst.loss(inst.init_params())
+        stack = prob.make_stack((0,))
+        assert res.series["final_loss"][0] < 0.01 * stack.losses(_start(stack))[0, 0, 0]
 
     @pytest.mark.parametrize("grid", [(0.5, 0.5), (0.1, 0.1000001)])
     def test_colliding_labels_rejected(self, grid):
@@ -338,34 +341,229 @@ def test_bad_study_inputs_name_the_field(steps, seeds, message):
             call()
 
 
-class TestProblems:
-    def test_quadratic_instance_reproducible(self):
-        prob = NoisyQuadratic()
-        a = prob.make_instance(3)
-        b = prob.make_instance(3)
-        assert np.array_equal(a.curvatures, b.curvatures)
-        rng1, rng2 = np.random.default_rng(0), np.random.default_rng(0)
-        a.step_begin()
-        b.step_begin()
-        assert np.array_equal(a.target, b.target)
-        p = a.init_params()
-        assert np.array_equal(a.grad_sample(p, rng1), b.grad_sample(p, rng2))
+BAD_PROBLEM_FIELDS = [
+    (NoisyQuadratic, {"dimension": 2.5}, "dimension must be an integer >= 1, got 2.5"),
+    (NoisyQuadratic, {"dimension": 0}, "dimension must be an integer >= 1, got 0"),
+    (NoisyQuadratic, {"dimension": True}, "dimension must be an integer >= 1, got True"),
+    (NoisyQuadratic, {"curvature_min": 0.0},
+     "curvature_min must be positive and finite, got 0.0"),
+    (NoisyQuadratic, {"curvature_min": -1.0},
+     "curvature_min must be positive and finite, got -1.0"),
+    (NoisyQuadratic, {"curvature_min": math.nan},
+     "curvature_min must be positive and finite, got nan"),
+    (NoisyQuadratic, {"curvature_min": math.inf, "curvature_max": math.inf},
+     "curvature_min must be positive and finite, got inf"),
+    (NoisyQuadratic, {"curvature_min": 2.0, "curvature_max": 1.0},
+     "curvature_max must be finite and >= curvature_min, got 1.0"),
+    (NoisyQuadratic, {"curvature_max": math.inf},
+     "curvature_max must be finite and >= curvature_min, got inf"),
+    (NoisyQuadratic, {"curvature_max": math.nan},
+     "curvature_max must be finite and >= curvature_min, got nan"),
+    (NoisyQuadratic, {"noise_mult": -0.5},
+     "noise_mult must be finite and >= 0, got -0.5"),
+    (NoisyQuadratic, {"noise_mult": math.inf},
+     "noise_mult must be finite and >= 0, got inf"),
+    (NoisyQuadratic, {"target_drift": -0.1},
+     "target_drift must be finite and >= 0, got -0.1"),
+    (NoisyQuadratic, {"target_drift": math.nan},
+     "target_drift must be finite and >= 0, got nan"),
+    (NoisyQuadratic, {"init_offset": math.inf}, "init_offset must be finite, got inf"),
+    (NoisyQuadratic, {"init_offset": math.nan}, "init_offset must be finite, got nan"),
+    (SynthLogistic, {"batch_size": 0}, "batch_size must be an integer >= 1, got 0"),
+    (SynthLogistic, {"batch_size": 8.0}, "batch_size must be an integer >= 1, got 8.0"),
+    (SynthLogistic, {"n_samples": 0}, "n_samples must be an integer >= 1, got 0"),
+    (SynthLogistic, {"dimension": -4}, "dimension must be an integer >= 1, got -4"),
+    (SynthLogistic, {"label_noise": 2.0}, "label_noise must be in [0, 1], got 2.0"),
+    (SynthLogistic, {"label_noise": -0.1}, "label_noise must be in [0, 1], got -0.1"),
+    (SynthLogistic, {"label_noise": math.nan}, "label_noise must be in [0, 1], got nan"),
+]
 
-    def test_quadratic_instances_vary_by_seed(self):
+
+@pytest.mark.parametrize("cls,fields,message", BAD_PROBLEM_FIELDS, ids=[
+    f"{cls.__name__}-" + ",".join(f"{k}={v}" for k, v in fields.items())
+    for cls, fields, _ in BAD_PROBLEM_FIELDS
+])
+def test_bad_problem_fields_name_the_field(cls, fields, message):
+    # these once failed only when a stack was drawn (numpy's TypeError, a
+    # math domain error, "high - low < 0", "high <= 0", a non-finite
+    # signal), or, for a label noise above 1, ran
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        cls(**fields)
+
+
+@pytest.mark.parametrize("prob", [
+    NoisyQuadratic(),
+    NoisyQuadratic(curvature_min=0.5, curvature_max=0.5, noise_mult=0.0,
+                   target_drift=0.0, init_offset=-2.0),
+    SynthLogistic(),
+    SynthLogistic(n_samples=1, dimension=1, label_noise=1.0, batch_size=1),
+    SynthLogistic(label_noise=0.0),
+], ids=["quadratic-defaults", "quadratic-edges", "logistic-defaults", "logistic-edges",
+        "logistic-clean"])
+def test_edge_problem_fields_accepted(prob):
+    stack = prob.make_stack((0,))
+    params = _start(stack)
+    assert np.all(np.isfinite(stack.grad(params)))
+    assert np.all(np.isfinite(stack.losses(params)))
+
+
+def _start(stack, configs=1, cells=1):
+    # the stack's starting points as a (configs, seeds, cells, dim) stack
+    start = stack.init_params()[None, :, None]
+    return np.repeat(np.repeat(start, configs, axis=0), cells, axis=2)
+
+
+def _same_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+# rows per seed, each from its own start (_spread): a stack must keep every
+# row apart while the rows of a seed share its draws
+SHAPE = (2, 3)  # (configs, cells)
+REF_STEPS = 6
+
+
+def _spread(params):
+    # give every row of a seed its own starting point
+    configs, seeds, cells, dim = params.shape
+    offsets = np.linspace(-1.0, 1.0, configs * cells).reshape(configs, 1, cells, 1)
+    return params + offsets * np.linspace(0.5, 1.5, dim)
+
+
+class TestStackReference:
+    """Each problem's formula, written out from the seed's own streams,
+    against ``make_stack`` bit for bit."""
+
+    @pytest.mark.parametrize("seeds", [(0, 3), (5, 1, 2)])
+    def test_quadratic_stack_equals_its_formula(self, seeds):
+        prob = NoisyQuadratic(dimension=300, noise_mult=0.7, target_drift=0.05)
+        stack = prob.make_stack(seeds)
+        params = _spread(_start(stack, *SHAPE))
+        ref = []
+        for seed in seeds:
+            rng = np.random.default_rng([seed, _KEY_PROBLEM])
+            h = np.exp(rng.uniform(math.log(prob.curvature_min),
+                                   math.log(prob.curvature_max), prob.dimension))
+            ref.append((h, np.zeros(prob.dimension),
+                        np.random.default_rng([seed, _KEY_TARGET]),
+                        np.random.default_rng([seed, _KEY_GRAD])))
+        assert _same_bits(stack.init_params(),
+                          np.full((len(seeds), prob.dimension), prob.init_offset))
+        for _ in range(REF_STEPS):
+            got = stack.grad(params)
+            want = np.empty_like(params)
+            for i, (h, target, target_rng, grad_rng) in enumerate(ref):
+                target += prob.target_drift * target_rng.standard_normal(prob.dimension)
+                noise = grad_rng.standard_normal(prob.dimension)
+                for c, j in np.ndindex(SHAPE):
+                    want[c, i, j] = h * (params[c, i, j] - target) * (
+                        1.0 + prob.noise_mult * noise)
+            assert _same_bits(got, want)
+            want_loss = np.array([[[
+                0.5 * np.sum(ref[i][0] * (params[c, i, j] - ref[i][1]) ** 2)
+                for j in range(SHAPE[1])] for i in range(len(seeds))]
+                for c in range(SHAPE[0])])
+            assert _same_bits(stack.losses(params), want_loss)
+            params = params - 0.1 * got
+
+    @pytest.mark.parametrize("seeds", [(0, 3), (5, 1, 2)])
+    def test_logistic_stack_equals_its_formula(self, seeds):
+        prob = SynthLogistic(n_samples=200, dimension=24, label_noise=0.2,
+                             batch_size=16)
+        stack = prob.make_stack(seeds)
+        params = _spread(_start(stack, *SHAPE))
+        data = []
+        for seed in seeds:
+            rng = np.random.default_rng([seed, _KEY_PROBLEM])
+            x = rng.standard_normal((prob.n_samples, prob.dimension))
+            w = rng.standard_normal(prob.dimension) / np.sqrt(prob.dimension)
+            y = np.sign(x @ w)
+            y[y == 0] = 1.0
+            flip = rng.random(prob.n_samples) < prob.label_noise
+            y[flip] *= -1
+            data.append((x, y, np.random.default_rng([seed, _KEY_GRAD])))
+        assert _same_bits(stack.init_params(), np.zeros((len(seeds), prob.dimension)))
+        for _ in range(REF_STEPS):
+            got = stack.grad(params)
+            want = np.empty_like(params)
+            for i, (x, y, grad_rng) in enumerate(data):
+                idx = grad_rng.integers(0, prob.n_samples, prob.batch_size)
+                xb, yb = x[idx], y[idx]
+                for c, j in np.ndindex(SHAPE):
+                    p = params[c, i, j].copy()
+                    s = 1.0 / (1.0 + np.exp(yb * (xb @ p)))
+                    want[c, i, j] = -(yb * s) @ xb / prob.batch_size
+            assert _same_bits(got, want)
+            want_loss = np.array([[[
+                np.mean(np.logaddexp(0.0, -(data[i][1] * (data[i][0] @ params[c, i, j]))))
+                for j in range(SHAPE[1])] for i in range(len(seeds))]
+                for c in range(SHAPE[0])])
+            assert _same_bits(stack.losses(params), want_loss)
+            params = params - 0.5 * got
+
+    @pytest.mark.parametrize(
+        "prob",
+        [NoisyQuadratic(dimension=40), SynthLogistic(n_samples=100, dimension=12)],
+        ids=["quadratic", "logistic"],
+    )
+    def test_multi_seed_rows_equal_one_seed_stacks(self, prob):
+        seeds = (4, 0, 4, 9)
+        stack = prob.make_stack(seeds)
+        alone = [prob.make_stack((seed,)) for seed in seeds]
+        params = _spread(_start(stack, *SHAPE))
+        assert _same_bits(stack.init_params(),
+                          np.concatenate([one.init_params() for one in alone]))
+        for _ in range(REF_STEPS):
+            got = stack.grad(params)
+            losses = stack.losses(params)
+            for i, one in enumerate(alone):
+                assert _same_bits(got[:, i:i + 1], one.grad(params[:, i:i + 1]))
+                assert _same_bits(losses[:, i:i + 1], one.losses(params[:, i:i + 1]))
+            params = params - 0.1 * got
+
+
+@pytest.mark.parametrize("seeds,seed", [((0, 0, 1), 0), ((2, 5, 7, 5), 5)],
+                         ids=["first", "last"])
+def test_studies_reject_a_repeated_seed(seeds, seed):
+    # a repeated seed once passed the 3-seed minimum while training fewer
+    # instances, and its rows counted twice in the medians
+    prob = NoisyQuadratic(dimension=8)
+    cm, cv = moment_configs("fp4", HYPER)
+    calls = [
+        lambda: run_reset_study(prob, [("x", cm, cv)], [("none", ResetPolicy.none())],
+                                2, seeds, HYPER),
+        lambda: run_skip_study(prob, (0.0, 0.5), "first", 2, seeds, HYPER),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError,
+                           match=f"^seeds must be distinct, got {seed} twice$"):
+            call()
+
+
+class TestProblems:
+    def test_quadratic_stack_reproducible(self):
         prob = NoisyQuadratic()
-        assert not np.array_equal(
-            prob.make_instance(0).curvatures, prob.make_instance(1).curvatures
-        )
+        a, b = prob.make_stack((3,)), prob.make_stack((3,))
+        params = _start(a)
+        assert _same_bits(a.init_params(), b.init_params())
+        for _ in range(3):
+            assert _same_bits(a.grad(params), b.grad(params))
+            assert _same_bits(a.losses(params), b.losses(params))
+
+    def test_quadratic_stacks_vary_by_seed(self):
+        # the curvatures differ, so the losses at the common start do
+        prob = NoisyQuadratic()
+        losses = prob.make_stack((0, 1)).losses(_start(prob.make_stack((0, 1))))
+        assert losses[0, 0, 0] != losses[0, 1, 0]
 
     def test_logistic_gradient_descends(self):
-        prob = SynthLogistic()
-        inst = prob.make_instance(0)
-        rng = np.random.default_rng(1)
-        params = inst.init_params()
-        l0 = inst.loss(params)
+        stack = SynthLogistic().make_stack((0,))
+        params = _start(stack)
+        l0 = stack.losses(params)[0, 0, 0]
         for _ in range(300):
-            params = params - 0.1 * inst.grad_sample(params, rng)
-        assert inst.loss(params) < 0.7 * l0
+            params = params - 0.1 * stack.grad(params)
+        assert stack.losses(params)[0, 0, 0] < 0.7 * l0
 
     def test_experiment_result_files(self, tmp_path):
         spec = GradientStreamSpec(dimension=50, seed=0)

@@ -405,14 +405,16 @@ def test_skip_study_equals_per_cell_runs(problem, target):
 
 
 def test_duplicate_seeds_train_independent_rows():
+    # the studies reject a repeated seed; the cell driver keeps one row per
+    # entry of seeds
     cfg_m, cfg_v = moment_configs("fp4", HYPER, SR)
-    policies = [("none", ResetPolicy.none()), ("periodic40", ResetPolicy.periodic(40))]
-    study = run_reset_study(
-        PROBLEM, [("fp4_sr", cfg_m, cfg_v)], policies, 60, (3, 3, 5), HYPER
+    policies = [ResetPolicy.none(), ResetPolicy.periodic(40)]
+    cells = run_reset_cells(
+        PROBLEM, [(cfg_m, cfg_v)], policies, 60, (3, 3, 5), HYPER
     )
-    losses = np.reshape(study.series["final_loss"], (2, 3))
+    losses = cells[0].T  # (policy, seed)
     assert losses[0, 0] == losses[0, 1] and losses[1, 0] == losses[1, 1]
-    assert study.series["final_loss"][:3] == [
+    assert losses[0].tolist() == [
         oracle.run_reset_training(
             PROBLEM, cfg_m, cfg_v, ResetPolicy.none(), 60, s, HYPER
         )["final_loss"]
