@@ -155,15 +155,19 @@ class RowStreams:
         self.rows_per_stream = rows_per_stream
 
     def random(self, shape: tuple) -> np.ndarray:
-        dim = shape[-1]
-        if math.prod(shape[:-1]) != len(self.generators) * self.rows_per_stream:
+        """The draws of a batch of ``shape``: the lone generator's own draw
+        when there is one row, else a ``(generators, rows_per_stream, dim)``
+        read-only broadcast of one draw per generator, which a
+        ``shape`` array reshapes to row for row."""
+        dim, gens = shape[-1], self.generators
+        if math.prod(shape[:-1]) != len(gens) * self.rows_per_stream:
             raise ValueError("draw shape does not match the batch")
-        draws = np.empty((len(self.generators), dim))
-        for g, row in zip(self.generators, draws):
-            g.random(out=row)
-        if self.rows_per_stream == 1:
-            return draws.reshape(shape)
-        return np.repeat(draws, self.rows_per_stream, axis=0).reshape(shape)
+        if len(gens) * self.rows_per_stream == 1:
+            return gens[0].random(shape)
+        draws = np.empty((len(gens), 1, dim))
+        for g, row in zip(gens, draws):
+            g.random(out=row[0])
+        return np.broadcast_to(draws, (len(gens), self.rows_per_stream, dim))
 
 
 # the floating-point errors a proposal may raise, left to its finiteness check
@@ -224,7 +228,14 @@ class _Store:
         self.grid = _normalized_grid(cfg.format)
         self.codes = np.array([[s.stored.codes for s in rows] for rows in states])
         self.starts, self.block_of = _layout(cfg.scheme, self.values.shape[-1])
-        self.w, self.mag = np.empty_like(self.values), np.empty_like(self.values)
+        # on a signed grid with a zero point, a write takes its magnitudes
+        # from the absmax pass: |p| / rep is |p / rep| bit for bit, and a
+        # negative p whose quotient is -0.0 still gets the zero point's one
+        # code from the proposal's sign
+        self.abs_reused = (not cfg.freeze_scale and bool(cfg.format.sign_bits)
+                           and self.grid.values[0] == 0.0)
+        self.mag = np.empty_like(self.values)
+        self.w = None if self.abs_reused else np.empty_like(self.values)
         # several blocks' scales are gathered per element into this buffer
         self.rep = None if self.block_of is None else np.empty_like(self.values)
         self._set_scales(np.array([[s.stored.scales for s in rows] for rows in states]))
@@ -246,8 +257,15 @@ class _Store:
             return flags
         if not self.config.freeze_scale:
             self._set_scales(_block_absmax(proposal, self.starts, self.mag))
-        w = _scaled(proposal, self.rep, self.positive, self.w)
-        codes = self.grid.encode(w, self.n_nearest, self.stream, self.mag)
+        if self.abs_reused:
+            # an all-zero block's |p| is already the 0 it scales to
+            mag = np.divide(self.mag, self.rep, out=self.mag,
+                            where=self.positive or self.rep > 0)
+            codes = self.grid.encode_magnitudes(proposal, mag, self.n_nearest,
+                                                self.stream)
+        else:
+            w = _scaled(proposal, self.rep, self.positive, self.w)
+            codes = self.grid.encode(w, self.n_nearest, self.stream, self.mag)
         np.equal(codes, self.codes, out=flags)
         self.codes = codes
         _decode(self.grid, codes, self.rep, x)

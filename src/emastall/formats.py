@@ -204,6 +204,8 @@ class RoundingGrid:
         # and the NaN pad above the top point makes the top frac NaN, which
         # never rounds up
         self._lower = _BucketRank(padded[1:], values[-1])
+        # the gap above each lower bracket, NaN at the top point
+        self._gaps = padded[1:] - values
         self.decoded = np.full(1 << fmt.width, np.nan)
         self.decoded[self.codes] = values
         if fmt.sign_bits:
@@ -219,16 +221,16 @@ class RoundingGrid:
 
     def stochastic_idx(self, mag: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         lo = self._lower(mag)
-        v_lo = self.values.take(lo)
-        gap = self._lower.table.take(lo)
-        gap -= v_lo
         # below the bottom point (grids without zero) frac is negative and
         # never rounds up
-        frac = mag - v_lo
-        frac /= gap
+        frac = mag - self.values.take(lo)
+        frac /= self._gaps.take(lo)
         # one uniform per element, drawn unconditionally so the stream
-        # position depends only on the call shape
-        lo += rng.random(mag.shape) < frac
+        # position depends only on the call shape; a stream may hand the
+        # draws back in another shape of the same size (RowStreams shares
+        # one draw among a seed's rows by broadcasting)
+        u = rng.random(mag.shape)
+        lo += (u < frac.reshape(u.shape)).reshape(lo.shape)
         return lo
 
     def magnitude(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -253,7 +255,12 @@ class RoundingGrid:
         """Full codes of w (its magnitudes go to out): the first n_nearest
         members along the first axis round to nearest, the rest
         stochastically on rng; magnitudes above the top point saturate."""
-        mag = self.magnitude(w, out=out)
+        return self.encode_magnitudes(w, self.magnitude(w, out=out), n_nearest, rng)
+
+    def encode_magnitudes(self, x: np.ndarray, mag: np.ndarray, n_nearest: int,
+                          rng) -> np.ndarray:
+        """``encode`` from magnitudes already taken: mag on the grid's unit,
+        with the signs of x."""
         if n_nearest == len(mag):
             idx = self.nearest_idx(mag)
         elif rng is None:
@@ -263,7 +270,7 @@ class RoundingGrid:
         else:
             idx = np.concatenate((self.nearest_idx(mag[:n_nearest]),
                                   self.stochastic_idx(mag[n_nearest:], rng)))
-        return self.signed(w, idx)
+        return self.signed(x, idx)
 
 
 @lru_cache(maxsize=None)

@@ -227,7 +227,8 @@ def quantize_with_scales(
     """Quantize against externally supplied block scales (frozen anchors).
 
     Stochastic rounding draws ``rng.random(values.shape)``; any object with
-    that method serves as the stream.
+    that method serves as the stream, and it may return the draws in
+    another shape of the same size, into which the values reshape.
     """
     # a string here would round stochastically: the kernel tests the mode
     # by identity

@@ -18,12 +18,12 @@ result per EMA config. A study step is fused: the gradient of every row,
 the proposals, each storage group's quantizer pass, the Adam update, each
 moment's reset rule and the tail loss each run once over the whole
 ``(configs, rows, dim)`` stack. The curve drivers take each step's signal
-from the generator ``_signal_rows``, whose producer thread draws up to a
-ring of chunks ahead while the caller rounds; its rows are the bits a
-step-by-step draw gives, so the curves are unchanged. The caller writes
-each config through its own ``(1, 1, dim)`` ``engine._Store``, one member
-of one row, kept across a trial's steps; the same class writes a study's
-storage groups.
+from the generator ``_signal_rows``, whose producer thread draws the next
+chunk of rows while the caller rounds the current one; its rows are the
+bits a step-by-step draw gives, so the curves are unchanged. The caller
+writes each config through its own ``(1, 1, dim)`` ``engine._Store``, one
+member of one row, kept across a trial's steps; the same class writes a
+study's storage groups.
 
 A problem is a frozen spec dataclass whose only method is
 ``make_stack(seeds)``; it returns the seeds' instances as one stack, which
@@ -44,7 +44,6 @@ import contextlib
 import dataclasses
 import json
 import math
-import os
 import queue
 import threading
 from enum import Enum
@@ -165,17 +164,22 @@ class GradientStream:
 
         One ``standard_normal`` over the block yields the bits of n
         ``(dim,)`` calls, and ``xi += mu; xi *= factor * scales`` rounds as
-        ``factor * scales * (mu + xi)`` does. An overflow leaves a
-        non-finite draw, which the first write rejects.
+        ``factor * scales * (mu + xi)`` does. A factor of 1.0 (every step of
+        a ``gaussian_iid`` stream) multiplies by ``scales`` alone, the same
+        bits with no temporary. Adding ``mu = 0`` is skipped: it could only
+        turn an exact ``-0.0`` draw into ``+0.0``, and an EMA proposal takes
+        the same bits from either zero. An overflow leaves a non-finite
+        draw, which the first write rejects.
         """
         self._rng.standard_normal(out=out)
         with np.errstate(**_QUIET):
-            out += self.spec.mu
+            if self.spec.mu:
+                out += self.spec.mu
             row = 0
             while row < len(out):
                 factor, left = self._segment()
                 stop = int(min(len(out), row + left))
-                out[row:stop] *= factor * self.scales
+                out[row:stop] *= self.scales if factor == 1.0 else factor * self.scales
                 self._t += stop - row
                 row = stop
         return out
@@ -427,25 +431,9 @@ def moment_configs(
     )
 
 
-# bytes of the producer's ring: chunks of about a quarter each, so the
-# producer works one to three chunks ahead
+# bytes of the producer's ring: two chunk buffers of about half each, so
+# the producer fills the next chunk while the caller rounds the current one
 _RING_BYTES = 1 << 20
-
-
-def _worker_cpus() -> set | None:
-    """The CPUs this process may use, less the one the calling thread runs
-    on now; None if that leaves none or threads cannot be placed here."""
-    if not hasattr(os, "sched_setaffinity"):
-        return None
-    try:
-        with open("/proc/thread-self/stat") as f:
-            stat = f.read()
-        # field 39, "processor"; the fields after the command name start at 3
-        current = int(stat[stat.rindex(")") + 1:].split()[36])
-        others = os.sched_getaffinity(0) - {current}
-    except (OSError, ValueError, IndexError):
-        return None
-    return others or None
 
 
 def _signal_rows(spec: GradientStreamSpec, steps: int, trials: int, square: bool):
@@ -453,30 +441,27 @@ def _signal_rows(spec: GradientStreamSpec, steps: int, trials: int, square: bool
     ``(1, 1, dim)`` view, the shape of a curve store; a row is valid until
     the next one is asked for.
 
-    A producer thread fills a ring of chunk buffers with each trial's stream
-    (squared for a second moment) while the caller rounds the current row;
-    no draw depends on the state, so each row has the bits a step-by-step
-    ``draw()`` gives. One queue hands filled blocks, or the producer's
-    error, to the caller; the other hands back ``True`` per freed buffer, or
-    ``False`` to stop. Closing the generator stops and joins the producer.
-    The producer moves itself off the caller's current CPU when another is
-    allowed; left to the scheduler, both threads tend to share one CPU.
+    A producer thread fills two chunk buffers in turn with each trial's
+    stream while the caller rounds the rows of the other. Per chunk it makes
+    one ``standard_normal``, one in-place scaling and, for a second moment,
+    one in-place square, so it seldom takes the GIL from the caller. No draw
+    depends on the state, so each row has the bits a step-by-step ``draw()``
+    gives. One queue hands filled blocks, or the producer's error, to the
+    caller; the other hands back ``True`` per freed buffer, or ``False`` to
+    stop. Closing the generator stops and joins the producer.
     """
     row_bytes = spec.dimension * 8
-    chunk = min(steps, max(1, _RING_BYTES // 4 // row_bytes))
+    chunk = min(steps, max(1, _RING_BYTES // 2 // row_bytes))
     n_chunks = trials * -(-steps // chunk)
-    n_bufs = min(n_chunks, max(2, _RING_BYTES // (chunk * row_bytes)))
+    n_bufs = min(n_chunks, 2)
     # built here, not in the producer: allocations in a new thread come
     # from an arena of its own, which adds resident memory
     ring = np.empty((n_bufs, chunk, spec.dimension))
     streams = [GradientStream(spec, trial) for trial in range(trials)]
     full, free = queue.SimpleQueue(), queue.SimpleQueue()
 
-    def produce(cpus: set | None) -> None:
+    def produce() -> None:
         try:
-            if cpus:
-                with contextlib.suppress(OSError):
-                    os.sched_setaffinity(0, cpus)  # this thread only
             k = 0
             for stream in streams:
                 for start in range(0, steps, chunk):
@@ -493,9 +478,7 @@ def _signal_rows(spec: GradientStreamSpec, steps: int, trials: int, square: bool
 
     for _ in range(n_bufs):
         free.put(True)
-    producer = threading.Thread(
-        target=produce, args=(_worker_cpus(),), name="signal-rows", daemon=True
-    )
+    producer = threading.Thread(target=produce, name="signal-rows", daemon=True)
     producer.start()
     try:
         for _ in range(n_chunks):

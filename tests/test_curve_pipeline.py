@@ -3,12 +3,12 @@
 ``curve_oracle`` keeps the old loop: one ``standard_normal(dim)`` draw per
 step, squared for a second moment, and one reference-engine ``ema_step``
 per config. The drivers now take each step's signal from the generator
-``simlab._signal_rows``, whose producer thread fills a ring of chunks ahead
-of the caller, and step each config in its own in-place store; the
-signal rows and every curve must equal the oracle's bit for bit (``==`` on
-floats), for every preset and rounding mode, custom formats and one to
-three trials, over chunk layouts that put schedule boundaries inside chunks
-and end trials on short chunks. The lifecycle tests check that no producer
+``simlab._signal_rows``, whose producer thread fills two chunk buffers in
+turn, one chunk ahead of the caller, and step each config in its own
+in-place store; the signal rows and every curve must equal the oracle's
+bit for bit (``==`` on floats), for every preset and rounding mode, custom
+formats and one to three trials, over chunk layouts that put schedule
+boundaries inside chunks and end trials on short chunks. The lifecycle tests check that no producer
 thread outlives a call and that errors from either thread reach the caller.
 """
 
@@ -39,15 +39,15 @@ import curve_oracle as oracle
 NR, SR = RoundingMode.NEAREST_EVEN, RoundingMode.STOCHASTIC
 JOIN_S = 60
 
-# (dim, ring bytes or None for the default ring, steps): dim 64 gets chunks
-# of up to 512 steps, so 515 steps end each trial on a 3-step chunk; the
-# 1280-byte ring gives dim 8 chunks of 5 steps in 4 buffers, so 12 steps end
-# each trial on a 2-step chunk; dim 33000 gets one step per chunk in 3
-# buffers
+# (dim, ring bytes or None for the default ring, steps): the ring is two
+# chunk buffers. A 512 KB ring gives dim 64 chunks of 512 steps, so 515
+# steps end each trial on a 3-step chunk; the 1280-byte ring gives dim 8
+# chunks of 10 steps, so 12 steps end each trial on a 2-step chunk; dim
+# 33000 gets one step per chunk
 LAYOUTS = [
     (64, None, 1),
     (64, None, 7),
-    (64, None, 515),
+    (64, 1 << 19, 515),
     (8, 1280, 1),
     (8, 1280, 3),
     (8, 1280, 12),
@@ -58,7 +58,7 @@ LAYOUT_IDS = [f"dim{d}-{'ring' if r else 'default'}-steps{s}" for d, r, s in LAY
 STREAMS = {
     "iid": {},
     "mu": {"mu": 0.75},
-    # segment ends fall inside 5-step chunks; the last factor then holds.
+    # segment ends fall inside 10-step chunks; the last factor then holds.
     # No factor is a power of two, so scaling by factor and by scales in
     # turn would round differently from one product factor * scales
     "piecewise": {"kind": "piecewise", "schedule": ((3, 1.5), (4, 0.3), (2, 7.0))},
@@ -115,11 +115,11 @@ def _bits(a):
 
 
 @pytest.mark.parametrize("dim,ring,steps,chunk,n_bufs", [
-    (10_000, None, 200, 3, 4),
+    (10_000, None, 200, 6, 2),
     (64, None, 7, 7, 2),  # one chunk per trial
-    (64, None, 600, 512, 4),
-    (8, 1280, 12, 5, 4),
-    (33_000, None, 3, 1, 3),
+    (64, None, 2100, 1024, 2),
+    (8, 1280, 12, 10, 2),
+    (33_000, None, 3, 1, 2),
 ])
 def test_ring_layout(dim, ring, steps, chunk, n_bufs, monkeypatch):
     # chunks of `chunk` steps end at trial ends; holding the first row, the
@@ -224,6 +224,32 @@ def test_draw_equals_oracle_draw():
         assert _bits(gs.draw()) == _bits(ref.draw())
 
 
+@pytest.mark.parametrize("kwargs", [
+    {"mu": 0.5},
+    # segment ends at steps 4, 9 and 11 fall inside the blocks below
+    {"kind": "piecewise", "mu": 0.5, "schedule": ((4, 1.5), (5, 0.3), (2, 7.0))},
+    # a factor of 1.0 scales by scales alone
+    {"kind": "piecewise", "schedule": ((4, 1.0), (5, 0.3))},
+], ids=["mu", "piecewise-mu", "piecewise-unit"])
+def test_fill_equals_oracle_draws(kwargs):
+    # blocks of 6, 6, 1 and 5 rows, as a double-buffered ring fills them
+    spec = GradientStreamSpec(dimension=37, seed=11, **kwargs)
+    gs, ref = GradientStream(spec, 2), oracle.OracleStream(spec, 2)
+    for n in (6, 6, 1, 5):
+        for row in gs.fill(np.empty((n, 37))):
+            assert _bits(row) == _bits(ref.draw())
+
+
+def test_proposal_bits_ignore_the_sign_of_a_zero_signal():
+    # fill skips adding mu = 0, which could only leave a -0.0 draw where
+    # adding it gives +0.0; no proposal may tell the two apart
+    x = np.array([0.0, -0.0, 1.5, -(2.0 ** -1074), 3e300, -7.25])
+    for beta in (0.9, 0.999):
+        plus = engine._proposal(x, np.zeros_like(x), beta)
+        minus = engine._proposal(x, np.full_like(x, -0.0), beta)
+        assert _bits(plus) == _bits(minus)
+
+
 class TestLifecycle:
     def test_no_thread_outlives_a_call(self):
         baseline = threading.active_count()
@@ -243,8 +269,8 @@ class TestLifecycle:
         assert threading.active_count() == baseline
 
     def test_caller_error_mid_run_stops_the_producer(self, monkeypatch):
-        # 5-step chunks in 4 buffers: by the time the caller fails at step
-        # 7, holding chunk 1, the producer has filled chunk 4 and has no
+        # 10-step chunks in 2 buffers: by the time the caller fails at step
+        # 7, holding chunk 1, the producer has filled chunk 2 and has no
         # free buffer left to wait for
         monkeypatch.setattr(simlab, "_RING_BYTES", 1280)
         fill, store = GradientStream.fill, engine._Store.store
@@ -252,7 +278,7 @@ class TestLifecycle:
 
         def counted_fill(self, out):
             fills.append(1)
-            if len(fills) == 5:
+            if len(fills) == 2:
                 ring_full.set()
             return fill(self, out)
 
@@ -270,7 +296,7 @@ class TestLifecycle:
             _bounded(run_stall_curves, _spec(8, "iid"),
                      [default_ema_config("bf16", 0.99)], 200)
         assert threading.active_count() == baseline
-        assert len(fills) == 5
+        assert len(fills) == 2
 
     def test_producer_error_is_raised_in_the_caller(self, monkeypatch):
         monkeypatch.setattr(simlab, "_RING_BYTES", 1280)
@@ -297,25 +323,11 @@ class TestLifecycle:
                  5)
         assert os.sched_getaffinity(0) == before
 
-    def test_worker_cpus_leave_out_one_allowed_cpu(self):
-        cpus = simlab._worker_cpus()
-        if cpus is not None:
-            allowed = os.sched_getaffinity(0)
-            assert cpus < allowed and len(allowed - cpus) == 1
-
-    def test_unplaceable_producer_gives_the_same_curve(self, monkeypatch):
-        spec, ema = _spec(64, "mu"), default_ema_config("fp8_e4m3", 0.99, SR)
-        placed = _bounded(run_stall_curves, spec, [ema], 9, trials=2)[0]
-        monkeypatch.delattr(os, "sched_setaffinity", raising=False)
-        assert simlab._worker_cpus() is None
-        unplaced = _bounded(run_stall_curves, spec, [ema], 9, trials=2)[0]
-        assert unplaced.series == placed.series
-
 
 def test_concurrent_calls_under_fast_switching(monkeypatch):
-    # more callers than cores, each with its own ring of 5-step chunks and a
-    # one-step-ahead window; a row handed out before it was filled, or
-    # overwritten while read, would change some curve
+    # more callers than cores, each with its own two buffers of 10-step
+    # chunks; a row handed out before it was filled, or overwritten while
+    # read, would change some curve
     monkeypatch.setattr(simlab, "_RING_BYTES", 1280)
     emas = _emas(True)[:4]
     cases = [_spec(8, s) for s in STREAMS] * 2

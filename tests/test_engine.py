@@ -33,6 +33,7 @@ from emastall.formats import (
     FP8_E4M3,
     PRESETS,
     RoundingMode,
+    _normalized_grid,
     round_nearest,
 )
 from emastall.quantize import (
@@ -281,6 +282,28 @@ class TestStore:
             assert np.array_equal(old, kept)
             assert not np.shares_memory(old, out)
 
+    @pytest.mark.parametrize("rounding", [NR, SR], ids=["nr", "sr"])
+    @pytest.mark.parametrize("fmt", [BF16, FP8_E4M3, FP4_E2M1], ids=lambda f: f.name)
+    def test_underflowing_negative_quotient_takes_the_zero_code(self, fmt, rounding):
+        # in a block whose absmax is 1e300, -1e-300 / absmax is -0.0; the
+        # store, which takes its magnitudes from |p|, must write the zero
+        # point's one code there, as quantize does, and so for +1e-300,
+        # -0.0 and the all-zero second block
+        config = EmaConfig(0.9, fmt, BLOCK16, rounding)
+        proposal = np.zeros((1, 1, 32))
+        proposal[0, 0, :6] = [1e300, -1e-300, 1e-300, -0.0, -5.0, -1e300]
+        proposal[0, 0, 20] = -0.0
+        store = _Store([[EmaState.initialize(config, 32)]],
+                       [RowStreams([np.random.default_rng(1)], 1)])
+        assert store.abs_reused
+        with np.errstate(**_QUIET):
+            store.store(proposal)
+        want = quantize(proposal[0, 0], fmt, BLOCK16, rounding, np.random.default_rng(1))
+        assert np.array_equal(store.codes[0, 0], want.codes)
+        zero = round_nearest(fmt, 0.0).code
+        assert store.codes[0, 0, 1:5].tolist() == [zero] * 4
+        assert (store.codes[0, 0, 16:] == zero).all()
+
     @staticmethod
     def _signals():
         # zero-scale blocks included: the first signals leave blocks 0 and 2
@@ -300,7 +323,8 @@ class TestStore:
         # no write may read what an earlier one left in a work buffer
         store.flags.fill(True)
         for name in ("w", "mag"):
-            if hasattr(store, name):
+            # a store that takes its magnitudes from the absmax pass has no w
+            if getattr(store, name, None) is not None:
                 getattr(store, name).fill(np.nan)
 
     @pytest.mark.parametrize("kept", [False, True], ids=["ema_step", "kept-store"])
@@ -816,6 +840,48 @@ class TestBatchState:
             assert np.array_equal(stream.random(shape), rng.random((5,)).reshape(shape))
         with pytest.raises(ValueError, match="^draw shape does not match"):
             stream.random((2, 5))
+
+    @staticmethod
+    def _repeated_draws(gens, rows_per_stream, shape):
+        # the draws as np.repeat handed them out before broadcasting
+        draws = np.empty((len(gens), shape[-1]))
+        for g, row in zip(gens, draws):
+            g.random(out=row)
+        return np.repeat(draws, rows_per_stream, axis=0).reshape(shape)
+
+    @pytest.mark.parametrize("n_gens,rows_per_stream,shape", [
+        (1, 1, (7,)), (1, 1, (1, 1, 7)), (3, 1, (1, 3, 7)), (3, 1, (3, 1, 7)),
+        (1, 4, (1, 4, 7)), (2, 3, (2, 3, 7)), (4, 2, (2, 4, 7)),
+    ])
+    def test_draws_equal_the_repeated_draws(self, n_gens, rows_per_stream, shape):
+        # the lone generator's own draw and the broadcast draws hold the
+        # bits np.repeat gave, row for row, and every generator ends where
+        # the repeat path leaves it
+        seeds = range(10, 10 + n_gens)
+        stream = RowStreams([np.random.default_rng(s) for s in seeds], rows_per_stream)
+        ref = [np.random.default_rng(s) for s in seeds]
+        for _ in range(3):
+            got = np.reshape(stream.random(shape), shape)
+            want = self._repeated_draws(ref, rows_per_stream, shape)
+            assert got.view(np.int64).tolist() == want.view(np.int64).tolist()
+        for g, r in zip(stream.generators, ref):
+            assert g.bit_generator.state == r.bit_generator.state
+
+    @pytest.mark.parametrize("fmt", [BF16, FP4_E2M1, FP4_E2M2U], ids=lambda f: f.name)
+    def test_broadcast_draws_round_as_repeated_draws(self, fmt):
+        # a (2, 6, dim) stochastic encode over 4 generators of 3 rows each
+        class Repeated:
+            def __init__(self, gens):
+                self.gens = gens
+
+            def random(self, shape):
+                return TestBatchState._repeated_draws(self.gens, 3, shape)
+
+        grid = _normalized_grid(fmt)
+        w = np.random.default_rng(7).standard_normal((2, 6, 50)) / 3.0
+        got = grid.encode(w, 0, RowStreams([np.random.default_rng(s) for s in range(4)], 3))
+        want = grid.encode(w, 0, Repeated([np.random.default_rng(s) for s in range(4)]))
+        assert np.array_equal(got, want)
 
     def test_stack_rows_are_single_states(self):
         config = EmaConfig(beta=0.9, format=FP4_E2M1, scheme=BLOCK16)
