@@ -445,17 +445,14 @@ def cmd_reset_study(args) -> int:
             configs.append((f"{label}_{tag}" if key else "fp32", cfg_m, cfg_v))
     periods = args.periods
     if periods is None:
-        # theory K* of the second moment's storage format in the first
-        # quantized config (fp4 stores it in fp4_e2m2u)
-        quantized = [cfg_v.format for _, _, cfg_v in configs if cfg_v.format]
-        if quantized:
-            periods = [
-                reset_period_Kstar(
-                    TheoryInputs(beta2=args.beta2, format=quantized[0], s0=args.s0)
-                )
-            ]
-        else:
-            periods = [1000]
+        # theory K* of each second-moment storage format of the quantized
+        # configs (fp4 stores it in fp4_e2m2u), each distinct one once, in
+        # ascending order, so the order of --format does not matter
+        quantized = {cfg_v.format for _, _, cfg_v in configs if cfg_v.format}
+        periods = sorted({
+            reset_period_Kstar(TheoryInputs(beta2=args.beta2, format=fmt, s0=args.s0))
+            for fmt in quantized
+        }) or [1000]
     policies = [("none", ResetPolicy.none())]
     for K in periods:
         policies.append((f"periodic{K}", ResetPolicy.periodic(K)))

@@ -6,10 +6,11 @@ transient buildup after a reset, the effective decay induced by stalling,
 the initialization floor model, startup windows, and the reset-period
 heuristic.
 
-The reset period K* comes from a scan over K in geometrically growing
-chunks (``_excess_chunks``): each chunk evaluates the normalized transient
+The reset period K* comes from a scan over K in chunks that grow with the
+scan (``_excess_chunks``): each chunk evaluates the normalized transient
 S(j), the excess staleness and its running sums as arrays, with the libm
-calls kept in Python so that every value equals the step-by-step scan's.
+calls kept in Python so that every value equals the step-by-step scan's;
+E(K) is evaluated per K only in a chunk where a tolerance crosses.
 ``excess_staleness`` is the one excess term; the scan applies it to arrays
 and the adaptive reset rule in ``engine`` to each row's float.
 """
@@ -28,18 +29,15 @@ from .formats import FpFormat, _is_integer
 # mean normalized mantissa under the log-uniform mantissa model
 MBAR = 1.0 / math.log(2.0)
 
+_SQRT_2PI = math.sqrt(2.0 * math.pi)
 # E|z - 1| for z ~ chi2_1, i.e. 4 * phi(1) with phi the standard normal pdf
-MU1 = 4.0 * math.exp(-0.5) / math.sqrt(2.0 * math.pi)
+MU1 = 4.0 * math.exp(-0.5) / _SQRT_2PI
 
 erf = math.erf
 
 
 class ThresholdUnreachableError(ValueError):
     """The stall-probability target exceeds what the format can reach."""
-
-
-def normal_pdf(z: float) -> float:
-    return math.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
 
 
 def chi2_1_cdf(x: float) -> float:
@@ -75,18 +73,19 @@ def chi2_1_inv(p: float) -> float:
     return 0.5 * (lo + hi)
 
 
-def _adaptive_simpson(f, a: float, b: float, tol: float) -> float:
-    def simpson(x0, x2, f0, f1, f2):
-        return (x2 - x0) / 6.0 * (f0 + 4.0 * f1 + f2)
+def _soft_gate_integral(center: float, c: float, a: float, b: float, tol: float) -> float:
+    """Adaptive Simpson integral over [a, b] of the soft gate (1 - |y*y -
+    center| / c) * phi(y), phi the standard normal pdf, written out at each
+    node (calls cost most of the time) with the generic rule's arithmetic."""
 
     def recurse(x0, x2, f0, f1, f2, whole, tol, depth):
         x1 = 0.5 * (x0 + x2)
         xl = 0.5 * (x0 + x1)
         xr = 0.5 * (x1 + x2)
-        fl = f(xl)
-        fr = f(xr)
-        left = simpson(x0, x1, f0, fl, f1)
-        right = simpson(x1, x2, f1, fr, f2)
+        fl = (1.0 - abs(xl * xl - center) / c) * (math.exp(-0.5 * xl * xl) / _SQRT_2PI)
+        fr = (1.0 - abs(xr * xr - center) / c) * (math.exp(-0.5 * xr * xr) / _SQRT_2PI)
+        left = (x1 - x0) / 6.0 * (f0 + 4.0 * fl + f1)
+        right = (x2 - x1) / 6.0 * (f1 + 4.0 * fr + f2)
         if depth <= 0 or abs(left + right - whole) <= 15.0 * tol:
             return left + right + (left + right - whole) / 15.0
         return recurse(x0, x1, f0, fl, f1, left, tol / 2.0, depth - 1) + recurse(
@@ -96,8 +95,9 @@ def _adaptive_simpson(f, a: float, b: float, tol: float) -> float:
     if a >= b:
         return 0.0
     m = 0.5 * (a + b)
-    fa, fm, fb = f(a), f(m), f(b)
-    whole = simpson(a, b, fa, fm, fb)
+    fa, fm, fb = ((1.0 - abs(y * y - center) / c) * (math.exp(-0.5 * y * y) / _SQRT_2PI)
+                  for y in (a, m, b))
+    whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
     return recurse(a, b, fa, fm, fb, whole, tol, 48)
 
 
@@ -173,20 +173,16 @@ def p_stall_sr_ss(rho: float, tol: float = 1e-9) -> float:
     """Steady-state stall probability under stochastic rounding.
 
     Expectation of the soft gate max(0, 1 - |z-1| / (2 rho)) over z ~ chi2_1,
-    integrated adaptively after the substitution z = y^2 (which removes the
-    density's singularity at zero). Pieces are split at the gate's kink.
+    by _soft_gate_integral (center 1, c = 2 rho) after z = y^2, which removes
+    the density's singularity at zero. Pieces are split at the gate's kink.
     The quadrature error can carry the sum past 1 as rhohat grows; the
     result is capped there.
     """
     _check_rho(rho)
     y_lo = math.sqrt(max(0.0, 1.0 - 2.0 * rho))
     y_hi = math.sqrt(1.0 + 2.0 * rho)
-
-    def integrand(y: float) -> float:
-        return (1.0 - abs(y * y - 1.0) / (2.0 * rho)) * normal_pdf(y)
-
-    left = _adaptive_simpson(integrand, y_lo, 1.0, tol / 4.0)
-    right = _adaptive_simpson(integrand, 1.0, y_hi, tol / 4.0)
+    left = _soft_gate_integral(1.0, 2.0 * rho, y_lo, 1.0, tol / 4.0)
+    right = _soft_gate_integral(1.0, 2.0 * rho, 1.0, y_hi, tol / 4.0)
     return min(1.0, 2.0 * (left + right))
 
 
@@ -224,14 +220,11 @@ def effective_decay(beta2: float, p_stall: float) -> tuple[float, float]:
 
 
 def _soft_crush(c: float, tol: float = 1e-9) -> float:
-    # E[max(0, 1 - z/c)] for z ~ chi2_1, via z = y^2
+    # E[max(0, 1 - z/c)] for z ~ chi2_1, via z = y^2 (center 0: |y*y - 0.0|
+    # is y*y, so the gate is 1 - y*y/c bit for bit)
     if c <= 0:
         return 0.0
-
-    def integrand(y: float) -> float:
-        return (1.0 - y * y / c) * normal_pdf(y)
-
-    return 2.0 * _adaptive_simpson(integrand, 0.0, math.sqrt(c), tol)
+    return 2.0 * _soft_gate_integral(0.0, c, 0.0, math.sqrt(c), tol)
 
 
 def p_init_info(
@@ -335,9 +328,9 @@ def excess_staleness(s, s0):
     return x * (x > 0.0)
 
 
-# K* scans run in chunks that double from the first size up to the cap:
-# most crossings come within a few hundred steps, and the cap keeps the
-# arrays of a long scan small
+# K* scans run in chunks: the first holds _FIRST_CHUNK values of K, each
+# later one a quarter of the K scanned before it (so a scan past the first
+# chunk overshoots its crossing by at most a quarter), capped at _MAX_CHUNK
 _FIRST_CHUNK, _MAX_CHUNK = 128, 4096
 
 
@@ -380,13 +373,13 @@ def _excess_chunks(inputs: TheoryInputs, s0s: tuple[float, ...], max_K: int):
         sums = terms.cumsum(axis=1)
         carry = sums[:, -1]
         yield k0, sums
-        k0, size = k1, min(2 * size, _MAX_CHUNK)
+        k0, size = k1, min(max(1, (k1 - 1) // 4), _MAX_CHUNK)
 
 
 def avg_excess_staleness(K: int, inputs: TheoryInputs) -> float:
     """Cycle-averaged staleness in excess of the tolerance s0."""
-    if K < 1:
-        raise ValueError("K must be >= 1")
+    if not (_is_integer(K) and K >= 1):
+        raise ValueError(f"K must be an integer >= 1, got {K!r}")
     for _, sums in _excess_chunks(inputs, (inputs.s0,), K):
         pass
     return float(sums[0, -1]) / K
@@ -394,25 +387,33 @@ def avg_excess_staleness(K: int, inputs: TheoryInputs) -> float:
 
 def _kstar_scan(inputs: TheoryInputs, s0s: Iterable, max_K: int = 10_000_000) -> dict:
     """kstar_info for each distinct s0, from one scan that stops after the
-    chunk in which the last s0 crosses."""
+    chunk in which the last s0 crosses. sbar(K) - E(K) strictly increases
+    (E falls by about E (1 - beta2) / 2 a step, far above the rounding of
+    sbar), so E is needed per K only in a chunk whose last K crosses."""
+    if not _is_integer(max_K):
+        raise ValueError(f"max_K must be an integer, got {max_K!r}")
     s0s = tuple(dict.fromkeys(s0s))
+    beta2 = inputs.beta2
     found: dict = {}
     for k0, sums in _excess_chunks(inputs, s0s, max_K):
-        K = np.arange(k0, k0 + sums.shape[1])
+        k_last = k0 + sums.shape[1] - 1
+        e_last = remaining_error_E(k_last, beta2)
+        rows = [i for i, s0 in enumerate(s0s)
+                if s0 not in found and sums[i, -1] / k_last >= e_last]
+        if not rows:
+            continue
+        K = np.arange(k0, k_last + 1)
         # remaining_error_E per K; the powers stay Python's (beta2 ** K with
         # K a Python int), which numpy's power does not always reproduce
-        bk = np.fromiter(map(pow, itertools.repeat(inputs.beta2), K.tolist()),
-                         np.float64)
+        bk = np.fromiter(map(pow, itertools.repeat(beta2), K.tolist()), np.float64)
         e = 2.0 * bk / (1.0 + bk)
-        sbar = sums / K
-        for s0, row, crossed in zip(s0s, sbar, sbar >= e):
-            i = int(crossed.argmax())  # the first crossing, or 0 for none
-            if s0 not in found and crossed[i]:
-                found[s0] = PredictorOutput(
-                    value=k0 + i,
-                    meta={"sbar": float(row[i]), "E": float(e[i]),
-                          "rhohat": inputs.rhohat},
-                )
+        for i, row in zip(rows, sums[rows] / K):
+            j = int((row >= e).argmax())  # the first crossing
+            found[s0s[i]] = PredictorOutput(
+                value=k0 + j,
+                meta={"sbar": float(row[j]), "E": float(e[j]),
+                      "rhohat": inputs.rhohat},
+            )
         if len(found) == len(s0s):
             return found
     raise RuntimeError(f"no crossing found up to K={max_K}")

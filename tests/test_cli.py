@@ -818,3 +818,22 @@ class TestStudyValidation:
         resolved = json.loads(out.splitlines()[0][len("config: "):])
         assert resolved["periods"] == [224]
         assert f"median@{spelling}_nr/periodic224" in out
+
+    @pytest.mark.parametrize("orders,periods", [
+        (("fp4,bf16", "bf16,fp4"), [224, 1116]),
+        (("fp32,fp8_e4m3,fp4,bf16", "bf16,fp4,fp8_e4m3,fp32"), [224, 320, 1116]),
+    ], ids=["two", "three"])
+    def test_default_periods_do_not_depend_on_the_format_order(self, orders, periods,
+                                                               capsys):
+        # the first quantized format once chose the one period: fp4,bf16 ran
+        # periodic224 alone and bf16,fp4 periodic1116 alone
+        policies = ["none"] + [f"periodic{K}" for K in periods]
+        for formats in orders:
+            code, out = run_cli(["reset-study", "--format", formats, *STUDY], capsys)
+            assert code == 0
+            resolved = json.loads(out.splitlines()[0][len("config: "):])
+            assert resolved["periods"] == periods, formats
+            for name in formats.split(","):
+                cell = "fp32" if name == "fp32" else f"{name}_nr"
+                for policy in policies:
+                    assert f"median@{cell}/{policy}:" in out, (formats, cell, policy)

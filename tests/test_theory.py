@@ -484,6 +484,32 @@ class TestAvgExcessStaleness:
         assert all(b >= a - 1e-15 for a, b in zip(vals, vals[1:]))
 
 
+@pytest.mark.parametrize("call,message", [
+    # a K of 1500.5 summed 1501 terms and divided by 1500.5, and a max_K of
+    # 1115.5 let the scan report K* = 1116
+    (lambda ti: avg_excess_staleness(1500.5, ti), "K must be an integer >= 1, got 1500.5"),
+    (lambda ti: avg_excess_staleness(1500.0, ti), "K must be an integer >= 1, got 1500.0"),
+    (lambda ti: avg_excess_staleness(True, ti), "K must be an integer >= 1, got True"),
+    (lambda ti: avg_excess_staleness(0, ti), "K must be an integer >= 1, got 0"),
+    (lambda ti: kstar_info(ti, max_K=1115.5), "max_K must be an integer, got 1115.5"),
+    (lambda ti: kstar_info(ti, max_K=2000.0), "max_K must be an integer, got 2000.0"),
+    (lambda ti: kstar_info(ti, max_K=True), "max_K must be an integer, got True"),
+    (lambda ti: kstar_info(ti, max_K="9"), "max_K must be an integer, got '9'"),
+], ids=["K-half", "K-float", "K-bool", "K-zero", "max_K-half", "max_K-float",
+        "max_K-bool", "max_K-str"])
+def test_scan_rejects_a_non_integer_K(call, message):
+    ti = TheoryInputs(beta2=B2, format=BF16, s0=0.6)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call(ti)
+
+
+def test_scan_takes_numpy_integers():
+    ti = TheoryInputs(beta2=B2, format=BF16, s0=0.6)
+    assert avg_excess_staleness(np.int64(1500), ti) == avg_excess_staleness(1500, ti)
+    got, want = kstar_info(ti, max_K=np.int64(1116)), kstar_info(ti)
+    assert (got.value, got.meta) == (want.value, want.meta) and want.value == 1116
+
+
 class TestResetPeriod:
     @pytest.mark.parametrize(
         "fmt,s0,expected",

@@ -74,9 +74,10 @@ def test_max_K_without_a_crossing_raises():
             oracle.kstar_info(inputs, max_K=max_K)
 
 
-# The scan runs in chunks of K that double from theory._FIRST_CHUNK up to
-# theory._MAX_CHUNK, carrying the sums from one chunk to the next. The cases
-# below put crossings and max_K on chunk edges, under the default layout and
+# The scan runs in chunks of K carrying the sums from one chunk to the next:
+# the first holds theory._FIRST_CHUNK values, each later one a quarter of the
+# K before it (at least one), capped at theory._MAX_CHUNK. The cases below
+# put crossings and max_K on chunk edges, under the default layout and
 # under patched ones that make every K an edge.
 BF16, FP8 = PRESETS["bf16"], PRESETS["fp8_e4m3"]
 # (format, beta2, s0, whether rhohat < 1)
@@ -92,20 +93,34 @@ EDGE_INPUTS = [
 
 
 def _chunk_ends(n: int) -> list[int]:
-    """The last K of each of the first n chunks of the default layout."""
-    ends, end, size = [], 0, theory._FIRST_CHUNK
+    """The last K of each of the first n chunks of the current layout."""
+    ends, end = [], theory._FIRST_CHUNK
     for _ in range(n):
-        end += size
         ends.append(end)
-        size = min(2 * size, theory._MAX_CHUNK)
+        end += min(max(1, end // 4), theory._MAX_CHUNK)
     return ends
+
+
+@pytest.mark.parametrize("layout", [None, (1, 1), (1, 2), (9, 2), (5, 64)],
+                         ids=["default", "1-1", "1-2", "9-2", "5-64"])
+def test_chunk_ends_describe_the_scan(monkeypatch, layout):
+    if layout is not None:
+        monkeypatch.setattr(theory, "_FIRST_CHUNK", layout[0])
+        monkeypatch.setattr(theory, "_MAX_CHUNK", layout[1])
+    ends = _chunk_ends(30)
+    inputs = TheoryInputs(beta2=0.999, format=BF16)
+    chunks = [(k0, sums.shape[1])
+              for k0, sums in theory._excess_chunks(inputs, (0.6,), ends[-1])]
+    starts = [1] + [e + 1 for e in ends[:-1]]
+    assert chunks == [(k0, e - k0 + 1) for k0, e in zip(starts, ends)]
 
 
 def _layouts(kstar: int) -> list[tuple[int, int]]:
     # (first chunk, cap): K* as the last K of the first chunk and the first
-    # K of the second; one K per chunk; two-K chunks ending at odd and at
-    # even K, so that K* is both the first and the last K of a later chunk
-    return [(kstar, kstar), (kstar - 1, kstar), (1, 1), (1, 2), (2, 2)]
+    # K of the second; one K per chunk; two-K chunks from K = 9 on that end
+    # at even K (after single K up to 8) and from K = 10 on that end at odd
+    # K, so that K* is both the first and the last K of a later chunk
+    return [(kstar, kstar), (kstar - 1, kstar), (1, 1), (1, 2), (2, 2), (9, 2)]
 
 
 @pytest.mark.parametrize("fmt,beta2,s0,below_one", EDGE_INPUTS,
@@ -137,17 +152,18 @@ def test_tolerances_crossing_in_different_chunks(monkeypatch, layout):
     got = theory.period_columns(inputs, s0s)
     assert list(got.values()) == list(oracle.period_columns(inputs, s0s).values())
     if layout is None:
-        ends = _chunk_ends(8)
+        # 671, 1116, then 1856 and 2269 in one chunk
+        ends = _chunk_ends(14)
         chunks = {sum(k > e for e in ends) for k in got.values()}
         assert len(chunks) == 3
 
 
 def test_max_K_on_a_chunk_edge_of_a_long_scan():
-    # beta2 0.99995 with s0 0.95 crosses at 9352, past six default chunks
+    # beta2 0.99995 with s0 0.95 crosses at 9352, past twenty default chunks
     inputs = TheoryInputs(beta2=0.99995, format=BF16, s0=0.95)
     want = oracle.kstar_info(inputs)
-    ends = [e for e in _chunk_ends(12) if e < want.value]
-    assert len(ends) >= 5
+    ends = [e for e in _chunk_ends(30) if e < want.value]
+    assert len(ends) >= 20
     for max_K in sorted({e + d for e in ends for d in (-1, 0, 1)}):
         with pytest.raises(RuntimeError, match=f"^no crossing found up to K={max_K}$"):
             theory.kstar_info(inputs, max_K=max_K)
@@ -158,3 +174,45 @@ def test_max_K_on_a_chunk_edge_of_a_long_scan():
         oracle.kstar_info(inputs, max_K=want.value - 1)
     for K in (ends[2], ends[2] + 1, ends[-1], ends[-1] + 1):
         assert theory.avg_excess_staleness(K, inputs) == oracle.avg_excess_staleness(K, inputs)
+
+
+# The SR integrals against the generic adaptive Simpson rule that calls its
+# integrand at every node. The specialized integrator writes the soft gate
+# out at each node, so every value must equal the oracle's (``==``).
+# 2000 values log-spaced over [1e-4, 1e3]; fp8_e4m3's at beta2
+# 0.9986359594251875, where the benchmark's p_sr check fails at seed 33; and
+# 0.5 with its neighbours, where the left piece's lower limit reaches 0
+RHOS = [10.0 ** (-4.0 + 7.0 * i / 1999) for i in range(2000)] + [
+    theory.rhohat_value(FP8.epsilon, 0.9986359594251875),
+    math.nextafter(0.5, 0.0), 0.5, math.nextafter(0.5, 1.0)]
+
+
+def test_p_stall_sr_ss_equals_the_generic_integrator():
+    assert 31.75 < RHOS[-4] < 31.77
+    assert math.sqrt(1.0 - 2.0 * RHOS[-3]) > 0.0 == math.sqrt(1.0 - 2.0 * RHOS[-2])
+    bad = [r for r in RHOS if theory.p_stall_sr_ss(r) != oracle.p_stall_sr_ss(r)]
+    assert bad == []
+    for tol in (1e-6, 1e-12):
+        bad = [r for r in RHOS[::50]
+               if theory.p_stall_sr_ss(r, tol) != oracle.p_stall_sr_ss(r, tol)]
+        assert bad == [], tol
+
+
+def test_soft_crush_equals_the_generic_integrator():
+    cs = [10.0 ** (-8.0 + 10.0 * i / 1999) for i in range(2000)]
+    bad = [c for c in cs if theory._soft_crush(c) != oracle._soft_crush(c)]
+    assert bad == []
+    for c in (0.0, -1.0):
+        assert theory._soft_crush(c) == oracle._soft_crush(c) == 0.0
+
+
+@pytest.mark.parametrize("fmt", FORMATS, ids=lambda f: f.name)
+def test_p_init_model_sr_equals_the_generic_integrator(fmt):
+    for block in (2, 16, 128, 1024):
+        for p_zero in (0.0, 0.25):
+            inputs = TheoryInputs(beta2=0.999, format=fmt, p_zero=p_zero,
+                                  block_size_B=block)
+            m_b = theory.chi2_1_inv(1.0 - 1.0 / block)
+            f_crush = oracle._soft_crush(2.0 * inputs.tau_crush * m_b)
+            want = p_zero + (1.0 - p_zero) * f_crush
+            assert theory.p_init_model(inputs, mode_sr=True) == want, (block, p_zero)

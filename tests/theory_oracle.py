@@ -1,4 +1,4 @@
-"""Reference K* scan for equivalence tests.
+"""Reference K* scan and SR integrator for equivalence tests.
 
 These are the per-tolerance predictors that the shared scan in
 ``emastall.theory`` replaced: ``stalling_progress`` re-derives rhohat, the
@@ -8,11 +8,17 @@ The arithmetic is kept as it was; docstrings are dropped. Only the closed
 forms (``p_stall_nr_transient``, ``p_stall_nr_ss``, ``remaining_error_E``)
 and ``TheoryInputs`` come from the package, so the shared scan must
 reproduce every K*, meta value and average bit for bit.
+
+``p_stall_sr_ss`` and ``_soft_crush`` are the SR integrals as a generic
+adaptive Simpson rule that calls its integrand, and the integrand
+``normal_pdf``, at every node; the package's specialized integrator must
+give the same bits.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import math
 
 from emastall.theory import (
     PredictorOutput,
@@ -60,3 +66,55 @@ def period_columns(inputs: TheoryInputs, s0_list) -> dict:
         f"Kstar@{s0:g}": reset_period_Kstar(dataclasses.replace(inputs, s0=s0))
         for s0 in s0_list
     }
+
+
+def normal_pdf(z: float) -> float:
+    return math.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
+
+
+def _adaptive_simpson(f, a: float, b: float, tol: float) -> float:
+    def simpson(x0, x2, f0, f1, f2):
+        return (x2 - x0) / 6.0 * (f0 + 4.0 * f1 + f2)
+
+    def recurse(x0, x2, f0, f1, f2, whole, tol, depth):
+        x1 = 0.5 * (x0 + x2)
+        xl = 0.5 * (x0 + x1)
+        xr = 0.5 * (x1 + x2)
+        fl = f(xl)
+        fr = f(xr)
+        left = simpson(x0, x1, f0, fl, f1)
+        right = simpson(x1, x2, f1, fr, f2)
+        if depth <= 0 or abs(left + right - whole) <= 15.0 * tol:
+            return left + right + (left + right - whole) / 15.0
+        return recurse(x0, x1, f0, fl, f1, left, tol / 2.0, depth - 1) + recurse(
+            x1, x2, f1, fr, f2, right, tol / 2.0, depth - 1
+        )
+
+    if a >= b:
+        return 0.0
+    m = 0.5 * (a + b)
+    fa, fm, fb = f(a), f(m), f(b)
+    whole = simpson(a, b, fa, fm, fb)
+    return recurse(a, b, fa, fm, fb, whole, tol, 48)
+
+
+def p_stall_sr_ss(rho: float, tol: float = 1e-9) -> float:
+    y_lo = math.sqrt(max(0.0, 1.0 - 2.0 * rho))
+    y_hi = math.sqrt(1.0 + 2.0 * rho)
+
+    def integrand(y: float) -> float:
+        return (1.0 - abs(y * y - 1.0) / (2.0 * rho)) * normal_pdf(y)
+
+    left = _adaptive_simpson(integrand, y_lo, 1.0, tol / 4.0)
+    right = _adaptive_simpson(integrand, 1.0, y_hi, tol / 4.0)
+    return min(1.0, 2.0 * (left + right))
+
+
+def _soft_crush(c: float, tol: float = 1e-9) -> float:
+    if c <= 0:
+        return 0.0
+
+    def integrand(y: float) -> float:
+        return (1.0 - y * y / c) * normal_pdf(y)
+
+    return 2.0 * _adaptive_simpson(integrand, 0.0, math.sqrt(c), tol)

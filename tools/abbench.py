@@ -21,13 +21,16 @@ the pairs the change won (ties count for neither side) and two verdicts:
   than the metric's bound.
 
 It also says whether every pair printed the same output digests and whether
-any run failed a command. ``--log`` appends one JSON line per run.
+any run failed a command, and states the host's load: the CPUs this process
+may run on (as ``nproc`` counts them) and ``os.getloadavg()``, before the
+first pair and after the last. ``--log`` appends one JSON line per run.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import statistics
 import subprocess
 import sys
@@ -99,6 +102,12 @@ def summarize(workload: str, pairs: list, metrics: list) -> list:
     return lines
 
 
+def host_load(when: str) -> str:
+    """CPUs available to this process and the 1/5/15-minute load averages."""
+    load = ", ".join(f"{x:.2f}" for x in os.getloadavg())
+    return f"host {when}: nproc {len(os.sched_getaffinity(0))}, load average {load}"
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("base", type=Path, help="checkout of the parent commit")
@@ -111,7 +120,8 @@ def main(argv=None) -> int:
     ap.add_argument("--log", type=Path, help="append one JSON line per run")
     args = ap.parse_args(argv)
     metrics = json.loads((args.base / "BENCHMARK.json").read_text())["end_to_end"]
-    report = []
+    report = [host_load("before the first pair")]
+    print(report[0], flush=True)
     for workload in args.workload:
         pairs = []
         for i, seed in enumerate(args.seeds):
@@ -130,6 +140,7 @@ def main(argv=None) -> int:
                   f"{b and b['metrics']['run_s']['value']} -> "
                   f"{c and c['metrics']['run_s']['value']}", flush=True)
         report += summarize(workload, pairs, metrics)
+    report.append(host_load("after the last pair"))
     print("\n".join(report))
     return 0
 
