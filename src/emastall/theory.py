@@ -4,7 +4,9 @@ Everything here reduces to the chi-squared(1) CDF. The predictors cover
 one-step stall probabilities under nearest and stochastic rounding, the
 transient buildup after a reset, the effective decay induced by stalling,
 the initialization floor model, startup windows, and the reset-period
-heuristic.
+heuristic, each as one function that returns its value. They reject a
+beta2 outside (0, 1) and a non-integer step count with a one-line
+ValueError.
 
 The reset period K* comes from a scan over K in chunks that grow with the
 scan (``_excess_chunks``): each chunk evaluates the normalized transient
@@ -30,14 +32,22 @@ from .formats import FpFormat, _is_integer
 MBAR = 1.0 / math.log(2.0)
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
-# E|z - 1| for z ~ chi2_1, i.e. 4 * phi(1) with phi the standard normal pdf
-MU1 = 4.0 * math.exp(-0.5) / _SQRT_2PI
 
 erf = math.erf
 
 
 class ThresholdUnreachableError(ValueError):
     """The stall-probability target exceeds what the format can reach."""
+
+
+def _check_beta2(beta2: float) -> None:
+    if not 0.0 < beta2 < 1.0:
+        raise ValueError("beta2 must be in (0, 1)")
+
+
+def _check_int(name: str, value, low: int) -> None:
+    if not (_is_integer(value) and value >= low):
+        raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
 
 
 def chi2_1_cdf(x: float) -> float:
@@ -51,13 +61,14 @@ def chi2_1_cdf(x: float) -> float:
 
 
 def chi2_1_inv(p: float) -> float:
-    """Inverse of chi2_1_cdf by bracketed bisection."""
+    """Inverse of chi2_1_cdf by bracketed bisection (every probe is >= 0,
+    so the loops evaluate the CDF without its range check)."""
     if not 0.0 <= p < 1.0:
         raise ValueError("chi2_1_inv requires 0 <= p < 1")
     if p == 0.0:
         return 0.0
     hi = 1.0
-    while chi2_1_cdf(hi) < p:
+    while erf(math.sqrt(0.5 * hi)) < p:
         hi *= 2.0
         if hi > 1e6:
             break
@@ -66,7 +77,7 @@ def chi2_1_inv(p: float) -> float:
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:
             break
-        if chi2_1_cdf(mid) < p:
+        if erf(math.sqrt(0.5 * mid)) < p:
             lo = mid
         else:
             hi = mid
@@ -119,8 +130,7 @@ class TheoryInputs:
     block_size_B: int = 128
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.beta2 < 1.0:
-            raise ValueError("beta2 must be in (0, 1)")
+        _check_beta2(self.beta2)
         if not isinstance(self.format, FpFormat):
             raise ValueError(f"format must be an FpFormat, got {self.format!r}")
         if not 0.0 <= self.p_init < 1.0:
@@ -129,9 +139,7 @@ class TheoryInputs:
             raise ValueError("s0 must be in [0, 1)")
         if not 0.0 <= self.p_zero <= 1.0:
             raise ValueError("p_zero must be in [0, 1]")
-        if not (_is_integer(self.block_size_B) and self.block_size_B >= 1):
-            raise ValueError(
-                f"block_size_B must be an integer >= 1, got {self.block_size_B!r}")
+        _check_int("block_size_B", self.block_size_B, 1)
 
     @property
     def rhohat(self) -> float:
@@ -143,17 +151,8 @@ class TheoryInputs:
         return self.format.s_min / (2.0 * self.format.x_max)
 
 
-@dataclasses.dataclass
-class PredictorOutput:
-    """A predictor value with its intermediate quantities, for debugging."""
-
-    value: float
-    meta: dict
-
-
 def rhohat_value(epsilon: float, beta2: float) -> float:
-    if beta2 >= 1.0:
-        raise ValueError("beta2 must be < 1")
+    _check_beta2(beta2)
     return epsilon / (2.0 * (1.0 - beta2) * MBAR)
 
 
@@ -186,19 +185,14 @@ def p_stall_sr_ss(rho: float, tol: float = 1e-9) -> float:
     return min(1.0, 2.0 * (left + right))
 
 
-def p_stall_sr_large_rho(rho: float) -> float:
-    """Large-rhohat approximation 1 - mu1 / (2 rho)."""
-    return 1.0 - MU1 / (2.0 * rho)
-
-
 def p_stall_nr_transient(j: int, beta2: float, rho: float) -> float:
     """Stall probability j steps after a zero initialization (NR).
 
     General two-sided form; the stall interval is centered at the current
     reference state scale phi_j = 1 - beta2^j, not at the steady state.
     """
-    if j < 0:
-        raise ValueError("j must be >= 0")
+    _check_int("j", j, 0)
+    _check_beta2(beta2)
     _check_rho(rho)
     ph = -math.expm1(j * math.log(beta2))
     return chi2_1_cdf(ph * (1.0 + rho)) - chi2_1_cdf(max(0.0, ph * (1.0 - rho)))
@@ -210,6 +204,7 @@ def effective_decay(beta2: float, p_stall: float) -> tuple[float, float]:
     Returns (beta_eff, tau_eff); tau_eff is math.inf at p_stall = 1, since a
     fully stalled EMA has unbounded memory.
     """
+    _check_beta2(beta2)
     if not 0.0 <= p_stall <= 1.0:
         raise ValueError("p_stall must be in [0, 1]")
     beta_eff = 1.0 - (1.0 - beta2) * (1.0 - p_stall)
@@ -227,9 +222,7 @@ def _soft_crush(c: float, tol: float = 1e-9) -> float:
     return 2.0 * _soft_gate_integral(0.0, c, 0.0, math.sqrt(c), tol)
 
 
-def p_init_info(
-    inputs: TheoryInputs, mode_sr: bool = False
-) -> PredictorOutput:
+def p_init_model(inputs: TheoryInputs, mode_sr: bool = False) -> float:
     """Model of the stalled fraction right after initialization.
 
     Combines exactly-zero signals (p_zero) with dynamic-range crushing: a
@@ -245,74 +238,68 @@ def p_init_info(
         f_crush = _soft_crush(2.0 * tau * m_b)
     else:
         f_crush = chi2_1_cdf(tau * m_b)
-    value = inputs.p_zero + (1.0 - inputs.p_zero) * f_crush
-    return PredictorOutput(
-        value=value,
-        meta={"tau": tau, "M_B": m_b, "f_crush": f_crush, "sr": mode_sr},
-    )
+    return inputs.p_zero + (1.0 - inputs.p_zero) * f_crush
 
 
-def p_init_model(inputs: TheoryInputs, mode_sr: bool = False) -> float:
-    return p_init_info(inputs, mode_sr).value
-
-
-def startup_window_info(P0: float, inputs: TheoryInputs) -> PredictorOutput:
+def startup_window(P0: float, inputs: TheoryInputs) -> int:
     """Steps after a reset until total stalling first reaches P0.
 
-    Zero when the initialization floor already meets the target. Raises
-    ThresholdUnreachableError when even the steady state stays below the
-    effective target.
+    Zero when the initialization floor already meets the target. Otherwise
+    the effective target p0_eff = (P0 - p_init) / (1 - p_init) needs the
+    state scale phi* = chi2_1_inv(p0_eff) / (1 + rhohat), reached after
+    ceil(log(1 - phi*) / log(beta2)) steps. Raises
+    ThresholdUnreachableError when phi* >= 1: even the steady state stays
+    below the effective target.
     """
     if not 0.0 < P0 < 1.0:
         raise ValueError("P0 must be in (0, 1)")
-    meta: dict = {"p_init": inputs.p_init, "rhohat": inputs.rhohat}
     if P0 <= inputs.p_init:
-        meta["p0_eff"] = 0.0
-        return PredictorOutput(value=0, meta=meta)
+        return 0
     p0_eff = (P0 - inputs.p_init) / (1.0 - inputs.p_init)
     phi_star = chi2_1_inv(p0_eff) / (1.0 + inputs.rhohat)
-    meta.update({"p0_eff": p0_eff, "phi_star": phi_star})
     if phi_star >= 1.0:
         raise ThresholdUnreachableError(
             f"target P0={P0} needs state scale {phi_star:.3f} >= 1"
         )
     j = math.ceil(math.log1p(-phi_star) / math.log(inputs.beta2))
-    return PredictorOutput(value=max(0, j), meta=meta)
-
-
-def startup_window(P0: float, inputs: TheoryInputs) -> int:
-    return int(startup_window_info(P0, inputs).value)
+    return max(0, j)
 
 
 def n_stat(K: int, beta2: float) -> float:
     """Effective sample size of the bias-corrected EMA after K steps."""
-    if K < 1:
-        raise ValueError("K must be >= 1")
+    _check_int("K", K, 1)
+    _check_beta2(beta2)
     bk = beta2**K
     return (1.0 + beta2) * (1.0 - bk) / ((1.0 - beta2) * (1.0 + bk))
 
 
 def n_stat_inf(beta2: float) -> float:
+    _check_beta2(beta2)
     return (1.0 + beta2) / (1.0 - beta2)
 
 
 def remaining_error_E(K: int, beta2: float) -> float:
     """Remaining statistical error of the bias-corrected EMA after K steps."""
-    if K < 1:
-        raise ValueError("K must be >= 1")
+    _check_int("K", K, 1)
+    _check_beta2(beta2)
     bk = beta2**K
     return 2.0 * bk / (1.0 + bk)
 
 
+def _remaining_errors(beta2: float, ks: Iterable[int]) -> np.ndarray:
+    """remaining_error_E at each K of ks (Python ints), bit for bit: the
+    powers stay Python's, whose last bit numpy's does not always match."""
+    bk = np.fromiter(map(pow, itertools.repeat(beta2), ks), np.float64)
+    return 2.0 * bk / (1.0 + bk)
+
+
 def remaining_error_table(beta2: float, k_max: int) -> np.ndarray:
-    """E(k) for k = 0 … k_max as an array, each entry from
-    ``remaining_error_E``; entry 0, where no cycle has run, is inf. An
-    array power is not used: it can differ from Python's ``**`` in the last
-    bit, which would move an adaptive reset by a step."""
-    table = np.empty(k_max + 1)
-    table[0] = math.inf
-    table[1:] = _pymap(lambda k: remaining_error_E(k, beta2), np.arange(1, k_max + 1))
-    return table
+    """E(k) for k = 0 … k_max as an array, each entry equal to
+    ``remaining_error_E``'s; entry 0, where no cycle has run, is inf. A
+    last-bit difference would move an adaptive reset by a step."""
+    _check_beta2(beta2)
+    _check_int("k_max", k_max, 0)
+    return np.concatenate(([math.inf], _remaining_errors(beta2, range(1, k_max + 1))))
 
 
 def excess_staleness(s, s0):
@@ -378,16 +365,15 @@ def _excess_chunks(inputs: TheoryInputs, s0s: tuple[float, ...], max_K: int):
 
 def avg_excess_staleness(K: int, inputs: TheoryInputs) -> float:
     """Cycle-averaged staleness in excess of the tolerance s0."""
-    if not (_is_integer(K) and K >= 1):
-        raise ValueError(f"K must be an integer >= 1, got {K!r}")
+    _check_int("K", K, 1)
     for _, sums in _excess_chunks(inputs, (inputs.s0,), K):
         pass
     return float(sums[0, -1]) / K
 
 
 def _kstar_scan(inputs: TheoryInputs, s0s: Iterable, max_K: int = 10_000_000) -> dict:
-    """kstar_info for each distinct s0, from one scan that stops after the
-    chunk in which the last s0 crosses. sbar(K) - E(K) strictly increases
+    """K* for each distinct s0 (s0 -> int), from one scan that stops after
+    the chunk in which the last s0 crosses. sbar(K) - E(K) strictly increases
     (E falls by about E (1 - beta2) / 2 a step, far above the rounding of
     sbar), so E is needed per K only in a chunk whose last K crosses."""
     if not _is_integer(max_K):
@@ -403,36 +389,25 @@ def _kstar_scan(inputs: TheoryInputs, s0s: Iterable, max_K: int = 10_000_000) ->
         if not rows:
             continue
         K = np.arange(k0, k_last + 1)
-        # remaining_error_E per K; the powers stay Python's (beta2 ** K with
-        # K a Python int), which numpy's power does not always reproduce
-        bk = np.fromiter(map(pow, itertools.repeat(beta2), K.tolist()), np.float64)
-        e = 2.0 * bk / (1.0 + bk)
+        e = _remaining_errors(beta2, K.tolist())
         for i, row in zip(rows, sums[rows] / K):
-            j = int((row >= e).argmax())  # the first crossing
-            found[s0s[i]] = PredictorOutput(
-                value=k0 + j,
-                meta={"sbar": float(row[j]), "E": float(e[j]),
-                      "rhohat": inputs.rhohat},
-            )
+            found[s0s[i]] = k0 + int((row >= e).argmax())  # the first crossing
         if len(found) == len(s0s):
             return found
     raise RuntimeError(f"no crossing found up to K={max_K}")
 
 
-def kstar_info(inputs: TheoryInputs, max_K: int = 10_000_000) -> PredictorOutput:
+def reset_period_Kstar(inputs: TheoryInputs, max_K: int = 10_000_000) -> int:
     """Smallest cycle length K* at which the cycle-averaged excess staleness
     at tolerance inputs.s0 reaches the remaining error E(K).
 
     The left side is nondecreasing and E(K) strictly decreasing, so the
     crossing is unique; a chunked scan finds it, the one-s0 case of the scan
-    period_columns shares across its tolerances. meta holds sbar and E at
-    the crossing and rhohat; RuntimeError when no crossing comes by max_K.
+    period_columns shares across its tolerances. Both sides at the crossing
+    are avg_excess_staleness(K*, inputs) and remaining_error_E(K*, beta2).
+    RuntimeError when no crossing comes by max_K.
     """
     return _kstar_scan(inputs, (inputs.s0,), max_K)[inputs.s0]
-
-
-def reset_period_Kstar(inputs: TheoryInputs) -> int:
-    return int(kstar_info(inputs).value)
 
 
 def stall_columns(inputs: TheoryInputs) -> dict:
@@ -472,19 +447,4 @@ def period_columns(inputs: TheoryInputs, s0_list: Iterable[float]) -> dict:
     """Reset-period columns: K* per staleness tolerance, all from one scan."""
     keys = _column_keys("Kstar", s0_list)
     found = _kstar_scan(inputs, keys.values())
-    return {key: int(found[s0].value) for key, s0 in keys.items()}
-
-
-def predictor_row(
-    inputs: TheoryInputs,
-    P0_list: tuple[float, ...] = (0.5, 0.8, 0.9, 0.95),
-    s0_list: tuple[float, ...] = (0.5, 0.6, 0.7),
-) -> dict:
-    """One full predictor-table row for a format."""
-    return {
-        "format": inputs.format.name,
-        "beta2": inputs.beta2,
-        **stall_columns(inputs),
-        **window_columns(inputs, P0_list),
-        **period_columns(inputs, s0_list),
-    }
+    return {key: found[s0] for key, s0 in keys.items()}

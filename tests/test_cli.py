@@ -138,11 +138,11 @@ class TestPredictTables:
 
     @pytest.mark.parametrize("command,broken", [
         ("predict-stall", "_kstar_scan"),
-        ("predict-stall", "startup_window_info"),
+        ("predict-stall", "startup_window"),
         ("predict-window", "p_stall_sr_ss"),
         ("predict-window", "_kstar_scan"),
         ("predict-period", "p_stall_sr_ss"),
-        ("predict-period", "startup_window_info"),
+        ("predict-period", "startup_window"),
     ])
     def test_runs_only_its_own_predictors(self, command, broken, capsys, monkeypatch):
         def fail(*args, **kwargs):

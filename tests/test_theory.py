@@ -2,6 +2,7 @@
 and the published table values."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -10,8 +11,6 @@ mp = pytest.importorskip("mpmath")
 
 from emastall.formats import BF16, FP4_E2M2U, FP8_E4M3
 from emastall.theory import (
-    MU1,
-    PredictorOutput,
     TheoryInputs,
     ThresholdUnreachableError,
     avg_excess_staleness,
@@ -19,20 +18,20 @@ from emastall.theory import (
     chi2_1_inv,
     effective_decay,
     erf,
-    kstar_info,
     n_stat,
     n_stat_inf,
     p_init_model,
     p_stall_nr_ss,
     p_stall_nr_transient,
-    p_stall_sr_large_rho,
     p_stall_sr_ss,
-    predictor_row,
+    period_columns,
     remaining_error_E,
+    remaining_error_table,
     reset_period_Kstar,
     rhohat_value,
+    stall_columns,
     startup_window,
-    startup_window_info,
+    window_columns,
 )
 
 B2 = 0.999
@@ -244,9 +243,14 @@ class TestSrSteadyState:
             assert abs(p_stall_sr_ss(rho) - emp) < 3 * sigma + 1e-9, rho
 
     def test_large_rho_approximation(self):
-        assert abs(MU1 - 4 * math.exp(-0.5) / math.sqrt(2 * math.pi)) < 1e-15
+        # 1 - mu1 / (2 rho), with mu1 = E|z - 1| = 4 phi(1) for z ~ chi2_1
+        mu1 = 4 * math.exp(-0.5) / math.sqrt(2 * math.pi)
+        with mp.workdps(30):
+            mean_abs = mp.quad(lambda y: abs(y * y - 1) * mp.npdf(y),
+                               [-mp.inf, -1, 0, 1, mp.inf])
+        assert abs(mu1 - float(mean_abs)) < 1e-15
         for rho in (40.0, RHO_FP8, 60.0, RHO_FP4, 200.0):
-            assert abs(p_stall_sr_ss(rho) - p_stall_sr_large_rho(rho)) < 2e-3
+            assert abs(p_stall_sr_ss(rho) - (1.0 - mu1 / (2.0 * rho))) < 2e-3
 
     def test_soft_gate_below_hard_gate(self):
         for rho in (1.0, 2.0, RHO_BF16, 10.0, RHO_FP8, RHO_FP4):
@@ -432,12 +436,17 @@ class TestStartupWindow:
         with pytest.raises(ThresholdUnreachableError):
             startup_window(0.99, ti)
 
-    def test_info_meta(self):
+    def test_window_columns_and_intermediates(self):
+        # the effective target and the state scale it needs, recomputed
+        # from chi2_1_inv, give the column's j*
         ti = TheoryInputs(beta2=B2, format=BF16, p_init=0.17)
-        out = startup_window_info(0.5, ti)
-        assert isinstance(out, PredictorOutput)
-        assert 0 < out.meta["phi_star"] < 1
-        assert abs(out.meta["p0_eff"] - (0.33 / 0.83)) < 1e-12
+        row = window_columns(ti, (0.5,))
+        assert row == {"p_init": 0.17, "jstar@0.5": startup_window(0.5, ti)}
+        p0_eff = (0.5 - ti.p_init) / (1.0 - ti.p_init)
+        assert abs(p0_eff - (0.33 / 0.83)) < 1e-12
+        phi_star = chi2_1_inv(p0_eff) / (1.0 + ti.rhohat)
+        assert 0 < phi_star < 1
+        assert row["jstar@0.5"] == math.ceil(math.log1p(-phi_star) / math.log(B2)) == 76
 
 
 class TestRemainingError:
@@ -491,10 +500,10 @@ class TestAvgExcessStaleness:
     (lambda ti: avg_excess_staleness(1500.0, ti), "K must be an integer >= 1, got 1500.0"),
     (lambda ti: avg_excess_staleness(True, ti), "K must be an integer >= 1, got True"),
     (lambda ti: avg_excess_staleness(0, ti), "K must be an integer >= 1, got 0"),
-    (lambda ti: kstar_info(ti, max_K=1115.5), "max_K must be an integer, got 1115.5"),
-    (lambda ti: kstar_info(ti, max_K=2000.0), "max_K must be an integer, got 2000.0"),
-    (lambda ti: kstar_info(ti, max_K=True), "max_K must be an integer, got True"),
-    (lambda ti: kstar_info(ti, max_K="9"), "max_K must be an integer, got '9'"),
+    (lambda ti: reset_period_Kstar(ti, max_K=1115.5), "max_K must be an integer, got 1115.5"),
+    (lambda ti: reset_period_Kstar(ti, max_K=2000.0), "max_K must be an integer, got 2000.0"),
+    (lambda ti: reset_period_Kstar(ti, max_K=True), "max_K must be an integer, got True"),
+    (lambda ti: reset_period_Kstar(ti, max_K="9"), "max_K must be an integer, got '9'"),
 ], ids=["K-half", "K-float", "K-bool", "K-zero", "max_K-half", "max_K-float",
         "max_K-bool", "max_K-str"])
 def test_scan_rejects_a_non_integer_K(call, message):
@@ -506,8 +515,7 @@ def test_scan_rejects_a_non_integer_K(call, message):
 def test_scan_takes_numpy_integers():
     ti = TheoryInputs(beta2=B2, format=BF16, s0=0.6)
     assert avg_excess_staleness(np.int64(1500), ti) == avg_excess_staleness(1500, ti)
-    got, want = kstar_info(ti, max_K=np.int64(1116)), kstar_info(ti)
-    assert (got.value, got.meta) == (want.value, want.meta) and want.value == 1116
+    assert reset_period_Kstar(ti, max_K=np.int64(1116)) == reset_period_Kstar(ti) == 1116
 
 
 class TestResetPeriod:
@@ -547,22 +555,69 @@ class TestResetPeriod:
             else:
                 assert lhs >= rhs, K
 
-    def test_info_meta(self):
+    def test_period_column_crosses_at_kstar(self):
+        # both sides of the crossing, recomputed from the public functions
         ti = TheoryInputs(beta2=B2, format=FP4_E2M2U, s0=0.6)
-        out = kstar_info(ti)
-        assert out.meta["sbar"] >= out.meta["E"]
+        kstar = period_columns(ti, (0.6,))["Kstar@0.6"]
+        assert kstar == reset_period_Kstar(ti)
+        assert avg_excess_staleness(kstar, ti) >= remaining_error_E(kstar, B2)
+        assert avg_excess_staleness(kstar - 1, ti) < remaining_error_E(kstar - 1, B2)
 
 
-class TestPredictorRow:
+class TestPredictorColumns:
     def test_row_contents(self):
         ti = TheoryInputs(beta2=B2, format=FP8_E4M3, p_init=0.53)
-        row = predictor_row(ti)
-        assert row["format"] == "fp8_e4m3"
+        row = {**stall_columns(ti), **window_columns(ti, (0.5, 0.8, 0.9, 0.95)),
+               **period_columns(ti, (0.5, 0.6, 0.7))}
+        assert list(row) == ["epsilon", "rhohat", "p_nr", "p_sr", "p_init",
+                             "jstar@0.5", "jstar@0.8", "jstar@0.9", "jstar@0.95",
+                             "Kstar@0.5", "Kstar@0.6", "Kstar@0.7"]
         assert row["jstar@0.5"] == 0
         assert row["Kstar@0.6"] == 320
         assert abs(row["p_sr"] - 0.989) < 0.002
 
     def test_unreachable_cell_is_sentinel(self):
         ti = TheoryInputs(beta2=0.5, format=BF16)
-        row = predictor_row(ti, P0_list=(0.99,), s0_list=(0.6,))
-        assert row["jstar@0.99"] == "unreachable"
+        assert window_columns(ti, (0.99,))["jstar@0.99"] == "unreachable"
+
+
+@pytest.mark.parametrize("call,message", [
+    # these once raised from deep inside (chi2_1_cdf, a division, numpy's
+    # arange) or returned a value: -0.0, n_stat 4.69, tau_eff -4.0
+    (lambda: p_stall_nr_transient(5, 1.5, 2.0), "beta2 must be in (0, 1)"),
+    (lambda: p_stall_nr_transient(5, 1.0, 2.0), "beta2 must be in (0, 1)"),
+    (lambda: p_stall_nr_transient(5, 0.0, 2.0), "beta2 must be in (0, 1)"),
+    (lambda: p_stall_nr_transient(1.5, B2, 2.0), "j must be an integer >= 0, got 1.5"),
+    (lambda: p_stall_nr_transient(True, B2, 2.0), "j must be an integer >= 0, got True"),
+    (lambda: p_stall_nr_transient(-1, B2, 2.0), "j must be an integer >= 0, got -1"),
+    (lambda: n_stat_inf(1.0), "beta2 must be in (0, 1)"),
+    (lambda: n_stat(5, 1.2), "beta2 must be in (0, 1)"),
+    (lambda: n_stat(2.5, B2), "K must be an integer >= 1, got 2.5"),
+    (lambda: n_stat(0, B2), "K must be an integer >= 1, got 0"),
+    (lambda: effective_decay(1.5, 0.5), "beta2 must be in (0, 1)"),
+    (lambda: rhohat_value(0.1, -1.0), "beta2 must be in (0, 1)"),
+    (lambda: rhohat_value(0.1, math.nan), "beta2 must be in (0, 1)"),
+    (lambda: remaining_error_E(1500.5, B2), "K must be an integer >= 1, got 1500.5"),
+    (lambda: remaining_error_E(True, B2), "K must be an integer >= 1, got True"),
+    (lambda: remaining_error_E(5, 1.0), "beta2 must be in (0, 1)"),
+    (lambda: remaining_error_table(B2, 2.5), "k_max must be an integer >= 0, got 2.5"),
+    (lambda: remaining_error_table(B2, -1), "k_max must be an integer >= 0, got -1"),
+    (lambda: remaining_error_table(1.5, 10), "beta2 must be in (0, 1)"),
+], ids=["transient-beta2-above", "transient-beta2-one", "transient-beta2-zero",
+        "transient-j-half", "transient-j-bool", "transient-j-negative",
+        "n_stat_inf-beta2", "n_stat-beta2", "n_stat-K-half", "n_stat-K-zero",
+        "effective_decay-beta2", "rhohat-beta2-negative", "rhohat-beta2-nan",
+        "E-K-half", "E-K-bool", "E-beta2", "table-k_max-half",
+        "table-k_max-negative", "table-beta2"])
+def test_scalar_predictors_reject_bad_input(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
+
+
+def test_scalar_predictors_take_numpy_integers():
+    i5 = np.int64(5)
+    assert p_stall_nr_transient(i5, B2, 2.0) == p_stall_nr_transient(5, B2, 2.0)
+    assert n_stat(i5, B2) == n_stat(5, B2)
+    assert remaining_error_E(i5, B2) == remaining_error_E(5, B2)
+    assert remaining_error_table(B2, i5).tolist() == remaining_error_table(B2, 5).tolist()
+    assert remaining_error_table(B2, 0).tolist() == [math.inf]

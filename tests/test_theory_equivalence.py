@@ -3,13 +3,13 @@
 ``theory_oracle`` keeps the scan that re-derived S(j) for every s0 and every
 j. The shared scan evaluates S(j) once per j for all tolerances and hoists
 what does not depend on j, with the same float operations in the same
-order, so every K*, meta value and cycle average must equal the oracle's
-(``==`` on floats) over every preset, custom formats and a log-spaced beta2
-grid.
+order, so every K*, cycle average and E(K*) must equal the oracle's (``==``
+on floats) over every preset, custom formats and a log-spaced beta2 grid.
 """
 
 import math
 
+import numpy as np
 import pytest
 
 from emastall import theory
@@ -30,6 +30,14 @@ BETA2S = [1.0 - 0.1 * 5e-4 ** (i / 39) for i in range(40)]
 S0_LISTS = [(0.6,), (0.7, 0.0, 0.5, 0.9, 0.6, 0.5, 0)]
 
 
+def crossing(inputs: TheoryInputs, **kwargs) -> oracle.Crossing:
+    """The package's K* with both sides of the crossing, each from its
+    public function."""
+    K = theory.reset_period_Kstar(inputs, **kwargs)
+    return oracle.Crossing(K, theory.avg_excess_staleness(K, inputs),
+                           theory.remaining_error_E(K, inputs.beta2))
+
+
 @pytest.mark.parametrize("fmt", FORMATS, ids=lambda f: f.name)
 def test_period_columns_equal_the_per_s0_scans(fmt):
     for beta2 in BETA2S:
@@ -44,13 +52,11 @@ def test_period_columns_equal_the_per_s0_scans(fmt):
 
 
 @pytest.mark.parametrize("fmt", FORMATS, ids=lambda f: f.name)
-def test_kstar_info_value_and_meta(fmt):
+def test_reset_period_kstar_and_crossing(fmt):
     for beta2 in BETA2S[::3]:
         for s0 in (0.0, 0.6, 0.9):
             inputs = TheoryInputs(beta2=beta2, format=fmt, s0=s0)
-            got, want = theory.kstar_info(inputs), oracle.kstar_info(inputs)
-            assert (got.value, got.meta) == (want.value, want.meta), (beta2, s0)
-            assert theory.reset_period_Kstar(inputs) == want.value
+            assert crossing(inputs) == oracle.kstar_info(inputs), (beta2, s0)
 
 
 @pytest.mark.parametrize("fmt", FORMATS, ids=lambda f: f.name)
@@ -66,10 +72,10 @@ def test_avg_excess_staleness_at_several_K(fmt):
 def test_max_K_without_a_crossing_raises():
     inputs = TheoryInputs(beta2=0.999, format=PRESETS["bf16"], s0=0.9)
     kstar = oracle.kstar_info(inputs).value
-    assert theory.kstar_info(inputs, max_K=kstar).value == kstar
+    assert theory.reset_period_Kstar(inputs, max_K=kstar) == kstar
     for max_K in (0, 1, kstar - 1):
         with pytest.raises(RuntimeError, match=f"no crossing found up to K={max_K}$"):
-            theory.kstar_info(inputs, max_K=max_K)
+            theory.reset_period_Kstar(inputs, max_K=max_K)
         with pytest.raises(RuntimeError, match=f"no crossing found up to K={max_K}$"):
             oracle.kstar_info(inputs, max_K=max_K)
 
@@ -132,8 +138,7 @@ def test_crossing_on_a_chunk_edge(monkeypatch, fmt, beta2, s0, below_one):
     for first, cap in _layouts(want.value):
         monkeypatch.setattr(theory, "_FIRST_CHUNK", first)
         monkeypatch.setattr(theory, "_MAX_CHUNK", cap)
-        got = theory.kstar_info(inputs)
-        assert (got.value, got.meta) == (want.value, want.meta), (first, cap)
+        assert crossing(inputs) == want, (first, cap)
         K = want.value
         for k in (K - 1, K):
             got = theory.avg_excess_staleness(k, inputs)
@@ -166,10 +171,9 @@ def test_max_K_on_a_chunk_edge_of_a_long_scan():
     assert len(ends) >= 20
     for max_K in sorted({e + d for e in ends for d in (-1, 0, 1)}):
         with pytest.raises(RuntimeError, match=f"^no crossing found up to K={max_K}$"):
-            theory.kstar_info(inputs, max_K=max_K)
+            theory.reset_period_Kstar(inputs, max_K=max_K)
     for max_K in (want.value, want.value + 1):
-        got = theory.kstar_info(inputs, max_K=max_K)
-        assert (got.value, got.meta) == (want.value, want.meta)
+        assert crossing(inputs, max_K=max_K) == want
     with pytest.raises(RuntimeError, match=f"^no crossing found up to K={want.value - 1}$"):
         oracle.kstar_info(inputs, max_K=want.value - 1)
     for K in (ends[2], ends[2] + 1, ends[-1], ends[-1] + 1):
@@ -204,6 +208,20 @@ def test_soft_crush_equals_the_generic_integrator():
     assert bad == []
     for c in (0.0, -1.0):
         assert theory._soft_crush(c) == oracle._soft_crush(c) == 0.0
+
+
+def test_chi2_1_inv_equals_the_range_checked_bisection():
+    # both ends log-spaced (p in [1e-300, 0.1], 1 - p in [1e-16, 0.1]), a
+    # linear grid and uniform draws: the inverse behind every j* and p_init
+    ps = [10.0 ** (-300.0 + 299.0 * i / 999) for i in range(1000)]
+    ps += [1.0 - 10.0 ** (-16.0 + 15.0 * i / 999) for i in range(1000)]
+    ps += [i / 1000 for i in range(1000)]
+    ps += np.random.default_rng(24).random(2000).tolist()
+    bad = [p for p in ps if theory.chi2_1_inv(p) != oracle.chi2_1_inv(p)]
+    assert bad == []
+    for p in (1.0, -0.2, math.nan):
+        with pytest.raises(ValueError, match="^chi2_1_inv requires 0 <= p < 1$"):
+            theory.chi2_1_inv(p)
 
 
 @pytest.mark.parametrize("fmt", FORMATS, ids=lambda f: f.name)

@@ -1,13 +1,17 @@
-"""Reference K* scan and SR integrator for equivalence tests.
+"""Reference K* scan, SR integrator and chi2_1 inverse for equivalence tests.
 
 These are the per-tolerance predictors that the shared scan in
 ``emastall.theory`` replaced: ``stalling_progress`` re-derives rhohat, the
 steady state and the transient at every j, and ``kstar_info`` scans once for
 each s0, so ``period_columns`` evaluates the S(j) sequence once per column.
+``kstar_info`` returns K* with both sides of the crossing (``Crossing``).
 The arithmetic is kept as it was; docstrings are dropped. Only the closed
-forms (``p_stall_nr_transient``, ``p_stall_nr_ss``, ``remaining_error_E``)
-and ``TheoryInputs`` come from the package, so the shared scan must
-reproduce every K*, meta value and average bit for bit.
+forms (``chi2_1_cdf``, ``p_stall_nr_transient``, ``p_stall_nr_ss``,
+``remaining_error_E``) and ``TheoryInputs`` come from the package, so the
+shared scan must reproduce every K*, crossing value and average bit for bit.
+
+``chi2_1_inv`` is the bisection that calls the range-checked ``chi2_1_cdf``
+at every probe; the package's inlines the CDF and must give the same bits.
 
 ``p_stall_sr_ss`` and ``_soft_crush`` are the SR integrals as a generic
 adaptive Simpson rule that calls its integrand, and the integrand
@@ -19,14 +23,45 @@ from __future__ import annotations
 
 import dataclasses
 import math
+from typing import NamedTuple
 
 from emastall.theory import (
-    PredictorOutput,
     TheoryInputs,
+    chi2_1_cdf,
     p_stall_nr_ss,
     p_stall_nr_transient,
     remaining_error_E,
 )
+
+
+class Crossing(NamedTuple):
+    """K* and, at K*, the cycle-averaged excess staleness and E(K*)."""
+
+    value: int
+    sbar: float
+    E: float
+
+
+def chi2_1_inv(p: float) -> float:
+    if not 0.0 <= p < 1.0:
+        raise ValueError("chi2_1_inv requires 0 <= p < 1")
+    if p == 0.0:
+        return 0.0
+    hi = 1.0
+    while chi2_1_cdf(hi) < p:
+        hi *= 2.0
+        if hi > 1e6:
+            break
+    lo = 0.0
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            break
+        if chi2_1_cdf(mid) < p:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
 
 
 def stalling_progress(j: int, inputs: TheoryInputs) -> float:
@@ -43,7 +78,7 @@ def avg_excess_staleness(K: int, inputs: TheoryInputs) -> float:
     return acc / K
 
 
-def kstar_info(inputs: TheoryInputs, max_K: int = 10_000_000) -> PredictorOutput:
+def kstar_info(inputs: TheoryInputs, max_K: int = 10_000_000) -> Crossing:
     acc = 0.0
     s0 = inputs.s0
     for K in range(1, max_K + 1):
@@ -51,9 +86,7 @@ def kstar_info(inputs: TheoryInputs, max_K: int = 10_000_000) -> PredictorOutput
         e = remaining_error_E(K, inputs.beta2)
         sbar = acc / K
         if sbar >= e:
-            return PredictorOutput(
-                value=K, meta={"sbar": sbar, "E": e, "rhohat": inputs.rhohat}
-            )
+            return Crossing(K, sbar, e)
     raise RuntimeError(f"no crossing found up to K={max_K}")
 
 

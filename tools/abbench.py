@@ -14,14 +14,17 @@ For each workload and end-to-end metric of BASE's ``BENCHMARK.json`` it
 prints each side's median and quartiles, the relative gap of the medians,
 the pairs the change won (ties count for neither side) and two verdicts:
 
-- ``gain``: at least ten pairs, the change won at least nine tenths of them,
-  and its median is better than the base's by more than the distance
-  between the base's quartiles;
+- ``gain``: at least ten pairs, the change won at least nine tenths of all
+  pairs run (a pair in which either side printed no result counts as not
+  won), its median is better than the base's by more than the distance
+  between the base's quartiles, and it failed no more commands than the
+  base;
 - ``bound``: whether the change's median is worse than the base's by more
   than the metric's bound.
 
-It also says whether every pair printed the same output digests and whether
-any run failed a command, and states the host's load: the CPUs this process
+It also says whether every pair printed the same output digests and how
+many commands each side failed (a run that printed no result counts as one
+failed command), and states the host's load: the CPUs this process
 may run on (as ``nproc`` counts them) and ``os.getloadavg()``, before the
 first pair and after the last. ``--log`` appends one JSON line per run.
 """
@@ -72,14 +75,20 @@ def _quartiles(values: list) -> tuple:
     return q1, statistics.median(values), q3
 
 
+def _failed_commands(runs) -> int:
+    # a run that printed no result failed at least one command
+    return sum(r["result"]["failed"] if r["result"] else 1 for r in runs)
+
+
 def summarize(workload: str, pairs: list, metrics: list) -> list:
     """Report lines for one workload; pairs holds (base, change) runs."""
     good = [(b, c) for b, c in pairs if b["result"] and c["result"]]
-    failed = sum(r["result"] is None or r["result"]["failed"] > 0
-                 for pair in pairs for r in pair)
+    base_failed = _failed_commands(b for b, _ in pairs)
+    change_failed = _failed_commands(c for _, c in pairs)
     same = sum(b["digests"] == c["digests"] for b, c in good)
     lines = [f"== {workload}: {len(good)} complete pairs of {len(pairs)}, "
-             f"runs with a failure {failed}, pairs with equal digests {same}/{len(good)}"]
+             f"failed commands base {base_failed} change {change_failed}, "
+             f"pairs with equal digests {same}/{len(good)}"]
     for m in metrics:
         name, lower = m["name"], m["better"] == "lower"
         base = [b["result"]["metrics"][name]["value"] for b, _ in good]
@@ -90,13 +99,13 @@ def summarize(workload: str, pairs: list, metrics: list) -> list:
         cq1, cmed, cq3 = _quartiles(change)
         wins = sum((c < b) if lower else (c > b) for b, c in zip(base, change))
         better_by = (bmed - cmed) if lower else (cmed - bmed)
-        gain = (len(good) >= 10 and wins >= 0.9 * len(good)
-                and better_by > bq3 - bq1)
+        gain = (len(pairs) >= 10 and wins >= 0.9 * len(pairs)
+                and better_by > bq3 - bq1 and change_failed <= base_failed)
         worse = -better_by / bmed if bmed else 0.0
         lines.append(
             f"{name:12s} {m['unit']:4s} base {bmed:.6g} [{bq1:.6g}, {bq3:.6g}]  "
             f"change {cmed:.6g} [{cq1:.6g}, {cq3:.6g}]  "
-            f"gap {(cmed - bmed) / bmed:+.2%}  won {wins}/{len(good)}  "
+            f"gap {(cmed - bmed) / bmed:+.2%}  won {wins}/{len(pairs)}  "
             f"gain {'holds' if gain else 'not shown'}  "
             f"bound {'EXCEEDED' if worse > m['bound'] else 'kept'} ({m['bound']:.0%})")
     return lines
