@@ -430,7 +430,7 @@ def cmd_reset_study(args) -> int:
         raise SystemExit("at least one --format is required")
     _apply_preset(args)
     problem = NoisyQuadratic()
-    hyper = AdamHyper(lr=args.lr, beta2=args.beta2)
+    hyper = AdamHyper(lr=args.lr)
     configs = []
     for name in args.formats:
         key = None if name in ("fp32", "none") else name
@@ -441,7 +441,7 @@ def cmd_reset_study(args) -> int:
         ):
             if key is None and tag == "sr":
                 continue
-            cfg_m, cfg_v = moment_configs(key, hyper, rounding)
+            cfg_m, cfg_v = moment_configs(key, rounding, beta2=args.beta2)
             configs.append((f"{label}_{tag}" if key else "fp32", cfg_m, cfg_v))
     periods = args.periods
     if periods is None:
@@ -457,9 +457,7 @@ def cmd_reset_study(args) -> int:
     for K in periods:
         policies.append((f"periodic{K}", ResetPolicy.periodic(K)))
     if args.adaptive:
-        policies.append(
-            ("adaptive", ResetPolicy.adaptive(beta2=args.beta2, s0=args.s0))
-        )
+        policies.append(("adaptive", ResetPolicy.adaptive(s0=args.s0)))
     _print_config(args, periods=periods)
     result = run_reset_study(
         problem, configs, policies, args.steps, tuple(args.seeds), hyper

@@ -56,6 +56,18 @@ from .quantize import (
 from .theory import excess_staleness, remaining_error_table
 
 
+def _require_real(name: str, value) -> None:
+    # a string would fail later as a TypeError, and a bool pass as 0 or 1
+    if not isinstance(value, numbers.Real) or isinstance(value, bool):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+
+
+def _check_beta(name: str, value) -> None:
+    _require_real(name, value)
+    if not 0.0 < value < 1.0:
+        raise ValueError(f"{name} must be in (0, 1)")
+
+
 @dataclasses.dataclass(frozen=True)
 class EmaConfig:
     """Storage and rounding configuration for one EMA state tensor.
@@ -74,8 +86,7 @@ class EmaConfig:
     init_scale: float | None = None
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.beta < 1.0:
-            raise ValueError("beta must be in (0, 1)")
+        _check_beta("beta", self.beta)
         # a string here would round stochastically (the store tests the
         # mode by identity) or fail at the first write
         if self.format is not None and not isinstance(self.format, FpFormat):
@@ -175,7 +186,8 @@ _QUIET = {"over": "ignore", "invalid": "ignore"}
 
 
 def _proposal(
-    x: np.ndarray, signal: np.ndarray, beta: float, out: np.ndarray | None = None
+    x: np.ndarray, signal: np.ndarray, beta: float | np.ndarray,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
     # the one validation of a write: a NaN, infinite or overflowing signal
     # leaves a non-finite proposal, so storage trusts what passes. Callers
@@ -325,20 +337,23 @@ class StateStack:
 
     Built from one list of single states per config: ``states[c][r]`` is
     row r of config c, which ``values[c, r]`` holds as stored (its exact
-    decoded value), with cycle counter ``k[c, r]`` and excess
-    ``excess[c, r]``. Config c's stochastic rounding draws from
-    ``streams[c]``, a ``RowStreams`` over its rows or None. Configs that
-    share format, scheme, freeze_scale and init_scale form a storage group,
-    whose rows one ``_Store`` writes in one quantizer pass; only the rank
-    kernel runs once per rounding mode in it, and the stochastic members
-    draw from their own streams in stack order. ``adam_lockstep`` and
-    ``reset_rows`` step a stack in place.
+    decoded value), with cycle counter ``k[c, r]``, excess ``excess[c, r]``
+    and beta ``beta[c, 0, 0]``. Config c's stochastic rounding draws from
+    ``streams[c]``, a ``RowStreams`` over its rows or None, one entry per
+    config. Configs that share format, scheme, freeze_scale and init_scale
+    form a storage group, whose rows one ``_Store`` writes in one quantizer
+    pass; only the rank kernel runs once per rounding mode in it, and the
+    stochastic members draw from their own streams in stack order.
+    ``adam_lockstep`` and ``reset_rows`` step a stack in place.
     """
 
     def __init__(self, states: list, streams: list):
+        if len(streams) != len(states):
+            raise ValueError(f"{len(streams)} streams for {len(states)} configs")
         self.configs = [rows[0].config for rows in states]
         if any(s.config != cfg for cfg, rows in zip(self.configs, states) for s in rows):
             raise ValueError("the rows of a config must share its EmaConfig")
+        self.beta = np.array([cfg.beta for cfg in self.configs]).reshape(-1, 1, 1)
         self.values = np.array([[s.values() for s in rows] for rows in states])
         self.k = np.array([[s.k for s in rows] for rows in states], np.int64)
         self.excess = np.array([[s.excess for s in rows] for rows in states], float)
@@ -398,25 +413,25 @@ class ResetPolicy:
 
     PERIODIC resets every K steps. ADAPTIVE accumulates the observed excess
     staleness on the state and resets once its cycle average overtakes the
-    remaining statistical error E(k).
+    remaining statistical error E(k) of the second moment's beta.
     """
 
     kind: ResetKind
     K: int | None = None
     s0: float = 0.6
     p_ss: float = 1.0
-    beta2: float | None = None
     applies_to: str = "both"
 
     def __post_init__(self) -> None:
+        # a string kind would match no rule and never reset
+        if not isinstance(self.kind, ResetKind):
+            raise ValueError(f"kind must be a ResetKind, got {self.kind!r}")
         if self.applies_to not in ("first", "second", "both"):
             raise ValueError("applies_to must be first, second or both")
         periodic = self.kind is ResetKind.PERIODIC
         if periodic and not (_is_integer(self.K) and self.K >= 1):
             raise ValueError(f"PERIODIC needs an integer K >= 1, got {self.K!r}")
         if self.kind is ResetKind.ADAPTIVE:
-            if self.beta2 is None or not 0.0 < self.beta2 < 1.0:
-                raise ValueError("ADAPTIVE needs beta2 in (0, 1)")
             if not 0.0 <= self.s0 < 1.0:
                 raise ValueError("ADAPTIVE needs s0 in [0, 1)")
             if not (math.isfinite(self.p_ss) and self.p_ss > 0.0):
@@ -433,15 +448,9 @@ class ResetPolicy:
 
     @classmethod
     def adaptive(
-        cls,
-        beta2: float,
-        s0: float = 0.6,
-        p_ss: float = 1.0,
-        applies_to: str = "both",
+        cls, *, s0: float = 0.6, p_ss: float = 1.0, applies_to: str = "both"
     ) -> "ResetPolicy":
-        return cls(
-            ResetKind.ADAPTIVE, s0=s0, p_ss=p_ss, beta2=beta2, applies_to=applies_to
-        )
+        return cls(ResetKind.ADAPTIVE, s0=s0, p_ss=p_ss, applies_to=applies_to)
 
 
 class ResetRows:
@@ -449,11 +458,11 @@ class ResetRows:
 
     Row r follows ``policies[r]``; with ``moment`` ("first" or "second"),
     a policy whose applies_to excludes that moment never resets its row.
-    The adaptive rule reads E(k), for cycle counts up to k_max, from one
-    ``remaining_error_table`` per beta2.
+    Config c's adaptive rule reads E(k), for cycle counts up to k_max, at
+    ``beta2[c]``, its second-moment beta, from one table per distinct beta2.
     """
 
-    def __init__(self, policies: list, moment: str | None, k_max: int):
+    def __init__(self, policies: list, moment: str | None, k_max: int, beta2: list):
         if moment is not None:
             policies = [
                 p if p.applies_to in (moment, "both") else ResetPolicy.none()
@@ -467,12 +476,12 @@ class ResetRows:
         # neutral values on the other rows, which the rule masks out
         self.s0 = np.array([p.s0 if a else 0.0 for p, a in zip(policies, adaptive)])
         self.p_ss = np.array([p.p_ss if a else 1.0 for p, a in zip(policies, adaptive)])
-        betas = list(dict.fromkeys(p.beta2 for p, a in zip(policies, adaptive) if a))
-        self.which = np.array(
-            [betas.index(p.beta2) if a else 0 for p, a in zip(policies, adaptive)]
-        )
-        tables = [remaining_error_table(b, k_max) for b in betas]
-        self.table = np.stack(tables) if tables else None
+        self.table = None
+        if any(adaptive):
+            betas = list(dict.fromkeys(beta2))
+            # (configs, 1): each config's table, broadcast over its rows
+            self.which = np.array([betas.index(b) for b in beta2])[:, None]
+            self.table = np.stack([remaining_error_table(b, k_max) for b in betas])
 
 
 def reset_rows(
@@ -499,21 +508,18 @@ def reset_rows(
 @dataclasses.dataclass(frozen=True)
 class AdamHyper:
     lr: float
-    beta1: float = 0.9
-    beta2: float = 0.999
     eps: float = 1e-6
     weight_decay: float = 0.0
 
     def __post_init__(self) -> None:
+        for name in ("lr", "eps", "weight_decay"):
+            _require_real(name, getattr(self, name))
         for name in ("lr", "eps"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0):
                 raise ValueError(f"{name} must be positive and finite")
         if not (math.isfinite(self.weight_decay) and self.weight_decay >= 0):
             raise ValueError("weight_decay must be non-negative and finite")
-        for name in ("beta1", "beta2"):
-            if not 0.0 < getattr(self, name) < 1.0:
-                raise ValueError(f"{name} must be in (0, 1)")
 
 
 def _adam_update(
@@ -522,16 +528,18 @@ def _adam_update(
     v_vals: np.ndarray,
     k_m: np.ndarray,
     k_v: np.ndarray,
+    beta1: np.ndarray,
+    beta2: np.ndarray,
     hyper: AdamHyper,
 ) -> np.ndarray:
-    # k_m and k_v are the (configs, rows) cycle counts
+    # k_m, k_v: (configs, rows) cycle counts; beta1, beta2: (configs, 1, 1)
     if k_m.min() < 1 or k_v.min() < 1:
         raise ValueError("bias correction needs at least one accumulated step")
     # one correction per row, broadcast along the row; the temporaries are
     # updated in place, with the float operations of
     # params - lr * m_hat / (sqrt(v_hat) + eps) - lr * weight_decay * params
-    step = m_vals / -np.expm1(k_m * np.log(hyper.beta1))[..., None]
-    denom = v_vals / -np.expm1(k_v * np.log(hyper.beta2))[..., None]
+    step = m_vals / -np.expm1(k_m[..., None] * np.log(beta1))
+    denom = v_vals / -np.expm1(k_v[..., None] * np.log(beta2))
     np.sqrt(denom, out=denom)
     denom += hyper.eps
     step /= denom
@@ -555,34 +563,30 @@ def adam_lockstep(
 
     m and v are ``StateStack``s of shape ``(configs, rows, dim)``, stepped
     in place on grad and params of that shape. One proposal expression per
-    moment covers every config, each storage group stores in one pass, and
-    one update moves the whole parameter stack. The update reads the
-    high-precision proposals, so quantization error enters later steps
-    through storage only; bias correction uses each row's own cycle count,
-    so the correction clock resets with the state; epsilon is added outside
-    the square root, and weight decay is decoupled. Rows flagged in hold_m
-    (hold_v), a ``(rows,)`` mask, skip that moment's update in every
+    moment covers every config at its own beta, each storage group stores
+    in one pass, and one update moves the whole parameter stack. The update
+    reads the high-precision proposals, so quantization error enters later
+    steps through storage only; bias correction uses each row's own cycle
+    count, so the correction clock resets with the state; epsilon is added
+    outside the square root, and weight decay is decoupled. Rows flagged in
+    hold_m (hold_v), a ``(rows,)`` mask, skip that moment's update in every
     config: the stored value stays, the cycle counter still advances, and
     the parameter update reads the stored value. Returns (params,
     stalled_m, stalled_v), the fractions as ``(configs, rows)`` arrays.
     """
     if not grad.shape == params.shape == m.values.shape == v.values.shape:
         raise ValueError("gradient/parameter shape mismatch")
-    if any(cfg.beta != hyper.beta1 for cfg in m.configs) or any(
-        cfg.beta != hyper.beta2 for cfg in v.configs
-    ):
-        raise ValueError("moment config betas must match the hyperparameters")
     # _proposal rejects an infinite square
     with np.errstate(**_QUIET):
-        pm = _proposal(m.values, grad, hyper.beta1)
-        pv = _proposal(v.values, grad * grad, hyper.beta2)
+        pm = _proposal(m.values, grad, m.beta)
+        pv = _proposal(v.values, grad * grad, v.beta)
     # a held row proposes its stored value, which storage reproduces exactly
     if hold_m is not None:
         np.copyto(pm, m.values, where=hold_m[:, None])
     if hold_v is not None:
         np.copyto(pv, v.values, where=hold_v[:, None])
     frac_m, frac_v = m.store(pm), v.store(pv)
-    return _adam_update(params, pm, pv, m.k, v.k, hyper), frac_m, frac_v
+    return _adam_update(params, pm, pv, m.k, v.k, m.beta, v.beta, hyper), frac_m, frac_v
 
 
 @dataclasses.dataclass

@@ -62,6 +62,7 @@ from .engine import (
     StallTrace,
     StateStack,
     _QUIET,
+    _check_beta,
     _proposal,
     _Store,
     adam_lockstep,
@@ -415,19 +416,22 @@ def default_ema_config(
 
 def moment_configs(
     format_name: str | None,
-    hyper: AdamHyper,
     rounding: RoundingMode = RoundingMode.NEAREST_EVEN,
+    beta1: float = 0.9,
+    beta2: float = 0.999,
 ) -> tuple[EmaConfig, EmaConfig]:
-    """(first, second) moment configs; fp4 pairs signed E2M1 with unsigned
-    E2M2 for the nonnegative second moment."""
+    """(first, second) moment configs at beta1 and beta2; fp4 pairs signed
+    E2M1 with unsigned E2M2 for the nonnegative second moment."""
+    _check_beta("beta1", beta1)
+    _check_beta("beta2", beta2)
     if format_name in ("fp4", "fp4_e2m1", "fp4_e2m2u"):
         return (
-            default_ema_config("fp4_e2m1", hyper.beta1, rounding),
-            default_ema_config("fp4_e2m2u", hyper.beta2, rounding),
+            default_ema_config("fp4_e2m1", beta1, rounding),
+            default_ema_config("fp4_e2m2u", beta2, rounding),
         )
     return (
-        default_ema_config(format_name, hyper.beta1, rounding),
-        default_ema_config(format_name, hyper.beta2, rounding),
+        default_ema_config(format_name, beta1, rounding),
+        default_ema_config(format_name, beta2, rounding),
     )
 
 
@@ -668,7 +672,8 @@ def _train_rows(
 ) -> dict:
     """Adam training of every (config, seed, cell) triple in lockstep.
 
-    configs is a list of (cfg_m, cfg_v) storage configs. Row
+    configs is a list of (cfg_m, cfg_v) storage configs, which hold the
+    betas; the adaptive rule reads E(k) at cfg_v's beta. Row
     ``i * len(policies) + j`` of each config runs cell j, whose reset rule
     is ``policies[j]``, on ``seeds[i]``. Every row of a seed, in every
     config, shares that seed's problem instance and its gradient and target
@@ -702,8 +707,9 @@ def _train_rows(
         for i in (0, 1)
     )
     row_policies = list(policies) * len(seeds)
-    rules_m = ResetRows(row_policies, "first", steps)
-    rules_v = ResetRows(row_policies, "second", steps)
+    beta2 = [cfg_v.beta for _, cfg_v in configs]
+    rules_m = ResetRows(row_policies, "first", steps, beta2)
+    rules_v = ResetRows(row_policies, "second", steps, beta2)
     window = _trailing_window(steps)
     tail = np.empty((len(configs), rows, window))
     record = []
@@ -751,13 +757,14 @@ def run_reset_cells(
 ) -> np.ndarray:
     """Final losses of every storage config x seed x reset policy cell.
 
-    configs is a list of (cfg_m, cfg_v) pairs and policies a list of
-    ``ResetPolicy``. Every cell trains in one lockstep loop: the cells of a
-    seed share its problem instance and its gradient and target draws, and
-    the cells of a config share its rounding streams, so each loss equals
-    the cell's own ``run_reset_training`` bit for bit. Returns an array of
-    shape ``(len(configs), len(seeds), len(policies))``; entry [c, i, j] is
-    the trailing-decile mean loss of config c under policies[j] on seeds[i].
+    configs is a list of (cfg_m, cfg_v) pairs, whose betas may differ, and
+    policies a list of ``ResetPolicy``. Every cell trains in one lockstep
+    loop: the cells of a seed share its problem instance and its gradient
+    and target draws, and the cells of a config share its rounding streams,
+    so each loss equals the cell's own ``run_reset_training`` bit for bit.
+    Returns an array of shape ``(len(configs), len(seeds), len(policies))``;
+    entry [c, i, j] is the trailing-decile mean loss of config c under
+    policies[j] on seeds[i].
     """
     return _train_rows(problem, configs, policies, steps, seeds, hyper)["final_loss"]
 
@@ -794,7 +801,7 @@ def run_skip_study(
     labels = [f"p={p:g}" for p in p_skip_grid]
     _require_unique("p_skip values", labels)
     hyper = hyper or AdamHyper(lr=0.01)
-    cfg_m, cfg_v = moment_configs(None, hyper)
+    cfg_m, cfg_v = moment_configs(None)
     n_p = len(p_skip_grid)
     skips = _Skips(
         target,
@@ -821,7 +828,7 @@ def run_skip_study(
             "target": target,
             "steps": steps,
             "seeds": list(seeds),
-            "hyper": _config_dict(hyper),
+            "hyper": {**_config_dict(hyper), "beta1": cfg_m.beta, "beta2": cfg_v.beta},
             "warmup_fraction": warmup_fraction,
         },
         series={"p_skip": rows_p, "seed": rows_seed, "final_loss": rows_loss},
@@ -862,14 +869,17 @@ def run_reset_study(
     """Final-loss matrix over storage config x reset policy x seed.
 
     configs is a list of (label, cfg_m, cfg_v); policies a list of
-    (label, ResetPolicy); seeds must be distinct. Every cell trains in one
-    ``run_reset_cells`` call.
+    (label, ResetPolicy); seeds must be distinct, and the configs must
+    share their betas, which the JSON's hyper leaves report. Every cell
+    trains in one ``run_reset_cells`` call.
     """
     _check_run(steps, seeds)
     if len(seeds) < 3:
         raise ValueError("need at least 3 seeds")
     _require_unique("configs", [c[0] for c in configs])
     _require_unique("policies", [p[0] for p in policies])
+    if len({(cfg_m.beta, cfg_v.beta) for _, cfg_m, cfg_v in configs}) > 1:
+        raise ValueError("the configs of a reset study must share beta1 and beta2")
     hyper = hyper or AdamHyper(lr=0.01)
     cols: dict = {"config": [], "policy": [], "seed": [], "final_loss": []}
     medians: dict = {}
@@ -893,7 +903,8 @@ def run_reset_study(
             "policies": [p[0] for p in policies],
             "steps": steps,
             "seeds": list(seeds),
-            "hyper": _config_dict(hyper),
+            "hyper": {**_config_dict(hyper), "beta1": configs[0][1].beta,
+                      "beta2": configs[0][2].beta},
         },
         series=cols,
         metrics=medians,

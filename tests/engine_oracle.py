@@ -10,7 +10,10 @@ is the old ``EmaState``, and ``skip_study_losses`` is the old
 problems come from the package; a cell steps its seed's one-seed stack,
 ``problem.make_stack((seed,))``. Each (config, policy, seed) or
 (p_skip, seed) cell runs alone here, with its own freshly seeded streams,
-so the batched studies must reproduce these losses bit for bit.
+so the batched studies must reproduce these losses bit for bit. Each
+moment reads its beta from its state's config, and the adaptive rule its
+beta2 from the second moment's, where the old engine read them from the
+hyperparameters and the policy.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from emastall.engine import (
 )
 from emastall.formats import RoundingMode, _normalized_grid
 from emastall.quantize import QuantizedBlock
-from emastall.simlab import _KEY_ROUND, _trailing_window
+from emastall.simlab import _KEY_ROUND, _trailing_window, moment_configs
 from emastall.theory import remaining_error_E
 
 # ---------------------------------------------------------------- quantizer
@@ -168,7 +171,7 @@ def _reset_state(state):
     return OracleState.initialize(cfg, len(state))
 
 
-def apply_reset_policy(state, policy, last_fraction=0.0):
+def apply_reset_policy(state, policy, beta2, last_fraction=0.0):
     if policy.kind is ResetKind.NONE:
         return state, False
     if policy.kind is ResetKind.PERIODIC:
@@ -180,23 +183,24 @@ def apply_reset_policy(state, policy, last_fraction=0.0):
         return state, False
     s = last_fraction / policy.p_ss
     excess = state.excess + max(0.0, (s - policy.s0) / (1.0 - policy.s0))
-    if excess / k >= remaining_error_E(k, policy.beta2):
+    if excess / k >= remaining_error_E(k, beta2):
         return _reset_state(state), True
     return OracleState(state.stored, k, state.config, excess), False
 
 
-def _adam_update(params, m_vals, v_vals, k_m, k_v, hyper):
+def _adam_update(params, m_vals, v_vals, k_m, k_v, beta1, beta2, hyper):
     if k_m < 1 or k_v < 1:
         raise ValueError("bias correction needs at least one accumulated step")
-    m_hat = m_vals / -np.expm1(k_m * np.log(hyper.beta1))
-    v_hat = v_vals / -np.expm1(k_v * np.log(hyper.beta2))
+    m_hat = m_vals / -np.expm1(k_m * np.log(beta1))
+    v_hat = v_vals / -np.expm1(k_v * np.log(beta2))
     step = m_hat / (np.sqrt(v_hat) + hyper.eps)
     return params - hyper.lr * step - hyper.lr * hyper.weight_decay * params
 
 
 def apply_adam_update(params, m_state, v_state, hyper):
     return _adam_update(
-        params, m_state.values(), v_state.values(), m_state.k, v_state.k, hyper
+        params, m_state.values(), v_state.values(), m_state.k, v_state.k,
+        m_state.config.beta, v_state.config.beta, hyper,
     )
 
 
@@ -204,13 +208,12 @@ def adam_step(m_state, v_state, grad, hyper, params, rng=None):
     grad = np.asarray(grad, dtype=np.float64)
     if grad.shape != params.shape:
         raise ValueError("gradient/parameter shape mismatch")
-    if m_state.config.beta != hyper.beta1 or v_state.config.beta != hyper.beta2:
-        raise ValueError("moment config betas must match the hyperparameters")
     pm = _proposal(m_state, grad)
     pv = _proposal(v_state, grad * grad)
     m2, frac_m = _store(m_state, pm, rng)
     v2, frac_v = _store(v_state, pv, rng)
-    new_params = _adam_update(params, pm, pv, m2.k, v2.k, hyper)
+    new_params = _adam_update(params, pm, pv, m2.k, v2.k, m2.config.beta,
+                              v2.config.beta, hyper)
     return new_params, m2, v2, {"stalled_m": frac_m, "stalled_v": frac_v}
 
 
@@ -251,9 +254,11 @@ def run_reset_training(
         reset_m = reset_v = False
         if policy.kind is not ResetKind.NONE:
             if policy.applies_to in ("first", "both"):
-                m, reset_m = apply_reset_policy(m, policy, stats["stalled_m"])
+                m, reset_m = apply_reset_policy(m, policy, v.config.beta,
+                                                stats["stalled_m"])
             if policy.applies_to in ("second", "both"):
-                v, reset_v = apply_reset_policy(v, policy, stats["stalled_v"])
+                v, reset_v = apply_reset_policy(v, policy, v.config.beta,
+                                                stats["stalled_v"])
         if record_trace:
             trace_m.append(stats["stalled_m"], m.k, reset_m)
             trace_v.append(stats["stalled_v"], v.k, reset_v)
@@ -275,8 +280,7 @@ def skip_study_losses(problem, p_skip_grid, target, steps, seeds, hyper,
     for p in p_skip_grid:
         for seed in seeds:
             stack = problem.make_stack((seed,))
-            cfg_m = EmaConfig(beta=hyper.beta1, format=None)
-            cfg_v = EmaConfig(beta=hyper.beta2, format=None)
+            cfg_m, cfg_v = moment_configs(None)
             params = stack.init_params()[0]
             m = OracleState.initialize(cfg_m, len(params))
             v = OracleState.initialize(cfg_v, len(params))

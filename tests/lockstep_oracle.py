@@ -14,8 +14,10 @@ without its unused ``t_global`` clock). A ``Batch``, the old batch
 as they were; docstrings and type hints are dropped. Only the quantizer,
 the rounding kernel, the theory terms, the skip draws and the problems
 come from the package; each seed steps its own one-seed stack,
-``problem.make_stack((seed,))``. The fused study loop must reproduce its
-losses and traces bit for bit.
+``problem.make_stack((seed,))``. Each moment reads its beta from its
+state's config, and the adaptive rule its beta2 from the second moment's,
+where the old engine read them from the hyperparameters and the policy.
+The fused study loop must reproduce its losses and traces bit for bit.
 """
 
 from __future__ import annotations
@@ -129,7 +131,7 @@ class ResetRows:
         ]
 
 
-def reset_rows(state, rules, fractions):
+def reset_rows(state, rules, fractions, beta2):
     k = state.k
     reset = k >= rules.period
     excess = state.excess
@@ -140,7 +142,7 @@ def reset_rows(state, rules, fractions):
                 continue
             s = fractions[r] / policy.p_ss
             excess[r] += excess_staleness(s, policy.s0)
-            reset[r] = excess[r] / k[r] >= remaining_error_E(int(k[r]), policy.beta2)
+            reset[r] = excess[r] / k[r] >= remaining_error_E(int(k[r]), beta2)
     if not reset.any():
         return Batch(state.stored, k, state.config, excess), reset
     cfg = state.config
@@ -165,8 +167,6 @@ def adam_lockstep(moments, grad, hyper, params, rngs, hold_m=None, hold_v=None):
     with np.errstate(**_QUIET):
         square = grad * grad
         for c, (m, v) in enumerate(moments):
-            if m.config.beta != hyper.beta1 or v.config.beta != hyper.beta2:
-                raise ValueError("moment config betas must match the hyperparameters")
             _proposal(m, grad[c], hold_m, pm[c])
             _proposal(v, square[c], hold_v, pv[c])
     stepped, frac_m, frac_v = [], [], []
@@ -178,7 +178,9 @@ def adam_lockstep(moments, grad, hyper, params, rngs, hold_m=None, hold_v=None):
         frac_v.append(fv)
     k_m = np.array([m.k for m, _ in stepped])
     k_v = np.array([v.k for _, v in stepped])
-    new_params = _adam_update(params, pm, pv, k_m, k_v, hyper)
+    beta_m, beta_v = (np.array([s.config.beta for s in moment])[:, None, None]
+                      for moment in zip(*stepped))
+    new_params = _adam_update(params, pm, pv, k_m, k_v, beta_m, beta_v, hyper)
     return new_params, stepped, np.array(frac_m), np.array(frac_v)
 
 
@@ -217,8 +219,8 @@ def train_rows(problem, configs, policies, steps, seeds, hyper, skips=None,
             moments, g, hyper, params, round_rngs, hold_m=hold_m, hold_v=hold_v
         )
         for c, (m, v) in enumerate(moments):
-            m, reset_m = reset_rows(m, rules_m, frac_m[c])
-            v, reset_v = reset_rows(v, rules_v, frac_v[c])
+            m, reset_m = reset_rows(m, rules_m, frac_m[c], v.config.beta)
+            v, reset_v = reset_rows(v, rules_v, frac_v[c], v.config.beta)
             moments[c] = (m, v)
             for r, (trace_m, trace_v) in enumerate(traces[c]):
                 trace_m.append(float(frac_m[c, r]), int(m.k[r]), reset_m[r])

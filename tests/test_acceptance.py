@@ -191,13 +191,13 @@ def test_criterion_07_sr_unbiasedness():
 def test_criterion_08_reset_benefit_ordering():
     t0 = time.perf_counter()
     problem = NoisyQuadratic()
-    hyper = AdamHyper(lr=0.01, beta2=B2)
+    hyper = AdamHyper(lr=0.01)
     seeds = (0, 1, 2, 3, 4)
     steps = 8000
     kstar = reset_period_Kstar(TheoryInputs(beta2=B2, format=FP4_E2M2U, s0=0.6))
-    cm_nr, cv_nr = moment_configs("fp4", hyper, RoundingMode.NEAREST_EVEN)
-    cm_sr, cv_sr = moment_configs("fp4", hyper, RoundingMode.STOCHASTIC)
-    cm_fp, cv_fp = moment_configs(None, hyper)
+    cm_nr, cv_nr = moment_configs("fp4", RoundingMode.NEAREST_EVEN, beta2=B2)
+    cm_sr, cv_sr = moment_configs("fp4", RoundingMode.STOCHASTIC, beta2=B2)
+    cm_fp, cv_fp = moment_configs(None, beta2=B2)
     configs = [
         ("fp32", cm_fp, cv_fp),
         ("fp4_nr", cm_nr, cv_nr),

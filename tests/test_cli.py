@@ -837,3 +837,23 @@ class TestStudyValidation:
                 cell = "fp32" if name == "fp32" else f"{name}_nr"
                 for policy in policies:
                     assert f"median@{cell}/{policy}:" in out, (formats, cell, policy)
+
+    def test_full_precision_alone_falls_back_to_periodic1000(self, capsys, tmp_path):
+        # with no quantized config there is no theory K*, so the default
+        # period list is [1000]
+        code, out = run_cli(["reset-study", "--format", "fp32", "--preset", "quick",
+                             "--out", str(tmp_path / "rs")], capsys)
+        assert code == 0
+        assert json.loads(out.splitlines()[0][len("config: "):])["periods"] == [1000]
+        config = json.loads((tmp_path / "rs.json").read_text())["config"]
+        assert config["configs"] == ["fp32"]
+        assert config["policies"] == ["none", "periodic1000"]
+        assert (config["steps"], config["seeds"]) == (400, [0, 1, 2])
+
+    def test_beta2_reaches_the_hyper_leaves(self, tmp_path):
+        # the study's configs hold --beta2, and its JSON reports them
+        argv = ["reset-study", "--format", "fp32,fp4", "--beta2", "0.99", "--adaptive"]
+        assert main(argv + [*STUDY, "--out", str(tmp_path / "rs")]) == 0
+        hyper = json.loads((tmp_path / "rs.json").read_text())["config"]["hyper"]
+        assert hyper == {"lr": 0.01, "beta1": 0.9, "beta2": 0.99, "eps": 1e-6,
+                         "weight_decay": 0.0}

@@ -1,5 +1,6 @@
 """Quantized EMA engine tests: fixed points, stability, resets, Adam."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -43,7 +44,7 @@ from emastall.quantize import (
     quantize,
     quantize_with_scales,
 )
-from emastall.simlab import _Skips
+from emastall.simlab import _Skips, moment_configs
 from emastall.theory import p_stall_nr_ss, remaining_error_E
 
 PER_TENSOR = ScalingScheme(ScalingMode.PER_TENSOR)
@@ -76,10 +77,10 @@ def one_row(state):
     return StateStack([[state]], [None])
 
 
-def moment_stacks(hyper, dim):
-    """Zero full-precision one-row m and v stacks for hyper."""
+def moment_stacks(dim, beta1=0.9, beta2=0.999):
+    """Zero full-precision one-row m and v stacks at beta1 and beta2."""
     return tuple(one_row(EmaState.initialize(EmaConfig(beta, None), dim))
-                 for beta in (hyper.beta1, hyper.beta2))
+                 for beta in (beta1, beta2))
 
 
 def adam_one_row(m_state, v_state, grad, hyper, params):
@@ -95,8 +96,8 @@ def reset_one_row(state, policy, fraction=0.0):
     """reset_rows on a one-row stack of state, after a step whose stalled
     fraction was fraction: (state, did_reset)."""
     stack = one_row(state)
-    reset = reset_rows(stack, ResetRows([policy], None, max(1, state.k)),
-                       np.array([[fraction]]))
+    rules = ResetRows([policy], None, max(1, state.k), [state.config.beta])
+    reset = reset_rows(stack, rules, np.array([[fraction]]))
     return stack.state(0, 0), bool(reset[0, 0])
 
 
@@ -125,6 +126,25 @@ def test_config_rejects_fields_of_the_wrong_type(field, value):
     kwargs = {"beta": 0.9, "format": BF16, field: value}
     with pytest.raises(ValueError, match=f"^{field} must be an? [A-Za-z ]+, got '{value}'$"):
         EmaConfig(**kwargs)
+
+
+@pytest.mark.parametrize("beta,message", [
+    ("0.9", "beta must be a real number, got '0.9'"),
+    (True, "beta must be a real number, got True"),
+    (None, "beta must be a real number, got None"),
+    (0.0, "beta must be in (0, 1)"),
+    (1.0, "beta must be in (0, 1)"),
+    (math.nan, "beta must be in (0, 1)"),
+])
+def test_config_rejects_an_unusable_beta(beta, message):
+    # beta="0.9" once raised a TypeError from the comparison
+    with pytest.raises(ValueError) as exc:
+        EmaConfig(beta=beta, format=None)
+    assert str(exc.value) == message
+
+
+def test_config_takes_numpy_betas():
+    assert EmaConfig(beta=np.float64(0.9), format=None).beta == 0.9
 
 
 class TestEmaStep:
@@ -208,8 +228,8 @@ class TestEmaStep:
         with pytest.raises(ValueError):
             ema_step(state, np.full(2, -1.5e308))
         hyper = AdamHyper(lr=0.01)
-        m = EmaState.initialize(EmaConfig(beta=hyper.beta1, format=fmt), 2)
-        v = EmaState.initialize(EmaConfig(beta=hyper.beta2, format=fmt), 2)
+        m = EmaState.initialize(EmaConfig(beta=0.9, format=fmt), 2)
+        v = EmaState.initialize(EmaConfig(beta=0.999, format=fmt), 2)
         with pytest.raises(ValueError):
             adam_one_row(m, v, np.full(2, 1e200), hyper, np.zeros(2))
 
@@ -532,9 +552,9 @@ class TestEffectiveDecayConsistency:
         beta = 0.999
         dim = 64
         p = 0.95
-        hyper = AdamHyper(lr=0.01, beta1=beta)
+        hyper = AdamHyper(lr=0.01)
         rng = np.random.default_rng(77)
-        m, v = moment_stacks(hyper, dim)
+        m, v = moment_stacks(dim, beta1=beta)
         params = np.zeros((1, 1, dim))
 
         def step(signal, hold):
@@ -587,7 +607,7 @@ class TestResetPolicies:
     def test_adaptive_never_resets_on_zero_fractions(self):
         config = EmaConfig(beta=0.999, format=None)
         state = EmaState.initialize(config, 8)
-        policy = ResetPolicy.adaptive(beta2=0.999, s0=0.6, p_ss=1.0)
+        policy = ResetPolicy.adaptive(s0=0.6, p_ss=1.0)
         for _ in range(500):
             state, _ = ema_step(state, np.ones(8))
             state, did = reset_one_row(state, policy, 0.0)
@@ -600,7 +620,7 @@ class TestResetPolicies:
         assert ks[0] == 1
         config = EmaConfig(beta=0.999, format=None)
         state = EmaState.initialize(config, 8)
-        policy = ResetPolicy.adaptive(beta2=0.999, s0=0.6, p_ss=1.0)
+        policy = ResetPolicy.adaptive(s0=0.6, p_ss=1.0)
         state, _ = ema_step(state, np.ones(8))
         state, did = reset_one_row(state, policy, 1.0)
         assert did
@@ -618,7 +638,7 @@ class TestResetPolicies:
                 break
         config = EmaConfig(beta=beta2, format=None)
         state = EmaState.initialize(config, 4)
-        policy = ResetPolicy.adaptive(beta2=beta2, s0=s0, p_ss=1.0)
+        policy = ResetPolicy.adaptive(s0=s0, p_ss=1.0)
         fired_at = None
         for k, f in enumerate(fractions, start=1):
             state, _ = ema_step(state, np.ones(4))
@@ -632,9 +652,9 @@ class TestResetPolicies:
         # the accumulator lives on each state, so one policy can serve both
         fractions = np.random.default_rng(5).uniform(0.5, 1.0, (300, 2))
         config = EmaConfig(beta=0.95, format=None)
-        shared = ResetPolicy.adaptive(beta2=0.95)
+        shared = ResetPolicy.adaptive()
         policies = {"shared": [shared, shared],
-                    "separate": [ResetPolicy.adaptive(beta2=0.95) for _ in range(2)]}
+                    "separate": [ResetPolicy.adaptive() for _ in range(2)]}
         resets = {}
         for key, pair in policies.items():
             states = [EmaState.initialize(config, 4) for _ in range(2)]
@@ -651,13 +671,13 @@ class TestResetPolicies:
         assert all(len(r) >= 2 for r in resets["separate"])
 
     def test_state_carries_excess_through_writes_and_skips(self):
-        hyper = AdamHyper(lr=0.01, beta1=0.99)
+        hyper = AdamHyper(lr=0.01)
         config = EmaConfig(beta=0.99, format=FP8_E4M3, scheme=PER_TENSOR)
         state = EmaState(EmaState.initialize(config, 8).stored, 3, config, 0.75)
         state, _ = ema_step(state, np.ones(8))
         assert (state.k, state.excess) == (4, 0.75)
         # a held update, a forced skip, still advances the cycle counter
-        m, v = one_row(state), moment_stacks(hyper, 8)[1]
+        m, v = one_row(state), moment_stacks(8)[1]
         adam_lockstep(m, v, np.ones((1, 1, 8)), hyper, np.zeros((1, 1, 8)),
                       hold_m=np.array([True]))
         state = m.state(0, 0)
@@ -666,7 +686,7 @@ class TestResetPolicies:
         assert did and (state.k, state.excess) == (0, 0.0)
 
     def test_policy_is_immutable(self):
-        policy = ResetPolicy.adaptive(beta2=0.999)
+        policy = ResetPolicy.adaptive()
         with pytest.raises(AttributeError):
             policy.s0 = 0.5
 
@@ -674,9 +694,18 @@ class TestResetPolicies:
         with pytest.raises(ValueError):
             ResetPolicy(ResetKind.PERIODIC)
         with pytest.raises(ValueError):
-            ResetPolicy(ResetKind.ADAPTIVE)
+            ResetPolicy(ResetKind.ADAPTIVE, s0=1.0)
+        with pytest.raises(TypeError):
+            ResetPolicy.adaptive(0.999)  # keyword-only: this would set s0
         with pytest.raises(ValueError):
             ResetPolicy.periodic(5, applies_to="third")
+
+    @pytest.mark.parametrize("kind", ["periodic", "adaptive", None, 1])
+    def test_policy_needs_a_reset_kind(self, kind):
+        # ResetPolicy("periodic", K=5) was once accepted and never reset
+        with pytest.raises(ValueError, match="^kind must be a ResetKind, got ") as exc:
+            ResetPolicy(kind, K=5)
+        assert "\n" not in str(exc.value)
 
     @pytest.mark.parametrize("K", [2.5, 5.0, True, math.inf, 0, -3, "5"])
     def test_periodic_needs_an_integer_period(self, K):
@@ -691,38 +720,56 @@ class TestResetPolicies:
     @pytest.mark.parametrize("p_ss", [math.nan, math.inf, 0.0, -0.5])
     def test_adaptive_needs_a_positive_finite_p_ss(self, p_ss):
         with pytest.raises(ValueError, match="^ADAPTIVE needs a positive, finite p_ss"):
-            ResetPolicy.adaptive(0.999, p_ss=p_ss)
+            ResetPolicy.adaptive(p_ss=p_ss)
 
 
 @pytest.mark.parametrize("field,value", [
     ("lr", -1.0), ("lr", 0.0), ("lr", math.nan), ("lr", math.inf),
     ("eps", -1.0), ("eps", 0.0), ("eps", math.nan),
     ("weight_decay", -0.01), ("weight_decay", math.nan), ("weight_decay", math.inf),
+    ("lr", True), ("lr", "0.01"), ("eps", False), ("eps", None),
+    ("weight_decay", True), ("weight_decay", "0"),
+])
+def test_adam_hyper_rejects_unusable_values(field, value):
+    # a negative lr once trained uphill, a nan lr failed later as a
+    # non-finite signal, and lr=True trained at lr 1.0
+    with pytest.raises(ValueError, match=f"^{field} must be") as exc:
+        AdamHyper(**{"lr": 0.01, field: value})
+    assert "\n" not in str(exc.value)
+
+
+def test_adam_hyper_holds_no_beta():
+    # each moment's beta is its EmaConfig's
+    assert [f.name for f in dataclasses.fields(AdamHyper)] == ["lr", "eps",
+                                                               "weight_decay"]
+    assert AdamHyper(lr=np.float64(0.01), weight_decay=0).weight_decay == 0
+
+
+@pytest.mark.parametrize("field,value", [
     ("beta1", 0.0), ("beta1", 1.0), ("beta1", math.nan),
     ("beta2", 0.0), ("beta2", 1.5), ("beta2", math.nan),
 ])
-def test_adam_hyper_rejects_unusable_values(field, value):
-    # a negative lr once trained uphill, and a nan lr failed later as a
-    # non-finite signal
+def test_moment_configs_reject_unusable_betas(field, value):
+    # the betas a study's configs are built at, checked by name
     with pytest.raises(ValueError, match=f"^{field} must be"):
-        AdamHyper(**{"lr": 0.01, field: value})
+        moment_configs("fp4", **{field: value})
 
 
 class TestAdam:
-    def _configs(self, hyper, fmt=None, scheme=PER_TENSOR):
+    def _configs(self, fmt=None, scheme=PER_TENSOR):
         if fmt is None:
             return (
-                EmaConfig(beta=hyper.beta1, format=None),
-                EmaConfig(beta=hyper.beta2, format=None),
+                EmaConfig(beta=0.9, format=None),
+                EmaConfig(beta=0.999, format=None),
             )
         return (
-            EmaConfig(beta=hyper.beta1, format=FP4_E2M1, scheme=scheme),
-            EmaConfig(beta=hyper.beta2, format=FP4_E2M2U, scheme=scheme),
+            EmaConfig(beta=0.9, format=FP4_E2M1, scheme=scheme),
+            EmaConfig(beta=0.999, format=FP4_E2M2U, scheme=scheme),
         )
 
     def test_zero_gradients_decay_params_only(self):
         hyper = AdamHyper(lr=0.1, weight_decay=0.01)
-        cfg_m, cfg_v = self._configs(hyper, fmt="fp4")
+        cfg_m, cfg_v = self._configs(fmt="fp4")
         m = EmaState.initialize(cfg_m, 8)
         v = EmaState.initialize(cfg_v, 8)
         params = np.full(8, 2.0)
@@ -735,7 +782,7 @@ class TestAdam:
 
     def test_one_step_from_zero_state(self):
         hyper = AdamHyper(lr=0.01)
-        cfg_m, cfg_v = self._configs(hyper, fmt="fp4", scheme=BLOCK128)
+        cfg_m, cfg_v = self._configs(fmt="fp4", scheme=BLOCK128)
         rng = np.random.default_rng(13)
         g = rng.standard_normal(256)
         m = EmaState.initialize(cfg_m, 256)
@@ -746,8 +793,8 @@ class TestAdam:
         # below the exclude_zero clamp floor the error is s_min-bounded
         from emastall.formats import ulp_at
 
-        m_target = (1 - hyper.beta1) * g
-        v_target = (1 - hyper.beta2) * g * g
+        m_target = (1 - cfg_m.beta) * g
+        v_target = (1 - cfg_v.beta) * g * g
         for state, target, fmt in ((m, m_target, FP4_E2M1), (v, v_target, FP4_E2M2U)):
             ratio = np.repeat(state.stored.scales, 128) / fmt.x_max
             vals = state.values()
@@ -761,22 +808,22 @@ class TestAdam:
 
     def test_full_precision_matches_reference_adam(self):
         # independent textbook implementation on a fixed quadratic
-        hyper = AdamHyper(lr=0.05, beta1=0.9, beta2=0.999, eps=1e-6,
-                          weight_decay=0.001)
+        hyper = AdamHyper(lr=0.05, eps=1e-6, weight_decay=0.001)
+        beta1, beta2 = 0.9, 0.999
         h = np.array([0.1, 0.5, 1.0, 2.0])
         theta_ref = np.array([1.0, -1.0, 2.0, 0.5])
         m_ref = np.zeros(4)
         v_ref = np.zeros(4)
-        cfg_m, cfg_v = self._configs(hyper)
+        cfg_m, cfg_v = self._configs()
         m = EmaState.initialize(cfg_m, 4)
         v = EmaState.initialize(cfg_v, 4)
         theta = theta_ref.copy()
         for t in range(1, 101):
             g = h * theta_ref
-            m_ref = hyper.beta1 * m_ref + (1 - hyper.beta1) * g
-            v_ref = hyper.beta2 * v_ref + (1 - hyper.beta2) * g * g
-            m_hat = m_ref / (1 - hyper.beta1**t)
-            v_hat = v_ref / (1 - hyper.beta2**t)
+            m_ref = beta1 * m_ref + (1 - beta1) * g
+            v_ref = beta2 * v_ref + (1 - beta2) * g * g
+            m_hat = m_ref / (1 - beta1**t)
+            v_hat = v_ref / (1 - beta2**t)
             theta_ref = (
                 theta_ref
                 - hyper.lr * m_hat / (np.sqrt(v_hat) + hyper.eps)
@@ -786,30 +833,35 @@ class TestAdam:
             theta, m, v, _ = adam_one_row(m, v, g2, hyper, theta)
             assert np.max(np.abs(theta - theta_ref)) < 1e-6, t
 
-    def test_beta_mismatch_rejected(self):
-        hyper = AdamHyper(lr=0.01, beta1=0.9, beta2=0.999)
+    def test_moments_step_at_their_configs_betas(self):
+        # the betas once also lived on AdamHyper, which had to match them
+        hyper = AdamHyper(lr=0.01)
         cfg_m = EmaConfig(beta=0.8, format=None)
-        cfg_v = EmaConfig(beta=hyper.beta2, format=None)
+        cfg_v = EmaConfig(beta=0.5, format=None)
         m = EmaState.initialize(cfg_m, 4)
         v = EmaState.initialize(cfg_v, 4)
-        with pytest.raises(ValueError):
-            adam_one_row(m, v, np.ones(4), hyper, np.zeros(4))
+        g = np.array([1.0, -2.0, 0.5, 4.0])
+        params, m, v, _ = adam_one_row(m, v, g, hyper, np.zeros(4))
+        assert m.values().tolist() == ((1 - 0.8) * g).tolist()
+        assert v.values().tolist() == ((1 - 0.5) * g * g).tolist()
+        # one step's bias corrections recover g and g * g
+        assert np.allclose(params, -0.01 * g / (np.abs(g) + hyper.eps), rtol=1e-12)
 
     def test_bias_correction_requires_steps(self):
         # the update of zero states that have accumulated no step
         hyper = AdamHyper(lr=0.01)
         zeros, k = np.zeros((1, 1, 4)), np.zeros((1, 1), np.int64)
+        beta1, beta2 = np.full((1, 1, 1), 0.9), np.full((1, 1, 1), 0.999)
         with pytest.raises(ValueError):
-            _adam_update(zeros, zeros, zeros, k, k, hyper)
+            _adam_update(zeros, zeros, zeros, k, k, beta1, beta2, hyper)
 
 
 class TestBatchState:
     def test_ema_step_rejects_a_batch(self):
         # hand-built (rows, dim) states: rows step through a StateStack
-        hyper = AdamHyper(lr=0.01)
-        m = EmaState(np.zeros((2, 4)), 0, EmaConfig(beta=hyper.beta1, format=None))
+        m = EmaState(np.zeros((2, 4)), 0, EmaConfig(beta=0.9, format=None))
         q = EmaState(quantize(np.zeros((2, 4)), BF16, PER_TENSOR), 0,
-                     EmaConfig(beta=hyper.beta2, format=BF16, scheme=PER_TENSOR))
+                     EmaConfig(beta=0.999, format=BF16, scheme=PER_TENSOR))
         g = np.ones((2, 4))
         for state in (m, q):
             with pytest.raises(ValueError, match="StateStack"):
@@ -826,6 +878,15 @@ class TestBatchState:
             StateStack(rows, gens)
         with pytest.raises(ValueError, match="^a rounding stream must be a RowStreams"):
             _Store(rows[:1], gens[:1])
+
+    @pytest.mark.parametrize("n_streams", [0, 1, 3])
+    def test_one_stream_entry_per_config(self, n_streams):
+        # StateStack([[s]], []) once raised an IndexError, and extra
+        # streams were dropped
+        rows = [[EmaState.initialize(EmaConfig(beta=0.9, format=BF16), 3)]] * 2
+        with pytest.raises(ValueError,
+                           match=f"^{n_streams} streams for 2 configs$"):
+            StateStack(rows, [None] * n_streams)
 
     def test_merged_streams_share_rows_per_stream(self):
         config = EmaConfig(beta=0.9, format=BF16, rounding=SR)
@@ -938,11 +999,11 @@ class TestSkips:
     cycle counter still advances."""
 
     def test_p_zero_identical_to_ema_step(self):
-        hyper = AdamHyper(lr=0.01, beta1=0.99)
+        hyper = AdamHyper(lr=0.01)
         rng = np.random.default_rng(17)
         skips = _Skips("first", [0.0], [17], 0)
         s1 = EmaState.initialize(EmaConfig(beta=0.99, format=None), 16)
-        m, v = moment_stacks(hyper, 16)
+        m, v = moment_stacks(16, beta1=0.99)
         for t in range(1, 51):
             sig = rng.standard_normal(16)
             s1, _ = ema_step(s1, sig)
@@ -953,10 +1014,10 @@ class TestSkips:
             assert np.array_equal(s1.stored, m.values[0, 0])
 
     def test_p_one_freezes_forever(self):
-        hyper = AdamHyper(lr=0.01, beta1=0.99)
+        hyper = AdamHyper(lr=0.01)
         rng = np.random.default_rng(19)
         skips = _Skips("first", [1.0], [19], 0)
-        m, v = moment_stacks(hyper, 16)
+        m, v = moment_stacks(16, beta1=0.99)
         params = np.zeros((1, 1, 16))
         adam_lockstep(m, v, np.ones((1, 1, 16)), hyper, params)
         frozen = m.values.copy()

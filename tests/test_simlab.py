@@ -254,7 +254,7 @@ class TestSkipStudy:
 class TestResetStudy:
     def test_fp4_resets_beat_none_quick(self):
         prob = NoisyQuadratic()
-        cm, cv = moment_configs("fp4", HYPER)
+        cm, cv = moment_configs("fp4")
         none = [
             run_reset_training(prob, cm, cv, ResetPolicy.none(), 3000, s, HYPER)[
                 "final_loss"
@@ -271,7 +271,7 @@ class TestResetStudy:
 
     def test_matrix_shape_and_reproducibility(self):
         prob = NoisyQuadratic(dimension=64)
-        cm, cv = moment_configs("fp4", HYPER)
+        cm, cv = moment_configs("fp4")
         configs = [("fp4_nr", cm, cv)]
         policies = [("none", ResetPolicy.none()), ("p100", ResetPolicy.periodic(100))]
         r1 = run_reset_study(prob, configs, policies, 400, (0, 1, 2), HYPER)
@@ -282,20 +282,44 @@ class TestResetStudy:
 
     def test_adaptive_policy_runs_and_resets(self):
         prob = NoisyQuadratic(dimension=64)
-        cm, cv = moment_configs("fp4", HYPER)
+        cm, cv = moment_configs("fp4")
         out = run_reset_training(
             prob, cm, cv,
-            ResetPolicy.adaptive(beta2=HYPER.beta2, s0=0.6, applies_to="second"),
+            ResetPolicy.adaptive(s0=0.6, applies_to="second"),
             1200, 0, HYPER, record_trace=True,
         )
         assert len(out["trace_v"].reset_steps) >= 1
 
     def test_seed_minimum_enforced(self):
         prob = NoisyQuadratic(dimension=32)
-        cm, cv = moment_configs("fp4", HYPER)
+        cm, cv = moment_configs("fp4")
         with pytest.raises(ValueError):
             run_reset_study(prob, [("x", cm, cv)], [("none", ResetPolicy.none())],
                             100, (0, 1), HYPER)
+
+    def test_hyper_leaves_report_the_configs_betas(self):
+        prob = NoisyQuadratic(dimension=8)
+        configs = [(f"{name}_nr", *moment_configs(name, beta1=0.95, beta2=0.99))
+                   for name in (None, "fp4")]
+        study = run_reset_study(prob, configs, [("none", ResetPolicy.none())], 4,
+                                (0, 1, 2), AdamHyper(lr=0.02))
+        assert study.config["hyper"] == {"lr": 0.02, "beta1": 0.95, "beta2": 0.99,
+                                         "eps": 1e-6, "weight_decay": 0.0}
+        skip = run_skip_study(prob, (0.0,), "first", 4, (0,), HYPER)
+        assert skip.config["hyper"] == {"lr": 0.01, "beta1": 0.9, "beta2": 0.999,
+                                        "eps": 1e-6, "weight_decay": 0.0}
+
+    @pytest.mark.parametrize("betas", [{"beta1": 0.95}, {"beta2": 0.99}])
+    def test_configs_of_other_betas_rejected(self, betas):
+        # one pair of hyper leaves describes the study; run_reset_cells
+        # takes any mix
+        prob = NoisyQuadratic(dimension=8)
+        configs = [("a", *moment_configs("fp4")), ("b", *moment_configs("fp4", **betas))]
+        with pytest.raises(ValueError,
+                           match="^the configs of a reset study must share beta1 and "
+                                 "beta2$"):
+            run_reset_study(prob, configs, [("none", ResetPolicy.none())], 2,
+                            (0, 1, 2), HYPER)
 
     @pytest.mark.parametrize("configs,policies,label", [
         (["x", "x"], ["none"], "configs share the label 'x'"),
@@ -304,7 +328,7 @@ class TestResetStudy:
     def test_colliding_labels_rejected(self, configs, policies, label):
         # the cells would merge under one median key
         prob = NoisyQuadratic(dimension=8)
-        cm, cv = moment_configs("fp4", HYPER)
+        cm, cv = moment_configs("fp4")
         with pytest.raises(ValueError, match=label):
             run_reset_study(prob, [(c, cm, cv) for c in configs],
                             [(p, ResetPolicy.none()) for p in policies],
@@ -325,7 +349,7 @@ def test_bad_study_inputs_name_the_field(steps, seeds, message):
     # a float step count once failed as a TypeError, and a negative seed as
     # numpy's "expected non-negative integer"
     prob = NoisyQuadratic(dimension=8)
-    cm, cv = moment_configs("fp4", HYPER)
+    cm, cv = moment_configs("fp4")
     calls = [
         lambda: run_reset_cells(prob, [(cm, cv)], [ResetPolicy.none()], steps, seeds,
                                 HYPER),
@@ -529,7 +553,7 @@ def test_studies_reject_a_repeated_seed(seeds, seed):
     # a repeated seed once passed the 3-seed minimum while training fewer
     # instances, and its rows counted twice in the medians
     prob = NoisyQuadratic(dimension=8)
-    cm, cv = moment_configs("fp4", HYPER)
+    cm, cv = moment_configs("fp4")
     calls = [
         lambda: run_reset_study(prob, [("x", cm, cv)], [("none", ResetPolicy.none())],
                                 2, seeds, HYPER),

@@ -55,16 +55,15 @@ POLICIES = (
     [("none", ResetPolicy.none())]
     + [(f"periodic40_{a}", ResetPolicy.periodic(40, applies_to=a)) for a in APPLIES]
     + [
-        (f"adaptive_{a}",
-         ResetPolicy.adaptive(HYPER.beta2, s0=0.0, p_ss=0.25, applies_to=a))
+        (f"adaptive_{a}", ResetPolicy.adaptive(s0=0.0, p_ss=0.25, applies_to=a))
         for a in APPLIES
     ]
-    + [("adaptive_default", ResetPolicy.adaptive(HYPER.beta2))]
+    + [("adaptive_default", ResetPolicy.adaptive())]
 )
 
 
-def _moments(fmt, rounding):
-    return moment_configs(fmt, HYPER, rounding)
+def _moments(fmt, rounding, beta1=0.9, beta2=0.999):
+    return moment_configs(fmt, rounding, beta1, beta2)
 
 
 @pytest.fixture(scope="module")
@@ -110,8 +109,7 @@ def test_mixed_traces_and_duplicate_seeds_equal_per_cell_runs():
     configs = [_moments(None, NR), _moments("fp4", SR), _moments("bf16", NR),
                _moments("fp8_e4m3", SR)]
     policies = [ResetPolicy.periodic(40, applies_to="first"),
-                ResetPolicy.adaptive(HYPER.beta2, s0=0.0, p_ss=0.25,
-                                     applies_to="second")]
+                ResetPolicy.adaptive(s0=0.0, p_ss=0.25, applies_to="second")]
     seeds = (3, 3, 5)
     got = _train_rows(PROBLEM, configs, policies, 90, seeds, HYPER, record_trace=True)
     resets = 0
@@ -130,25 +128,27 @@ def test_mixed_traces_and_duplicate_seeds_equal_per_cell_runs():
     assert resets > 0  # the reset path ran
 
 
-# adaptive rules that differ in every parameter, so that no row's rule can
-# stand in for another's
+# adaptive rules that differ pairwise, so that no row's rule can stand in
+# for another's; the tests' configs differ in beta2
 MIXED_ADAPTIVE = [
-    ResetPolicy.adaptive(beta2, s0=s0, p_ss=p_ss, applies_to=a)
-    for beta2, s0, p_ss, a in [
-        (0.99, 0.0, 0.25, "both"),
-        (0.999, 0.0, 0.25, "first"),
-        (0.995, 0.3, 0.5, "second"),
-        (0.9, 0.6, 0.3, "both"),
-        (0.999, 0.6, 1.0, "both"),
-        (0.95, 0.1, 0.2, "second"),
-        (0.99, 0.45, 0.4, "first"),
-        (0.98, 0.2, 0.35, "both"),
+    ResetPolicy.adaptive(s0=s0, p_ss=p_ss, applies_to=a)
+    for s0, p_ss, a in [
+        (0.0, 0.25, "both"),
+        (0.0, 0.25, "first"),
+        (0.3, 0.5, "second"),
+        (0.6, 0.3, "both"),
+        (0.6, 1.0, "both"),
+        (0.1, 0.2, "second"),
+        (0.45, 0.4, "first"),
+        (0.2, 0.35, "both"),
     ]
 ]
 
 
 def test_many_mixed_adaptive_rows_equal_per_cell_runs():
-    configs = [_moments(None, NR), _moments("fp4", SR), _moments("fp8_e4m3", NR)]
+    # each config reads E(k) at its own beta2
+    configs = [_moments(None, NR, beta2=0.99), _moments("fp4", SR, beta2=0.9),
+               _moments("fp8_e4m3", NR, beta2=0.999)]
     policies = MIXED_ADAPTIVE + [ResetPolicy.none(), ResetPolicy.periodic(30)]
     seeds = (0, 7)
     got = _train_rows(PROBLEM, configs, policies, 120, seeds, HYPER, record_trace=True)
@@ -176,9 +176,10 @@ def test_reset_rows_equal_the_per_state_rule():
     rng = np.random.default_rng(3)
     policies = (MIXED_ADAPTIVE + [ResetPolicy.none(), ResetPolicy.periodic(4)]) * 3
     rows, dim = len(policies), 6
-    config = engine.EmaConfig(beta=HYPER.beta2, format=None)
+    # each config's rows read E(k) at its own beta2
+    configs = [engine.EmaConfig(beta=b, format=None) for b in (0.999, 0.95)]
     batches = []
-    for _ in range(2):
+    for config in configs:
         k = rng.integers(0, 6, rows)
         k[::7] = 0
         excess = np.where(k > 0, rng.uniform(0.0, 3.0, rows), 0.0)
@@ -188,16 +189,16 @@ def test_reset_rows_equal_the_per_state_rule():
     fractions = rng.uniform(0.0, 1.0, (2, rows))
     for moment in ("first", "second"):
         stack = engine.StateStack(batches, [None, None])
-        reset = engine.reset_rows(stack, engine.ResetRows(policies, moment, 5),
-                                  fractions)
+        rules = engine.ResetRows(policies, moment, 5, [c.beta for c in configs])
+        reset = engine.reset_rows(stack, rules, fractions)
         for c, batch in enumerate(batches):
             for r, policy in enumerate(policies):
                 got = stack.state(c, r)
                 if policy.applies_to not in (moment, "both"):
                     policy = ResetPolicy.none()
-                state = oracle.OracleState(batch[r].stored, batch[r].k, config,
+                state = oracle.OracleState(batch[r].stored, batch[r].k, configs[c],
                                            batch[r].excess)
-                want, did = oracle.apply_reset_policy(state, policy,
+                want, did = oracle.apply_reset_policy(state, policy, configs[c].beta,
                                                       float(fractions[c, r]))
                 assert (bool(reset[c, r]), got.k) == (did, want.k), (c, r)
                 assert got.excess == want.excess, (c, r)
@@ -221,7 +222,7 @@ def test_non_contiguous_storage_groups_equal_per_cell_runs():
     order = [("fp4", NR), (None, NR), ("fp4", SR), ("bf16", SR), ("bf16", NR)]
     configs = [_moments(fmt, r) for fmt, r in order]
     policies = [ResetPolicy.none(), ResetPolicy.periodic(25),
-                ResetPolicy.adaptive(HYPER.beta2, s0=0.0, p_ss=0.25)]
+                ResetPolicy.adaptive(s0=0.0, p_ss=0.25)]
     got = run_reset_cells(PROBLEM, configs, policies, 80, SEEDS, HYPER)
     _assert_cells_equal_per_cell_runs(PROBLEM, configs, policies, 80, SEEDS, got)
 
@@ -243,20 +244,55 @@ def test_logistic_reset_cells_equal_per_cell_runs():
     configs = [_moments(None, NR), _moments("fp4", SR), _moments("bf16", NR),
                _moments("fp4", NR)]
     policies = [ResetPolicy.none(), ResetPolicy.periodic(20, applies_to="second"),
-                ResetPolicy.adaptive(HYPER.beta2, s0=0.0, p_ss=0.25)]
+                ResetPolicy.adaptive(s0=0.0, p_ss=0.25)]
     got = run_reset_cells(problem, configs, policies, 60, (0, 4), HYPER)
     _assert_cells_equal_per_cell_runs(problem, configs, policies, 60, (0, 4), got)
 
 
-# storage pairs for the random grid: the presets' pairs, and pairs whose
-# moments fall into different storage groups and rounding modes
+# every (beta1, beta2) pair of {0.9, 0.95} x {0.99, 0.999}, with members of
+# one storage group (fp4) at different betas
+MIXED_BETA_CONFIGS = [
+    _moments("fp4", SR, 0.9, 0.99),
+    _moments("fp4", NR, 0.95, 0.999),
+    _moments("fp4", SR, 0.95, 0.99),
+    _moments("bf16", NR, 0.9, 0.999),
+    _moments(None, NR, 0.95, 0.99),
+    _moments("fp8_e4m3", SR, 0.9, 0.999),
+]
+
+
+@pytest.mark.parametrize(
+    "problem", [PROBLEM, SynthLogistic(n_samples=256)], ids=["quadratic", "logistic"]
+)
+def test_mixed_beta_batch_equals_each_configs_own_run(problem):
+    # one batch over configs whose betas differ: each config's moments step
+    # at its own betas and its adaptive rows read E(k) at its own beta2
+    configs = MIXED_BETA_CONFIGS
+    policies = [ResetPolicy.none(), ResetPolicy.periodic(20),
+                ResetPolicy.adaptive(s0=0.0, p_ss=0.25),
+                ResetPolicy.adaptive(s0=0.1, p_ss=0.3, applies_to="second")]
+    seeds, steps = (0, 4), 60
+    got = run_reset_cells(problem, configs, policies, steps, seeds, HYPER)
+    for c, pair in enumerate(configs):
+        alone = lockstep_oracle.train_rows(problem, [pair], policies, steps, seeds,
+                                           HYPER)
+        assert got[c].tolist() == alone["final_loss"][0].tolist(), c
+    _assert_cells_equal_per_cell_runs(problem, configs, policies, steps, seeds, got)
+    # every config trains its own way, and the adaptive rule fired
+    assert len({tuple(cells.ravel()) for cells in got}) == len(configs)
+    assert (got[..., 2] != got[..., 0]).any()
+
+
+# storage pairs for the random grid: the presets' pairs, pairs whose
+# moments fall into different storage groups and rounding modes, and pairs
+# at other betas
 CONFIG_POOL = [_moments(fmt, r) for _, fmt, r in CONFIGS] + [
-    (default_ema_config("fp8_e4m3", HYPER.beta1, NR),
-     default_ema_config("bf16", HYPER.beta2, SR)),
-    (default_ema_config("bf16", HYPER.beta1, SR),
-     default_ema_config("fp8_e4m3", HYPER.beta2, NR)),
-    (default_ema_config(None, HYPER.beta1),
-     default_ema_config("fp4_e2m2u", HYPER.beta2, SR)),
+    (default_ema_config("fp8_e4m3", 0.9, NR), default_ema_config("bf16", 0.999, SR)),
+    (default_ema_config("bf16", 0.9, SR), default_ema_config("fp8_e4m3", 0.999, NR)),
+    (default_ema_config(None, 0.9), default_ema_config("fp4_e2m2u", 0.999, SR)),
+    _moments("fp4", NR, beta2=0.9),
+    _moments("fp8_e4m3", SR, beta1=0.95, beta2=0.99),
+    _moments(None, NR, beta1=0.8, beta2=0.99),
 ]
 
 
@@ -268,8 +304,8 @@ def _random_policy(rng):
     if kind == 1:
         return ResetPolicy.periodic(int(rng.integers(1, 60)), applies_to=applies)
     return ResetPolicy.adaptive(
-        float(rng.choice([0.9, 0.99, 0.999])), s0=float(rng.uniform(0.0, 0.7)),
-        p_ss=float(rng.uniform(0.2, 1.0)), applies_to=applies,
+        s0=float(rng.uniform(0.0, 0.7)), p_ss=float(rng.uniform(0.2, 1.0)),
+        applies_to=applies,
     )
 
 
@@ -328,10 +364,14 @@ def test_stacked_adam_update_equals_per_row_updates(weight_decay):
     params[1, :, :5] = 0.0
     m, v = rng.standard_normal(params.shape), rng.random(params.shape)
     k_m, k_v = rng.integers(1, 400, (3, 4)), rng.integers(1, 400, (3, 4))
-    got = engine._adam_update(params, m, v, k_m, k_v, hyper)
+    # one beta pair per config
+    beta1 = np.array([0.9, 0.95, 0.8]).reshape(3, 1, 1)
+    beta2 = np.array([0.999, 0.99, 0.9]).reshape(3, 1, 1)
+    got = engine._adam_update(params, m, v, k_m, k_v, beta1, beta2, hyper)
     for c, r in np.ndindex(3, 4):
         want = oracle._adam_update(params[c, r], m[c, r], v[c, r], int(k_m[c, r]),
-                                   int(k_v[c, r]), hyper)
+                                   int(k_v[c, r]), float(beta1[c, 0, 0]),
+                                   float(beta2[c, 0, 0]), hyper)
         assert got[c, r].view(np.int64).tolist() == want.view(np.int64).tolist()
 
 
@@ -369,13 +409,11 @@ def test_multi_config_first_moment_curves_equal_one_config_runs():
 @pytest.mark.parametrize("applies_to", APPLIES)
 @pytest.mark.parametrize("kind", ["periodic", "adaptive"])
 def test_single_run_traces_equal_per_cell_run(kind, applies_to):
-    cfg_m, cfg_v = moment_configs("fp4", HYPER, SR)
+    cfg_m, cfg_v = moment_configs("fp4", SR)
     if kind == "periodic":
         policy = ResetPolicy.periodic(40, applies_to=applies_to)
     else:
-        policy = ResetPolicy.adaptive(
-            HYPER.beta2, s0=0.0, p_ss=0.25, applies_to=applies_to
-        )
+        policy = ResetPolicy.adaptive(s0=0.0, p_ss=0.25, applies_to=applies_to)
     got = run_reset_training(PROBLEM, cfg_m, cfg_v, policy, STEPS, 4, HYPER,
                              record_trace=True)
     want = oracle.run_reset_training(PROBLEM, cfg_m, cfg_v, policy, STEPS, 4, HYPER,
@@ -407,7 +445,7 @@ def test_skip_study_equals_per_cell_runs(problem, target):
 def test_duplicate_seeds_train_independent_rows():
     # the studies reject a repeated seed; the cell driver keeps one row per
     # entry of seeds
-    cfg_m, cfg_v = moment_configs("fp4", HYPER, SR)
+    cfg_m, cfg_v = moment_configs("fp4", SR)
     policies = [ResetPolicy.none(), ResetPolicy.periodic(40)]
     cells = run_reset_cells(
         PROBLEM, [(cfg_m, cfg_v)], policies, 60, (3, 3, 5), HYPER
