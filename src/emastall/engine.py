@@ -22,9 +22,11 @@ Every stored state is written by one class, ``_Store``, always of shape
 ``(members, rows, dim)``: a storage group of a stack is one store, and
 ``ema_step`` and the curve drivers write a single state through a
 ``(1, 1, dim)`` store, which the curve drivers keep per config across
-steps. A write runs the steps of ``quantize_with_scales`` and
-``dequantize``, the helpers of ``quantize``, on the store's own buffers.
-Every rounding stream is a ``RowStreams``.
+steps. A group whose configs lie contiguously in the stack writes its
+stored values and stall flags into views of the stack's own arrays, so
+the stack reads them without a copy. A write runs the steps of
+``quantize_with_scales`` and ``dequantize``, the helpers of ``quantize``,
+on the store's own buffers. Every rounding stream is a ``RowStreams``.
 """
 
 from __future__ import annotations
@@ -167,9 +169,9 @@ class RowStreams:
 
     def random(self, shape: tuple) -> np.ndarray:
         """The draws of a batch of ``shape``: the lone generator's own draw
-        when there is one row, else a ``(generators, rows_per_stream, dim)``
-        read-only broadcast of one draw per generator, which a
-        ``shape`` array reshapes to row for row."""
+        when there is one row, else one draw per generator as a
+        ``(generators, 1, dim)`` array, which the generator's
+        ``rows_per_stream`` consecutive rows of the batch share."""
         dim, gens = shape[-1], self.generators
         if math.prod(shape[:-1]) != len(gens) * self.rows_per_stream:
             raise ValueError("draw shape does not match the batch")
@@ -178,7 +180,7 @@ class RowStreams:
         draws = np.empty((len(gens), 1, dim))
         for g, row in zip(gens, draws):
             g.random(out=row[0])
-        return np.broadcast_to(draws, (len(gens), self.rows_per_stream, dim))
+        return draws
 
 
 # the floating-point errors a proposal may raise, left to its finiteness check
@@ -186,15 +188,16 @@ _QUIET = {"over": "ignore", "invalid": "ignore"}
 
 
 def _proposal(
-    x: np.ndarray, signal: np.ndarray, beta: float | np.ndarray,
+    x: np.ndarray, signal: np.ndarray, decay: float | np.ndarray,
     out: np.ndarray | None = None,
 ) -> np.ndarray:
-    # the one validation of a write: a NaN, infinite or overflowing signal
-    # leaves a non-finite proposal, so storage trusts what passes. Callers
-    # run it under _QUIET, so an overflow surfaces as this ValueError rather
-    # than as a warning
+    # x + decay * (signal - x), decay = 1 - beta: a float, or an array of
+    # x's shape. The one validation of a write: a NaN, infinite or
+    # overflowing signal leaves a non-finite proposal, so storage trusts
+    # what passes. Callers run it under _QUIET, so an overflow surfaces as
+    # this ValueError rather than as a warning
     proposal = np.subtract(signal, x, out=out)
-    proposal *= 1.0 - beta
+    proposal *= decay
     proposal += x
     if not np.isfinite(proposal).all():
         raise ValueError("non-finite or overflowing signal")
@@ -212,10 +215,14 @@ class _Store:
     full precision), all ``(members, rows, dim)``. The rounding grid and
     block layout are looked up once, a frozen scale is broadcast once, and
     the work buffers are reused. The stochastic members draw from their
-    ``streams`` entries, RowStreams merged in member order.
+    ``streams`` entries, RowStreams merged in member order. Given values
+    and flags, ``(members, rows, dim)`` buffers such as views of a stack's
+    own arrays, the store holds the states and writes the stall flags in
+    them instead of in buffers of its own.
     """
 
-    def __init__(self, states: list, streams: list):
+    def __init__(self, states: list, streams: list,
+                 values: np.ndarray | None = None, flags: np.ndarray | None = None):
         for st in streams:
             if st is not None and not isinstance(st, RowStreams):
                 raise ValueError(f"a rounding stream must be a RowStreams or None, "
@@ -224,7 +231,10 @@ class _Store:
         nearest = [rows[0].config.rounding is RoundingMode.NEAREST_EVEN
                    for rows in states]
         self.values = np.array([[s.values() for s in rows] for rows in states])
-        self.flags = np.empty(self.values.shape, dtype=bool)
+        if values is not None:
+            values[...] = self.values
+            self.values = values
+        self.flags = np.empty(self.values.shape, dtype=bool) if flags is None else flags
         self.n_nearest = sum(nearest)
         self.codes = self.scales = None
         if cfg.format is None:
@@ -326,7 +336,7 @@ def ema_step(
         raise ValueError("signal shape does not match state")
     store = _Store([[state]], [None if rng is None else RowStreams([rng], 1)])
     with np.errstate(**_QUIET):
-        flags = store.store(_proposal(store.values, signal, state.config.beta))
+        flags = store.store(_proposal(store.values, signal, 1.0 - state.config.beta))
     new = EmaState(store.stored(0, 0), state.k + 1, state.config, state.excess)
     # an exact count over dim, the same bits as the mean of the flags
     return new, np.count_nonzero(flags) / len(signal)
@@ -337,14 +347,18 @@ class StateStack:
 
     Built from one list of single states per config: ``states[c][r]`` is
     row r of config c, which ``values[c, r]`` holds as stored (its exact
-    decoded value), with cycle counter ``k[c, r]``, excess ``excess[c, r]``
-    and beta ``beta[c, 0, 0]``. Config c's stochastic rounding draws from
-    ``streams[c]``, a ``RowStreams`` over its rows or None, one entry per
-    config. Configs that share format, scheme, freeze_scale and init_scale
-    form a storage group, whose rows one ``_Store`` writes in one quantizer
-    pass; only the rank kernel runs once per rounding mode in it, and the
-    stochastic members draw from their own streams in stack order.
-    ``adam_lockstep`` and ``reset_rows`` step a stack in place.
+    decoded value), with cycle counter ``k[c, r]``, excess ``excess[c, r]``,
+    beta ``beta[c, 0, 0]`` (for the bias correction) and ``1 - beta`` in
+    ``decay[c, r]``, the proposal's contiguous factor. Config c's stochastic
+    rounding draws from ``streams[c]``, a ``RowStreams`` over its rows or
+    None, one entry per config. Configs that share format, scheme,
+    freeze_scale and init_scale form a storage group, whose rows one
+    ``_Store`` writes in one quantizer pass; only the rank kernel runs once
+    per rounding mode in it, and the stochastic members draw from their own
+    streams in stack order. A group whose configs lie contiguously in the
+    stack, nearest-rounding first, stores in views of the stack's
+    ``values`` and stall flags; any other group's store is copied into
+    them. ``adam_lockstep`` and ``reset_rows`` step a stack in place.
     """
 
     def __init__(self, states: list, streams: list):
@@ -355,6 +369,8 @@ class StateStack:
             raise ValueError("the rows of a config must share its EmaConfig")
         self.beta = np.array([cfg.beta for cfg in self.configs]).reshape(-1, 1, 1)
         self.values = np.array([[s.values() for s in rows] for rows in states])
+        self.flags = np.empty(self.values.shape, dtype=bool)
+        self.decay = np.broadcast_to(1.0 - self.beta, self.values.shape).copy()
         self.k = np.array([[s.k for s in rows] for rows in states], np.int64)
         self.excess = np.array([[s.excess for s in rows] for rows in states], float)
         keys: dict = {}
@@ -363,28 +379,33 @@ class StateStack:
                 cfg.format, cfg.scheme, cfg.freeze_scale, cfg.init_scale)
             keys.setdefault(key, []).append(c)
         # (places in the stack, members, store) per storage group, its
-        # members nearest-rounding first
+        # members nearest-rounding first; places are a slice when the store
+        # writes in the stack's own buffers
         self.groups = []
         for members in keys.values():
             members.sort(
                 key=lambda c: self.configs[c].rounding is not RoundingMode.NEAREST_EVEN)
             first, last = min(members), max(members)
-            contiguous = members == list(range(first, last + 1))
-            sel = slice(first, last + 1) if contiguous else np.array(members)
-            store = _Store([states[c] for c in members], [streams[c] for c in members])
+            if members == list(range(first, last + 1)):
+                sel = slice(first, last + 1)
+                buffers = (self.values[sel], self.flags[sel])
+            else:
+                sel, buffers = np.array(members), ()
+            store = _Store([states[c] for c in members], [streams[c] for c in members],
+                           *buffers)
             self.groups.append((sel, members, store))
 
     def store(self, proposal: np.ndarray) -> np.ndarray:
         """Write a validated ``(configs, rows, dim)`` proposal; returns the
         stalled fraction of each row."""
-        frac = np.empty(self.k.shape)
         for sel, _, store in self.groups:
             flags = store.store(proposal[sel])
-            # an exact count over dim, the same bits as the mean of the flags
-            frac[sel] = flags.sum(axis=-1) / flags.shape[-1]
-            self.values[sel] = store.values
+            if not isinstance(sel, slice):
+                self.values[sel] = store.values
+                self.flags[sel] = flags
         self.k += 1
-        return frac
+        # an exact count over dim, the same bits as the mean of the flags
+        return self.flags.sum(axis=-1) / self.flags.shape[-1]
 
     def clear(self, flags: np.ndarray) -> None:
         """Reset the ``(configs, rows)`` flagged rows to the zero state."""
@@ -392,7 +413,8 @@ class StateStack:
         self.excess[flags] = 0.0
         for sel, _, store in self.groups:
             store.clear(flags[sel])
-            self.values[sel] = store.values
+            if not isinstance(sel, slice):
+                self.values[sel] = store.values
 
     def state(self, c: int, r: int) -> EmaState:
         """Row r of config c as a single ``EmaState`` (copies)."""
@@ -460,9 +482,11 @@ class ResetRows:
     a policy whose applies_to excludes that moment never resets its row.
     Config c's adaptive rule reads E(k), for cycle counts up to k_max, at
     ``beta2[c]``, its second-moment beta, from one table per distinct beta2.
+    The rules fit a stack of ``shape``, (len(beta2), len(policies)).
     """
 
     def __init__(self, policies: list, moment: str | None, k_max: int, beta2: list):
+        self.shape = (len(beta2), len(policies))
         if moment is not None:
             policies = [
                 p if p.applies_to in (moment, "both") else ResetPolicy.none()
@@ -491,6 +515,8 @@ def reset_rows(
     ``(configs, rows)`` reset flags. fractions are the rows' stalled
     fractions of the step just taken (only ADAPTIVE reads them)."""
     k = stack.k
+    if rules.shape != k.shape:
+        raise ValueError(f"reset rules of shape {rules.shape} for a stack of {k.shape}")
     reset = k >= rules.period
     if rules.table is not None:
         # cycle-average the observed excess staleness online; k = 0 rows
@@ -578,8 +604,8 @@ def adam_lockstep(
         raise ValueError("gradient/parameter shape mismatch")
     # _proposal rejects an infinite square
     with np.errstate(**_QUIET):
-        pm = _proposal(m.values, grad, m.beta)
-        pv = _proposal(v.values, grad * grad, v.beta)
+        pm = _proposal(m.values, grad, m.decay)
+        pv = _proposal(v.values, grad * grad, v.decay)
     # a held row proposes its stored value, which storage reproduces exactly
     if hold_m is not None:
         np.copyto(pm, m.values, where=hold_m[:, None])

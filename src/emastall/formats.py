@@ -167,12 +167,12 @@ class _BucketRank:
         self.lut = np.searchsorted(table[:-1], starts, side="left")
         self.shift, self.first = shift, first
 
-    def __call__(self, mag: np.ndarray) -> np.ndarray:
+    def __call__(self, mag: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         bucket = mag.view(np.int64) >> self.shift
         bucket -= self.first
         # clipping sends -0.0 and magnitudes below the first bound to the
         # first bucket, and those above the top to the last one
-        rank = self.lut.take(bucket, mode="clip")
+        rank = self.lut.take(bucket, mode="clip", out=out)
         rank += self.table.take(rank) <= mag
         return rank
 
@@ -216,21 +216,28 @@ class RoundingGrid:
             neg = np.where(values > 0, self.codes | sign_bit, self.codes)
             self.signed_codes = np.concatenate([self.codes, neg]).astype(np.uint16)
 
-    def nearest_idx(self, mag: np.ndarray) -> np.ndarray:
-        return self._nearest(mag)
+    def nearest_idx(self, mag: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """Grid indices of the nearest points (into out if given)."""
+        return self._nearest(mag, out)
 
-    def stochastic_idx(self, mag: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        lo = self._lower(mag)
+    def stochastic_idx(self, mag: np.ndarray, rng, out: np.ndarray | None = None
+                       ) -> np.ndarray:
+        """Grid indices of stochastically rounded magnitudes (into out if
+        given), on ``rng.random(mag.shape)``. The stream may hand back one
+        draw per group of consecutive rows instead, as ``(groups, 1, n)``
+        (``RowStreams`` shares one draw among a seed's rows); each group's
+        rows then round on their group's draw."""
+        lo = self._lower(mag, out)
         # below the bottom point (grids without zero) frac is negative and
         # never rounds up
         frac = mag - self.values.take(lo)
         frac /= self._gaps.take(lo)
         # one uniform per element, drawn unconditionally so the stream
-        # position depends only on the call shape; a stream may hand the
-        # draws back in another shape of the same size (RowStreams shares
-        # one draw among a seed's rows by broadcasting)
+        # position depends only on the call shape
         u = rng.random(mag.shape)
-        lo += (u < frac.reshape(u.shape)).reshape(lo.shape)
+        n = u.shape[-1]
+        u = u.reshape(-1, 1, n)
+        lo += (u < frac.reshape(len(u), -1, n)).reshape(lo.shape)
         return lo
 
     def magnitude(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -268,8 +275,10 @@ class RoundingGrid:
         elif n_nearest == 0:
             idx = self.stochastic_idx(mag, rng)
         else:
-            idx = np.concatenate((self.nearest_idx(mag[:n_nearest]),
-                                  self.stochastic_idx(mag[n_nearest:], rng)))
+            # both halves rank into one index buffer
+            idx = np.empty(mag.shape, np.intp)
+            self.nearest_idx(mag[:n_nearest], idx[:n_nearest])
+            self.stochastic_idx(mag[n_nearest:], rng, idx[n_nearest:])
         return self.signed(x, idx)
 
 

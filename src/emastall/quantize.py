@@ -228,7 +228,8 @@ def quantize_with_scales(
 
     Stochastic rounding draws ``rng.random(values.shape)``; any object with
     that method serves as the stream, and it may return the draws in
-    another shape of the same size, into which the values reshape.
+    another shape of the same size, or one draw per group of consecutive
+    rows (see ``RoundingGrid.stochastic_idx``).
     """
     # a string here would round stochastically: the kernel tests the mode
     # by identity

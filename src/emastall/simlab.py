@@ -519,6 +519,7 @@ def _curve_results(
     acc = np.zeros((len(emas), steps))
     counts = np.empty((len(emas), steps), dtype=np.int64)
     proposal = np.empty((1, 1, dim))
+    decays = [1.0 - ema.beta for ema in emas]
     with contextlib.closing(
         _signal_rows(stream, steps, trials, second_moment)
     ) as signals, np.errstate(**_QUIET):
@@ -530,8 +531,8 @@ def _curve_results(
             ]
             for t in range(steps):
                 signal = next(signals)
-                for c, (ema, store) in enumerate(zip(emas, stores)):
-                    p = _proposal(store.values, signal, ema.beta, proposal)
+                for c, (decay, store) in enumerate(zip(decays, stores)):
+                    p = _proposal(store.values, signal, decay, proposal)
                     counts[c, t] = np.count_nonzero(store.store(p))
             # an exact count over dim, the same bits as the mean of the flags
             acc += counts / dim

@@ -245,8 +245,8 @@ def test_proposal_bits_ignore_the_sign_of_a_zero_signal():
     # adding it gives +0.0; no proposal may tell the two apart
     x = np.array([0.0, -0.0, 1.5, -(2.0 ** -1074), 3e300, -7.25])
     for beta in (0.9, 0.999):
-        plus = engine._proposal(x, np.zeros_like(x), beta)
-        minus = engine._proposal(x, np.full_like(x, -0.0), beta)
+        plus = engine._proposal(x, np.zeros_like(x), 1.0 - beta)
+        minus = engine._proposal(x, np.full_like(x, -0.0), 1.0 - beta)
         assert _bits(plus) == _bits(minus)
 
 

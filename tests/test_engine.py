@@ -364,7 +364,7 @@ class TestStore:
         for signal in self._signals():
             if kept:
                 with np.errstate(**_QUIET):
-                    p = _proposal(store.values, signal, config.beta, proposal)
+                    p = _proposal(store.values, signal, 1.0 - config.beta, proposal)
                     frac = np.count_nonzero(store.store(p)) / 64
                 state = EmaState(store.stored(0, 0), state.k + 1, config)
             else:
@@ -406,7 +406,7 @@ class TestStore:
         for signal in self._signals():
             signals = factors * signal
             with np.errstate(**_QUIET):
-                frac = stack.store(_proposal(stack.values, signals, 0.9))
+                frac = stack.store(_proposal(stack.values, signals, 1.0 - 0.9))
             for c, cfg in enumerate(configs):
                 for r in range(rows):
                     state = stack.state(c, r)
@@ -722,6 +722,23 @@ class TestResetPolicies:
         with pytest.raises(ValueError, match="^ADAPTIVE needs a positive, finite p_ss"):
             ResetPolicy.adaptive(p_ss=p_ss)
 
+    @pytest.mark.parametrize("n_beta2,n_policies", [(1, 9), (2, 1), (3, 9)])
+    def test_rules_must_fit_the_stack(self, n_beta2, n_policies):
+        # a one-entry beta2 on a two-config stack once read E(k) at that
+        # beta2 for both configs, and one policy on a nine-row stack once
+        # ruled every row, both silently through broadcasting
+        configs = [EmaConfig(beta=b, format=None) for b in (0.999, 0.99)]
+        stack = StateStack([[EmaState.initialize(cfg, 4)] * 9 for cfg in configs],
+                           [None, None])
+        rules = ResetRows([ResetPolicy.adaptive()] * n_policies, None, 10,
+                          [0.999] * n_beta2)
+        with pytest.raises(ValueError, match=r"^reset rules of shape .* for a stack of "
+                                             r"\(2, 9\)$"):
+            reset_rows(stack, rules, np.zeros((2, 9)))
+        assert stack.k.tolist() == [[0] * 9] * 2
+        fitting = ResetRows([ResetPolicy.adaptive()] * 9, None, 10, [0.999, 0.99])
+        assert not reset_rows(stack, fitting, np.zeros((2, 9))).any()
+
 
 @pytest.mark.parametrize("field,value", [
     ("lr", -1.0), ("lr", 0.0), ("lr", math.nan), ("lr", math.inf),
@@ -899,6 +916,11 @@ class TestBatchState:
         stream, rng = RowStreams([np.random.default_rng(4)], 1), np.random.default_rng(4)
         for shape in ((5,), (1, 1, 5)):
             assert np.array_equal(stream.random(shape), rng.random((5,)).reshape(shape))
+        # the curve drivers' (1, 1, dim) draw is the generator's own, shape
+        # and bits
+        got, want = stream.random((1, 1, 5)), rng.random((1, 1, 5))
+        assert got.shape == want.shape
+        assert got.view(np.int64).tolist() == want.view(np.int64).tolist()
         with pytest.raises(ValueError, match="^draw shape does not match"):
             stream.random((2, 5))
 
@@ -915,14 +937,18 @@ class TestBatchState:
         (1, 4, (1, 4, 7)), (2, 3, (2, 3, 7)), (4, 2, (2, 4, 7)),
     ])
     def test_draws_equal_the_repeated_draws(self, n_gens, rows_per_stream, shape):
-        # the lone generator's own draw and the broadcast draws hold the
-        # bits np.repeat gave, row for row, and every generator ends where
-        # the repeat path leaves it
+        # the lone generator's own draw, and the (generators, 1, dim) draws
+        # each generator's rows share, hold the bits np.repeat gave, row for
+        # row, and every generator ends where the repeat path leaves it
         seeds = range(10, 10 + n_gens)
         stream = RowStreams([np.random.default_rng(s) for s in seeds], rows_per_stream)
         ref = [np.random.default_rng(s) for s in seeds]
         for _ in range(3):
-            got = np.reshape(stream.random(shape), shape)
+            draws = stream.random(shape)
+            if n_gens * rows_per_stream > 1:
+                assert draws.shape == (n_gens, 1, shape[-1])
+            rows = np.broadcast_to(draws, (n_gens, rows_per_stream, shape[-1]))
+            got = rows.reshape(shape)
             want = self._repeated_draws(ref, rows_per_stream, shape)
             assert got.view(np.int64).tolist() == want.view(np.int64).tolist()
         for g, r in zip(stream.generators, ref):
@@ -943,6 +969,17 @@ class TestBatchState:
         got = grid.encode(w, 0, RowStreams([np.random.default_rng(s) for s in range(4)], 3))
         want = grid.encode(w, 0, Repeated([np.random.default_rng(s) for s in range(4)]))
         assert np.array_equal(got, want)
+
+    def test_stack_decay_is_one_minus_each_configs_beta(self):
+        # the proposal's factor, built once as a contiguous stack-shaped
+        # array with the bits of the float 1 - beta
+        betas = (0.9, 0.999, 0.95)
+        configs = [EmaConfig(beta=b, format=None) for b in betas]
+        stack = StateStack([[EmaState.initialize(cfg, 5)] * 3 for cfg in configs],
+                           [None] * 3)
+        assert stack.decay.shape == (3, 3, 5) and stack.decay.flags.c_contiguous
+        for c, b in enumerate(betas):
+            assert stack.decay[c].ravel().tolist() == [1.0 - b] * 15
 
     def test_stack_rows_are_single_states(self):
         config = EmaConfig(beta=0.9, format=FP4_E2M1, scheme=BLOCK16)

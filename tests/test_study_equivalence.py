@@ -11,7 +11,7 @@ multi-config call must also equal the one-config calls it combines.
 import numpy as np
 import pytest
 
-from emastall import engine
+from emastall import engine, simlab
 from emastall.engine import AdamHyper, ResetPolicy
 from emastall.formats import RoundingMode
 from emastall.theory import remaining_error_E, remaining_error_table
@@ -225,6 +225,64 @@ def test_non_contiguous_storage_groups_equal_per_cell_runs():
                 ResetPolicy.adaptive(s0=0.0, p_ss=0.25)]
     got = run_reset_cells(PROBLEM, configs, policies, 80, SEEDS, HYPER)
     _assert_cells_equal_per_cell_runs(PROBLEM, configs, policies, 80, SEEDS, got)
+
+
+@pytest.mark.parametrize("order,contiguous", [
+    ([(None, NR), ("fp4", NR), ("fp4", SR)], True),
+    ([("fp4", NR), (None, NR), ("fp4", SR)], False),
+], ids=["contiguous", "non-contiguous"])
+def test_in_place_stores_read_back_as_their_states(monkeypatch, order, contiguous):
+    # a contiguous group stores in views of the stack's own buffers and a
+    # non-contiguous one is copied into them; after every step, and after
+    # its resets, each row of the stack's values reads back as its state
+    configs = [_moments(fmt, r) for fmt, r in order]
+    policies = [ResetPolicy.none(), ResetPolicy.periodic(25),
+                ResetPolicy.adaptive(s0=0.0, p_ss=0.25)]
+    real, seen = simlab.reset_rows, {"resets": 0, "layouts": set()}
+
+    def read_back(stack):
+        for c in range(len(configs)):
+            for r in range(stack.k.shape[1]):
+                want = stack.state(c, r).values()
+                assert stack.values[c, r].tolist() == want.tolist(), (c, r)
+
+    def reset_and_read_back(stack, rules, fractions):
+        read_back(stack)
+        reset = real(stack, rules, fractions)
+        seen["resets"] += int(reset.sum())
+        (fp4,) = [g for g in stack.groups if g[2].codes is not None]
+        seen["layouts"].add(isinstance(fp4[0], slice))
+        read_back(stack)
+        return reset
+
+    monkeypatch.setattr(simlab, "reset_rows", reset_and_read_back)
+    seeds = (0, 1)
+    got = run_reset_cells(PROBLEM, configs, policies, 80, seeds, HYPER)
+    assert seen["layouts"] == {contiguous}
+    assert seen["resets"] > 0
+    _assert_cells_equal_per_cell_runs(PROBLEM, configs, policies, 80, seeds, got)
+
+
+def test_interleaved_betas_in_non_contiguous_groups_equal_own_runs():
+    # beta2 in {0.99, 0.999} (and beta1 in {0.9, 0.95}) alternates across
+    # the stack while every storage group (fp4, fp32, bf16) holds
+    # non-adjacent places, so each row's decay is its own config's
+    configs = [
+        _moments("fp4", NR, 0.9, 0.99),
+        _moments(None, NR, 0.95, 0.999),
+        _moments("fp4", SR, 0.95, 0.999),
+        _moments("bf16", SR, 0.9, 0.99),
+        _moments(None, NR, 0.9, 0.99),
+        _moments("bf16", NR, 0.95, 0.999),
+    ]
+    policies = [ResetPolicy.none(), ResetPolicy.periodic(20),
+                ResetPolicy.adaptive(s0=0.0, p_ss=0.25)]
+    seeds, steps = (0, 4), 60
+    got = run_reset_cells(PROBLEM, configs, policies, steps, seeds, HYPER)
+    for c, pair in enumerate(configs):
+        alone = run_reset_cells(PROBLEM, [pair], policies, steps, seeds, HYPER)
+        assert got[c].tolist() == alone[0].tolist(), c
+    assert len({tuple(cells.ravel()) for cells in got}) == len(configs)
 
 
 def test_duplicated_stochastic_config_rounds_like_its_run_alone():
