@@ -428,6 +428,9 @@ def cmd_reset_study(args) -> int:
     # its names are storage labels (fp32, none, fp4), which the study checks
     if not args.formats:
         raise SystemExit("at least one --format is required")
+    # checked here: with no --adaptive and no theory K*, nothing else reads it
+    if not 0.0 <= args.s0 < 1.0:
+        raise ValueError("s0 must be in [0, 1)")
     _apply_preset(args)
     problem = NoisyQuadratic()
     hyper = AdamHyper(lr=args.lr)

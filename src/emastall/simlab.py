@@ -12,18 +12,21 @@ seed's gradient, target and stream draws are made once per step and shared
 by every config, while each config rounds with its own streams, seeded as
 the config run alone would seed them. No draw depends on the state, so
 every cell and every curve equals its run alone bit for bit.
-``run_reset_cells`` returns the losses of a config x seed x policy grid as
-one array; ``run_stall_curves``/``run_first_moment_curves`` return one
-result per EMA config. A study step is fused: the gradient of every row,
-the proposals, each storage group's quantizer pass, the Adam update, each
-moment's reset rule and the tail loss each run once over the whole
-``(configs, rows, dim)`` stack. The curve drivers take each step's signal
-from the generator ``_signal_rows``, whose producer thread draws the next
-chunk of rows while the caller rounds the current one; its rows are the
-bits a step-by-step draw gives, so the curves are unchanged. The caller
-writes each config through its own ``(1, 1, dim)`` ``engine._Store``, one
-member of one row, kept across a trial's steps; the same class writes a
-study's storage groups.
+``run_stall_curves``/``run_first_moment_curves`` return one result per EMA
+config. They take each step's signal from the generator ``_signal_rows``,
+whose producer thread draws the next chunk of rows while the caller rounds
+the current one, and write each config through its own ``(1, 1, dim)``
+``engine._Store``, the class that also writes a study's storage groups.
+
+Every study trains a config x cell x seed grid in one fused loop,
+``_train_rows``: each step runs the gradient of every row, the proposals,
+each storage group's quantizer pass, the Adam update, each moment's reset
+rule and the tail loss once over the whole ``(configs, rows, dim)`` stack.
+``run_reset_cells`` returns the grid's losses as one array. The two
+studies are presets of one driver, ``_study``, which lays the grid out as
+a long table (label columns, seed, final_loss), per-cell medians and a
+JSON config: ``run_reset_study``'s cells are reset policies and
+``run_skip_study``'s are forced-skip rates on full-precision Adam.
 
 A problem is a frozen spec dataclass whose only method is
 ``make_stack(seeds)``; it returns the seeds' instances as one stack, which
@@ -375,15 +378,19 @@ class ExperimentResult:
 
 
 def _config_dict(obj):
+    # dataclasses and dicts as dicts, enums as their values, sequences as
+    # lists, and numpy scalars and arrays, which json cannot write, as
+    # Python numbers and lists
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        return {
-            f.name: _config_dict(getattr(obj, f.name))
-            for f in dataclasses.fields(obj)
-        }
+        obj = dataclasses.asdict(obj)
+    if isinstance(obj, dict):
+        return {key: _config_dict(v) for key, v in obj.items()}
     if isinstance(obj, Enum):
         return obj.value
     if isinstance(obj, (list, tuple)):
         return [_config_dict(v) for v in obj]
+    if isinstance(obj, (np.generic, np.ndarray)):
+        return obj.tolist()
     return obj
 
 
@@ -539,13 +546,13 @@ def _curve_results(
     mean_frac = acc / trials
     return [
         ExperimentResult(
-            config={
+            config=_config_dict({
                 "experiment": experiment,
-                "stream": _config_dict(stream),
-                "ema": _config_dict(ema),
+                "stream": stream,
+                "ema": ema,
                 "steps": steps,
                 "trials": trials,
-            },
+            }),
             series={
                 "step": list(range(1, steps + 1)),
                 "stalled_fraction": frac.tolist(),
@@ -689,7 +696,7 @@ def _train_rows(
     """
     _check_run(steps, seeds, distinct=False)
     if not policies:
-        raise ValueError("at least one reset policy or p_skip value is required")
+        raise ValueError("at least one reset policy is required")
     if not configs:
         raise ValueError("at least one storage config is required")
     cells = len(policies)
@@ -770,73 +777,6 @@ def run_reset_cells(
     return _train_rows(problem, configs, policies, steps, seeds, hyper)["final_loss"]
 
 
-def run_skip_study(
-    problem,
-    p_skip_grid: tuple,
-    target: str,
-    steps: int,
-    seeds: tuple,
-    hyper: AdamHyper | None = None,
-    warmup_fraction: float = 0.1,
-) -> ExperimentResult:
-    """Force random update skips on one moment of full-precision Adam.
-
-    Skips start after warmup. The problem instance and its noise streams
-    are shared across grid points at fixed seed, so final-loss differences
-    are due to the intervention. final_loss is the mean loss over the
-    trailing decile of steps. seeds must be distinct.
-    """
-    _check_run(steps, seeds)
-    if target not in ("first", "second"):
-        raise ValueError("target must be 'first' or 'second'")
-    if not all(0.0 <= p <= 1.0 for p in p_skip_grid):
-        raise ValueError("p_skip values must be in [0, 1]")
-    if not 0.0 <= warmup_fraction < 1.0:
-        raise ValueError(f"warmup_fraction must be in [0, 1), got {warmup_fraction!r}")
-    # a fraction near 1 can round up to every step, leaving none to skip
-    warmup = int(round(warmup_fraction * steps))
-    if warmup >= steps:
-        raise ValueError(
-            f"warmup_fraction {warmup_fraction!r} leaves no step to skip in {steps} steps"
-        )
-    labels = [f"p={p:g}" for p in p_skip_grid]
-    _require_unique("p_skip values", labels)
-    hyper = hyper or AdamHyper(lr=0.01)
-    cfg_m, cfg_v = moment_configs(None)
-    n_p = len(p_skip_grid)
-    skips = _Skips(
-        target,
-        list(p_skip_grid) * len(seeds),
-        [seed for seed in seeds for _ in range(n_p)],
-        warmup,
-    )
-    losses = _train_rows(
-        problem, [(cfg_m, cfg_v)], [ResetPolicy.none()] * n_p, steps, seeds, hyper,
-        skips,
-    )["final_loss"][0].tolist()
-    rows_p, rows_seed, rows_loss, medians = [], [], [], {}
-    for j, (p, label) in enumerate(zip(p_skip_grid, labels)):
-        cell = [row[j] for row in losses]
-        rows_p += [p] * len(seeds)
-        rows_seed += list(seeds)
-        rows_loss += cell
-        medians[f"median_final_loss@{label}"] = float(np.median(cell))
-    return ExperimentResult(
-        config={
-            "experiment": "skip_study",
-            "problem": _config_dict(problem),
-            "p_skip_grid": list(p_skip_grid),
-            "target": target,
-            "steps": steps,
-            "seeds": list(seeds),
-            "hyper": {**_config_dict(hyper), "beta1": cfg_m.beta, "beta2": cfg_v.beta},
-            "warmup_fraction": warmup_fraction,
-        },
-        series={"p_skip": rows_p, "seed": rows_seed, "final_loss": rows_loss},
-        metrics=medians,
-    )
-
-
 def run_reset_training(
     problem,
     cfg_m: EmaConfig,
@@ -859,6 +799,35 @@ def run_reset_training(
     return out
 
 
+def _study(experiment: dict, problem, configs: list, cells: list, steps: int,
+           seeds: tuple, hyper: AdamHyper | None, median_key: str,
+           skips: _Skips | None = None) -> ExperimentResult:
+    """Final-loss table of a storage config x cell x seed grid, trained in
+    one ``_train_rows`` call. configs holds (labels, (cfg_m, cfg_v)) and
+    cells (labels, ResetPolicy), each labels a dict of table columns. The
+    table has the label columns, seed and final_loss, in config, cell, seed
+    order; each cell's median is keyed ``median_key.format(**labels)``. The
+    JSON config adds the problem, steps, seeds and hyper, with the first
+    config's betas, to experiment's entries. hyper defaults to lr 0.01.
+    """
+    hyper = hyper or AdamHyper(lr=0.01)
+    losses = _train_rows(problem, [pair for _, pair in configs],
+                         [policy for _, policy in cells], steps, seeds, hyper, skips)
+    # one row of per-seed losses, and one labels dict, per (config, cell)
+    by_cell = np.swapaxes(losses["final_loss"], 1, 2).reshape(-1, len(seeds)).tolist()
+    labels = [{**config_labels, **cell_labels}
+              for config_labels, _ in configs for cell_labels, _ in cells]
+    series = {name: [row[name] for row in labels for _ in seeds] for name in labels[0]}
+    series["seed"] = list(seeds) * len(labels)
+    series["final_loss"] = [loss for cell in by_cell for loss in cell]
+    medians = {median_key.format(**row): float(np.median(cell))
+               for row, cell in zip(labels, by_cell)}
+    cfg_m, cfg_v = configs[0][1]
+    config = {**experiment, "problem": problem, "steps": steps, "seeds": seeds,
+              "hyper": {**_config_dict(hyper), "beta1": cfg_m.beta, "beta2": cfg_v.beta}}
+    return ExperimentResult(_config_dict(config), series, medians)
+
+
 def run_reset_study(
     problem,
     configs: list,
@@ -870,9 +839,9 @@ def run_reset_study(
     """Final-loss matrix over storage config x reset policy x seed.
 
     configs is a list of (label, cfg_m, cfg_v); policies a list of
-    (label, ResetPolicy); seeds must be distinct, and the configs must
-    share their betas, which the JSON's hyper leaves report. Every cell
-    trains in one ``run_reset_cells`` call.
+    (label, ResetPolicy). seeds must be at least 3 distinct seeds, and the
+    configs must share their betas, which the JSON's hyper leaves report.
+    Each cell's median over the seeds is keyed ``median@<config>/<policy>``.
     """
     _check_run(steps, seeds)
     if len(seeds) < 3:
@@ -881,32 +850,56 @@ def run_reset_study(
     _require_unique("policies", [p[0] for p in policies])
     if len({(cfg_m.beta, cfg_v.beta) for _, cfg_m, cfg_v in configs}) > 1:
         raise ValueError("the configs of a reset study must share beta1 and beta2")
-    hyper = hyper or AdamHyper(lr=0.01)
-    cols: dict = {"config": [], "policy": [], "seed": [], "final_loss": []}
-    medians: dict = {}
-    losses = run_reset_cells(
-        problem, [(cfg_m, cfg_v) for _, cfg_m, cfg_v in configs],
-        [p for _, p in policies], steps, seeds, hyper,
+    return _study(
+        {"experiment": "reset_study", "configs": [c[0] for c in configs],
+         "policies": [p[0] for p in policies]},
+        problem,
+        [({"config": label}, (cfg_m, cfg_v)) for label, cfg_m, cfg_v in configs],
+        [({"policy": label}, policy) for label, policy in policies],
+        steps, seeds, hyper, "median@{config}/{policy}",
     )
-    for (config_label, _, _), by_seed in zip(configs, losses.tolist()):
-        for j, (policy_label, _) in enumerate(policies):
-            cell = [row[j] for row in by_seed]
-            cols["config"] += [config_label] * len(seeds)
-            cols["policy"] += [policy_label] * len(seeds)
-            cols["seed"] += list(seeds)
-            cols["final_loss"] += cell
-            medians[f"median@{config_label}/{policy_label}"] = float(np.median(cell))
-    return ExperimentResult(
-        config={
-            "experiment": "reset_study",
-            "problem": _config_dict(problem),
-            "configs": [c[0] for c in configs],
-            "policies": [p[0] for p in policies],
-            "steps": steps,
-            "seeds": list(seeds),
-            "hyper": {**_config_dict(hyper), "beta1": configs[0][1].beta,
-                      "beta2": configs[0][2].beta},
-        },
-        series=cols,
-        metrics=medians,
+
+
+def run_skip_study(
+    problem,
+    p_skip_grid: tuple,
+    target: str,
+    steps: int,
+    seeds: tuple,
+    hyper: AdamHyper | None = None,
+    warmup_fraction: float = 0.1,
+) -> ExperimentResult:
+    """Force random update skips on one moment of full-precision Adam.
+
+    Skips start after warmup. The problem instance and its noise streams
+    are shared across grid points at fixed seed, so final-loss differences
+    are due to the intervention. final_loss is the mean loss over the
+    trailing decile of steps. seeds must be distinct. Each cell's median
+    over the seeds is keyed ``median_final_loss@p=<p_skip>``.
+    """
+    _check_run(steps, seeds)
+    if target not in ("first", "second"):
+        raise ValueError("target must be 'first' or 'second'")
+    if not len(p_skip_grid):
+        raise ValueError("at least one p_skip value is required")
+    if not all(0.0 <= p <= 1.0 for p in p_skip_grid):
+        raise ValueError("p_skip values must be in [0, 1]")
+    if not 0.0 <= warmup_fraction < 1.0:
+        raise ValueError(f"warmup_fraction must be in [0, 1), got {warmup_fraction!r}")
+    # a fraction near 1 can round up to every step, leaving none to skip
+    warmup = int(round(warmup_fraction * steps))
+    if warmup >= steps:
+        raise ValueError(
+            f"warmup_fraction {warmup_fraction!r} leaves no step to skip in {steps} steps"
+        )
+    _require_unique("p_skip values", [f"p={p:g}" for p in p_skip_grid])
+    skips = _Skips(target, list(p_skip_grid) * len(seeds),
+                   [seed for seed in seeds for _ in p_skip_grid], warmup)
+    return _study(
+        {"experiment": "skip_study", "p_skip_grid": p_skip_grid, "target": target,
+         "warmup_fraction": warmup_fraction},
+        problem,
+        [({}, moment_configs(None))],
+        [({"p_skip": p}, ResetPolicy.none()) for p in p_skip_grid],
+        steps, seeds, hyper, "median_final_loss@p={p_skip:g}", skips,
     )

@@ -787,6 +787,28 @@ class TestStudyValidation:
         assert "config:" not in out
         assert not list(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("argv", [
+        ["--format", "fp32", "--s0", "1.5"],
+        ["--periods", "50", "--s0", "-1"],
+        ["--adaptive", "--s0", "nan"],
+    ], ids=["fp32-only", "periods-without-adaptive", "adaptive-nan"])
+    def test_s0_outside_unit_interval_is_one_line_error(self, argv, capsys,
+                                                        tmp_path):
+        # without --adaptive, fp32 alone (no theory K*) and --periods read no
+        # s0, so the first two once ran and printed it in their config
+        assert main(["reset-study", *argv, *STUDY, "--out", str(tmp_path / "x")]) == 1
+        out, err = capsys.readouterr()
+        assert err == "error: s0 must be in [0, 1)\n"
+        assert "config:" not in out
+        assert not list(tmp_path.iterdir())
+
+    def test_empty_p_skip_list_names_its_input(self, capsys, tmp_path):
+        # it once asked for "at least one reset policy or p_skip value"
+        assert main(["skip-study", "--p-skip", "", *STUDY,
+                     "--out", str(tmp_path / "x")]) == 1
+        assert capsys.readouterr().err == "error: at least one p_skip value is required\n"
+        assert not list(tmp_path.iterdir())
+
     @pytest.mark.parametrize("command", ["predict-stall", "predict-window",
                                          "predict-period", "stall-curve",
                                          "first-moment", "reset-study"])

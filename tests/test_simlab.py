@@ -365,6 +365,43 @@ def test_bad_study_inputs_name_the_field(steps, seeds, message):
             call()
 
 
+def test_empty_grids_name_their_input():
+    # both once asked for "at least one reset policy or p_skip value"
+    prob = NoisyQuadratic(dimension=8)
+    cm, cv = moment_configs("fp4")
+    for call in (lambda: run_reset_cells(prob, [(cm, cv)], [], 2, (0,), HYPER),
+                 lambda: run_reset_study(prob, [("x", cm, cv)], [], 2, (0, 1, 2))):
+        with pytest.raises(ValueError, match="^at least one reset policy is required$"):
+            call()
+    with pytest.raises(ValueError, match="^at least one p_skip value is required$"):
+        run_skip_study(prob, (), "first", 2, (0,))
+
+
+def test_numpy_inputs_write_the_python_inputs_json(tmp_path):
+    # numpy ints and floats once ran to the end and then failed in
+    # save_json as "Object of type int64 is not JSON serializable"
+    prob = NoisyQuadratic(dimension=8)
+    cm, cv = moment_configs("fp4")
+    cfg = default_ema_config("bf16", 0.999)
+
+    def runs(ints, floats, grid):
+        yield run_reset_study(prob, [("fp4_nr", cm, cv)], [("none", ResetPolicy.none())],
+                              ints(4), tuple(map(ints, (0, 1, 2))))
+        yield run_skip_study(prob, grid([floats(0.0), floats(0.5)]), "second", ints(6),
+                             tuple(map(ints, (0, 3))), AdamHyper(lr=floats(0.25)),
+                             warmup_fraction=floats(0.5))
+        yield run_stall_curves(GradientStreamSpec(8, seed=ints(1), mu=floats(0.5)),
+                               [cfg], ints(5), ints(2))[0]
+
+    for python, numpy in zip(runs(int, float, tuple), runs(np.int64, np.float32, np.array),
+                             strict=True):
+        python.save_json(tmp_path / "python.json")
+        numpy.save_json(tmp_path / "numpy.json")
+        assert ((tmp_path / "numpy.json").read_bytes()
+                == (tmp_path / "python.json").read_bytes()), python.config["experiment"]
+        assert numpy.series == python.series
+
+
 BAD_PROBLEM_FIELDS = [
     (NoisyQuadratic, {"dimension": 2.5}, "dimension must be an integer >= 1, got 2.5"),
     (NoisyQuadratic, {"dimension": 0}, "dimension must be an integer >= 1, got 0"),
