@@ -401,11 +401,12 @@ def _make_problem(name: str):
 
 def cmd_skip_study(args) -> int:
     from .engine import AdamHyper
-    from .simlab import run_skip_study
+    from .simlab import _check_skip_study, run_skip_study
 
     _apply_preset(args)
     problem = _make_problem(args.problem)
     hyper = AdamHyper(lr=args.lr)
+    _check_skip_study(tuple(args.p_skip), args.target, args.steps, tuple(args.seeds))
     _print_config(args)
     result = run_skip_study(
         problem,
@@ -423,7 +424,7 @@ def cmd_skip_study(args) -> int:
 
 def cmd_reset_study(args) -> int:
     from .engine import AdamHyper, ResetPolicy
-    from .simlab import NoisyQuadratic, moment_configs, run_reset_study
+    from .simlab import NoisyQuadratic, _check_reset_study, moment_configs, run_reset_study
 
     # its names are storage labels (fp32, none, fp4), which the study checks
     if not args.formats:
@@ -461,6 +462,7 @@ def cmd_reset_study(args) -> int:
         policies.append((f"periodic{K}", ResetPolicy.periodic(K)))
     if args.adaptive:
         policies.append(("adaptive", ResetPolicy.adaptive(s0=args.s0)))
+    _check_reset_study(configs, policies, args.steps, tuple(args.seeds))
     _print_config(args, periods=periods)
     result = run_reset_study(
         problem, configs, policies, args.steps, tuple(args.seeds), hyper

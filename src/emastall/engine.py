@@ -6,25 +6,27 @@ form makes the no-op case exact: a signal equal to the stored state leaves
 every code untouched. A config with ``format=None`` keeps the state at
 working precision and is the full-precision control used by experiments.
 
-An ``EmaState`` is one ``(dim,)`` tensor. A ``StateStack`` holds one
-moment's states under several storage configs, several rows each, as one
-``(configs, rows, dim)`` stack with a cycle counter and excess per row,
-and ``adam_lockstep`` and ``reset_rows`` step it in place, each operation
-once per step over the whole stack: one proposal expression, one quantizer
-pass per storage group (the configs that share format, scheme and scale
-anchor), one Adam update and one array form of every row's reset rule.
+An ``EmaState`` is one ``(dim,)`` tensor. A ``StateStack`` holds states
+under several storage configs, several rows each, as one
+``(configs, rows, dim)`` stack with a cycle counter and excess per row.
+The Adam studies stack both moments in one: the first-moment configs,
+then the second-moment ones. ``adam_lockstep`` and ``reset_rows`` step
+such a stack in place, each operation once per step over both moments:
+one proposal expression over the stacked signal ``[g; g*g]``, one
+quantizer pass per storage group (a run of adjacent configs that share
+format, scheme and scale anchor), one cycle-counter increment, one stall
+count, one Adam update and one array form of every row's reset rule.
 Every operation is elementwise or a reduction along the last axis, so each
 row comes out bit-identical to the same state stepped alone in a one-row
 stack. ``ema_step`` is the one single-state form: one EMA write of one
 state, with its stalled fraction.
 
 Every stored state is written by one class, ``_Store``, always of shape
-``(members, rows, dim)``: a storage group of a stack is one store, and
-``ema_step`` and the curve drivers write a single state through a
-``(1, 1, dim)`` store, which the curve drivers keep per config across
-steps. A group whose configs lie contiguously in the stack writes its
-stored values and stall flags into views of the stack's own arrays, so
-the stack reads them without a copy. A write runs the steps of
+``(members, rows, dim)``: a storage group of a stack is one store, which
+writes its stored values and stall flags into views of the stack's own
+arrays, so the stack reads them without a copy; ``ema_step`` and the
+curve drivers write a single state through a ``(1, 1, dim)`` store, which
+the curve drivers keep per config across steps. A write runs the steps of
 ``quantize_with_scales`` and ``dequantize``, the helpers of ``quantize``,
 on the store's own buffers. Every rounding stream is a ``RowStreams``.
 """
@@ -204,6 +206,17 @@ def _proposal(
     return proposal
 
 
+def _decoded(states: list) -> np.ndarray:
+    # the (members, rows, dim) decoded values of states, one decode per
+    # distinct state object: a stack's rows usually share one start state
+    decoded: dict = {}
+    for rows in states:
+        for s in rows:
+            if id(s) not in decoded:
+                decoded[id(s)] = s.values()
+    return np.array([[decoded[id(s)] for s in rows] for rows in states])
+
+
 class _Store:
     """Stored states of one storage layout, written in place: the one store
     path of the engine.
@@ -215,10 +228,11 @@ class _Store:
     full precision), all ``(members, rows, dim)``. The rounding grid and
     block layout are looked up once, a frozen scale is broadcast once, and
     the work buffers are reused. The stochastic members draw from their
-    ``streams`` entries, RowStreams merged in member order. Given values
-    and flags, ``(members, rows, dim)`` buffers such as views of a stack's
-    own arrays, the store holds the states and writes the stall flags in
-    them instead of in buffers of its own.
+    ``streams`` entries, RowStreams merged in member order. Given values,
+    a ``(members, rows, dim)`` buffer that already holds the states'
+    decoded values, and flags, one of that shape for the stall flags (views
+    of a stack's own arrays), the store keeps the states and writes the
+    flags in them instead of in buffers of its own.
     """
 
     def __init__(self, states: list, streams: list,
@@ -230,10 +244,7 @@ class _Store:
         cfg = self.config = states[0][0].config
         nearest = [rows[0].config.rounding is RoundingMode.NEAREST_EVEN
                    for rows in states]
-        self.values = np.array([[s.values() for s in rows] for rows in states])
-        if values is not None:
-            values[...] = self.values
-            self.values = values
+        self.values = _decoded(states) if values is None else values
         self.flags = np.empty(self.values.shape, dtype=bool) if flags is None else flags
         self.n_nearest = sum(nearest)
         self.codes = self.scales = None
@@ -343,7 +354,7 @@ def ema_step(
 
 
 class StateStack:
-    """One moment's states under several storage configs, stacked.
+    """States under several storage configs, stacked.
 
     Built from one list of single states per config: ``states[c][r]`` is
     row r of config c, which ``values[c, r]`` holds as stored (its exact
@@ -351,14 +362,16 @@ class StateStack:
     beta ``beta[c, 0, 0]`` (for the bias correction) and ``1 - beta`` in
     ``decay[c, r]``, the proposal's contiguous factor. Config c's stochastic
     rounding draws from ``streams[c]``, a ``RowStreams`` over its rows or
-    None, one entry per config. Configs that share format, scheme,
-    freeze_scale and init_scale form a storage group, whose rows one
-    ``_Store`` writes in one quantizer pass; only the rank kernel runs once
-    per rounding mode in it, and the stochastic members draw from their own
-    streams in stack order. A group whose configs lie contiguously in the
-    stack, nearest-rounding first, stores in views of the stack's
-    ``values`` and stall flags; any other group's store is copied into
-    them. ``adam_lockstep`` and ``reset_rows`` step a stack in place.
+    None, one entry per config. A run of adjacent configs that share
+    format, scheme, freeze_scale and init_scale, nearest-rounding configs
+    first, forms a storage group, whose rows one ``_Store`` writes in one
+    quantizer pass; only the rank kernel runs once per rounding mode in it.
+    ``groups`` holds (slice of the stack, store) per group, in stack order;
+    each store holds its states and writes its stall flags in views of the
+    stack's ``values`` and ``flags``, and its stochastic members draw from
+    their streams in stack order. The Adam studies stack both moments, the
+    first-moment configs and then the second-moment ones, and
+    ``adam_lockstep`` and ``reset_rows`` step such a stack in place.
     """
 
     def __init__(self, states: list, streams: list):
@@ -368,58 +381,48 @@ class StateStack:
         if any(s.config != cfg for cfg, rows in zip(self.configs, states) for s in rows):
             raise ValueError("the rows of a config must share its EmaConfig")
         self.beta = np.array([cfg.beta for cfg in self.configs]).reshape(-1, 1, 1)
-        self.values = np.array([[s.values() for s in rows] for rows in states])
+        self.values = _decoded(states)
         self.flags = np.empty(self.values.shape, dtype=bool)
         self.decay = np.broadcast_to(1.0 - self.beta, self.values.shape).copy()
         self.k = np.array([[s.k for s in rows] for rows in states], np.int64)
         self.excess = np.array([[s.excess for s in rows] for rows in states], float)
-        keys: dict = {}
-        for c, cfg in enumerate(self.configs):
-            key = None if cfg.format is None else (
-                cfg.format, cfg.scheme, cfg.freeze_scale, cfg.init_scale)
-            keys.setdefault(key, []).append(c)
-        # (places in the stack, members, store) per storage group, its
-        # members nearest-rounding first; places are a slice when the store
-        # writes in the stack's own buffers
+        keys = [None if cfg.format is None else
+                (cfg.format, cfg.scheme, cfg.freeze_scale, cfg.init_scale)
+                for cfg in self.configs]
+        nearest = [cfg.rounding is RoundingMode.NEAREST_EVEN for cfg in self.configs]
         self.groups = []
-        for members in keys.values():
-            members.sort(
-                key=lambda c: self.configs[c].rounding is not RoundingMode.NEAREST_EVEN)
-            first, last = min(members), max(members)
-            if members == list(range(first, last + 1)):
-                sel = slice(first, last + 1)
-                buffers = (self.values[sel], self.flags[sel])
-            else:
-                sel, buffers = np.array(members), ()
-            store = _Store([states[c] for c in members], [streams[c] for c in members],
-                           *buffers)
-            self.groups.append((sel, members, store))
+        start = 0
+        for c in range(1, len(states) + 1):
+            # a group ends where the key changes or a nearest config follows
+            # a stochastic one
+            if c < len(states) and keys[c] == keys[c - 1] and nearest[c] <= nearest[c - 1]:
+                continue
+            sel = slice(start, c)
+            self.groups.append((sel, _Store(states[sel], streams[sel],
+                                            self.values[sel], self.flags[sel])))
+            start = c
 
     def store(self, proposal: np.ndarray) -> np.ndarray:
         """Write a validated ``(configs, rows, dim)`` proposal; returns the
         stalled fraction of each row."""
-        for sel, _, store in self.groups:
-            flags = store.store(proposal[sel])
-            if not isinstance(sel, slice):
-                self.values[sel] = store.values
-                self.flags[sel] = flags
+        for sel, store in self.groups:
+            store.store(proposal[sel])
         self.k += 1
         # an exact count over dim, the same bits as the mean of the flags
-        return self.flags.sum(axis=-1) / self.flags.shape[-1]
+        counts = np.add.reduce(self.flags.view(np.uint8), axis=-1, dtype=np.int32)
+        return counts / self.flags.shape[-1]
 
     def clear(self, flags: np.ndarray) -> None:
         """Reset the ``(configs, rows)`` flagged rows to the zero state."""
         self.k[flags] = 0
         self.excess[flags] = 0.0
-        for sel, _, store in self.groups:
+        for sel, store in self.groups:
             store.clear(flags[sel])
-            if not isinstance(sel, slice):
-                self.values[sel] = store.values
 
     def state(self, c: int, r: int) -> EmaState:
         """Row r of config c as a single ``EmaState`` (copies)."""
-        _, members, store = next(g for g in self.groups if c in g[1])
-        return EmaState(store.stored(members.index(c), r), int(self.k[c, r]),
+        sel, store = next(g for g in self.groups if g[0].start <= c < g[0].stop)
+        return EmaState(store.stored(c - sel.start, r), int(self.k[c, r]),
                         self.configs[c], float(self.excess[c, r]))
 
 
@@ -476,32 +479,35 @@ class ResetPolicy:
 
 
 class ResetRows:
-    """The reset rules of a stack's rows as per-row vectors, for one moment.
+    """The reset rules of a stack's rows as ``(configs, rows)`` arrays.
 
-    Row r follows ``policies[r]``; with ``moment`` ("first" or "second"),
-    a policy whose applies_to excludes that moment never resets its row.
+    Row r of config c follows ``policies[r]``, except that a policy whose
+    applies_to excludes ``moments[c]``, the moment config c stores
+    ("first" or "second"; None excludes nothing), never resets the row.
     Config c's adaptive rule reads E(k), for cycle counts up to k_max, at
-    ``beta2[c]``, its second-moment beta, from one table per distinct beta2.
-    The rules fit a stack of ``shape``, (len(beta2), len(policies)).
+    ``beta2[c]``, the second-moment beta, from one table per distinct
+    beta2. The rules fit a stack of ``shape``, (len(beta2), len(policies)).
     """
 
-    def __init__(self, policies: list, moment: str | None, k_max: int, beta2: list):
+    def __init__(self, policies: list, moments: list, k_max: int, beta2: list):
+        if len(moments) != len(beta2):
+            raise ValueError(f"{len(moments)} moments for {len(beta2)} configs")
         self.shape = (len(beta2), len(policies))
-        if moment is not None:
-            policies = [
-                p if p.applies_to in (moment, "both") else ResetPolicy.none()
-                for p in policies
-            ]
+        rules = [
+            [p if moment is None or p.applies_to in (moment, "both")
+             else ResetPolicy.none() for p in policies]
+            for moment in moments
+        ]
         self.period = np.array(
-            [p.K if p.kind is ResetKind.PERIODIC else np.inf for p in policies]
+            [[p.K if p.kind is ResetKind.PERIODIC else np.inf for p in row] for row in rules]
         )
-        adaptive = [p.kind is ResetKind.ADAPTIVE for p in policies]
-        self.adaptive = np.array(adaptive)
+        self.adaptive = np.array([[p.kind is ResetKind.ADAPTIVE for p in row]
+                                  for row in rules])
         # neutral values on the other rows, which the rule masks out
-        self.s0 = np.array([p.s0 if a else 0.0 for p, a in zip(policies, adaptive)])
-        self.p_ss = np.array([p.p_ss if a else 1.0 for p, a in zip(policies, adaptive)])
+        self.s0 = np.where(self.adaptive, [[p.s0 for p in row] for row in rules], 0.0)
+        self.p_ss = np.where(self.adaptive, [[p.p_ss for p in row] for row in rules], 1.0)
         self.table = None
-        if any(adaptive):
+        if self.adaptive.any():
             betas = list(dict.fromkeys(beta2))
             # (configs, 1): each config's table, broadcast over its rows
             self.which = np.array([betas.index(b) for b in beta2])[:, None]
@@ -577,42 +583,48 @@ def _adam_update(
 
 
 def adam_lockstep(
-    m: StateStack,
-    v: StateStack,
+    stack: StateStack,
     grad: np.ndarray,
     hyper: AdamHyper,
     params: np.ndarray,
-    hold_m: np.ndarray | None = None,
-    hold_v: np.ndarray | None = None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One Adam step of the stacked states of several storage configs.
+    hold: np.ndarray | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """One Adam step of both moments of several storage configs.
 
-    m and v are ``StateStack``s of shape ``(configs, rows, dim)``, stepped
-    in place on grad and params of that shape. One proposal expression per
-    moment covers every config at its own beta, each storage group stores
-    in one pass, and one update moves the whole parameter stack. The update
-    reads the high-precision proposals, so quantization error enters later
-    steps through storage only; bias correction uses each row's own cycle
-    count, so the correction clock resets with the state; epsilon is added
-    outside the square root, and weight decay is decoupled. Rows flagged in
-    hold_m (hold_v), a ``(rows,)`` mask, skip that moment's update in every
-    config: the stored value stays, the cycle counter still advances, and
-    the parameter update reads the stored value. Returns (params,
-    stalled_m, stalled_v), the fractions as ``(configs, rows)`` arrays.
+    stack is a ``StateStack`` of shape ``(2 * configs, rows, dim)``, the
+    first moments of the configs and then their second moments, stepped in
+    place; params have shape ``(configs, rows, dim)``. grad is a buffer of
+    the stack's shape whose first half holds the gradient: the step squares
+    it into the second half and then overwrites the whole buffer with the
+    proposals. One proposal expression covers both moments of every config
+    at its own beta, each storage group stores in one pass, and one update
+    moves the whole parameter stack. The update reads the high-precision
+    proposals, so quantization error enters later steps through storage
+    only; bias correction uses each row's own cycle count, so the
+    correction clock resets with the state; epsilon is added outside the
+    square root, and weight decay is decoupled. Rows flagged in hold[0]
+    (hold[1]), a ``(2, rows)`` mask, skip the first (second) moment's update
+    in every config: the stored value stays, the cycle counter still
+    advances, and the parameter update reads the stored value. Returns
+    (params, stalled), the stalled fractions as a ``(2 * configs, rows)``
+    array.
     """
-    if not grad.shape == params.shape == m.values.shape == v.values.shape:
+    n = len(params)
+    if not (grad.shape == stack.values.shape == (2 * n,) + params.shape[1:]):
         raise ValueError("gradient/parameter shape mismatch")
     # _proposal rejects an infinite square
     with np.errstate(**_QUIET):
-        pm = _proposal(m.values, grad, m.decay)
-        pv = _proposal(v.values, grad * grad, v.decay)
+        np.multiply(grad[:n], grad[:n], out=grad[n:])
+        proposal = _proposal(stack.values, grad, stack.decay, grad)
     # a held row proposes its stored value, which storage reproduces exactly
-    if hold_m is not None:
-        np.copyto(pm, m.values, where=hold_m[:, None])
-    if hold_v is not None:
-        np.copyto(pv, v.values, where=hold_v[:, None])
-    frac_m, frac_v = m.store(pm), v.store(pv)
-    return _adam_update(params, pm, pv, m.k, v.k, m.beta, v.beta, hyper), frac_m, frac_v
+    if hold is not None:
+        moments = (2, n) + params.shape[1:]
+        np.copyto(proposal.reshape(moments), stack.values.reshape(moments),
+                  where=hold[:, None, :, None])
+    stalled = stack.store(proposal)
+    k, beta = stack.k, stack.beta
+    return _adam_update(params, proposal[:n], proposal[n:], k[:n], k[n:],
+                        beta[:n], beta[n:], hyper), stalled
 
 
 @dataclasses.dataclass

@@ -19,26 +19,32 @@ the current one, and write each config through its own ``(1, 1, dim)``
 ``engine._Store``, the class that also writes a study's storage groups.
 
 Every study trains a config x cell x seed grid in one fused loop,
-``_train_rows``: each step runs the gradient of every row, the proposals,
-each storage group's quantizer pass, the Adam update, each moment's reset
-rule and the tail loss once over the whole ``(configs, rows, dim)`` stack.
-``run_reset_cells`` returns the grid's losses as one array. The two
-studies are presets of one driver, ``_study``, which lays the grid out as
-a long table (label columns, seed, final_loss), per-cell medians and a
-JSON config: ``run_reset_study``'s cells are reset policies and
-``run_skip_study``'s are forced-skip rates on full-precision Adam.
+``_train_rows``, over one ``(2 * configs, rows, dim)`` stack that holds
+both Adam moments, the first-moment configs and then the second-moment
+ones: each step runs the gradient of every row, written into the first
+half of one signal buffer, one proposal over both moments, each storage
+group's quantizer pass (a group is a run of adjacent configs, and may
+span both moments), the Adam update, one reset rule over every row and
+the tail loss once over the whole stack. ``run_reset_cells`` returns the
+grid's losses as one array. The two studies are presets of one driver,
+``_study``, which lays the grid out as a long table (label columns, seed,
+final_loss), per-cell medians and a JSON config: ``run_reset_study``'s
+cells are reset policies and ``run_skip_study``'s are forced-skip rates
+on full-precision Adam, whose ``_Skips`` draw each row's uniforms a block
+of steps at a time.
 
 A problem is a frozen spec dataclass whose only method is
 ``make_stack(seeds)``; it returns the seeds' instances as one stack, which
 the studies step. A stack has ``init_params()``, the ``(seeds, dim)``
 starting points, and, for params of shape ``(configs, seeds, cells, dim)``
-with block i belonging to seeds[i], ``grad(params)``, which advances every
-seed one step and returns every row's gradient, each seed's rows sharing
-that seed's draws, and ``losses(params)``, every row's loss. Seed s draws
-its instance from ``[s, _KEY_PROBLEM]`` and its gradient noise from
-``[s, _KEY_GRAD]``. ``QuadraticStack`` draws every seed's target and
-noise vectors into one buffer and evaluates each step as array
-expressions; ``LogisticStack`` keeps one matrix-vector product per row.
+with block i belonging to seeds[i], ``grad(params, out=None)``, which
+advances every seed one step and returns every row's gradient (written
+into out when given), each seed's rows sharing that seed's draws, and
+``losses(params)``, every row's loss. Seed s draws its instance from
+``[s, _KEY_PROBLEM]`` and its gradient noise from ``[s, _KEY_GRAD]``.
+``QuadraticStack`` draws every seed's target and noise vectors for a
+block of steps at once and evaluates each step as array expressions;
+``LogisticStack`` keeps one matrix-vector product per row.
 """
 
 from __future__ import annotations
@@ -231,6 +237,16 @@ class NoisyQuadratic:
         return QuadraticStack(self, seeds)
 
 
+# bytes of one buffer of state-independent study draws: a QuadraticStack
+# fills its seeds' target and noise draws, and _Skips its rows' uniforms,
+# for as many steps at a time as fit
+_BLOCK_BYTES = 1 << 16
+
+
+def _block_steps(step_bytes: int) -> int:
+    return max(1, _BLOCK_BYTES // step_bytes)
+
+
 class QuadraticStack:
     """The quadratics of a study's seeds, stepped together.
 
@@ -238,10 +254,14 @@ class QuadraticStack:
     and losses ``(configs, seeds, cells)``, block i belonging to seeds[i].
     Seed s draws its curvatures from ``[s, _KEY_PROBLEM]``, its target walk
     from ``[s, _KEY_TARGET]`` and its gradient noise from ``[s, _KEY_GRAD]``.
-    Each step draws every seed's target and noise vectors, in seed order,
-    into one ``(seeds, dim)`` buffer; every row of a seed shares them, and
-    every row's gradient and loss comes from one elementwise expression and
-    one row-wise sum.
+    The draws do not depend on the state, so they come ``block`` steps at a
+    time: one ``standard_normal`` per generator fills a seed's target steps
+    and one its noise, the bits of ``block`` one-step draws. One cumulative
+    sum walks the targets through the block, adding the steps in sequence
+    as the step-by-step walk adds them, and one expression turns the noise
+    into factors. Every row of a seed shares its draws, and every row's
+    gradient and loss comes from one elementwise expression and one
+    row-wise sum.
     """
 
     def __init__(self, problem: NoisyQuadratic, seeds: tuple):
@@ -254,31 +274,44 @@ class QuadraticStack:
                 *log_range, problem.dimension))
             for seed in seeds
         ])[:, None]
-        self.target = np.zeros_like(self.curvatures)
         self.target_rngs = [np.random.default_rng([seed, _KEY_TARGET]) for seed in seeds]
         self.grad_rngs = [np.random.default_rng([seed, _KEY_GRAD]) for seed in seeds]
-        self._draws = np.empty((len(seeds), problem.dimension))
+        dim = problem.dimension
+        self.block = _block_steps(len(seeds) * dim * 8)
+        # targets[:, j] is the target after step j of the block; column 0
+        # carries the target the block starts from
+        self._targets = np.zeros((len(seeds), self.block + 1, dim))
+        self._factors = np.empty((len(seeds), self.block, dim))
+        self._j = self.block
+        self.target = self._targets[:, self.block:]
 
     def init_params(self) -> np.ndarray:
-        return np.full(self._draws.shape, self.init_offset)
+        return np.full(self._targets[:, 0].shape, self.init_offset)
 
-    def _draw(self, rngs: list) -> np.ndarray:
-        for rng, row in zip(rngs, self._draws):
-            rng.standard_normal(out=row)
-        return self._draws[:, None]
-
-    def grad(self, params: np.ndarray) -> np.ndarray:
+    def _fill(self) -> None:
+        # the next block of every seed's target steps and noise factors
         if self.drift:
-            step = self._draw(self.target_rngs)
-            step *= self.drift
-            self.target += step
+            self._targets[:, 0] = self._targets[:, -1]
+            for rng, rows in zip(self.target_rngs, self._targets):
+                rng.standard_normal(out=rows[1:])
+            self._targets[:, 1:] *= self.drift
+            np.cumsum(self._targets, axis=1, out=self._targets)
+        for rng, rows in zip(self.grad_rngs, self._factors):
+            rng.standard_normal(out=rows)
+        self._factors *= self.noise_mult
+        self._factors += 1.0
+        self._j = 0
+
+    def grad(self, params: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        if self._j == self.block:
+            self._fill()
+        j = self._j
+        self._j += 1
+        self.target = self._targets[:, j + 1:j + 2]
         # curvatures * (params - target) * (1 + noise_mult * noise)
-        g = params - self.target
+        g = np.subtract(params, self.target, out=out)
         g *= self.curvatures
-        factor = self._draw(self.grad_rngs)
-        factor *= self.noise_mult
-        factor += 1.0
-        g *= factor
+        g *= self._factors[:, j:j + 1]
         return g
 
     def losses(self, params: np.ndarray) -> np.ndarray:
@@ -334,8 +367,8 @@ class LogisticStack:
     def init_params(self) -> np.ndarray:
         return np.zeros((len(self.x), self.x[0].shape[1]))
 
-    def grad(self, params: np.ndarray) -> np.ndarray:
-        g = np.empty_like(params)
+    def grad(self, params: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        g = np.empty_like(params) if out is None else out
         for i, (x, y, rng) in enumerate(zip(self.x, self.y, self.grad_rngs)):
             idx = rng.integers(0, len(x), self.batch_size)
             xb, yb = x[idx], y[idx]
@@ -632,26 +665,47 @@ def _require_unique(what: str, labels: list) -> None:
 
 class _Skips:
     """Forced skips of one moment: after warmup, row r skips its update
-    with probability p[r], decided by its own stream."""
+    with probability p[r], decided by its own stream. The draws do not
+    depend on the state, so each stream draws ``block`` steps' uniforms at
+    a time, the bits of as many scalar ``random()`` calls."""
 
     def __init__(self, target: str, p_rows: list, seed_rows: list, warmup: int):
-        self.target = target
+        self.moment = ("first", "second").index(target)
         self.warmup = warmup
-        self.n_rows = len(p_rows)
-        self.live = [
-            (r, p, np.random.default_rng([seed, _KEY_ROUND, int(p * 10**6)]))
-            for r, (p, seed) in enumerate(zip(p_rows, seed_rows))
-            if p > 0.0
-        ]
+        live = [r for r, p in enumerate(p_rows) if p > 0.0]
+        self.rows = np.array(live, dtype=np.intp)
+        self.rngs = [np.random.default_rng([seed_rows[r], _KEY_ROUND,
+                                            int(p_rows[r] * 10**6)])
+                     for r in live]
+        self.p = np.array([p_rows[r] for r in live])[:, None]
+        self.block = _block_steps(8 * max(1, len(live)))
+        self._uniforms = np.empty((len(live), self.block))
+        self._held = np.empty(self._uniforms.shape, dtype=bool)
+        self._j = self.block
+        self.hold = np.zeros((2, len(p_rows)), dtype=bool)
+
+    def holds(self, t: int) -> np.ndarray | None:
+        """The ``(2, rows)`` hold mask of step t, the first moment's row
+        then the second's, or None where no row skips. The mask is a buffer
+        the next step overwrites."""
+        if t <= self.warmup or not self.rngs:
+            return None
+        if self._j == self.block:
+            for rng, row in zip(self.rngs, self._uniforms):
+                rng.random(out=row)
+            np.less(self._uniforms, self.p, out=self._held)
+            self._j = 0
+        self.hold[self.moment, self.rows] = self._held[:, self._j]
+        self._j += 1
+        return self.hold
 
     def draw(self, t: int) -> tuple:
         """(hold_m, hold_v) for step t; None where no row skips."""
-        if t <= self.warmup or not self.live:
+        hold = self.holds(t)
+        if hold is None:
             return None, None
-        hold = np.zeros(self.n_rows, dtype=bool)
-        for r, p, rng in self.live:
-            hold[r] = rng.random() < p
-        return (hold, None) if self.target == "first" else (None, hold)
+        held = hold[self.moment].copy()
+        return (held, None) if self.moment == 0 else (None, held)
 
 
 def _check_run(steps, seeds, distinct: bool = True) -> None:
@@ -686,9 +740,12 @@ def _train_rows(
     is ``policies[j]``, on ``seeds[i]``. Every row of a seed, in every
     config, shares that seed's problem instance and its gradient and target
     draws (``problem.make_stack``); each config draws its rounding from its
-    own streams, seeded as a config trained alone would seed them. Each
-    step is one ``adam_lockstep`` and one ``reset_rows`` per moment over
-    the whole ``(configs, rows, dim)`` stack. No draw depends on the state
+    own streams, seeded as a config trained alone would seed them, the
+    first moment's draws before the second's. Both moments step as one
+    ``(2 * configs, rows, dim)`` stack, the first-moment configs and then
+    the second-moment ones: the problem writes the gradient into the first
+    half of the signal buffer, and each step is one ``adam_lockstep`` and
+    one ``reset_rows`` over the whole stack. No draw depends on the state
     and resets draw nothing, so each row follows the run it would make
     alone bit for bit. Returns the trailing-decile mean losses as a
     (config, seed, cell) array and, optionally, per-config lists of per-row
@@ -699,59 +756,54 @@ def _train_rows(
         raise ValueError("at least one reset policy is required")
     if not configs:
         raise ValueError("at least one storage config is required")
-    cells = len(policies)
-    stack = problem.make_stack(seeds)
-    start = np.repeat(stack.init_params(), cells, axis=0)
+    n, cells = len(configs), len(policies)
+    instances = problem.make_stack(seeds)
+    start = np.repeat(instances.init_params(), cells, axis=0)
     rows, dim = start.shape
-    params = np.repeat(start[None], len(configs), axis=0)
-    blocks = (len(configs), len(seeds), cells, dim)
+    params = np.repeat(start[None], n, axis=0)
+    blocks = (n, len(seeds), cells, dim)
     streams = [
         RowStreams([np.random.default_rng([seed, _KEY_ROUND]) for seed in seeds], cells)
         for _ in configs
     ]
-    m, v = (
-        StateStack([[EmaState.initialize(pair[i], dim)] * rows for pair in configs],
-                   streams)
-        for i in (0, 1)
-    )
-    row_policies = list(policies) * len(seeds)
-    beta2 = [cfg_v.beta for _, cfg_v in configs]
-    rules_m = ResetRows(row_policies, "first", steps, beta2)
-    rules_v = ResetRows(row_policies, "second", steps, beta2)
+    moments = [pair[i] for i in (0, 1) for pair in configs]
+    stack = StateStack([[EmaState.initialize(cfg, dim)] * rows for cfg in moments],
+                       streams * 2)
+    rules = ResetRows(list(policies) * len(seeds), ["first"] * n + ["second"] * n,
+                      steps, [cfg_v.beta for _, cfg_v in configs] * 2)
+    signal = np.empty(stack.values.shape)
+    grad = signal[:n].reshape(blocks)
     window = _trailing_window(steps)
-    tail = np.empty((len(configs), rows, window))
+    tail = np.empty((n, rows, window))
     record = []
     for t in range(1, steps + 1):
-        g = stack.grad(params.reshape(blocks)).reshape(params.shape)
-        hold_m, hold_v = skips.draw(t) if skips is not None else (None, None)
-        params, frac_m, frac_v = adam_lockstep(
-            m, v, g, hyper, params, hold_m=hold_m, hold_v=hold_v
-        )
-        reset_m = reset_rows(m, rules_m, frac_m)
-        reset_v = reset_rows(v, rules_v, frac_v)
+        instances.grad(params.reshape(blocks), out=grad)
+        hold = skips.holds(t) if skips is not None else None
+        params, stalled = adam_lockstep(stack, signal, hyper, params, hold)
+        reset = reset_rows(stack, rules, stalled)
         if record_trace:
-            record.append((frac_m, m.k.copy(), reset_m, frac_v, v.k.copy(), reset_v))
+            record.append((stalled, stack.k.copy(), reset))
         j = t - 1 - (steps - window)
         if j >= 0:
-            tail[..., j] = stack.losses(params.reshape(blocks)).reshape(tail.shape[:2])
+            tail[..., j] = instances.losses(params.reshape(blocks)).reshape(tail.shape[:2])
     # one contiguous row per mean: a mean over axis 0 sums in another order
     losses = [[float(np.mean(row)) for row in cfg_tail] for cfg_tail in tail]
-    out = {"final_loss": np.reshape(losses, (len(configs), len(seeds), cells))}
+    out = {"final_loss": np.reshape(losses, (n, len(seeds), cells))}
     if record_trace:
-        out["traces"] = _traces(record)
+        out["traces"] = _traces(record, n)
     return out
 
 
-def _traces(record: list) -> list:
-    # per-step (frac_m, k_m, reset_m, frac_v, k_v, reset_v) arrays of shape
-    # (configs, rows) as per-config lists of per-row (first, second) traces
-    fm, km, rm, fv, kv, rv = (np.moveaxis(a, 0, -1).tolist()
-                              for a in map(np.array, zip(*record)))
+def _traces(record: list, n: int) -> list:
+    # per-step (stalled, k, reset) arrays of shape (2 * n, rows), the n
+    # first moments then the n second moments, as per-config lists of
+    # per-row (first, second) traces
+    frac, k, reset = (np.moveaxis(a, 0, -1).tolist() for a in map(np.array, zip(*record)))
     return [
-        [(StallTrace("first_moment", fm[c][r], km[c][r], rm[c][r]),
-          StallTrace("second_moment", fv[c][r], kv[c][r], rv[c][r]))
-         for r in range(len(fm[c]))]
-        for c in range(len(fm))
+        [(StallTrace("first_moment", frac[c][r], k[c][r], reset[c][r]),
+          StallTrace("second_moment", frac[n + c][r], k[n + c][r], reset[n + c][r]))
+         for r in range(len(frac[c]))]
+        for c in range(n)
     ]
 
 
@@ -810,22 +862,37 @@ def _study(experiment: dict, problem, configs: list, cells: list, steps: int,
     JSON config adds the problem, steps, seeds and hyper, with the first
     config's betas, to experiment's entries. hyper defaults to lr 0.01.
     """
+    # one labels dict, and one median key, per (config, cell); labels that
+    # are unique per column can still format to one key
+    labels = [{**config_labels, **cell_labels}
+              for config_labels, _ in configs for cell_labels, _ in cells]
+    keys = [median_key.format(**row) for row in labels]
+    _require_unique("cells", keys)
     hyper = hyper or AdamHyper(lr=0.01)
     losses = _train_rows(problem, [pair for _, pair in configs],
                          [policy for _, policy in cells], steps, seeds, hyper, skips)
-    # one row of per-seed losses, and one labels dict, per (config, cell)
+    # one row of per-seed losses per (config, cell)
     by_cell = np.swapaxes(losses["final_loss"], 1, 2).reshape(-1, len(seeds)).tolist()
-    labels = [{**config_labels, **cell_labels}
-              for config_labels, _ in configs for cell_labels, _ in cells]
     series = {name: [row[name] for row in labels for _ in seeds] for name in labels[0]}
     series["seed"] = list(seeds) * len(labels)
     series["final_loss"] = [loss for cell in by_cell for loss in cell]
-    medians = {median_key.format(**row): float(np.median(cell))
-               for row, cell in zip(labels, by_cell)}
+    medians = {key: float(np.median(cell)) for key, cell in zip(keys, by_cell)}
     cfg_m, cfg_v = configs[0][1]
     config = {**experiment, "problem": problem, "steps": steps, "seeds": seeds,
               "hyper": {**_config_dict(hyper), "beta1": cfg_m.beta, "beta2": cfg_v.beta}}
     return ExperimentResult(_config_dict(config), series, medians)
+
+
+def _check_reset_study(configs: list, policies: list, steps: int, seeds: tuple) -> None:
+    # run_reset_study's input checks, which the CLI also runs before it
+    # prints its config line
+    _check_run(steps, seeds)
+    if len(seeds) < 3:
+        raise ValueError("need at least 3 seeds")
+    _require_unique("configs", [c[0] for c in configs])
+    _require_unique("policies", [p[0] for p in policies])
+    if len({(cfg_m.beta, cfg_v.beta) for _, cfg_m, cfg_v in configs}) > 1:
+        raise ValueError("the configs of a reset study must share beta1 and beta2")
 
 
 def run_reset_study(
@@ -841,15 +908,10 @@ def run_reset_study(
     configs is a list of (label, cfg_m, cfg_v); policies a list of
     (label, ResetPolicy). seeds must be at least 3 distinct seeds, and the
     configs must share their betas, which the JSON's hyper leaves report.
-    Each cell's median over the seeds is keyed ``median@<config>/<policy>``.
+    Each cell's median over the seeds is keyed ``median@<config>/<policy>``,
+    and no two cells may share a key.
     """
-    _check_run(steps, seeds)
-    if len(seeds) < 3:
-        raise ValueError("need at least 3 seeds")
-    _require_unique("configs", [c[0] for c in configs])
-    _require_unique("policies", [p[0] for p in policies])
-    if len({(cfg_m.beta, cfg_v.beta) for _, cfg_m, cfg_v in configs}) > 1:
-        raise ValueError("the configs of a reset study must share beta1 and beta2")
+    _check_reset_study(configs, policies, steps, seeds)
     return _study(
         {"experiment": "reset_study", "configs": [c[0] for c in configs],
          "policies": [p[0] for p in policies]},
@@ -860,23 +922,14 @@ def run_reset_study(
     )
 
 
-def run_skip_study(
-    problem,
-    p_skip_grid: tuple,
-    target: str,
-    steps: int,
-    seeds: tuple,
-    hyper: AdamHyper | None = None,
-    warmup_fraction: float = 0.1,
-) -> ExperimentResult:
-    """Force random update skips on one moment of full-precision Adam.
+# the share of a skip study's steps before the first forced skip
+_SKIP_WARMUP = 0.1
 
-    Skips start after warmup. The problem instance and its noise streams
-    are shared across grid points at fixed seed, so final-loss differences
-    are due to the intervention. final_loss is the mean loss over the
-    trailing decile of steps. seeds must be distinct. Each cell's median
-    over the seeds is keyed ``median_final_loss@p=<p_skip>``.
-    """
+
+def _check_skip_study(p_skip_grid: tuple, target: str, steps: int, seeds: tuple,
+                      warmup_fraction: float = _SKIP_WARMUP) -> int:
+    # run_skip_study's input checks, which the CLI also runs before it
+    # prints its config line; returns the warmup in steps
     _check_run(steps, seeds)
     if target not in ("first", "second"):
         raise ValueError("target must be 'first' or 'second'")
@@ -893,6 +946,27 @@ def run_skip_study(
             f"warmup_fraction {warmup_fraction!r} leaves no step to skip in {steps} steps"
         )
     _require_unique("p_skip values", [f"p={p:g}" for p in p_skip_grid])
+    return warmup
+
+
+def run_skip_study(
+    problem,
+    p_skip_grid: tuple,
+    target: str,
+    steps: int,
+    seeds: tuple,
+    hyper: AdamHyper | None = None,
+    warmup_fraction: float = _SKIP_WARMUP,
+) -> ExperimentResult:
+    """Force random update skips on one moment of full-precision Adam.
+
+    Skips start after warmup. The problem instance and its noise streams
+    are shared across grid points at fixed seed, so final-loss differences
+    are due to the intervention. final_loss is the mean loss over the
+    trailing decile of steps. seeds must be distinct. Each cell's median
+    over the seeds is keyed ``median_final_loss@p=<p_skip>``.
+    """
+    warmup = _check_skip_study(p_skip_grid, target, steps, seeds, warmup_fraction)
     skips = _Skips(target, list(p_skip_grid) * len(seeds),
                    [seed for seed in seeds for _ in p_skip_grid], warmup)
     return _study(

@@ -375,7 +375,8 @@ def _kstar_scan(inputs: TheoryInputs, s0s: Iterable, max_K: int = 10_000_000) ->
     """K* for each distinct s0 (s0 -> int), from one scan that stops after
     the chunk in which the last s0 crosses. sbar(K) - E(K) strictly increases
     (E falls by about E (1 - beta2) / 2 a step, far above the rounding of
-    sbar), so E is needed per K only in a chunk whose last K crosses."""
+    sbar), so E is needed only at a chunk's last K and, in a chunk whose
+    last K crosses, at the K of a bisection for the first crossing."""
     if not _is_integer(max_K):
         raise ValueError(f"max_K must be an integer, got {max_K!r}")
     s0s = tuple(dict.fromkeys(s0s))
@@ -386,12 +387,15 @@ def _kstar_scan(inputs: TheoryInputs, s0s: Iterable, max_K: int = 10_000_000) ->
         e_last = remaining_error_E(k_last, beta2)
         rows = [i for i, s0 in enumerate(s0s)
                 if s0 not in found and sums[i, -1] / k_last >= e_last]
-        if not rows:
-            continue
-        K = np.arange(k0, k_last + 1)
-        e = _remaining_errors(beta2, K.tolist())
-        for i, row in zip(rows, sums[rows] / K):
-            found[s0s[i]] = k0 + int((row >= e).argmax())  # the first crossing
+        for i in rows:
+            lo, hi = k0, k_last  # hi crosses
+            while lo < hi:
+                K = (lo + hi) // 2
+                if sums[i, K - k0] / K >= remaining_error_E(K, beta2):
+                    hi = K
+                else:
+                    lo = K + 1
+            found[s0s[i]] = lo
         if len(found) == len(s0s):
             return found
     raise RuntimeError(f"no crossing found up to K={max_K}")

@@ -802,6 +802,22 @@ class TestStudyValidation:
         assert "config:" not in out
         assert not list(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("argv,message", [
+        (["skip-study", "--p-skip", ""], "at least one p_skip value is required"),
+        (["skip-study", "--p-skip", "1.5"], "p_skip values must be in [0, 1]"),
+        (["reset-study", "--format", "fp4,fp4"], "two configs share the label 'fp4_nr'"),
+        (["reset-study", "--seeds", "0,1"], "need at least 3 seeds"),
+    ], ids=["skip-empty-p", "skip-p-above-1", "reset-formats", "reset-two-seeds"])
+    def test_driver_input_errors_stop_before_the_config(self, argv, message, capsys,
+                                                        tmp_path):
+        # the drivers' own checks once ran after the config line was printed,
+        # which then stood above the error on stdout
+        assert main(argv + ["--steps", "2", "--out", str(tmp_path / "x")]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: {message}\n"
+        assert not list(tmp_path.iterdir())
+
     def test_empty_p_skip_list_names_its_input(self, capsys, tmp_path):
         # it once asked for "at least one reset policy or p_skip value"
         assert main(["skip-study", "--p-skip", "", *STUDY,

@@ -44,7 +44,8 @@ from emastall.quantize import (
     quantize,
     quantize_with_scales,
 )
-from emastall.simlab import _Skips, moment_configs
+from emastall import simlab
+from emastall.simlab import _KEY_ROUND, _Skips, moment_configs
 from emastall.theory import p_stall_nr_ss, remaining_error_E
 
 PER_TENSOR = ScalingScheme(ScalingMode.PER_TENSOR)
@@ -72,31 +73,39 @@ def warm_state(config, dim, seed=0, steps=10):
     return state
 
 
-def one_row(state):
-    """state as a one-config, one-row StateStack."""
-    return StateStack([[state]], [None])
+def one_row(*states):
+    """states as a one-row StateStack, one config each."""
+    return StateStack([[state] for state in states], [None] * len(states))
 
 
-def moment_stacks(dim, beta1=0.9, beta2=0.999):
-    """Zero full-precision one-row m and v stacks at beta1 and beta2."""
-    return tuple(one_row(EmaState.initialize(EmaConfig(beta, None), dim))
-                 for beta in (beta1, beta2))
+def moment_stack(dim, beta1=0.9, beta2=0.999):
+    """A zero full-precision one-row stack of the two moments: m at beta1,
+    then v at beta2."""
+    return one_row(*(EmaState.initialize(EmaConfig(beta, None), dim)
+                     for beta in (beta1, beta2)))
+
+
+def signal_of(grad):
+    """The (2, 1, dim) signal buffer adam_lockstep reads on a one-row stack
+    of the two moments: grad in its first half."""
+    signal = np.empty((2, 1, len(grad)))
+    signal[0, 0] = grad
+    return signal
 
 
 def adam_one_row(m_state, v_state, grad, hyper, params):
-    """adam_lockstep on one-row stacks of the two moments: (params, m, v,
+    """adam_lockstep on a one-row stack of the two moments: (params, m, v,
     (stalled_m, stalled_v))."""
-    m, v = one_row(m_state), one_row(v_state)
-    new, frac_m, frac_v = adam_lockstep(m, v, grad[None, None], hyper,
-                                        params[None, None])
-    return new[0, 0], m.state(0, 0), v.state(0, 0), (frac_m[0, 0], frac_v[0, 0])
+    stack = one_row(m_state, v_state)
+    new, stalled = adam_lockstep(stack, signal_of(grad), hyper, params[None, None])
+    return new[0, 0], stack.state(0, 0), stack.state(1, 0), tuple(stalled[:, 0])
 
 
 def reset_one_row(state, policy, fraction=0.0):
     """reset_rows on a one-row stack of state, after a step whose stalled
     fraction was fraction: (state, did_reset)."""
     stack = one_row(state)
-    rules = ResetRows([policy], None, max(1, state.k), [state.config.beta])
+    rules = ResetRows([policy], [None], max(1, state.k), [state.config.beta])
     reset = reset_rows(stack, rules, np.array([[fraction]]))
     return stack.state(0, 0), bool(reset[0, 0])
 
@@ -382,9 +391,9 @@ class TestStore:
     @pytest.mark.parametrize("rounding", [NR, SR], ids=["nr-sr-nr", "sr-nr-sr"])
     @pytest.mark.parametrize("name", list(STEP_CONFIGS))
     def test_stack_group_writes_equal_the_reference_engine(self, name, rounding):
-        # one storage group of three configs whose nearest and stochastic
-        # members alternate, so the (members, rows, dim) store holds them
-        # out of stack order; each row steps as the reference engine steps
+        # three configs of one storage key whose nearest and stochastic
+        # members alternate, so a nearest config after a stochastic one
+        # starts a new group; each row steps as the reference engine steps
         # it alone, on its own signal and its own stream
         other = SR if rounding is NR else NR
         configs = [STEP_CONFIGS[name](r) for r in (rounding, other, rounding)]
@@ -394,10 +403,15 @@ class TestStore:
                    for row in seeds]
         stack = StateStack([[EmaState.initialize(cfg, dim)] * rows for cfg in configs],
                            streams)
-        ((sel, members, store),) = stack.groups
-        if configs[0].format is not None:
-            assert isinstance(sel, np.ndarray) and store.codes.shape == (3, rows, dim)
-        self._poison(store)
+        if configs[0].format is None:  # full precision has no rounding mode
+            runs = [(0, 3)]
+        else:
+            runs = [(0, 2), (2, 3)] if rounding is NR else [(0, 1), (1, 3)]
+        assert [(sel.start, sel.stop) for sel, _ in stack.groups] == runs
+        for sel, store in stack.groups:
+            if configs[0].format is not None:
+                assert store.codes.shape == (sel.stop - sel.start, rows, dim)
+            self._poison(store)
         refs = [[oracle.OracleState.initialize(cfg, dim) for _ in range(rows)]
                 for cfg in configs]
         ref_rngs = [[np.random.default_rng(s) for s in row] for row in seeds]
@@ -554,12 +568,12 @@ class TestEffectiveDecayConsistency:
         p = 0.95
         hyper = AdamHyper(lr=0.01)
         rng = np.random.default_rng(77)
-        m, v = moment_stacks(dim, beta1=beta)
+        stack = moment_stack(dim, beta1=beta)
         params = np.zeros((1, 1, dim))
 
         def step(signal, hold):
-            adam_lockstep(m, v, signal[None, None], hyper, params,
-                          hold_m=np.array([hold]))
+            adam_lockstep(stack, signal_of(signal), hyper, params,
+                          np.array([[hold], [False]]))
 
         for _ in range(500):
             step(rng.standard_normal(dim) ** 2, False)
@@ -568,11 +582,11 @@ class TestEffectiveDecayConsistency:
         stalled = 0
         steps = 4000
         for _ in range(steps):
-            v_before = m.values[0, 0].copy()
+            v_before = stack.values[0, 0].copy()
             step(target * rng.standard_normal(dim) ** 2, rng.random() < p)
-            if np.array_equal(m.values[0, 0], v_before):
+            if np.array_equal(stack.values[0, 0], v_before):
                 stalled += 1
-            num += float(np.sum(m.values[0, 0] - v_before))
+            num += float(np.sum(stack.values[0, 0] - v_before))
             den += float(np.sum(target - v_before))
         lam_fit = num / den
         lam_pred = (1 - beta) * (1 - stalled / steps)
@@ -677,10 +691,10 @@ class TestResetPolicies:
         state, _ = ema_step(state, np.ones(8))
         assert (state.k, state.excess) == (4, 0.75)
         # a held update, a forced skip, still advances the cycle counter
-        m, v = one_row(state), moment_stacks(8)[1]
-        adam_lockstep(m, v, np.ones((1, 1, 8)), hyper, np.zeros((1, 1, 8)),
-                      hold_m=np.array([True]))
-        state = m.state(0, 0)
+        stack = one_row(state, EmaState.initialize(EmaConfig(0.999, None), 8))
+        adam_lockstep(stack, signal_of(np.ones(8)), hyper, np.zeros((1, 1, 8)),
+                      np.array([[True], [False]]))
+        state = stack.state(0, 0)
         assert (state.k, state.excess) == (5, 0.75)
         state, did = reset_one_row(state, ResetPolicy.periodic(5))
         assert did and (state.k, state.excess) == (0, 0.0)
@@ -722,6 +736,10 @@ class TestResetPolicies:
         with pytest.raises(ValueError, match="^ADAPTIVE needs a positive, finite p_ss"):
             ResetPolicy.adaptive(p_ss=p_ss)
 
+    def test_rules_take_one_moment_per_config(self):
+        with pytest.raises(ValueError, match=r"^1 moments for 2 configs$"):
+            ResetRows([ResetPolicy.none()], ["first"], 10, [0.999, 0.99])
+
     @pytest.mark.parametrize("n_beta2,n_policies", [(1, 9), (2, 1), (3, 9)])
     def test_rules_must_fit_the_stack(self, n_beta2, n_policies):
         # a one-entry beta2 on a two-config stack once read E(k) at that
@@ -730,13 +748,13 @@ class TestResetPolicies:
         configs = [EmaConfig(beta=b, format=None) for b in (0.999, 0.99)]
         stack = StateStack([[EmaState.initialize(cfg, 4)] * 9 for cfg in configs],
                            [None, None])
-        rules = ResetRows([ResetPolicy.adaptive()] * n_policies, None, 10,
+        rules = ResetRows([ResetPolicy.adaptive()] * n_policies, [None] * n_beta2, 10,
                           [0.999] * n_beta2)
         with pytest.raises(ValueError, match=r"^reset rules of shape .* for a stack of "
                                              r"\(2, 9\)$"):
             reset_rows(stack, rules, np.zeros((2, 9)))
         assert stack.k.tolist() == [[0] * 9] * 2
-        fitting = ResetRows([ResetPolicy.adaptive()] * 9, None, 10, [0.999, 0.99])
+        fitting = ResetRows([ResetPolicy.adaptive()] * 9, [None] * 2, 10, [0.999, 0.99])
         assert not reset_rows(stack, fitting, np.zeros((2, 9))).any()
 
 
@@ -994,11 +1012,41 @@ class TestBatchState:
         assert got.stored.codes.shape == (40,) and got.stored.scales.shape == (3,)
         for name in ("codes", "scales"):
             ours = getattr(got.stored, name)
-            for _, _, store in stack.groups:
+            for _, store in stack.groups:
                 assert not np.shares_memory(ours, getattr(store, name))
         other = EmaConfig(beta=0.8, format=FP4_E2M1, scheme=BLOCK16)
         with pytest.raises(ValueError, match="share its EmaConfig"):
             StateStack([rows + [EmaState.initialize(other, 40)]], [None])
+
+    def test_groups_store_in_views_of_the_stack(self):
+        # runs of one storage key split where the key changes and where a
+        # nearest config follows a stochastic one; every store's values and
+        # flags are the stack's own memory at the group's places
+        configs = [EmaConfig(0.9, None), EmaConfig(0.9, FP4_E2M1, BLOCK16, SR),
+                   EmaConfig(0.9, FP4_E2M1, BLOCK16), EmaConfig(0.8, FP4_E2M1, BLOCK16, SR),
+                   EmaConfig(0.9, BF16, PER_TENSOR), EmaConfig(0.9, None)]
+        gens = [np.random.default_rng(s) for s in range(2)]
+        streams = [RowStreams(gens, 1)] * len(configs)
+        stack = StateStack([[EmaState.initialize(cfg, 40)] * 2 for cfg in configs],
+                           streams)
+        assert [(sel.start, sel.stop) for sel, _ in stack.groups] == [
+            (0, 1), (1, 2), (2, 4), (4, 5), (5, 6)]
+        for sel, store in stack.groups:
+            for ours, theirs in ((store.values, stack.values), (store.flags, stack.flags)):
+                assert ours.base is theirs and ours.shape == theirs[sel].shape
+                assert (ours.__array_interface__["data"][0]
+                        == theirs[sel].__array_interface__["data"][0])
+        with np.errstate(**_QUIET):
+            stack.store(_proposal(stack.values, np.ones(stack.values.shape), 0.5))
+        assert stack.values[:, :, 0].tolist() == [[0.5, 0.5]] * len(configs)
+
+    def test_shared_start_state_decodes_once_per_config(self, monkeypatch):
+        calls = []
+        real = EmaState.values
+        monkeypatch.setattr(EmaState, "values", lambda s: calls.append(s) or real(s))
+        configs = [EmaConfig(0.9, FP4_E2M1, BLOCK16), EmaConfig(0.99, None)]
+        StateStack([[EmaState.initialize(cfg, 40)] * 9 for cfg in configs], [None] * 2)
+        assert len(calls) == 2
 
     @pytest.mark.parametrize("dim", [2.5, 0, -1, True, "4"])
     @pytest.mark.parametrize("fmt", [None, BF16], ids=["fp32", "bf16"])
@@ -1040,31 +1088,52 @@ class TestSkips:
         rng = np.random.default_rng(17)
         skips = _Skips("first", [0.0], [17], 0)
         s1 = EmaState.initialize(EmaConfig(beta=0.99, format=None), 16)
-        m, v = moment_stacks(16, beta1=0.99)
+        stack = moment_stack(16, beta1=0.99)
         for t in range(1, 51):
             sig = rng.standard_normal(16)
             s1, _ = ema_step(s1, sig)
-            hold_m, hold_v = skips.draw(t)
-            assert hold_m is None and hold_v is None
-            adam_lockstep(m, v, sig[None, None], hyper, np.zeros((1, 1, 16)),
-                          hold_m=hold_m, hold_v=hold_v)
-            assert np.array_equal(s1.stored, m.values[0, 0])
+            hold = skips.holds(t)
+            assert hold is None
+            adam_lockstep(stack, signal_of(sig), hyper, np.zeros((1, 1, 16)), hold)
+            assert np.array_equal(s1.stored, stack.values[0, 0])
 
     def test_p_one_freezes_forever(self):
         hyper = AdamHyper(lr=0.01)
         rng = np.random.default_rng(19)
         skips = _Skips("first", [1.0], [19], 0)
-        m, v = moment_stacks(16, beta1=0.99)
+        stack = moment_stack(16, beta1=0.99)
         params = np.zeros((1, 1, 16))
-        adam_lockstep(m, v, np.ones((1, 1, 16)), hyper, params)
-        frozen = m.values.copy()
+        adam_lockstep(stack, signal_of(np.ones(16)), hyper, params)
+        frozen = stack.values[0].copy()
         for t in range(1, 101):
-            hold_m, hold_v = skips.draw(t)
-            assert hold_m.tolist() == [True] and hold_v is None
-            adam_lockstep(m, v, rng.standard_normal((1, 1, 16)), hyper, params,
-                          hold_m=hold_m)
-        assert np.array_equal(m.values, frozen)
-        assert m.state(0, 0).k == 101
+            hold = skips.holds(t)
+            assert hold.tolist() == [[True], [False]]
+            adam_lockstep(stack, signal_of(rng.standard_normal(16)), hyper, params, hold)
+        assert np.array_equal(stack.values[0], frozen)
+        assert stack.state(0, 0).k == 101
+
+    @pytest.mark.parametrize("target", ["first", "second"])
+    def test_block_draws_equal_scalar_draws(self, target, monkeypatch):
+        # blocks of 4 steps for the three live rows: each step's holds are
+        # every live row's next scalar rng.random() < p, across the block
+        # edges; draw gives the same holds as (hold_m, hold_v)
+        monkeypatch.setattr(simlab, "_BLOCK_BYTES", 4 * 8 * 3)
+        p_rows, seed_rows, warmup = [0.3, 0.0, 0.5, 1.0], [5, 5, 6, 6], 2
+        skips, twin = (_Skips(target, p_rows, seed_rows, warmup) for _ in range(2))
+        assert skips.block == 4
+        refs = {r: np.random.default_rng([seed_rows[r], _KEY_ROUND, int(p_rows[r] * 10**6)])
+                for r in (0, 2, 3)}
+        moment = ("first", "second").index(target)
+        for t in range(1, warmup + 3 * 4 + 2):
+            hold, pair = skips.holds(t), twin.draw(t)
+            if t <= warmup:
+                assert hold is None and pair == (None, None)
+                continue
+            want = np.zeros((2, 4), dtype=bool)
+            for r, rng in refs.items():
+                want[moment, r] = rng.random() < p_rows[r]
+            assert hold.tolist() == want.tolist(), t
+            assert pair[1 - moment] is None and pair[moment].tolist() == want[moment].tolist()
 
     def test_skip_rate_binomial(self):
         skips = _Skips("second", [0.5], [23], 0)

@@ -6,6 +6,7 @@ import re
 import numpy as np
 import pytest
 
+from emastall import simlab
 from emastall.engine import AdamHyper, EmaConfig, ResetPolicy
 from emastall.formats import RoundingMode
 from emastall.simlab import (
@@ -377,6 +378,17 @@ def test_empty_grids_name_their_input():
         run_skip_study(prob, (), "first", 2, (0,))
 
 
+def test_colliding_median_keys_are_one_line_error():
+    # a/b + c and a + b/c both key median@a/b/c: the call once wrote 12
+    # table rows but only 3 medians, the second cell's over the first's
+    cm, cv = moment_configs(None)
+    with pytest.raises(ValueError) as exc:
+        run_reset_study(NoisyQuadratic(dimension=8), [("a/b", cm, cv), ("a", cm, cv)],
+                        [("c", ResetPolicy.none()), ("b/c", ResetPolicy.periodic(2))],
+                        4, (0, 1, 2))
+    assert str(exc.value) == "two cells share the label 'median@a/b/c'"
+
+
 def test_numpy_inputs_write_the_python_inputs_json(tmp_path):
     # numpy ints and floats once ran to the end and then failed in
     # save_json as "Object of type int64 is not JSON serializable"
@@ -496,9 +508,11 @@ class TestStackReference:
     """Each problem's formula, written out from the seed's own streams,
     against ``make_stack`` bit for bit."""
 
-    @pytest.mark.parametrize("seeds", [(0, 3), (5, 1, 2)])
-    def test_quadratic_stack_equals_its_formula(self, seeds):
-        prob = NoisyQuadratic(dimension=300, noise_mult=0.7, target_drift=0.05)
+    @staticmethod
+    def _check_quadratic(prob, seeds, steps, out=False):
+        # steps of the stack against the formula, each seed's target walk
+        # and noise drawn one step at a time; with out, the gradient goes
+        # into a caller's buffer
         stack = prob.make_stack(seeds)
         params = _spread(_start(stack, *SHAPE))
         ref = []
@@ -511,8 +525,10 @@ class TestStackReference:
                         np.random.default_rng([seed, _KEY_GRAD])))
         assert _same_bits(stack.init_params(),
                           np.full((len(seeds), prob.dimension), prob.init_offset))
-        for _ in range(REF_STEPS):
-            got = stack.grad(params)
+        buffer = np.empty_like(params)
+        for _ in range(steps):
+            got = stack.grad(params, out=buffer) if out else stack.grad(params)
+            assert (got is buffer) == out
             want = np.empty_like(params)
             for i, (h, target, target_rng, grad_rng) in enumerate(ref):
                 target += prob.target_drift * target_rng.standard_normal(prob.dimension)
@@ -527,6 +543,23 @@ class TestStackReference:
                 for c in range(SHAPE[0])])
             assert _same_bits(stack.losses(params), want_loss)
             params = params - 0.1 * got
+        return stack
+
+    @pytest.mark.parametrize("seeds", [(0, 3), (5, 1, 2)])
+    def test_quadratic_stack_equals_its_formula(self, seeds):
+        prob = NoisyQuadratic(dimension=300, noise_mult=0.7, target_drift=0.05)
+        self._check_quadratic(prob, seeds, REF_STEPS)
+
+    @pytest.mark.parametrize("drift", [0.05, 0.0])
+    @pytest.mark.parametrize("seeds", [(0, 3), (5, 1, 2)])
+    def test_quadratic_blocks_equal_its_formula(self, seeds, drift, monkeypatch):
+        # blocks of 3 steps: two full blocks and a partial third, whose walk
+        # carries on from the target the previous block ended at
+        dim = 40
+        monkeypatch.setattr(simlab, "_BLOCK_BYTES", 3 * len(seeds) * dim * 8 + 7)
+        prob = NoisyQuadratic(dimension=dim, noise_mult=0.7, target_drift=drift)
+        stack = self._check_quadratic(prob, seeds, 8, out=True)
+        assert stack.block == 3
 
     @pytest.mark.parametrize("seeds", [(0, 3), (5, 1, 2)])
     def test_logistic_stack_equals_its_formula(self, seeds):

@@ -189,7 +189,7 @@ def test_reset_rows_equal_the_per_state_rule():
     fractions = rng.uniform(0.0, 1.0, (2, rows))
     for moment in ("first", "second"):
         stack = engine.StateStack(batches, [None, None])
-        rules = engine.ResetRows(policies, moment, 5, [c.beta for c in configs])
+        rules = engine.ResetRows(policies, [moment] * 2, 5, [c.beta for c in configs])
         reset = engine.reset_rows(stack, rules, fractions)
         for c, batch in enumerate(batches):
             for r, policy in enumerate(policies):
@@ -217,8 +217,8 @@ def _assert_cells_equal_per_cell_runs(problem, configs, policies, steps, seeds,
 
 
 def test_non_contiguous_storage_groups_equal_per_cell_runs():
-    # fp4's group holds stack places 0 and 2, bf16's holds 3 (sr) and 4
-    # (nr), so no group is a contiguous nearest-first slice
+    # fp4's configs sit at places 0 and 2 and bf16's at 3 (sr) and 4 (nr),
+    # so each storage key splits into groups of one config
     order = [("fp4", NR), (None, NR), ("fp4", SR), ("bf16", SR), ("bf16", NR)]
     configs = [_moments(fmt, r) for fmt, r in order]
     policies = [ResetPolicy.none(), ResetPolicy.periodic(25),
@@ -227,21 +227,22 @@ def test_non_contiguous_storage_groups_equal_per_cell_runs():
     _assert_cells_equal_per_cell_runs(PROBLEM, configs, policies, 80, SEEDS, got)
 
 
-@pytest.mark.parametrize("order,contiguous", [
-    ([(None, NR), ("fp4", NR), ("fp4", SR)], True),
-    ([("fp4", NR), (None, NR), ("fp4", SR)], False),
+@pytest.mark.parametrize("order,runs", [
+    ([(None, NR), ("fp4", NR), ("fp4", SR)], [1, 2, 1, 2]),
+    ([("fp4", NR), (None, NR), ("fp4", SR)], [1] * 6),
 ], ids=["contiguous", "non-contiguous"])
-def test_in_place_stores_read_back_as_their_states(monkeypatch, order, contiguous):
-    # a contiguous group stores in views of the stack's own buffers and a
-    # non-contiguous one is copied into them; after every step, and after
-    # its resets, each row of the stack's values reads back as its state
+def test_in_place_stores_read_back_as_their_states(monkeypatch, order, runs):
+    # every storage group, a run of adjacent configs of the two-moment
+    # stack, stores in views of the stack's own buffers; after every step,
+    # and after its resets, each row of the stack's values reads back as
+    # its state
     configs = [_moments(fmt, r) for fmt, r in order]
     policies = [ResetPolicy.none(), ResetPolicy.periodic(25),
                 ResetPolicy.adaptive(s0=0.0, p_ss=0.25)]
-    real, seen = simlab.reset_rows, {"resets": 0, "layouts": set()}
+    real, seen = simlab.reset_rows, {"resets": 0, "runs": set()}
 
     def read_back(stack):
-        for c in range(len(configs)):
+        for c in range(2 * len(configs)):
             for r in range(stack.k.shape[1]):
                 want = stack.state(c, r).values()
                 assert stack.values[c, r].tolist() == want.tolist(), (c, r)
@@ -250,22 +251,67 @@ def test_in_place_stores_read_back_as_their_states(monkeypatch, order, contiguou
         read_back(stack)
         reset = real(stack, rules, fractions)
         seen["resets"] += int(reset.sum())
-        (fp4,) = [g for g in stack.groups if g[2].codes is not None]
-        seen["layouts"].add(isinstance(fp4[0], slice))
+        seen["runs"].add(tuple(sel.stop - sel.start for sel, _ in stack.groups))
         read_back(stack)
         return reset
 
     monkeypatch.setattr(simlab, "reset_rows", reset_and_read_back)
     seeds = (0, 1)
     got = run_reset_cells(PROBLEM, configs, policies, 80, seeds, HYPER)
-    assert seen["layouts"] == {contiguous}
+    assert seen["runs"] == {tuple(runs)}
     assert seen["resets"] > 0
     _assert_cells_equal_per_cell_runs(PROBLEM, configs, policies, 80, seeds, got)
 
 
+@pytest.mark.parametrize("order,runs", [
+    # bf16_sr before bf16_nr, and the m stack's last bf16 (nr) and the v
+    # stack's first (sr) in one group across the moment boundary
+    ([("bf16", SR), ("fp4", NR), ("bf16", NR)], [1, 1, 2, 1, 1]),
+    # one group of both moments, whose stochastic rows draw from the same
+    # generators, m's rows first
+    ([("bf16", SR)], [2]),
+    # full precision across the boundary
+    ([(None, NR), ("fp4", SR), (None, NR)], [1, 1, 2, 1, 1]),
+    ([("fp8_e4m3", SR), ("fp8_e4m3", NR)], [1, 2, 1]),
+], ids=["bf16-sr-first", "bf16-sr-alone", "fp32-across", "fp8-sr-first"])
+@pytest.mark.parametrize("skip", [False, True], ids=["resets", "skips"])
+def test_groups_across_the_moment_boundary_equal_the_lockstep_loop(
+        monkeypatch, order, runs, skip):
+    # groups are runs of adjacent configs of the (2 * configs) stack; a run
+    # may cross from the first moments to the second, and a nearest config
+    # after a stochastic one of its format starts a new run
+    configs = [_moments(fmt, r) for fmt, r in order]
+    policies = [ResetPolicy.none(), ResetPolicy.periodic(15),
+                ResetPolicy.adaptive(s0=0.0, p_ss=0.25)]
+    seeds, steps = (0, 5), 50
+    real, seen = simlab.reset_rows, set()
+
+    def reset_rows(stack, rules, fractions):
+        seen.add(tuple(sel.stop - sel.start for sel, _ in stack.groups))
+        return real(stack, rules, fractions)
+
+    def skips():
+        if not skip:
+            return None
+        rows = len(policies) * len(seeds)
+        return _Skips("second", [0.4] * rows, [s for s in seeds for _ in policies], 5)
+
+    monkeypatch.setattr(simlab, "reset_rows", reset_rows)
+    got = _train_rows(PROBLEM, configs, policies, steps, seeds, HYPER, skips(), True)
+    want = lockstep_oracle.train_rows(PROBLEM, configs, policies, steps, seeds, HYPER,
+                                      skips(), True)
+    assert seen == {tuple(runs)}
+    assert got["final_loss"].tolist() == want["final_loss"].tolist()
+    for got_c, want_c in zip(got["traces"], want["traces"], strict=True):
+        for pair_got, pair_want in zip(got_c, want_c, strict=True):
+            for a, b in zip(pair_got, pair_want):
+                assert (a.fractions, a.cycle_ks, a.reset_flags) == (
+                    b.fractions, b.cycle_ks, b.reset_flags)
+
+
 def test_interleaved_betas_in_non_contiguous_groups_equal_own_runs():
     # beta2 in {0.99, 0.999} (and beta1 in {0.9, 0.95}) alternates across
-    # the stack while every storage group (fp4, fp32, bf16) holds
+    # the stack while every storage key (fp4, fp32, bf16) holds
     # non-adjacent places, so each row's decay is its own config's
     configs = [
         _moments("fp4", NR, 0.9, 0.99),
