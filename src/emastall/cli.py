@@ -298,6 +298,7 @@ _PREDICT_COLUMNS = {
 
 def cmd_predict(args) -> int:
     formats = _require_formats(args)
+    resolved = {}
     if args.command == "predict-window":
         if not args.p0:
             raise SystemExit("at least one --p0 value is required")
@@ -306,17 +307,19 @@ def cmd_predict(args) -> int:
             p_inits = [PAPER_P_INIT.get(name, 0.0) for name in formats]
         if len(p_inits) != len(formats):
             raise SystemExit("--p-init needs one value per format")
-        _print_config(args, p_init=p_inits)
+        resolved["p_init"] = p_inits
     else:
         if args.command == "predict-period" and not args.s0:
             raise SystemExit("at least one --s0 value is required")
         p_inits = [0.0] * len(formats)
-        _print_config(args)
     columns = _PREDICT_COLUMNS[args.command]
     rows = []
     for name, p_init in zip(formats, p_inits):
         inputs = TheoryInputs(beta2=args.beta2, format=get_format(name), p_init=p_init)
         rows.append({"format": name, **columns(inputs, args)})
+    # printed once the predictors have checked their input, so that bad
+    # input prints only its error
+    _print_config(args, **resolved)
     _emit_table(rows, args)
     _save_table(rows, _resolve_out(args, args.command.replace("-", "_")))
     return 0
@@ -348,7 +351,7 @@ def cmd_stall_curve(args) -> int:
 
     formats = _require_formats(args)
     _apply_preset(args)
-    mode = RoundingMode.NEAREST_EVEN if args.rounding == "nr" else RoundingMode.STOCHASTIC
+    mode = RoundingMode(args.rounding)
     spec = GradientStreamSpec(dimension=args.dim, seed=args.seed)
     results = run_stall_curves(
         spec, [default_ema_config(name, args.beta2, mode) for name in formats],
@@ -374,7 +377,7 @@ def cmd_first_moment(args) -> int:
         if not get_format(name).sign_bits:
             raise SystemExit(f"first-moment study needs a signed format, got {name}")
     _apply_preset(args)
-    mode = RoundingMode.NEAREST_EVEN if args.rounding == "nr" else RoundingMode.STOCHASTIC
+    mode = RoundingMode(args.rounding)
     spec = GradientStreamSpec(dimension=args.dim, seed=args.seed, mu=args.mu)
     results = run_first_moment_curves(
         spec, [default_ema_config(name, args.beta1, mode) for name in formats],
@@ -438,15 +441,11 @@ def cmd_reset_study(args) -> int:
     configs = []
     for name in args.formats:
         key = None if name in ("fp32", "none") else name
-        label = name
-        for rounding, tag in (
-            (RoundingMode.NEAREST_EVEN, "nr"),
-            (RoundingMode.STOCHASTIC, "sr"),
-        ):
-            if key is None and tag == "sr":
+        for rounding in RoundingMode:
+            if key is None and rounding is RoundingMode.STOCHASTIC:
                 continue
             cfg_m, cfg_v = moment_configs(key, rounding, beta2=args.beta2)
-            configs.append((f"{label}_{tag}" if key else "fp32", cfg_m, cfg_v))
+            configs.append((f"{name}_{rounding.value}" if key else "fp32", cfg_m, cfg_v))
     periods = args.periods
     if periods is None:
         # theory K* of each second-moment storage format of the quantized

@@ -26,9 +26,11 @@ Every stored state is written by one class, ``_Store``, always of shape
 writes its stored values and stall flags into views of the stack's own
 arrays, so the stack reads them without a copy; ``ema_step`` and the
 curve drivers write a single state through a ``(1, 1, dim)`` store, which
-the curve drivers keep per config across steps. A write runs the steps of
-``quantize_with_scales`` and ``dequantize``, the helpers of ``quantize``,
-on the store's own buffers. Every rounding stream is a ``RowStreams``.
+the curve drivers keep per config across steps. Every write takes one
+path, the steps of ``quantize_with_scales`` and ``dequantize`` on the
+store's own buffers: scale (``_scaled``), encode (``RoundingGrid.encode``),
+compare the codes with the stored ones for the stall flags, and decode
+(``_decode``). Every rounding stream is a ``RowStreams``.
 """
 
 from __future__ import annotations
@@ -43,14 +45,13 @@ from pathlib import Path
 import numpy as np
 
 from .csvio import write_csv
-from .formats import FpFormat, RoundingMode, _normalized_grid
+from .formats import FpFormat, RoundingMode, _check_int, _is_integer, _normalized_grid
 from .quantize import (
     QuantizedBlock,
     ScalingScheme,
     _block_absmax,
     _broadcast_scales,
     _decode,
-    _is_integer,
     _layout,
     _scaled,
     dequantize,
@@ -125,8 +126,7 @@ class EmaState:
     def __post_init__(self) -> None:
         # a truncated k would shift bias correction and reset timing, and a
         # NaN excess would keep the adaptive rule from ever firing
-        if not (_is_integer(self.k) and self.k >= 0):
-            raise ValueError(f"k must be an integer >= 0, got {self.k!r}")
+        _check_int("k", self.k, 0)
         if not (isinstance(self.excess, numbers.Real) and math.isfinite(self.excess)
                 and self.excess >= 0):
             raise ValueError(f"excess must be finite and >= 0, got {self.excess!r}")
@@ -134,8 +134,7 @@ class EmaState:
     @classmethod
     def initialize(cls, config: EmaConfig, dim: int) -> "EmaState":
         """Zero state of one tensor."""
-        if not (_is_integer(dim) and dim >= 1):
-            raise ValueError(f"dim must be an integer >= 1, got {dim!r}")
+        _check_int("dim", dim, 1)
         zeros = np.zeros(dim)
         if config.format is None:
             return cls(zeros, 0, config)
@@ -207,14 +206,8 @@ def _proposal(
 
 
 def _decoded(states: list) -> np.ndarray:
-    # the (members, rows, dim) decoded values of states, one decode per
-    # distinct state object: a stack's rows usually share one start state
-    decoded: dict = {}
-    for rows in states:
-        for s in rows:
-            if id(s) not in decoded:
-                decoded[id(s)] = s.values()
-    return np.array([[decoded[id(s)] for s in rows] for rows in states])
+    # the (members, rows, dim) decoded values of states
+    return np.array([[s.values() for s in rows] for rows in states])
 
 
 class _Store:
@@ -261,14 +254,8 @@ class _Store:
         self.grid = _normalized_grid(cfg.format)
         self.codes = np.array([[s.stored.codes for s in rows] for rows in states])
         self.starts, self.block_of = _layout(cfg.scheme, self.values.shape[-1])
-        # on a signed grid with a zero point, a write takes its magnitudes
-        # from the absmax pass: |p| / rep is |p / rep| bit for bit, and a
-        # negative p whose quotient is -0.0 still gets the zero point's one
-        # code from the proposal's sign
-        self.abs_reused = (not cfg.freeze_scale and bool(cfg.format.sign_bits)
-                           and self.grid.values[0] == 0.0)
         self.mag = np.empty_like(self.values)
-        self.w = None if self.abs_reused else np.empty_like(self.values)
+        self.w = np.empty_like(self.values)
         # several blocks' scales are gathered per element into this buffer
         self.rep = None if self.block_of is None else np.empty_like(self.values)
         self._set_scales(np.array([[s.stored.scales for s in rows] for rows in states]))
@@ -290,15 +277,8 @@ class _Store:
             return flags
         if not self.config.freeze_scale:
             self._set_scales(_block_absmax(proposal, self.starts, self.mag))
-        if self.abs_reused:
-            # an all-zero block's |p| is already the 0 it scales to
-            mag = np.divide(self.mag, self.rep, out=self.mag,
-                            where=self.positive or self.rep > 0)
-            codes = self.grid.encode_magnitudes(proposal, mag, self.n_nearest,
-                                                self.stream)
-        else:
-            w = _scaled(proposal, self.rep, self.positive, self.w)
-            codes = self.grid.encode(w, self.n_nearest, self.stream, self.mag)
+        w = _scaled(proposal, self.rep, self.positive, self.w)
+        codes = self.grid.encode(w, self.n_nearest, self.stream, self.mag)
         np.equal(codes, self.codes, out=flags)
         self.codes = codes
         _decode(self.grid, codes, self.rep, x)

@@ -7,6 +7,8 @@ format and cached. Rounding finds a magnitude's rank among the grid's
 decision boundaries with a bucket table indexed by the top bits of its
 float64 bit pattern (``_BucketRank``): one gather and one compare per
 element, with the same result as a binary search over the sorted grid.
+``RoundingGrid.encode`` is the one encoder, from values to full codes:
+the array and scalar rounders and every quantizer write call it.
 
 Codes are plain unsigned bit patterns laid out as [sign | exponent | mantissa].
 """
@@ -24,6 +26,11 @@ import numpy as np
 
 def _is_integer(x) -> bool:
     return isinstance(x, numbers.Integral) and not isinstance(x, bool)
+
+
+def _check_int(name: str, value, low: int) -> None:
+    if not (_is_integer(value) and value >= low):
+        raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
 
 
 class RoundingMode(Enum):
@@ -262,12 +269,7 @@ class RoundingGrid:
         """Full codes of w (its magnitudes go to out): the first n_nearest
         members along the first axis round to nearest, the rest
         stochastically on rng; magnitudes above the top point saturate."""
-        return self.encode_magnitudes(w, self.magnitude(w, out=out), n_nearest, rng)
-
-    def encode_magnitudes(self, x: np.ndarray, mag: np.ndarray, n_nearest: int,
-                          rng) -> np.ndarray:
-        """``encode`` from magnitudes already taken: mag on the grid's unit,
-        with the signs of x."""
+        mag = self.magnitude(w, out=out)
         if n_nearest == len(mag):
             idx = self.nearest_idx(mag)
         elif rng is None:
@@ -279,7 +281,7 @@ class RoundingGrid:
             idx = np.empty(mag.shape, np.intp)
             self.nearest_idx(mag[:n_nearest], idx[:n_nearest])
             self.stochastic_idx(mag[n_nearest:], rng, idx[n_nearest:])
-        return self.signed(x, idx)
+        return self.signed(w, idx)
 
 
 @lru_cache(maxsize=None)

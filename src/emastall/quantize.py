@@ -14,9 +14,10 @@ axis, every row has its own scales, and quantizing the stack equals
 quantizing each row in turn.
 
 Each step of a write (``_block_absmax``, ``_broadcast_scales``,
-``_scaled``, ``RoundingGrid.encode``, ``_decode``) is defined once:
-``quantize_with_scales`` and ``dequantize`` run them on fresh arrays, the
-engine's in-place store on its own buffers, passed as ``out``.
+``_scaled``, ``RoundingGrid.encode``, ``_decode``) is defined once, and
+every write runs them in that order, on one path:
+``quantize_with_scales`` and ``dequantize`` on fresh arrays, the engine's
+in-place store on its own buffers, passed as ``out``.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from .formats import (
     PRESETS,
     RoundingGrid,
     RoundingMode,
-    _is_integer,
+    _check_int,
     _normalized_grid,
     get_format,
 )
@@ -53,9 +54,7 @@ class ScalingScheme:
     def __post_init__(self) -> None:
         if not isinstance(self.mode, ScalingMode):
             raise ValueError(f"mode must be a ScalingMode, got {self.mode!r}")
-        if not (_is_integer(self.block_size) and self.block_size >= 1):
-            raise ValueError(
-                f"block_size must be an integer >= 1, got {self.block_size!r}")
+        _check_int("block_size", self.block_size, 1)
 
     def block_starts(self, n: int) -> np.ndarray:
         if self.mode is ScalingMode.PER_TENSOR:

@@ -77,8 +77,8 @@ from .engine import (
     adam_lockstep,
     reset_rows,
 )
-from .formats import RoundingMode, get_format
-from .quantize import ScalingMode, ScalingScheme, _is_integer
+from .formats import RoundingMode, _check_int, _is_integer, get_format
+from .quantize import ScalingMode, ScalingScheme
 from .theory import (
     TheoryInputs,
     p_stall_nr_ss,
@@ -94,11 +94,6 @@ _KEY_GRAD = 12
 _KEY_ROUND = 13
 _KEY_TARGET = 14
 _KEY_PROBLEM = 15
-
-
-def _require_count(name: str, value) -> None:
-    if not (_is_integer(value) and value >= 1):
-        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -125,9 +120,8 @@ class GradientStreamSpec:
         # a bad value would surface only as non-finite draws (or a stream
         # that flips sign) at the first write, or as numpy's error on a
         # negative seed
-        if not (_is_integer(self.seed) and self.seed >= 0):
-            raise ValueError(f"seed must be an integer >= 0, got {self.seed!r}")
-        _require_count("dimension", self.dimension)
+        _check_int("seed", self.seed, 0)
+        _check_int("dimension", self.dimension, 1)
         if not math.isfinite(self.mu):
             raise ValueError("mu must be finite")
         if not (math.isfinite(self.sigma) and self.sigma > 0):
@@ -219,7 +213,7 @@ class NoisyQuadratic:
     def __post_init__(self) -> None:
         # a bad value would surface only when a stack is drawn, as numpy's
         # TypeError, a math domain error or "high - low < 0"
-        _require_count("dimension", self.dimension)
+        _check_int("dimension", self.dimension, 1)
         if not 0 < self.curvature_min < math.inf:
             raise ValueError(
                 f"curvature_min must be positive and finite, got {self.curvature_min!r}")
@@ -331,7 +325,7 @@ class SynthLogistic:
         # a bad count would surface as numpy's "high <= 0" or as a
         # non-finite gradient, and a label noise above 1 would run
         for name in ("n_samples", "dimension", "batch_size"):
-            _require_count(name, getattr(self, name))
+            _check_int(name, getattr(self, name), 1)
         if not 0 <= self.label_noise <= 1:
             raise ValueError(f"label_noise must be in [0, 1], got {self.label_noise!r}")
 
@@ -551,8 +545,8 @@ def _curve_results(
     # steady_key. The configs step in lockstep over one draw per step, each
     # in its own in-place store; each rounds with its own stream, seeded as
     # a config run alone seeds it
-    _require_count("steps", steps)
-    _require_count("trials", trials)
+    _check_int("steps", steps, 1)
+    _check_int("trials", trials, 1)
     if not emas:
         raise ValueError("at least one EMA config is required")
     dim = stream.dimension
@@ -712,7 +706,7 @@ def _check_run(steps, seeds, distinct: bool = True) -> None:
     # bad values would fail later as a TypeError or as numpy's error on a
     # negative entropy. A study's table and medians would count a repeated
     # seed twice; the cell drivers keep one row per entry (distinct=False)
-    _require_count("steps", steps)
+    _check_int("steps", steps, 1)
     if not seeds:
         raise ValueError("at least one seed is required")
     for i, seed in enumerate(seeds):

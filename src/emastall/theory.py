@@ -26,7 +26,7 @@ from collections.abc import Iterable
 
 import numpy as np
 
-from .formats import FpFormat, _is_integer
+from .formats import FpFormat, _check_int, _is_integer
 
 # mean normalized mantissa under the log-uniform mantissa model
 MBAR = 1.0 / math.log(2.0)
@@ -43,11 +43,6 @@ class ThresholdUnreachableError(ValueError):
 def _check_beta2(beta2: float) -> None:
     if not 0.0 < beta2 < 1.0:
         raise ValueError("beta2 must be in (0, 1)")
-
-
-def _check_int(name: str, value, low: int) -> None:
-    if not (_is_integer(value) and value >= low):
-        raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
 
 
 def chi2_1_cdf(x: float) -> float:
@@ -286,20 +281,15 @@ def remaining_error_E(K: int, beta2: float) -> float:
     return 2.0 * bk / (1.0 + bk)
 
 
-def _remaining_errors(beta2: float, ks: Iterable[int]) -> np.ndarray:
-    """remaining_error_E at each K of ks (Python ints), bit for bit: the
-    powers stay Python's, whose last bit numpy's does not always match."""
-    bk = np.fromiter(map(pow, itertools.repeat(beta2), ks), np.float64)
-    return 2.0 * bk / (1.0 + bk)
-
-
 def remaining_error_table(beta2: float, k_max: int) -> np.ndarray:
     """E(k) for k = 0 … k_max as an array, each entry equal to
     ``remaining_error_E``'s; entry 0, where no cycle has run, is inf. A
-    last-bit difference would move an adaptive reset by a step."""
+    last-bit difference would move an adaptive reset by a step, so the
+    powers stay Python's, whose last bit numpy's does not always match."""
     _check_beta2(beta2)
     _check_int("k_max", k_max, 0)
-    return np.concatenate(([math.inf], _remaining_errors(beta2, range(1, k_max + 1))))
+    bk = np.fromiter(map(pow, itertools.repeat(beta2), range(1, k_max + 1)), np.float64)
+    return np.concatenate(([math.inf], 2.0 * bk / (1.0 + bk)))
 
 
 def excess_staleness(s, s0):

@@ -162,6 +162,22 @@ class TestPredictTables:
         assert isinstance(message, str) and argv[1] in message and "\n" not in message
         assert capsys.readouterr().out == ""
 
+    @pytest.mark.parametrize("argv,message", [
+        (["predict-window", "--p0", "1.5"], "P0 must be in (0, 1)"),
+        (["predict-window", "--p-init", "1.5,0,0"], "p_init must be in [0, 1)"),
+        (["predict-period", "--s0", "1.5"], "s0 must be in [0, 1)"),
+        (["predict-stall", "--beta2", "1.5"], "beta2 must be in (0, 1)"),
+    ], ids=["window-p0", "window-p-init", "period-s0", "stall-beta2"])
+    def test_input_errors_stop_before_the_config(self, argv, message, capsys,
+                                                 tmp_path):
+        # the predictors once checked their input after the config line was
+        # printed, which then stood above the error on stdout
+        assert main(argv + ["--out", str(tmp_path / "t")]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: {message}\n"
+        assert not list(tmp_path.iterdir())
+
     @pytest.mark.parametrize("argv,columns", [
         (["predict-period", "--s0", "0.6,0.6000001"],
          ["Kstar@0.6", "Kstar@0.6000001"]),
